@@ -28,7 +28,7 @@ from .lattices import (
     discriminant_form,
     verify_realization,
 )
-from .linalg import inertia, is_symmetric
+from .linalg import is_symmetric
 from .metric_groups import (
     GAUSS_BUDGET_DEFAULT,
     BudgetExceededError,
@@ -43,7 +43,7 @@ from .metric_groups import (
 )
 from .realize import kmatrix_for
 from .symmetry import aut_bruteforce, aut_order_closed
-from .weights import coset_minima, extremality_score
+from .weights import coset_minima, score_of_minima
 
 __all__ = ["main", "parse_spec", "parse_spec_factors", "load_matrix_file", "dump_matrix_file"]
 
@@ -115,6 +115,11 @@ def load_matrix_file(path: str) -> tuple[list[list[int]], str | None, str | None
         if not isinstance(payload, dict) or "gram" not in payload:
             raise UsageError(f"{path}: JSON matrix files need a 'gram' field")
         gram = payload["gram"]
+        if not isinstance(gram, list) or not all(isinstance(row, list) for row in gram):
+            raise UsageError(f"{path}: 'gram' must be a list of rows")
+        # Exact type test: bool is an int subclass, and JSON true is no entry.
+        if any(type(x) is not int for row in gram for x in row):
+            raise UsageError(f"{path}: matrix entries must be JSON integers")
         target = payload.get("target")
         comment = payload.get("comment")
     else:
@@ -125,7 +130,6 @@ def load_matrix_file(path: str) -> tuple[list[list[int]], str | None, str | None
             raise UsageError(f"{path}: not JSON and not whitespace-separated integers") from exc
     if not gram or any(len(row) != len(gram) for row in gram):
         raise UsageError(f"{path}: matrix must be square and nonempty")
-    gram = [[int(x) for x in row] for row in gram]
     if not is_symmetric(gram):
         raise UsageError(f"{path}: matrix must be symmetric")
     return gram, target, comment
@@ -286,16 +290,18 @@ def _cmd_weights(args) -> int:
     started = time.perf_counter()
     gram, _, _ = load_matrix_file(args.file)
     minima = coset_minima(gram, budget=args.budget)
-    disc = discriminant_form(gram)
-    n_plus, n_minus, n_zero = inertia(gram)
-    print(f"rank {len(gram)}, |A| = {len(minima)}, invariant factors {list(disc.invariant_factors)}")
-    print(f"signature: {n_plus - n_minus}")
+    # coset_minima accepts only positive-definite K, so the signature is the
+    # rank; its keys run over range(n_1) x range(n_2) x ..., so the largest
+    # key is (n_1 - 1, n_2 - 1, ...).
+    factors = [c + 1 for c in max(minima)]
+    print(f"rank {len(gram)}, |A| = {len(minima)}, invariant factors {factors}")
+    print(f"signature: {len(gram)}")
     for coeffs in sorted(minima):
         print(f"  h{list(coeffs)} = {_frac(minima[coeffs])}")
     nonzero = sorted(v for v in minima.values() if v)
     if nonzero:
         print(f"min nonzero h = {_frac(nonzero[0])}")
-    print(f"extremality score = {_frac(extremality_score(gram, budget=args.budget))}")
+    print(f"extremality score = {_frac(score_of_minima(minima, len(gram)))}")
     print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return 0
 

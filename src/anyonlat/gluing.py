@@ -15,13 +15,16 @@ integer matrix M with M^T M = -I modulo n (n odd) or 2n (n even); two
 rotation blocks built from a^2 + b^2 = -1 supply it for odd n, a quaternion
 multiplication matrix with a^2 + b^2 + c^2 + d^2 = -1 mod 2^{r+1} for n = 2^r,
 and CRT welds the prime parts for mixed n.  Non-cyclic discriminant groups
-fall back to a budgeted backtracking search over D^8 in lexicographic order.
+fall back to a backtracking search over D^8 in lexicographic order, which
+tests isotropy with the q and chi of `DiscriminantData.metric_group()` and
+refuses up front, with BudgetExceededError, when |D|^8 exceeds its budget.
 
 The E/F builders assemble Gram matrices from block generating data: a small
 scaled block, a dual-coset glue vector lambda (norm = -1/2^r mod 2) or mu
 (norm = -3/2^r mod 2), and two resp. one copies of an input lattice.  Every
-inner product is computed through the input Gram matrix and dual-coset
-coordinates, so no irrational arithmetic ever occurs.
+inner product is computed through the input Gram matrix and the dual
+coordinates K^{-1} w that `discriminant_form` already solved for, so no
+system is solved twice and no irrational arithmetic ever occurs.
 """
 
 from __future__ import annotations
@@ -48,10 +51,9 @@ from .linalg import (
     left_kernel,
     mat_mul,
     smith_normal_form,
-    solve_columns,
     transpose,
 )
-from .metric_groups import PrimeFamilySpec, build_prime
+from .metric_groups import BudgetExceededError, PrimeFamilySpec, build_prime
 from .numtheory import crt_pair, factorize, sqrt_mod_prime_power
 
 __all__ = [
@@ -174,32 +176,29 @@ def _glue_generators_cyclic(n: int) -> list[list[int]]:
 def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[int]]:
     """Backtracking element search over D^8 in lexicographic order.
 
-    Candidates must keep the partial group totally isotropic (q2 = 0 mod 2,
-    b = 0 mod 1) and meet the first copy only in zero.  Practical only for
-    small non-cyclic D; cyclic groups use the structural path instead.
+    Candidates must keep the partial group totally isotropic (q = 0 and
+    chi = 0 mod 1, summed over the eight copies of the discriminant metric
+    group) and meet the first copy only in zero.  Practical only for small
+    non-cyclic D; cyclic groups use the structural path instead.  Raises
+    BudgetExceededError before listing D^8 when |D|^8 exceeds the budget.
     """
     orders = list(disc.invariant_factors)
     g = len(orders)
     target = disc.order**4
+    size = disc.order**8
+    if size > budget:
+        raise BudgetExceededError(
+            f"glue search over D^8 with |D| = {disc.order}: {size} elements exceed node budget {budget}"
+        )
     all_orders = orders * 8
+    group = disc.metric_group()
+    copies = [slice(copy * g, (copy + 1) * g) for copy in range(8)]
 
     def q2_total(vec) -> bool:
-        total = Fraction(0)
-        for copy in range(8):
-            total += disc.q2_of(vec[copy * g:(copy + 1) * g])
-        return total % 2 == 0
+        return sum(group.q(vec[c]) for c in copies) % 1 == 0
 
     def bil_total(v, w) -> bool:
-        total = Fraction(0)
-        for copy in range(8):
-            for i in range(g):
-                vi = v[copy * g + i]
-                if vi:
-                    for j in range(g):
-                        wj = w[copy * g + j]
-                        if wj:
-                            total += vi * wj * disc.bil_gen[i][j]
-        return total.denominator == 1
+        return sum(group.bilinear(v[c], w[c]) for c in copies) % 1 == 0
 
     def span_with(span, vec):
         new = set(span)
@@ -216,7 +215,7 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
     def touches_first_copy(x) -> bool:
         return any(x[:g]) and not any(x[g:])
 
-    elements = sorted(itertools.product(*(range(n) for n in all_orders)))
+    elements = list(itertools.product(*(range(n) for n in all_orders)))
     zero = tuple([0] * (8 * g))
     nodes = 0
 
@@ -301,7 +300,7 @@ def glue_selfdual_8(base: Lattice | list[list[int]], budget: int = GLUE_SEARCH_N
     else:
         glue_gens = _glue_generators_search(disc, budget)
 
-    zcols = solve_columns(gram, [list(w) for w in disc.generator_reps]) if g else []
+    zcols = disc.dual_coords
     den = lcm(1, *(z.denominator for col in zcols for z in col))
 
     big = 8 * m
@@ -405,9 +404,14 @@ def conjugate_realization(base: Lattice | list[list[int]]) -> Lattice:
 # E/F positive-definite builders
 
 
-def _dual_generator_with_norm(disc: DiscriminantData, gram, target_num: int, r: int) -> list[int]:
+def _dual_generator_with_norm(disc: DiscriminantData, gram, target_num: int, r: int) -> tuple[list[int], Fraction]:
     """Integer dual-coset vector w generating Z_{2^r} with w K^{-1} w =
-    target_num / 2^r mod 2: w = u * (SNF generator) for the smallest odd u."""
+    target_num / 2^r mod 2, and its exact norm w K^{-1} w.
+
+    w = u * (SNF generator) for the smallest odd u, shifted by the Gram rows
+    sum_j s_j K_j with s = -round(u * K^{-1} generator) to shrink coordinates;
+    the shift stays in the same dual coset and moves K^{-1} w by s.
+    """
     n = 2**r
     if disc.invariant_factors != (n,):
         raise ValueError(f"input discriminant group {disc.invariant_factors} is not Z_{n}")
@@ -416,26 +420,15 @@ def _dual_generator_with_norm(disc: DiscriminantData, gram, target_num: int, r: 
     for u in range(1, 2 * n + 1, 2):
         if (u * u * base_norm - target) % 2 == 0:
             w = [u * x for x in disc.generator_reps[0]]
-            return _reduce_mod_rowspace(w, gram)
+            z = [u * c for c in disc.dual_coords[0]]
+            for j, zj in enumerate(z):
+                s = -round(zj)  # exact: round() on Fraction
+                if s:
+                    z[j] += s
+                    for i in range(len(w)):
+                        w[i] += s * gram[j][i]
+            return w, sum(a * b for a, b in zip(w, z))
     raise ValueError(f"no dual generator with norm {target} mod 2 exists")
-
-
-def _reduce_mod_rowspace(w, gram) -> list[int]:
-    """Shift w by integer combinations of the Gram rows to shrink coordinates
-    (stays in the same dual coset)."""
-    z = solve_columns(gram, [list(w)])[0]
-    out = list(w)
-    for j, zj in enumerate(z):
-        s = -round(zj)  # exact: round() on Fraction
-        if s:
-            for i in range(len(out)):
-                out[i] += s * gram[j][i]
-    return out
-
-
-def _norm_of_dual(w, gram) -> Fraction:
-    z = solve_columns(gram, [list(w)])[0]
-    return sum(Fraction(a) * b for a, b in zip(w, z))
 
 
 def default_ef_input(family: str, r: int) -> Lattice:
@@ -485,8 +478,8 @@ def build_ef_positive(
     disc = discriminant_form(gram_in)
     m = len(gram_in)
     if family == "E":
-        w = _dual_generator_with_norm(disc, gram_in, -1, r)
-        corner = Fraction(2, n) + 2 * _norm_of_dual(w, gram_in)
+        w, norm = _dual_generator_with_norm(disc, gram_in, -1, r)
+        corner = Fraction(2, n) + 2 * norm
         if corner.denominator != 1:
             raise GlueSearchError("lambda norm residue violated")
         size = 2 + 2 * m
@@ -502,8 +495,8 @@ def build_ef_positive(
                     gram[off + i][off + j] = gram_in[i][j]
         target = build_prime(PrimeFamilySpec("E", 2, r))
     else:
-        w = _dual_generator_with_norm(disc, gram_in, -3, r)
-        corner = Fraction(3, n) + _norm_of_dual(w, gram_in)
+        w, norm = _dual_generator_with_norm(disc, gram_in, -3, r)
+        corner = Fraction(3, n) + norm
         if corner.denominator != 1:
             raise GlueSearchError("mu norm residue violated")
         size = 3 + m

@@ -36,6 +36,7 @@ from .linalg import (
 )
 from .metric_groups import (
     MetricGroup,
+    _mod1,
     central_charge_gauss,
     is_isomorphic,
 )
@@ -109,13 +110,16 @@ def _gram_of_rows(rows, ambient):
 
 @dataclass(frozen=True)
 class DiscriminantData:
-    """Cokernel invariants, dual-coset generator representatives, and the
-    values of q2 (mod 2) and the pairing b (mod 1) on those generators."""
+    """Cokernel invariants, dual-coset generator representatives w_j, the
+    values of q2 (mod 2) and the pairing b (mod 1) on those generators, and
+    the dual coordinates K^{-1} w_j: the one rational solve per Gram matrix,
+    which later layers read instead of solving again."""
 
     invariant_factors: tuple[int, ...]
     generator_reps: tuple[tuple[int, ...], ...]
     q2_gen: tuple[Fraction, ...]
     bil_gen: tuple[tuple[Fraction, ...], ...]
+    dual_coords: tuple[tuple[Fraction, ...], ...]
 
     @property
     def order(self) -> int:
@@ -130,26 +134,6 @@ class DiscriminantData:
             tuple(q / 2 for q in self.q2_gen),
             self.bil_gen,
         )
-
-    def q2_of(self, coeffs) -> Fraction:
-        """q2 of the class sum_j coeffs[j] * generator_j, mod 2."""
-        total = Fraction(0)
-        k = len(self.invariant_factors)
-        for i in range(k):
-            if coeffs[i]:
-                total += coeffs[i] * coeffs[i] * self.q2_gen[i]
-                for j in range(i + 1, k):
-                    if coeffs[j]:
-                        total += 2 * coeffs[i] * coeffs[j] * self.bil_gen[i][j]
-        return total % 2
-
-
-def _mod2(x: Fraction) -> Fraction:
-    return x % 2
-
-
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
 
 
 def discriminant_form(gram: list[list[int]]) -> DiscriminantData:
@@ -176,17 +160,17 @@ def discriminant_form(gram: list[list[int]]) -> DiscriminantData:
             factors.append(s)
             gens.append(tuple(snf.u_inv[i][j] for i in range(m)))
     if not gens:
-        return DiscriminantData((), (), (), ())
+        return DiscriminantData((), (), (), (), ())
     sols = solve_columns(gram, [list(w) for w in gens])
     q2 = tuple(
-        _mod2(sum(wi * zi for wi, zi in zip(w, z)))
+        sum(wi * zi for wi, zi in zip(w, z)) % 2
         for w, z in zip(gens, sols)
     )
     bil = tuple(
         tuple(_mod1(sum(wi * zi for wi, zi in zip(w, sols[j]))) for j in range(len(gens)))
         for w in gens
     )
-    return DiscriminantData(tuple(factors), tuple(gens), q2, bil)
+    return DiscriminantData(tuple(factors), tuple(gens), q2, bil, tuple(map(tuple, sols)))
 
 
 def lattice_metric_group(gram: list[list[int]]) -> MetricGroup:

@@ -17,6 +17,10 @@ quadratic forms on finite abelian groups:
 The central charge c mod 8 is defined by sum_x theta(x) / sqrt|A| = e^{i pi c/4};
 `central_charge_closed` tabulates it per family and `central_charge_gauss`
 recomputes it from the Gauss sum as an independent oracle.
+
+`_q_sum` and `_bil_sum` are the package's only evaluators of q and chi, and
+`_isometries` its only generator-image search (`is_isomorphic` takes the first
+isometry, `symmetry.aut_bruteforce` all of them).
 """
 
 from __future__ import annotations
@@ -52,8 +56,6 @@ DENSE_TABLE_LIMIT = 2**16
 GAUSS_BUDGET_DEFAULT = 10**6
 ISO_BUDGET_DEFAULT = 4096
 
-mpmath.mp.prec = 96
-
 
 class DegenerateFormError(ValueError):
     """Raised when a Gauss sum does not land on any admissible phase."""
@@ -65,6 +67,31 @@ class BudgetExceededError(ValueError):
 
 def _mod1(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
+
+
+def _q_sum(x, gen_q, gen_bil) -> Fraction:
+    """q(sum_i x_i e_i) mod 1 from q(e_i) and chi(e_i, e_j)."""
+    total = Fraction(0)
+    k = len(gen_q)
+    for i in range(k):
+        if x[i]:
+            total += x[i] * x[i] * gen_q[i]
+            for j in range(i + 1, k):
+                if x[j]:
+                    total += x[i] * x[j] * gen_bil[i][j]
+    return _mod1(total)
+
+
+def _bil_sum(x, y, gen_bil) -> Fraction:
+    """chi(sum_i x_i e_i, sum_j y_j e_j) mod 1 from chi(e_i, e_j)."""
+    total = Fraction(0)
+    for i, xi in enumerate(x):
+        if xi:
+            row = gen_bil[i]
+            for j, yj in enumerate(y):
+                if yj:
+                    total += xi * yj * row[j]
+    return _mod1(total)
 
 
 class MetricGroup:
@@ -148,33 +175,15 @@ class MetricGroup:
         table = self._q_table()
         if table is not None:
             return table[x]
-        return self._q_formula(x)
-
-    def _q_formula(self, x) -> Fraction:
-        total = Fraction(0)
-        k = len(self.orders)
-        for i in range(k):
-            if x[i]:
-                total += x[i] * x[i] * self.gen_q[i]
-                for j in range(i + 1, k):
-                    if x[j]:
-                        total += x[i] * x[j] * self.gen_bil[i][j]
-        return _mod1(total)
+        return _q_sum(x, self.gen_q, self.gen_bil)
 
     def bilinear(self, x, y) -> Fraction:
-        x, y = self.reduce(x), self.reduce(y)
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.gen_bil[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        total += xi * yj * row[j]
-        return _mod1(total)
+        return _bil_sum(self.reduce(x), self.reduce(y), self.gen_bil)
 
     def _q_table(self):
         if self._table is None and 0 < self.size <= DENSE_TABLE_LIMIT:
-            table = {x: self._q_formula(x) for x in self.elements()}
+            gen_q, gen_bil = self.gen_q, self.gen_bil
+            table = {x: _q_sum(x, gen_q, gen_bil) for x in self.elements()}
             object.__setattr__(self, "_table", table)
         return self._table
 
@@ -297,28 +306,9 @@ def _canonicalize(orders, gen_q, gen_bil) -> MetricGroup:
     new_orders = [snf.s[i][i] for i in range(k)]
     gens = [tuple(snf.u_inv[i][j] for i in range(k)) for j in range(k)]
 
-    def q_of(vec):
-        total = Fraction(0)
-        for i in range(k):
-            if vec[i]:
-                total += vec[i] * vec[i] * gen_q[i]
-                for j in range(i + 1, k):
-                    if vec[j]:
-                        total += vec[i] * vec[j] * gen_bil[i][j]
-        return _mod1(total)
-
-    def bil_of(vec_a, vec_b):
-        total = Fraction(0)
-        for i in range(k):
-            if vec_a[i]:
-                for j in range(k):
-                    if vec_b[j]:
-                        total += vec_a[i] * vec_b[j] * gen_bil[i][j]
-        return _mod1(total)
-
     keep = [j for j in range(k) if new_orders[j] > 1]
-    q_new = [q_of(gens[j]) for j in keep]
-    bil_new = [[bil_of(gens[i], gens[j]) for j in keep] for i in keep]
+    q_new = [_q_sum(gens[j], gen_q, gen_bil) for j in keep]
+    bil_new = [[_bil_sum(gens[i], gens[j], gen_bil) for j in keep] for i in keep]
     return MetricGroup([new_orders[j] for j in keep], q_new, bil_new)
 
 
@@ -414,15 +404,17 @@ def central_charge_gauss(g: MetricGroup, budget: int = GAUSS_BUDGET_DEFAULT, tol
         for x in g.elements():
             value = g.q(x)
             counts[value] = counts.get(value, 0) + 1
-    total = mpmath.mpc(0)
-    for value, count in sorted(counts.items()):
-        angle = 2 * mpmath.pi * mpmath.mpf(value.numerator) / value.denominator
-        total += count * mpmath.mpc(mpmath.cos(angle), mpmath.sin(angle))
-    norm = total / mpmath.sqrt(size)
-    for c in range(8):
-        target = mpmath.mpc(mpmath.cos(mpmath.pi * c / 4), mpmath.sin(mpmath.pi * c / 4))
-        if abs(norm - target) < tol:
-            return c
+    # 96 bits for this sum only: importing the package leaves mpmath.mp alone.
+    with mpmath.workprec(96):
+        total = mpmath.mpc(0)
+        for value, count in sorted(counts.items()):
+            angle = 2 * mpmath.pi * mpmath.mpf(value.numerator) / value.denominator
+            total += count * mpmath.mpc(mpmath.cos(angle), mpmath.sin(angle))
+        norm = total / mpmath.sqrt(size)
+        for c in range(8):
+            target = mpmath.mpc(mpmath.cos(mpmath.pi * c / 4), mpmath.sin(mpmath.pi * c / 4))
+            if abs(norm - target) < tol:
+                return c
     raise DegenerateFormError(f"Gauss sum {norm} matches no phase e^(i pi c/4)")
 
 
@@ -463,13 +455,42 @@ def _cyclic_iso(g1: MetricGroup, g2: MetricGroup):
     return None
 
 
+def _isometries(g1: MetricGroup, g2: MetricGroup):
+    """Yield every isometry g1 -> g2 (g1 not trivial) as generator images,
+    in the lexicographic order of the image tuples."""
+    k = len(g1.orders)
+    buckets: dict[Fraction, list] = {}
+    for x in g2.elements():
+        buckets.setdefault(g2.q(x), []).append(x)
+
+    images: list[tuple[int, ...]] = []
+
+    def extend(i: int):
+        if i == k:
+            if _order_index(images, g1.orders) == 1:
+                yield tuple(images)
+            return
+        n_i = g1.orders[i]
+        for x in buckets.get(g1.gen_q[i], ()):
+            if n_i % g2.order_of(x):
+                continue
+            if any(g2.bilinear(x, images[j]) != g1.gen_bil[i][j] for j in range(i)):
+                continue
+            images.append(x)
+            yield from extend(i + 1)
+            images.pop()
+
+    return extend(0)
+
+
 def is_isomorphic(g1: MetricGroup, g2: MetricGroup, budget: int = ISO_BUDGET_DEFAULT):
     """An isometry g1 -> g2 as a tuple of generator images, or None.
 
     The witness phi maps sum x_i e_i to sum x_i images[i]; q2(phi(x)) = q1(x)
     holds for all x whenever it holds on generators and pairs, which is what
     the search enforces.  Cyclic groups are handled in closed form via square
-    roots modulo the denominator, so they bypass the size budget.
+    roots modulo the denominator, so they bypass the size budget; otherwise
+    the witness is the first isometry `_isometries` yields.
     """
     if g1.orders != g2.orders:
         return None
@@ -480,32 +501,7 @@ def is_isomorphic(g1: MetricGroup, g2: MetricGroup, budget: int = ISO_BUDGET_DEF
         return _cyclic_iso(g1, g2)
     if g1.size > budget:
         raise BudgetExceededError(f"group of order {g1.size} exceeds isomorphism budget {budget}")
-
-    buckets: dict[Fraction, list] = {}
-    for x in g2.elements():
-        buckets.setdefault(g2.q(x), []).append(x)
-
-    images: list[tuple[int, ...]] = []
-
-    def extend(i: int):
-        if i == k:
-            if _order_index(images, g1.orders) == 1:
-                return tuple(images)
-            return None
-        n_i = g1.orders[i]
-        for x in buckets.get(g1.gen_q[i], ()):
-            if n_i % g2.order_of(x):
-                continue
-            if any(g2.bilinear(x, images[j]) != g1.gen_bil[i][j] for j in range(i)):
-                continue
-            images.append(x)
-            found = extend(i + 1)
-            if found is not None:
-                return found
-            images.pop()
-        return None
-
-    return extend(0)
+    return next(_isometries(g1, g2), None)
 
 
 def gauged_center_fpdim(spec: PrimeFamilySpec) -> int:

@@ -2,9 +2,10 @@
 closed-form orders, with conservative structure identification.
 
 An automorphism is a group isomorphism of A preserving q; it is recorded as
-the tuple of generator images.  `aut_bruteforce` enumerates every candidate
-image assignment (pruned by q-values and the pairing) and is the oracle that
-cross-validates `aut_order_closed`.
+the tuple of generator images.  `aut_bruteforce` collects every isometry of
+(A, q) onto itself from `metric_groups._isometries`, the same search that
+`is_isomorphic` runs, and is the oracle that cross-validates
+`aut_order_closed`.
 
 A structure name is attached only when it can be certified on the element
 table itself: cyclic/elementary-abelian cases by order census, dihedral-type
@@ -15,11 +16,12 @@ involution, and the order-24 case by a normal D6 plus a splitting involution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .linalg import hermite_normal_form
+
 from .metric_groups import (
     BudgetExceededError,
     MetricGroup,
     PrimeFamilySpec,
+    _isometries,
 )
 
 __all__ = ["AutGroup", "aut_bruteforce", "aut_order_closed"]
@@ -56,49 +58,13 @@ class AutGroup:
         return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
 
 
-def _saturated(images, orders) -> bool:
-    """Do the images generate the whole group?"""
-    k = len(orders)
-    rel = [[orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    h, _ = hermite_normal_form([list(img) for img in images] + rel)
-    det = 1
-    for i in range(k):
-        det *= h[i][i]
-    return abs(det) == 1
-
-
 def aut_bruteforce(g: MetricGroup, budget: int = AUT_BUDGET_DEFAULT) -> AutGroup:
-    """All q-preserving automorphisms, by exhaustive generator-image search."""
+    """All q-preserving automorphisms: every isometry g -> g."""
     if g.size > budget:
         raise BudgetExceededError(f"group of order {g.size} exceeds aut budget {budget}")
-    k = len(g.orders)
-    if k == 0:
+    if not g.orders:
         return AutGroup(g, ((),), "1")
-
-    buckets: dict = {}
-    for x in g.elements():
-        buckets.setdefault(g.q(x), []).append(x)
-
-    found: list[Morphism] = []
-    images: list[tuple[int, ...]] = []
-
-    def extend(i: int):
-        if i == k:
-            if _saturated(images, g.orders):
-                found.append(tuple(images))
-            return
-        n_i = g.orders[i]
-        for x in buckets.get(g.gen_q[i], ()):
-            if n_i % g.order_of(x):
-                continue
-            if any(g.bilinear(x, images[j]) != g.gen_bil[i][j] for j in range(i)):
-                continue
-            images.append(x)
-            extend(i + 1)
-            images.pop()
-
-    extend(0)
-    elements = tuple(sorted(found))
+    elements = tuple(sorted(_isometries(g, g)))
     aut = AutGroup(g, elements, None)
     return AutGroup(g, elements, _identify_structure(aut))
 

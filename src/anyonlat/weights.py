@@ -18,13 +18,14 @@ import itertools
 from fractions import Fraction
 
 from .lattices import discriminant_form
-from .linalg import inertia, solve_columns
+from .linalg import inertia
 from .metric_groups import BudgetExceededError
 
 __all__ = [
     "coset_minima",
     "minimum_nonzero_norm",
     "extremality_score",
+    "score_of_minima",
 ]
 
 COSET_BUDGET_DEFAULT = 4096
@@ -131,8 +132,8 @@ def coset_minima(gram, budget: int = COSET_BUDGET_DEFAULT, rank_limit: int = RAN
     if disc.order > budget:
         raise BudgetExceededError(f"{disc.order} cosets exceed budget {budget}")
     d, lower = _ldl(gram)
-    gens = [list(w) for w in disc.generator_reps]
-    zcols = solve_columns(gram, gens) if gens else []
+    zcols = disc.dual_coords
+    group = disc.metric_group()
     out = {}
     for coeffs in itertools.product(*(range(k) for k in disc.invariant_factors)):
         if not any(coeffs):
@@ -141,9 +142,9 @@ def coset_minima(gram, budget: int = COSET_BUDGET_DEFAULT, rank_limit: int = RAN
         center = [sum(c * zcols[j][i] for j, c in enumerate(coeffs)) for i in range(m)]
         norm, _ = _branch_and_bound(d, lower, center)
         h = norm / 2
-        q2 = disc.q2_of(coeffs)
-        if (h - q2 / 2) % 1 != 0:
-            raise AssertionError(f"h = {h} incompatible with q2/2 = {q2 / 2} at {coeffs}")
+        q = group.q(coeffs)
+        if (h - q) % 1 != 0:
+            raise AssertionError(f"h = {h} incompatible with q2/2 = {q} at {coeffs}")
         out[coeffs] = h
     return out
 
@@ -161,8 +162,11 @@ def minimum_nonzero_norm(gram) -> Fraction:
 
 def extremality_score(gram, budget: int = COSET_BUDGET_DEFAULT, rank_limit: int = RANK_LIMIT_DEFAULT) -> Fraction:
     """N c / 4 + N (N - 1) / 2 - 6 sum_a h_a with N anyon types, c = rank."""
-    minima = coset_minima(gram, budget=budget, rank_limit=rank_limit)
+    return score_of_minima(coset_minima(gram, budget=budget, rank_limit=rank_limit), len(gram))
+
+
+def score_of_minima(minima, c: int) -> Fraction:
+    """The extremality score from a `coset_minima` table and the rank c."""
     n_types = len(minima)
-    c = len(gram)
     total = sum(minima.values(), Fraction(0))
     return Fraction(n_types * c, 4) + Fraction(n_types * (n_types - 1), 2) - 6 * total

@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +15,11 @@ from anyonlat.cli import (
     parse_spec,
     parse_spec_factors,
 )
+from anyonlat.gluing import GLUE_SEARCH_NODE_BUDGET
+from anyonlat.lattices import e8_gram
 from anyonlat.metric_groups import central_charge_gauss
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestParseSpec:
@@ -64,6 +73,24 @@ class TestMatrixFiles:
     def test_missing_file(self):
         with pytest.raises(UsageError):
             load_matrix_file("/nonexistent/nowhere.json")
+
+    @pytest.mark.parametrize("text", [
+        '{"gram": [[2.9, 1], [1, 2]]}',
+        '{"gram": [[2, 1.0], [1.0, 2]]}',
+        '{"gram": [[2, true], [true, 2]]}',
+        '{"gram": [[2, "1"], ["1", 2]]}',
+        '{"gram": [[2, null], [null, 2]]}',
+        '{"gram": 5}',
+        '{"gram": ["21", "12"]}',
+    ])
+    def test_rejects_non_integer_json_entries(self, tmp_path, capsys, text):
+        # Each would read as [[2, 1], [1, 2]] (or crash) if entries were coerced.
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(UsageError):
+            load_matrix_file(str(path))
+        assert main(["verify", str(path), "--target", "B[3]"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCommands:
@@ -139,6 +166,21 @@ class TestCommands:
         assert "min nonzero h = 1/23" in out
         assert "signature: 2" in out
 
+    @pytest.mark.parametrize("gram, header, score", [
+        ([[2]], "rank 1, |A| = 2, invariant factors [2]", "extremality score = 0"),
+        ([[2, 0], [0, 4]], "rank 2, |A| = 8, invariant factors [2, 4]", "extremality score = 17"),
+        ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+         "rank 4, |A| = 4, invariant factors [2, 2]", "extremality score = 1"),
+        (e8_gram().gram, "rank 8, |A| = 1, invariant factors []", "extremality score = 2"),
+    ])
+    def test_weights_header_and_score(self, tmp_path, capsys, gram, header, score):
+        path = tmp_path / "k.json"
+        path.write_text(dump_matrix_file(gram))
+        assert main(["weights", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == header
+        assert out[-1] == score
+
     def test_plain_format_output(self, tmp_path):
         out = tmp_path / "k.txt"
         assert main(["kmatrix", "E[2]", "--format", "plain", "--out", str(out)]) == 0
@@ -147,3 +189,27 @@ class TestCommands:
     def test_usage_error_exit_2(self):
         assert main(["kmatrix"]) == 2
         assert main(["nonsense"]) == 2
+
+
+def test_complement_over_glue_budget_exits_2(tmp_path):
+    """D = Z2 x Z6 puts 12^8 elements in D^8, past the glue search's node
+    budget: one `error:` line and exit 2, before anything is listed.  The
+    child runs under a 1 GiB address-space cap, so a search that allocates
+    first fails this test instead of exhausting the machine's memory."""
+    path = tmp_path / "z2z6.json"
+    path.write_text(dump_matrix_file([[4, 2], [2, 4]]))
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from anyonlat.cli import main; sys.exit(main(sys.argv[1:]))",
+         "complement", str(path)],
+        capture_output=True, text=True, timeout=300, env=env, preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: glue search")
+    assert str(12**8) in line and str(GLUE_SEARCH_NODE_BUDGET) in line

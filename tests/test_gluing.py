@@ -21,6 +21,7 @@ from anyonlat.linalg import (
     smith_normal_form,
 )
 from anyonlat.metric_groups import (
+    BudgetExceededError,
     PrimeFamilySpec,
     build_prime,
     conjugate,
@@ -87,6 +88,13 @@ class TestGlueRankTwo:
         d = discriminant_form(comp.gram)
         assert d.q2_gen == (Fraction(4, 3),)
         assert verify_realization(comp.gram, model("A", 3, 1)).passed
+
+
+class TestGlueSearchBudget:
+    def test_refuses_before_listing_d8(self):
+        # D = Z2 x Z2: 4^8 = 65536 elements of D^8, over a budget of 1000.
+        with pytest.raises(BudgetExceededError, match="65536"):
+            glue_selfdual_8([[2, 0], [0, 2]], budget=1000)
 
 
 class TestComplementDuality:

@@ -54,6 +54,13 @@ class TestDiscriminantForm:
         with pytest.raises(ValueError):
             discriminant_form([[2, 2], [2, 2]])
 
+    def test_dual_coords_solve_k_z_equals_w(self):
+        for gram in ([[2, -1], [-1, 2]], [[0, 2], [2, 0]], cartan_d(4).gram, [[4, 2], [2, 4]]):
+            d = discriminant_form(gram)
+            assert len(d.dual_coords) == len(d.generator_reps)
+            for w, z in zip(d.generator_reps, d.dual_coords):
+                assert [sum(a * b for a, b in zip(row, z)) for row in gram] == list(w)
+
     def test_q2_well_defined_on_cosets(self):
         rng = random.Random(5)
         checked = 0

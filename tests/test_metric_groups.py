@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -237,3 +241,39 @@ def test_gauss_additivity_and_conjugation_random():
         total = direct_sum(g1, g2)
         assert central_charge_gauss(total) == (central_charge_gauss(g1) + central_charge_gauss(g2)) % 8
         assert central_charge_gauss(conjugate(g1)) == (-central_charge_gauss(g1)) % 8
+
+
+def test_direct_sum_order_does_not_matter_up_to_isometry():
+    """direct_sum(g1, g2) and direct_sum(g2, g1) are isometric, and the
+    witness preserves q everywhere.  The pairs cover both the closed-form
+    cyclic path and the generator-image search, and concatenations such as
+    Z4 + Z2 that _canonicalize must rewrite into a divisibility chain."""
+    rng = random.Random(2024)
+    searched = rewritten = 0
+    for _ in range(30):
+        g1, g2 = random_prime_model(rng), random_prime_model(rng)
+        left, right = direct_sum(g1, g2), direct_sum(g2, g1)
+        concatenated = g1.orders + g2.orders
+        rewritten += any(concatenated[i] % concatenated[i - 1] for i in range(1, len(concatenated)))
+        searched += len(left.orders) >= 2
+        assert left.orders == right.orders
+        witness = is_isomorphic(left, right)
+        assert witness is not None, (g1, g2)
+        for x in left.elements():
+            assert right.q(apply_witness(left, right, witness, x)) == left.q(x)
+    assert searched >= 10 and rewritten >= 5
+
+
+def test_import_leaves_mpmath_precision_alone():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import mpmath, anyonlat.cli\n"
+        "from anyonlat import build_prime, central_charge_gauss, PrimeFamilySpec\n"
+        "before = mpmath.mp.prec\n"
+        "assert central_charge_gauss(build_prime(PrimeFamilySpec('B', 3, 1))) == 2\n"
+        "print(before, mpmath.mp.prec)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["53", "53"]

@@ -5,6 +5,7 @@ from anyonlat.metric_groups import (
     PrimeFamilySpec,
     build_prime,
     direct_sum,
+    is_isomorphic,
 )
 from anyonlat.symmetry import AutGroup, aut_bruteforce, aut_order_closed
 
@@ -72,3 +73,12 @@ def test_nonprime_group_aut():
     s = build_prime(PrimeFamilySpec("A", 2, 1))
     aut = aut_bruteforce(direct_sum(s, s))
     assert aut.order == 2
+
+
+def test_witness_is_the_first_automorphism():
+    # One search serves both: is_isomorphic(g, g) stops at the first isometry
+    # it yields, aut_bruteforce keeps all of them, and the search runs in
+    # lexicographic order of the image tuples.
+    for fam, p, r in (("E", 2, 2), ("F", 2, 2), ("E", 2, 3), ("F", 2, 1)):
+        g = build_prime(PrimeFamilySpec(fam, p, r))
+        assert is_isomorphic(g, g) == aut_bruteforce(g).elements[0]
