@@ -8,10 +8,10 @@ Subcommands:
   weights    FILE                    conformal weights h_a and extremality score
 
 Model specs name prime families with `*`-products: B[3], A[5^3], E[4]*A[2].
-Matrix files are either JSON ({"gram": [[...]], "target": "...", "comment":
-"..."}) or plain whitespace-separated integer rows; the format is
-auto-detected on load.  All rationals print as p/q in lowest terms, q-values
-reduced into [0, 1).  Exit codes: 0 pass, 1 verification failure, 2 usage or
+Matrix files are a JSON object ({"gram": [[...]], "target": "...", "comment":
+"..."}, target and comment strings) or, for any other content, plain
+whitespace-separated integer rows.  All rationals print as p/q in lowest
+terms, q-values reduced into [0, 1).  Exit codes: 0 pass, 1 verification failure, 2 usage or
 input errors.
 """
 
@@ -23,12 +23,9 @@ import sys
 import time
 from fractions import Fraction
 
-from .gluing import conjugate_realization
-from .lattices import (
-    discriminant_form,
-    verify_realization,
-)
-from .linalg import is_symmetric
+from .gluing import glue_selfdual_8, orthogonal_complement
+from .lattices import verify_realization
+from .linalg import determinant, is_symmetric
 from .metric_groups import (
     GAUSS_BUDGET_DEFAULT,
     BudgetExceededError,
@@ -105,14 +102,14 @@ def load_matrix_file(path: str) -> tuple[list[list[int]], str | None, str | None
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    gram = None
     target = comment = None
     try:
         payload = json.loads(text)
     except json.JSONDecodeError:
         payload = None
-    if payload is not None:
-        if not isinstance(payload, dict) or "gram" not in payload:
+    # A plain rank-1 file such as "4" parses as a JSON number, not an object.
+    if isinstance(payload, dict):
+        if "gram" not in payload:
             raise UsageError(f"{path}: JSON matrix files need a 'gram' field")
         gram = payload["gram"]
         if not isinstance(gram, list) or not all(isinstance(row, list) for row in gram):
@@ -120,6 +117,9 @@ def load_matrix_file(path: str) -> tuple[list[list[int]], str | None, str | None
         # Exact type test: bool is an int subclass, and JSON true is no entry.
         if any(type(x) is not int for row in gram for x in row):
             raise UsageError(f"{path}: matrix entries must be JSON integers")
+        for key in ("target", "comment"):
+            if key in payload and not isinstance(payload[key], str):
+                raise UsageError(f"{path}: '{key}' must be a string")
         target = payload.get("target")
         comment = payload.get("comment")
     else:
@@ -127,7 +127,7 @@ def load_matrix_file(path: str) -> tuple[list[list[int]], str | None, str | None
         try:
             gram = [[int(x) for x in row] for row in rows]
         except ValueError as exc:
-            raise UsageError(f"{path}: not JSON and not whitespace-separated integers") from exc
+            raise UsageError(f"{path}: not a JSON object and not whitespace-separated integers") from exc
     if not gram or any(len(row) != len(gram) for row in gram):
         raise UsageError(f"{path}: matrix must be square and nonempty")
     if not is_symmetric(gram):
@@ -244,17 +244,20 @@ def _cmd_verify(args) -> int:
 def _cmd_complement(args) -> int:
     started = time.perf_counter()
     gram, embedded_target, _ = load_matrix_file(args.file)
-    comp = conjugate_realization(gram)
-    print(f"complement rank {comp.rank}, |det| {abs(comp.determinant())}")
-    disc_in = discriminant_form(gram)
+    glued = glue_selfdual_8(gram)
+    comp = orthogonal_complement(glued, glued.first_copy_ambient)
+    disc_in = glued.base_disc
     if disc_in.order <= args.budget:
         target = conjugate(disc_in.metric_group())
         report = verify_realization(comp.gram, target, iso_budget=args.budget)
+        print(f"complement rank {comp.rank}, |det| {abs(report.det)}")
         for line in report.lines():
             print(line)
         verdict = report.passed
     else:
-        verdict = comp.is_even and abs(comp.determinant()) == disc_in.order
+        det = determinant(comp.gram)
+        print(f"complement rank {comp.rank}, |det| {abs(det)}")
+        verdict = comp.is_even and abs(det) == disc_in.order
         print(f"[{'pass' if verdict else 'FAIL'}] structural checks only (budget)")
     out_target = None
     if embedded_target:

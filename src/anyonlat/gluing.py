@@ -19,6 +19,10 @@ fall back to a backtracking search over D^8 in lexicographic order, which
 tests isotropy with the q and chi of `DiscriminantData.metric_group()` and
 refuses up front, with BudgetExceededError, when |D|^8 exceeds its budget.
 
+The `GluedLattice` carries Lambda's basis in M and the base's discriminant
+form, which callers read instead of computing again; the orthogonal
+complement is taken from that basis and returned as a bare Gram matrix.
+
 The E/F builders assemble Gram matrices from block generating data: a small
 scaled block, a dual-coset glue vector lambda (norm = -1/2^r mod 2) or mu
 (norm = -3/2^r mod 2), and two resp. one copies of an input lattice.  Every
@@ -257,11 +261,16 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
 @dataclass(frozen=True)
 class GluedLattice:
     """An even unimodular overlattice of base^{+8}, with the base embedded
-    primitively as the first summand."""
+    primitively as the first summand; its basis is `basis_rows / denominator`
+    in the coordinates of base^{+8}, whose Gram matrix is `ambient_gram`."""
 
     lattice: Lattice
     base: Lattice
+    base_disc: DiscriminantData
     glue_generators: tuple[tuple[int, ...], ...]
+    basis_rows: list[list[int]]
+    denominator: int
+    ambient_gram: list[list[int]]
     first_copy_ambient: list[list[int]]
     first_copy_in_lattice: list[list[int]]
 
@@ -338,12 +347,14 @@ def glue_selfdual_8(base: Lattice | list[list[int]], budget: int = GLUE_SEARCH_N
     if smith_normal_form(first_in_lattice).invariant_factors():
         raise GlueSearchError("first copy is not primitively embedded")
 
-    basis = [[Fraction(x, den) for x in row] for row in h]
-    lat = Lattice(lam_gram, basis=basis, ambient_gram=k8)
     return GluedLattice(
-        lattice=lat,
+        lattice=Lattice(lam_gram),
         base=base_lat,
+        base_disc=disc,
         glue_generators=tuple(tuple(gen) for gen in glue_gens),
+        basis_rows=h,
+        denominator=den,
+        ambient_gram=k8,
         first_copy_ambient=first_ambient,
         first_copy_in_lattice=first_in_lattice,
     )
@@ -366,38 +377,25 @@ def _solve_in_hnf_basis(h, den, targets) -> list[list[int]]:
     return out
 
 
-def orthogonal_complement(ambient: Lattice, sub_ambient_rows: list[list[int]]) -> Lattice:
-    """{x in ambient lattice : x . sub = 0}, with Gram and rational basis.
+def orthogonal_complement(glued: GluedLattice, sub_ambient_rows: list[list[int]]) -> Lattice:
+    """The Gram matrix of {x in the glued lattice : x . sub = 0}.
 
-    `ambient` must carry an exact basis (as produced by glue_selfdual_8);
-    `sub_ambient_rows` are ambient-coordinate rows lying inside the lattice.
+    `sub_ambient_rows` are rows in the ambient coordinates of base^{+8}
+    that lie inside the glued lattice.
     """
-    if ambient.basis is None or ambient.ambient_gram is None:
-        raise ValueError("orthogonal_complement needs an ambient basis")
-    den = lcm(1, *(x.denominator for row in ambient.basis for x in row))
-    h_int = [[int(x * den) for x in row] for row in ambient.basis]
-    pairing_scaled = mat_mul(mat_mul(h_int, ambient.ambient_gram), transpose(sub_ambient_rows))
-    pairing = []
-    for row in pairing_scaled:
-        new_row = []
-        for x in row:
-            if x % den:
-                raise ValueError("sublattice pairing is not integral; rows not in the lattice?")
-            new_row.append(x // den)
-        pairing.append(new_row)
-    kernel = left_kernel(pairing)
-    comp_gram = mat_mul(mat_mul(kernel, ambient.gram), transpose(kernel))
-    comp_basis = [
-        [Fraction(x, den) for x in row] for row in mat_mul(kernel, h_int)
-    ]
-    return Lattice(comp_gram, basis=comp_basis, ambient_gram=ambient.ambient_gram)
+    den = glued.denominator
+    pairing = mat_mul(mat_mul(glued.basis_rows, glued.ambient_gram), transpose(sub_ambient_rows))
+    if any(x % den for row in pairing for x in row):
+        raise ValueError("sublattice pairing is not integral; rows not in the lattice?")
+    kernel = left_kernel([[x // den for x in row] for row in pairing])
+    return Lattice(mat_mul(mat_mul(kernel, glued.lattice.gram), transpose(kernel)))
 
 
 def conjugate_realization(base: Lattice | list[list[int]]) -> Lattice:
     """Glue 8 copies of the base and take the complement of the embedded copy:
     an even positive-definite lattice realizing the conjugate model."""
     glued = glue_selfdual_8(base)
-    return orthogonal_complement(glued.lattice, glued.first_copy_ambient)
+    return orthogonal_complement(glued, glued.first_copy_ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -451,19 +449,15 @@ def default_ef_input(family: str, r: int) -> Lattice:
     raise ValueError(f"no default input for family {family!r}")
 
 
-def build_ef_positive(
-    family: str,
-    r: int,
-    input_lattice: Lattice | None = None,
-    verify: bool = True,
-) -> Lattice:
+def build_ef_positive(family: str, r: int, input_lattice: Lattice | None = None) -> Lattice:
     """Even positive-definite realization of E_{2^r} or F_{2^r} by gluing.
 
     E: a rank-2 block [[2/2^r + 2 l.l, 1], [1, 2^r]] tied to two copies of the
     input lattice through the dual vector lambda with l.l = -1/2^r mod 2.
     F: a rank-3 block with corner 3/2^r + m.m (m.m = -3/2^r mod 2) and two
     scaled axes, tied to one input copy through mu.  The output is verified
-    against the target model before being returned.
+    against the target model, whose report also gives its positive
+    definiteness (signature = rank), before being returned.
     """
     if family not in "EF":
         raise ValueError(f"family must be E or F, got {family!r}")
@@ -511,13 +505,11 @@ def build_ef_positive(
             for j in range(m):
                 gram[3 + i][3 + j] = gram_in[i][j]
         target = build_prime(PrimeFamilySpec("F", 2, r))
-    if verify:
-        np2, nm2, nz2 = inertia(gram)
-        if nm2 or nz2:
-            raise GlueSearchError(f"{family}_{n} gluing is not positive definite")
-        report = verify_realization(gram, target)
-        if not report.passed:
-            raise GlueSearchError(
-                f"{family}_{n} gluing failed verification:\n" + "\n".join(report.lines())
-            )
+    report = verify_realization(gram, target)
+    if report.signature != size:
+        raise GlueSearchError(f"{family}_{n} gluing is not positive definite")
+    if not report.passed:
+        raise GlueSearchError(
+            f"{family}_{n} gluing failed verification:\n" + "\n".join(report.lines())
+        )
     return Lattice(gram)

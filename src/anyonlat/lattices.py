@@ -9,7 +9,9 @@ theta = e^{pi i q2} and central charge = signature(K) mod 8.
 `verify_realization` is the oracle used throughout: it re-derives evenness,
 determinant, exact inertia, and the discriminant form of a candidate Gram
 matrix and matches the form against a target metric group by explicit
-isometry search.
+isometry search.  Its report carries the determinant and signature, which
+callers read instead of computing them again.  A `Lattice` is only its Gram
+matrix (a glued lattice's embedding lives on `gluing.GluedLattice`).
 
 Explicit even positive-definite families provided here:
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .linalg import (
     determinant,
@@ -60,25 +63,19 @@ __all__ = [
     "k_double_prime",
 ]
 
+# Largest auxiliary prime p' that k_double_prime tries.
+PPRIME_BOUND = 100000
+
 
 @dataclass(frozen=True)
 class Lattice:
-    """An integral lattice: Gram matrix, optionally an exact rational basis
-    inside an ambient quadratic space (used by gluing and complements)."""
+    """An integral lattice, given by its Gram matrix."""
 
     gram: list[list[int]]
-    basis: list[list[Fraction]] | None = None
-    ambient_gram: list[list[int]] | None = None
 
     def __post_init__(self):
         if not is_symmetric(self.gram):
             raise ValueError("Gram matrix must be symmetric")
-        if self.basis is not None:
-            if self.ambient_gram is None:
-                raise ValueError("a basis needs an ambient Gram matrix")
-            recomputed = _gram_of_rows(self.basis, self.ambient_gram)
-            if recomputed != [[Fraction(x) for x in row] for row in self.gram]:
-                raise ValueError("basis and ambient Gram do not reproduce the Gram matrix")
 
     @property
     def rank(self) -> int:
@@ -87,25 +84,6 @@ class Lattice:
     @property
     def is_even(self) -> bool:
         return has_even_diagonal(self.gram)
-
-    def determinant(self) -> int:
-        return determinant(self.gram)
-
-
-def _gram_of_rows(rows, ambient):
-    """rows * ambient * rows^T, computed over integers after clearing the
-    common denominator."""
-    from math import lcm
-
-    den = lcm(1, *(Fraction(x).denominator for row in rows for x in row))
-    int_rows = [[int(Fraction(x) * den) for x in row] for row in rows]
-    tmp = []
-    for r in int_rows:
-        tmp.append([sum(x * amb_row[j] for x, amb_row in zip(r, ambient) if x) for j in range(len(ambient))])
-    out = []
-    for t in tmp:
-        out.append([Fraction(sum(x * y for x, y in zip(s, t) if x), den * den) for s in int_rows])
-    return out
 
 
 @dataclass(frozen=True)
@@ -139,19 +117,18 @@ class DiscriminantData:
 def discriminant_form(gram: list[list[int]]) -> DiscriminantData:
     """Extract A_L = Z^m / K Z^m with q2 on generators, via Smith normal form.
 
-    Requires an even symmetric Gram matrix with nonzero determinant.  The
-    generator representative for the j-th invariant factor is column j of
-    U^{-1}, where U K V = S.
+    Requires an even symmetric Gram matrix with nonzero determinant; a zero
+    on the diagonal of S marks a singular one.  The generator representative
+    for the j-th invariant factor is column j of U^{-1}, where U K V = S.
     """
     if not is_symmetric(gram):
         raise ValueError("Gram matrix must be symmetric")
     if not has_even_diagonal(gram):
         raise ValueError("Gram matrix must be even (all diagonal entries even)")
     m = len(gram)
-    det = determinant(gram)
-    if det == 0:
-        raise ValueError("Gram matrix is singular")
     snf = smith_normal_form(gram)
+    if 0 in snf.diagonal():
+        raise ValueError("Gram matrix is singular")
     gens: list[tuple[int, ...]] = []
     factors: list[int] = []
     for j in range(m):
@@ -188,6 +165,7 @@ class CheckResult:
 @dataclass(frozen=True)
 class RealizationReport:
     checks: tuple[CheckResult, ...]
+    det: int | None = None
     signature: int | None = None
     witness: tuple | None = None
 
@@ -215,7 +193,7 @@ def verify_realization(gram: list[list[int]], target: MetricGroup, iso_budget: i
     det = determinant(gram)
     checks.append(CheckResult("nondegenerate", det != 0, f"det = {det}"))
     if not even or det == 0:
-        return RealizationReport(tuple(checks))
+        return RealizationReport(tuple(checks), det=det)
     size_ok = abs(det) == target.size
     checks.append(CheckResult("determinant", size_ok, f"|det| = {abs(det)}, |A| = {target.size}"))
     n_plus, n_minus, n_zero = inertia(gram)
@@ -229,7 +207,7 @@ def verify_realization(gram: list[list[int]], target: MetricGroup, iso_budget: i
         CheckResult("signature_mod_8", sig_ok, f"signature {sig} vs central charge {charge} (mod 8)")
     )
     if not size_ok:
-        return RealizationReport(tuple(checks), signature=sig)
+        return RealizationReport(tuple(checks), det=det, signature=sig)
     disc = discriminant_form(gram)
     witness = is_isomorphic(disc.metric_group(), target, budget=iso_budget)
     checks.append(
@@ -240,7 +218,7 @@ def verify_realization(gram: list[list[int]], target: MetricGroup, iso_budget: i
             + (f", witness {witness}" if witness else ", no isometry"),
         )
     )
-    return RealizationReport(tuple(checks), signature=sig, witness=witness)
+    return RealizationReport(tuple(checks), det=det, signature=sig, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +295,23 @@ def k_o(r: int) -> Lattice:
     return Lattice(gram)
 
 
-def _assert_posdef_even(gram, det_target, name):
+def _assert_posdef_even(gram, n, name):
+    """Even, positive definite, with cokernel Z_n (|det| read off the SNF)."""
     if not has_even_diagonal(gram):
         raise ValueError(f"{name}: diagonal not even")
     n_plus, n_minus, n_zero = inertia(gram)
     if n_minus or n_zero:
         raise ValueError(f"{name}: not positive definite, inertia ({n_plus}, {n_minus}, {n_zero})")
-    det = determinant(gram)
-    if abs(det) != det_target:
-        raise ValueError(f"{name}: |det| = {abs(det)}, expected {det_target}")
+    snf = smith_normal_form(gram)
+    det = prod(snf.diagonal())
+    if det != n:
+        raise ValueError(f"{name}: |det| = {det}, expected {n}")
+    factors = snf.invariant_factors()
+    if factors != [n]:
+        raise ValueError(f"{name}: cokernel {factors} is not Z_{n}")
 
 
-def k_double_prime(p: int, r: int, s: int, pprime_bound: int = 100000) -> tuple[Lattice, int, int]:
+def k_double_prime(p: int, r: int, s: int) -> tuple[Lattice, int, int]:
     """Even positive-definite lattice with discriminant Z_{p^r}, p = 1 mod 4.
 
     Searches the smallest prime p' = 3 mod 4 with (2 p^r / p') = 1 and
@@ -346,7 +329,7 @@ def k_double_prime(p: int, r: int, s: int, pprime_bound: int = 100000) -> tuple[
     n = p**r
     pprime = None
     candidate = 3
-    while candidate <= pprime_bound:
+    while candidate <= PPRIME_BOUND:
         if (
             candidate % 4 == 3
             and is_prime(candidate)
@@ -358,7 +341,7 @@ def k_double_prime(p: int, r: int, s: int, pprime_bound: int = 100000) -> tuple[
             break
         candidate += 2
     if pprime is None:
-        raise ValueError(f"no auxiliary prime below {pprime_bound} for (p, r, s) = ({p}, {r}, {s})")
+        raise ValueError(f"no auxiliary prime below {PPRIME_BOUND} for (p, r, s) = ({p}, {r}, {s})")
     t = min(sqrt_mod_prime_power(2 * n % pprime, pprime, 1))
     c = pprime + 1
     gram = [[0] * c for _ in range(c)]
@@ -372,7 +355,4 @@ def k_double_prime(p: int, r: int, s: int, pprime_bound: int = 100000) -> tuple[
     gram[hook][c - 1] = gram[c - 1][hook] = 1
     gram[c - 1][c - 1] = (2 * n + t * (pprime - t)) // pprime
     _assert_posdef_even(gram, n, "k_double_prime")
-    factors = smith_normal_form(gram).invariant_factors()
-    if factors != [n]:
-        raise ValueError(f"k_double_prime: cokernel {factors} is not Z_{n}")
     return Lattice(gram), pprime, t

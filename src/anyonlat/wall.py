@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .linalg import (
     determinant,
@@ -179,9 +179,9 @@ def _frac_det(w) -> Fraction:
 def k_from_wall(n: int, modulus: int) -> list[list[int]]:
     """K = W^{-1}: even symmetric integral with cokernel Z_modulus, verified.
 
-    Every run re-checks integrality, evenness, |det K| = modulus and the
-    Smith normal form of K before returning; any failure is a bug, not an
-    input error, and raises WallVerificationError.
+    Every run re-checks integrality, evenness, and |det K| = modulus and the
+    cokernel off one Smith normal form of K before returning; any failure is
+    a bug, not an input error, and raises WallVerificationError.
     """
     seq = wall_sequence(n, modulus)
     w = assemble_w(seq)
@@ -191,9 +191,10 @@ def k_from_wall(n: int, modulus: int) -> list[list[int]]:
     k = [[int(x) for x in row] for row in k_frac]
     if not is_symmetric(k) or not has_even_diagonal(k):
         raise WallVerificationError(f"K not even symmetric for ({n}, {modulus})")
-    if abs(determinant(k)) != modulus:
+    snf = smith_normal_form(k)
+    if prod(snf.diagonal()) != modulus:
         raise WallVerificationError(f"|det K| != {modulus} for ({n}, {modulus})")
-    factors = smith_normal_form(k).invariant_factors()
+    factors = snf.invariant_factors()
     if factors != [modulus]:
         raise WallVerificationError(f"cokernel {factors} is not cyclic of order {modulus}")
     return k

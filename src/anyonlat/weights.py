@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 
 from .lattices import discriminant_form
-from .linalg import inertia
+from .linalg import is_symmetric
 from .metric_groups import BudgetExceededError
 
 __all__ = [
@@ -29,11 +29,15 @@ __all__ = [
 ]
 
 COSET_BUDGET_DEFAULT = 4096
-RANK_LIMIT_DEFAULT = 20
+RANK_LIMIT = 20  # largest rank whose coset minima are enumerated
 
 
-def _ldl(gram):
-    """gram = L D L^T with unit lower-triangular L; requires positive definite."""
+def _ldl(gram, caller):
+    """gram = L D L^T with unit lower-triangular L.  A pivot <= 0 occurs
+    exactly when gram is not positive definite (Sylvester's criterion), so
+    this is also `caller`'s positive-definiteness check."""
+    if not is_symmetric(gram):
+        raise ValueError(f"{caller} requires a symmetric Gram matrix")
     n = len(gram)
     a = [[Fraction(x) for x in row] for row in gram]
     lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -41,7 +45,7 @@ def _ldl(gram):
     for k in range(n):
         pivot = a[k][k]
         if pivot <= 0:
-            raise ValueError("LDL requires a positive-definite matrix")
+            raise ValueError(f"{caller} requires a positive-definite Gram matrix")
         d.append(pivot)
         for i in range(k + 1, n):
             f = a[i][k] / pivot
@@ -119,19 +123,16 @@ def _branch_and_bound(d, lower, z0, exclude_zero_at=None):
     return best, best_x
 
 
-def coset_minima(gram, budget: int = COSET_BUDGET_DEFAULT, rank_limit: int = RANK_LIMIT_DEFAULT):
+def coset_minima(gram, budget: int = COSET_BUDGET_DEFAULT):
     """h_a for every dual coset a, keyed by coordinates in the discriminant
     generators; exact, with the q2 congruence rechecked on every value."""
-    n_plus, n_minus, n_zero = inertia(gram)
-    if n_minus or n_zero:
-        raise ValueError("coset_minima requires a positive-definite Gram matrix")
+    d, lower = _ldl(gram, "coset_minima")
     m = len(gram)
-    if m > rank_limit:
-        raise BudgetExceededError(f"rank {m} exceeds enumeration limit {rank_limit}")
+    if m > RANK_LIMIT:
+        raise BudgetExceededError(f"rank {m} exceeds enumeration limit {RANK_LIMIT}")
     disc = discriminant_form(gram)
     if disc.order > budget:
         raise BudgetExceededError(f"{disc.order} cosets exceed budget {budget}")
-    d, lower = _ldl(gram)
     zcols = disc.dual_coords
     group = disc.metric_group()
     out = {}
@@ -151,18 +152,15 @@ def coset_minima(gram, budget: int = COSET_BUDGET_DEFAULT, rank_limit: int = RAN
 
 def minimum_nonzero_norm(gram) -> Fraction:
     """Norm of a shortest nonzero lattice vector (exact enumeration)."""
-    n_plus, n_minus, n_zero = inertia(gram)
-    if n_minus or n_zero:
-        raise ValueError("minimum_nonzero_norm requires a positive-definite Gram matrix")
-    d, lower = _ldl(gram)
+    d, lower = _ldl(gram, "minimum_nonzero_norm")
     m = len(gram)
     norm, _ = _branch_and_bound(d, lower, [Fraction(0)] * m, exclude_zero_at=[0] * m)
     return norm
 
 
-def extremality_score(gram, budget: int = COSET_BUDGET_DEFAULT, rank_limit: int = RANK_LIMIT_DEFAULT) -> Fraction:
+def extremality_score(gram, budget: int = COSET_BUDGET_DEFAULT) -> Fraction:
     """N c / 4 + N (N - 1) / 2 - 6 sum_a h_a with N anyon types, c = rank."""
-    return score_of_minima(coset_minima(gram, budget=budget, rank_limit=rank_limit), len(gram))
+    return score_of_minima(coset_minima(gram, budget=budget), len(gram))
 
 
 def score_of_minima(minima, c: int) -> Fraction:

@@ -164,7 +164,7 @@ def test_criterion_4_complement_construction():
         glued = glue_selfdual_8([[2]])
         lam = glued.lattice
         assert lam.rank == 8 and lam.is_even and abs(determinant(lam.gram)) == 1
-        comp = orthogonal_complement(lam, glued.first_copy_ambient)
+        comp = orthogonal_complement(glued, glued.first_copy_ambient)
         assert comp.rank == 7
         assert determinant(comp.gram) == 2
         assert comp.is_even and is_positive_definite(comp.gram)
@@ -172,7 +172,7 @@ def test_criterion_4_complement_construction():
         assert verify_realization(comp.gram, conjugate(build_prime(PrimeFamilySpec("A", 2, 1)))).passed
 
         glued2 = glue_selfdual_8(cartan_a(2))
-        comp2 = orthogonal_complement(glued2.lattice, glued2.first_copy_ambient)
+        comp2 = orthogonal_complement(glued2, glued2.first_copy_ambient)
         assert comp2.rank == 14
         assert discriminant_form(comp2.gram).q2_gen == (Fraction(4, 3),)
         assert verify_realization(comp2.gram, build_prime(PrimeFamilySpec("A", 3, 1))).passed

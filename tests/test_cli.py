@@ -92,6 +92,29 @@ class TestMatrixFiles:
         assert main(["verify", str(path), "--target", "B[3]"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_plain_rank_one_file_loads(self, tmp_path, capsys):
+        # "2" also parses as a JSON number; only a JSON object is structured.
+        path = tmp_path / "semion.txt"
+        path.write_text("2\n")
+        assert main(["weights", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:4] == ["rank 1, |A| = 2, invariant factors [2]", "signature: 1",
+                           "  h[0] = 0", "  h[1] = 1/4"]
+        path.write_text("[[2]]\n")
+        assert main(["weights", str(path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+
+    @pytest.mark.parametrize("extra", ['"target": 3', '"target": null', '"target": ["B[3]"]',
+                                       '"comment": 7'])
+    def test_rejects_non_string_target_and_comment(self, tmp_path, capsys, extra):
+        path = tmp_path / "bad.json"
+        path.write_text('{"gram": [[2, 1], [1, 2]], ' + extra + "}")
+        for argv in (["verify", str(path)], ["verify", str(path), "--target", "B[3]"]):
+            assert main(argv) == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: ") and "must be a string" in line
+
 
 class TestCommands:
     def test_model_exit_code(self, capsys):

@@ -59,7 +59,7 @@ class TestGlueRankOne:
         from fractions import Fraction
 
         glued = glue_selfdual_8([[2]])
-        comp = orthogonal_complement(glued.lattice, glued.first_copy_ambient)
+        comp = orthogonal_complement(glued, glued.first_copy_ambient)
         assert comp.rank == 7
         assert determinant(comp.gram) == 2
         assert comp.is_even
@@ -110,7 +110,7 @@ class TestComplementDuality:
     )
     def test_conjugate_form_and_ranks(self, base):
         glued = glue_selfdual_8(base)
-        comp = orthogonal_complement(glued.lattice, glued.first_copy_ambient)
+        comp = orthogonal_complement(glued, glued.first_copy_ambient)
         rank = len(base)
         assert glued.lattice.rank == 8 * rank
         assert comp.rank == 7 * rank
@@ -122,7 +122,7 @@ class TestComplementDuality:
         glued = glue_selfdual_8([[2]])
         all_rows = [[int(x * 1) for x in row] for row in
                     [[1 if i == j else 0 for j in range(8)] for i in range(8)]]
-        comp = orthogonal_complement(glued.lattice, all_rows)
+        comp = orthogonal_complement(glued, all_rows)
         assert comp.rank == 0
 
 
@@ -142,7 +142,7 @@ class TestGlueGroupProperties:
         base = cartan_d(4)  # discriminant Z2 x Z2
         glued = glue_selfdual_8(base)
         assert determinant(glued.lattice.gram) == 1
-        comp = orthogonal_complement(glued.lattice, glued.first_copy_ambient)
+        comp = orthogonal_complement(glued, glued.first_copy_ambient)
         target = conjugate(discriminant_form(base.gram).metric_group())
         assert verify_realization(comp.gram, target).passed
 

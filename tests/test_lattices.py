@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from anyonlat.lattices import (
-    Lattice,
     cartan_a,
     cartan_d,
     discriminant_form,
@@ -192,8 +191,3 @@ class TestKDoublePrime:
     def test_rejects_wrong_residue(self):
         with pytest.raises(ValueError):
             k_double_prime(7, 1, 1)
-
-
-def test_lattice_basis_consistency_check():
-    with pytest.raises(ValueError):
-        Lattice([[2]], basis=[[Fraction(1)]], ambient_gram=[[4]])
