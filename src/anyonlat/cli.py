@@ -11,8 +11,9 @@ Model specs name prime families with `*`-products: B[3], A[5^3], E[4]*A[2].
 Matrix files are a JSON object ({"gram": [[...]], "target": "...", "comment":
 "..."}, target and comment strings) or, for any other content, plain
 whitespace-separated integer rows.  All rationals print as p/q in lowest
-terms, q-values reduced into [0, 1).  Exit codes: 0 pass, 1 verification failure, 2 usage or
-input errors.
+terms, q-values reduced into [0, 1).  Exit codes: 0 pass, 1 verification
+failure, 2 usage or input errors or an exceeded budget, 3 internal errors (a
+failed internal consistency check, reported on one `internal error:` line).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .linalg import determinant, is_symmetric
 from .metric_groups import (
     GAUSS_BUDGET_DEFAULT,
     BudgetExceededError,
+    InternalError,
     MetricGroup,
     PrimeFamilySpec,
     build_prime,
@@ -374,6 +376,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print("internal error: " + "; ".join(str(exc).splitlines()), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

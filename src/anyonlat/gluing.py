@@ -27,8 +27,8 @@ The E/F builders assemble Gram matrices from block generating data: a small
 scaled block, a dual-coset glue vector lambda (norm = -1/2^r mod 2) or mu
 (norm = -3/2^r mod 2), and two resp. one copies of an input lattice.  Every
 inner product is computed through the input Gram matrix and the dual
-coordinates K^{-1} w that `discriminant_form` already solved for, so no
-system is solved twice and no irrational arithmetic ever occurs.
+coordinates K^{-1} w that `discriminant_form` read off its Smith normal
+form, so no system is solved and no irrational arithmetic ever occurs.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .linalg import (
     smith_normal_form,
     transpose,
 )
-from .metric_groups import BudgetExceededError, PrimeFamilySpec, build_prime
+from .metric_groups import BudgetExceededError, InternalError, PrimeFamilySpec, build_prime
 from .numtheory import crt_pair, factorize, sqrt_mod_prime_power
 
 __all__ = [
@@ -74,7 +74,7 @@ __all__ = [
 GLUE_SEARCH_NODE_BUDGET = 10**7
 
 
-class GlueSearchError(RuntimeError):
+class GlueSearchError(InternalError):
     """No glue group found within the search budget (existence is guaranteed,
     so this signals a budget or representation limitation)."""
 

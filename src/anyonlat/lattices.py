@@ -35,7 +35,6 @@ from .linalg import (
     inertia,
     is_symmetric,
     smith_normal_form,
-    solve_columns,
 )
 from .metric_groups import (
     MetricGroup,
@@ -90,8 +89,8 @@ class Lattice:
 class DiscriminantData:
     """Cokernel invariants, dual-coset generator representatives w_j, the
     values of q2 (mod 2) and the pairing b (mod 1) on those generators, and
-    the dual coordinates K^{-1} w_j: the one rational solve per Gram matrix,
-    which later layers read instead of solving again."""
+    the dual coordinates K^{-1} w_j, read off V of the Smith normal form,
+    which later layers read instead of solving for them."""
 
     invariant_factors: tuple[int, ...]
     generator_reps: tuple[tuple[int, ...], ...]
@@ -119,7 +118,8 @@ def discriminant_form(gram: list[list[int]]) -> DiscriminantData:
 
     Requires an even symmetric Gram matrix with nonzero determinant; a zero
     on the diagonal of S marks a singular one.  The generator representative
-    for the j-th invariant factor is column j of U^{-1}, where U K V = S.
+    for the j-th invariant factor s_j is w_j = column j of U^{-1}, where
+    U K V = S, so K^{-1} w_j = V S^{-1} e_j is column j of V over s_j.
     """
     if not is_symmetric(gram):
         raise ValueError("Gram matrix must be symmetric")
@@ -131,14 +131,13 @@ def discriminant_form(gram: list[list[int]]) -> DiscriminantData:
         raise ValueError("Gram matrix is singular")
     gens: list[tuple[int, ...]] = []
     factors: list[int] = []
+    sols: list[tuple[Fraction, ...]] = []
     for j in range(m):
         s = snf.s[j][j]
         if s > 1:
             factors.append(s)
             gens.append(tuple(snf.u_inv[i][j] for i in range(m)))
-    if not gens:
-        return DiscriminantData((), (), (), (), ())
-    sols = solve_columns(gram, [list(w) for w in gens])
+            sols.append(tuple(Fraction(snf.v[i][j], s) for i in range(m)))
     q2 = tuple(
         sum(wi * zi for wi, zi in zip(w, z)) % 2
         for w, z in zip(gens, sols)
@@ -147,7 +146,7 @@ def discriminant_form(gram: list[list[int]]) -> DiscriminantData:
         tuple(_mod1(sum(wi * zi for wi, zi in zip(w, sols[j]))) for j in range(len(gens)))
         for w in gens
     )
-    return DiscriminantData(tuple(factors), tuple(gens), q2, bil, tuple(map(tuple, sols)))
+    return DiscriminantData(tuple(factors), tuple(gens), q2, bil, tuple(sols))
 
 
 def lattice_metric_group(gram: list[list[int]]) -> MetricGroup:

@@ -4,12 +4,15 @@ Matrices are plain lists of lists; integer routines stay in int, rational ones
 use fractions.Fraction.  Nothing here touches floating point:
 
 * fraction-free (Bareiss) determinants,
-* Gauss-Jordan inverses over Q,
-* Smith normal form with full transform bookkeeping (U, U^-1, V),
+* rational solves and inverses over Q,
+* Smith normal form U m V = S keeping U^-1 (generators) and V (with S, the
+  inverse on the image: m^-1 U^-1 e_j = V e_j / s_j); U itself is not kept,
 * row-style Hermite normal form with its unimodular transform,
-* exact inertia of a symmetric matrix by congruence elimination, using
-  hyperbolic 2x2 pivots when the remaining diagonal vanishes (Sylvester's law
-  without any epsilon perturbation).
+* `congruence`, the one symmetric elimination: diagonal pivots, and
+  hyperbolic 2x2 pivots when the remaining diagonal vanishes (Sylvester's
+  law without any epsilon perturbation).  One pass yields the exact inertia,
+  the determinant and, for positive-definite input, the factors of
+  m = L D L^T.
 
 Pivot selection in SNF/HNF is smallest absolute value, ties by lowest index,
 so outputs are deterministic.
@@ -36,6 +39,8 @@ __all__ = [
     "smith_normal_form",
     "hermite_normal_form",
     "left_kernel",
+    "Congruence",
+    "congruence",
     "inertia",
     "signature",
     "is_positive_definite",
@@ -112,25 +117,7 @@ def rational_inverse(m) -> list[list[Fraction]]:
     """Exact inverse of a nonsingular matrix with int or Fraction entries."""
     if not is_square(m):
         raise ValueError("rational_inverse requires a square matrix")
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        p = a[col][col]
-        if p != 1:
-            a[col] = [x / p for x in a[col]]
-            inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+    return transpose(solve_columns(m, identity_matrix(len(m))))
 
 
 def solve_columns(m, rhs_cols) -> list[list[Fraction]]:
@@ -175,9 +162,9 @@ def solve_columns(m, rhs_cols) -> list[list[Fraction]]:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """U * m * V = S with U, V unimodular and S diagonal with a divisibility chain."""
+    """U * m * V = S with U, V unimodular and S diagonal with a divisibility
+    chain; U is carried as its inverse only."""
 
-    u: list[list[int]]
     s: list[list[int]]
     v: list[list[int]]
     u_inv: list[list[int]]
@@ -204,18 +191,16 @@ def _find_pivot(a, t, rows, cols):
 
 
 def smith_normal_form(m: list[list[int]]) -> SnfResult:
-    """Smith normal form with transforms; deterministic for a given input."""
+    """Smith normal form with V and U^-1; deterministic for a given input."""
     rows = len(m)
     cols = len(m[0]) if m else 0
     a = copy_matrix(m)
-    u = identity_matrix(rows)
     u_inv = identity_matrix(rows)
     v = identity_matrix(cols)
 
     def swap_rows(i, j):
         if i != j:
             a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
             for row in u_inv:
                 row[i], row[j] = row[j], row[i]
 
@@ -233,10 +218,6 @@ def smith_normal_form(m: list[list[int]]) -> SnfResult:
             for j in range(cols):
                 if arow_s[j]:
                     arow_d[j] += q * arow_s[j]
-            urow_s, urow_d = u[src], u[dst]
-            for j in range(rows):
-                if urow_s[j]:
-                    urow_d[j] += q * urow_s[j]
             for row in u_inv:
                 if row[dst]:
                     row[src] -= q * row[dst]
@@ -252,7 +233,6 @@ def smith_normal_form(m: list[list[int]]) -> SnfResult:
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
         for row in u_inv:
             row[i] = -row[i]
 
@@ -299,7 +279,7 @@ def smith_normal_form(m: list[list[int]]) -> SnfResult:
             add_row(offender, t, 1)
             pos = _find_pivot(a, t, rows, cols)
         t += 1
-    return SnfResult(u=u, s=a, v=v, u_inv=u_inv)
+    return SnfResult(s=a, v=v, u_inv=u_inv)
 
 
 def hermite_normal_form(m: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -356,15 +336,41 @@ def left_kernel(m: list[list[int]]) -> list[list[int]]:
     return [t[i] for i in range(len(m)) if not any(h[i])]
 
 
-def inertia(m) -> tuple[int, int, int]:
-    """(n_plus, n_minus, n_zero) of a symmetric matrix, by exact congruence
-    elimination with diagonal pivots and hyperbolic 2x2 pivots."""
+@dataclass(frozen=True)
+class Congruence:
+    """One congruence elimination of a symmetric matrix m.
+
+    `inertia` is (n_plus, n_minus, n_zero) and `det` the exact determinant:
+    the product of the 1x1 pivots d and of -b^2 for each hyperbolic pivot
+    [[0, b], [b, 0]], or 0 once only a zero block is left.  `rows` is the
+    working matrix; the row of each eliminated pivot is frozen as it stood
+    when eliminated, which `ldl` decodes.
+    """
+
+    inertia: tuple[int, int, int]
+    det: Fraction
+    rows: list[list[Fraction]]
+
+    def ldl(self):
+        """m = L D L^T for positive-definite m, whose pivots are taken in
+        order, so d_i = rows[i][i] and L[j][i] = rows[i][j] / d_i: the pivots
+        d and, for each column i of the unit lower-triangular L, its nonzero
+        entries below the diagonal as pairs (j, L[j][i])."""
+        rows = self.rows
+        d = [row[i] for i, row in enumerate(rows)]
+        lower = [[(j, x / d[i]) for j, x in enumerate(row[i + 1:], i + 1) if x] for i, row in enumerate(rows)]
+        return d, lower
+
+
+def congruence(m) -> Congruence:
+    """Exact congruence elimination with diagonal and hyperbolic 2x2 pivots."""
     if not is_symmetric(m):
         raise ValueError("inertia requires a symmetric matrix")
     n = len(m)
     a = [[Fraction(x) for x in row] for row in m]
     alive = list(range(n))
     n_plus = n_minus = n_zero = 0
+    det = Fraction(1)
     while alive:
         piv = next((i for i in alive if a[i][i] != 0), None)
         if piv is not None:
@@ -373,6 +379,7 @@ def inertia(m) -> tuple[int, int, int]:
                 n_plus += 1
             else:
                 n_minus += 1
+            det *= d
             alive.remove(piv)
             touched = [j for j in alive if a[j][piv] != 0]
             for j in touched:
@@ -393,11 +400,13 @@ def inertia(m) -> tuple[int, int, int]:
                 break
         if pair is None:
             n_zero += len(alive)
+            det = Fraction(0)
             break
         i, j = pair
         b = a[i][j]
         n_plus += 1
         n_minus += 1
+        det *= -b * b
         alive.remove(i)
         alive.remove(j)
         # Schur complement of the hyperbolic block [[0, b], [b, 0]].
@@ -409,7 +418,12 @@ def inertia(m) -> tuple[int, int, int]:
                     delta = (ci * a[j][l] + cj * a[i][l]) / b
                     if delta:
                         row_k[l] -= delta
-    return n_plus, n_minus, n_zero
+    return Congruence((n_plus, n_minus, n_zero), det, a)
+
+
+def inertia(m) -> tuple[int, int, int]:
+    """(n_plus, n_minus, n_zero) of a symmetric matrix: `congruence`'s view."""
+    return congruence(m).inertia
 
 
 def signature(m) -> int:

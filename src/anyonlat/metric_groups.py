@@ -50,6 +50,7 @@ __all__ = [
     "canonical_unit",
     "DegenerateFormError",
     "BudgetExceededError",
+    "InternalError",
 ]
 
 DENSE_TABLE_LIMIT = 2**16
@@ -63,6 +64,10 @@ class DegenerateFormError(ValueError):
 
 class BudgetExceededError(ValueError):
     """Raised when an enumeration would exceed its size budget."""
+
+
+class InternalError(RuntimeError):
+    """An internal consistency check failed: a bug, not bad input."""
 
 
 def _mod1(x: Fraction) -> Fraction:

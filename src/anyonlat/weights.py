@@ -3,9 +3,10 @@
 For an even positive-definite Gram matrix K, the weight of a dual coset a is
 h_a = min { x.x / 2 : x in the coset a of L*/L }, found by exact branch and
 bound: with K = L D L^T (unit lower-triangular L, positive rational pivots
-D), the norm splits as sum_i d_i (x_i + c_i)^2 where c_i depends only on
-later coordinates, so coordinates are enumerated last-to-first inside an
-exact shrinking bound.  Always h_a = q2(a)/2 mod 1.
+D, from `linalg.congruence`), the norm splits as
+sum_i d_i (x_i + c_i)^2 where c_i depends only on later coordinates, so
+coordinates are enumerated last-to-first inside an exact shrinking bound.
+Always h_a = q2(a)/2 mod 1.
 
 The extremality score of a realization with N anyon types and rank c is
 N c / 4 + N (N - 1) / 2 - 6 sum_a h_a; an extremal chiral algebra in its
@@ -18,8 +19,8 @@ import itertools
 from fractions import Fraction
 
 from .lattices import discriminant_form
-from .linalg import is_symmetric
-from .metric_groups import BudgetExceededError
+from .linalg import congruence, is_symmetric
+from .metric_groups import BudgetExceededError, InternalError
 
 __all__ = [
     "coset_minima",
@@ -32,33 +33,20 @@ COSET_BUDGET_DEFAULT = 4096
 RANK_LIMIT = 20  # largest rank whose coset minima are enumerated
 
 
-def _ldl(gram, caller):
-    """gram = L D L^T with unit lower-triangular L.  A pivot <= 0 occurs
-    exactly when gram is not positive definite (Sylvester's criterion), so
-    this is also `caller`'s positive-definiteness check."""
+def _factors(gram, caller):
+    """gram = L D L^T as `Congruence.ldl` lists it.  The elimination's inertia
+    is also `caller`'s positive-definiteness check."""
     if not is_symmetric(gram):
         raise ValueError(f"{caller} requires a symmetric Gram matrix")
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    d = []
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot <= 0:
-            raise ValueError(f"{caller} requires a positive-definite Gram matrix")
-        d.append(pivot)
-        for i in range(k + 1, n):
-            f = a[i][k] / pivot
-            lower[i][k] = f
-            if f:
-                for j in range(k, n):
-                    if a[k][j]:
-                        a[i][j] -= f * a[k][j]
-    return d, lower
+    elim = congruence(gram)
+    if elim.inertia[0] != len(gram):
+        raise ValueError(f"{caller} requires a positive-definite Gram matrix")
+    return elim.ldl()
 
 
 def _branch_and_bound(d, lower, z0, exclude_zero_at=None):
-    """Minimize (z0 + x)^T K (z0 + x) over integer x for K = L D L^T.
+    """Minimize (z0 + x)^T K (z0 + x) over integer x for K = L D L^T, with L
+    given by the nonzero entries of its columns as `Congruence.ldl` lists them.
 
     The norm separates as sum_i d_i (x_i + c_i)^2 with c_i = (L^T z0)_i plus
     the L^T-contributions of the already-fixed later coordinates, so the
@@ -67,19 +55,19 @@ def _branch_and_bound(d, lower, z0, exclude_zero_at=None):
     nonzero vector and nothing else).
     """
     n = len(d)
-    center = [z0[i] + sum(lower[j][i] * z0[j] for j in range(i + 1, n)) for i in range(n)]
+    center = [z0[i] + sum(f * z0[j] for j, f in lower[i]) for i in range(n)]
 
     def initial_guess():
         x = [0] * n
         for i in range(n - 1, -1, -1):
-            c = center[i] + sum(lower[j][i] * x[j] for j in range(i + 1, n))
+            c = center[i] + sum(f * x[j] for j, f in lower[i])
             x[i] = -round(c)
         return x
 
     def value_of(x):
         total = Fraction(0)
         for i in range(n):
-            c = center[i] + sum(lower[j][i] * x[j] for j in range(i + 1, n))
+            c = center[i] + sum(f * x[j] for j, f in lower[i])
             total += d[i] * (x[i] + c) ** 2
         return total
 
@@ -101,7 +89,7 @@ def _branch_and_bound(d, lower, z0, exclude_zero_at=None):
                 best = partial
                 best_x = list(x)
             return
-        c = center[i] + sum(lower[j][i] * x[j] for j in range(i + 1, n))
+        c = center[i] + sum(f * x[j] for j, f in lower[i])
         base = -round(c)  # |base + c| <= 1/2 is the per-level minimum
         k = 0
         while True:
@@ -126,7 +114,7 @@ def _branch_and_bound(d, lower, z0, exclude_zero_at=None):
 def coset_minima(gram, budget: int = COSET_BUDGET_DEFAULT):
     """h_a for every dual coset a, keyed by coordinates in the discriminant
     generators; exact, with the q2 congruence rechecked on every value."""
-    d, lower = _ldl(gram, "coset_minima")
+    d, lower = _factors(gram, "coset_minima")
     m = len(gram)
     if m > RANK_LIMIT:
         raise BudgetExceededError(f"rank {m} exceeds enumeration limit {RANK_LIMIT}")
@@ -145,14 +133,14 @@ def coset_minima(gram, budget: int = COSET_BUDGET_DEFAULT):
         h = norm / 2
         q = group.q(coeffs)
         if (h - q) % 1 != 0:
-            raise AssertionError(f"h = {h} incompatible with q2/2 = {q} at {coeffs}")
+            raise InternalError(f"h = {h} incompatible with q2/2 = {q} at {coeffs}")
         out[coeffs] = h
     return out
 
 
 def minimum_nonzero_norm(gram) -> Fraction:
     """Norm of a shortest nonzero lattice vector (exact enumeration)."""
-    d, lower = _ldl(gram, "minimum_nonzero_norm")
+    d, lower = _factors(gram, "minimum_nonzero_norm")
     m = len(gram)
     norm, _ = _branch_and_bound(d, lower, [Fraction(0)] * m, exclude_zero_at=[0] * m)
     return norm

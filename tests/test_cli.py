@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import anyonlat.linalg
 from anyonlat.cli import (
     UsageError,
     dump_matrix_file,
@@ -15,8 +16,8 @@ from anyonlat.cli import (
     parse_spec,
     parse_spec_factors,
 )
-from anyonlat.gluing import GLUE_SEARCH_NODE_BUDGET
-from anyonlat.lattices import e8_gram
+from anyonlat.gluing import GLUE_SEARCH_NODE_BUDGET, GlueSearchError
+from anyonlat.lattices import cartan_d, e8_gram
 from anyonlat.metric_groups import central_charge_gauss
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -236,3 +237,52 @@ def test_complement_over_glue_budget_exits_2(tmp_path):
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: glue search")
     assert str(12**8) in line and str(GLUE_SEARCH_NODE_BUDGET) in line
+
+
+@pytest.mark.parametrize("message", [
+    "no glue group found within the budget",
+    "E_4 gluing failed verification:\n[FAIL] discriminant_form: no isometry",
+])
+def test_internal_error_exits_3_with_one_line(tmp_path, monkeypatch, capsys, message):
+    def fail(*args, **kwargs):
+        raise GlueSearchError(message)
+
+    monkeypatch.setattr("anyonlat.cli.glue_selfdual_8", fail)
+    path = tmp_path / "su3.json"
+    path.write_text(dump_matrix_file([[2, 1], [1, 2]]))
+    assert main(["complement", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["internal error: " + message.replace("\n", "; ")]
+
+
+def _count_kernel_calls(monkeypatch, names):
+    """Count calls of `linalg` kernels, wherever the package binds them."""
+    counts = dict.fromkeys(names, 0)
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "anyonlat"]
+    for name in names:
+        original = getattr(anyonlat.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+def test_verify_runs_each_kernel_once_and_solves_nothing(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "d7.json"
+    path.write_text(dump_matrix_file(cartan_d(7).gram))
+    counts = _count_kernel_calls(
+        monkeypatch, ["determinant", "solve_columns", "congruence", "smith_normal_form"])
+    assert main(["verify", str(path), "--target", "B[4]"]) == 0
+    assert counts == {"determinant": 1, "solve_columns": 0, "congruence": 1, "smith_normal_form": 1}
+
+
+def test_continued_fraction_kmatrix_factors_k_once(monkeypatch, capsys):
+    counts = _count_kernel_calls(monkeypatch, ["smith_normal_form"])
+    assert main(["kmatrix", "B[7]"]) == 0
+    assert counts == {"smith_normal_form": 1}

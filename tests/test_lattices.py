@@ -54,11 +54,24 @@ class TestDiscriminantForm:
             discriminant_form([[2, 2], [2, 2]])
 
     def test_dual_coords_solve_k_z_equals_w(self):
-        for gram in ([[2, -1], [-1, 2]], [[0, 2], [2, 0]], cartan_d(4).gram, [[4, 2], [2, 4]]):
+        grams = [[[2, -1], [-1, 2]], [[0, 2], [2, 0]], cartan_d(4).gram, [[4, 2], [2, 4]]]
+        rng = random.Random(11)
+        while len(grams) < 200:
+            n = rng.randint(1, 5)
+            gram = [[0] * n for _ in range(n)]
+            for i in range(n):
+                gram[i][i] = 2 * rng.randint(-4, 4)
+                for j in range(i):
+                    gram[i][j] = gram[j][i] = rng.randint(-4, 4)
+            if determinant(gram) != 0:
+                grams.append(gram)
+        for gram in grams:
             d = discriminant_form(gram)
             assert len(d.dual_coords) == len(d.generator_reps)
             for w, z in zip(d.generator_reps, d.dual_coords):
                 assert [sum(a * b for a, b in zip(row, z)) for row in gram] == list(w)
+            # read off V of the SNF, equal to a rational solve of K z = w
+            assert [list(z) for z in d.dual_coords] == solve_columns(gram, [list(w) for w in d.generator_reps])
 
     def test_q2_well_defined_on_cosets(self):
         rng = random.Random(5)

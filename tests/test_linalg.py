@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from anyonlat.linalg import (
+    congruence,
     determinant,
     hermite_normal_form,
     identity_matrix,
@@ -55,10 +56,9 @@ def test_smith_normal_form_examples():
 def test_smith_transforms_are_unimodular():
     m = [[6, 4, 2], [4, 8, 0], [2, 0, 10]]
     snf = smith_normal_form(m)
-    assert mat_mul(mat_mul(snf.u, m), snf.v) == snf.s
-    assert abs(determinant(snf.u)) == 1
+    assert mat_mul(m, snf.v) == mat_mul(snf.u_inv, snf.s)
+    assert abs(determinant(snf.u_inv)) == 1
     assert abs(determinant(snf.v)) == 1
-    assert mat_mul(snf.u, snf.u_inv) == identity_matrix(3)
 
 
 def test_rational_inverse_examples():
@@ -76,6 +76,14 @@ def test_inertia_examples():
     m = [[20, -15, 10, -5], [-15, 12, -8, 4], [10, -8, 6, -3], [-5, 4, -3, 2]]
     assert inertia(m) == (4, 0, 0)
     assert is_positive_definite(m)
+    # positive definite: the elimination factors m = L D L^T
+    d, columns = congruence(m).ldl()
+    lower = identity_matrix(4)
+    for i, column in enumerate(columns):
+        for j, x in column:
+            lower[j][i] = x
+    ldl = [[sum(lower[i][k] * d[k] * lower[j][k] for k in range(4)) for j in range(4)] for i in range(4)]
+    assert ldl == m
     assert inertia([[0, 0], [0, 0]]) == (0, 0, 2)
     with pytest.raises(ValueError):
         inertia([[1, 2], [3, 4]])
@@ -117,7 +125,8 @@ def test_random_exactness_properties():
         rows = rng.randint(1, 4)
         m = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(rows)]
         snf = smith_normal_form(m)
-        assert mat_mul(mat_mul(snf.u, m), snf.v) == snf.s
+        assert mat_mul(m, snf.v) == mat_mul(snf.u_inv, snf.s)
+        assert abs(determinant(snf.u_inv)) == 1
         diag = snf.diagonal()
         assert all(d >= 0 for d in diag)
         for a, b in zip(diag, diag[1:]):
@@ -140,6 +149,16 @@ def test_random_exactness_properties():
         if sym is not None:
             n_plus, n_minus, n_zero = inertia(sym)
             assert n_plus + n_minus + n_zero == n
+            # The congruence determinant against Bareiss, also on a zero
+            # diagonal (hyperbolic pivots) and on a singular matrix (the
+            # last index repeats the first).
+            hyperbolic = [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(sym)]
+            singular = [[row[j] if j < n - 1 else row[0] for j in range(n)] for row in sym]
+            singular[-1] = singular[0][:]
+            for case in (sym, hyperbolic, singular):
+                assert congruence(case).det == determinant(case)
+            if n > 1:
+                assert determinant(singular) == 0
             # Jacobi/Sylvester cross-check on regular symmetric matrices.
             minors = [determinant([row[: k + 1] for row in sym[: k + 1]]) for k in range(n)]
             if all(minors):
@@ -170,6 +189,7 @@ def test_inertia_matches_minor_signs_on_regular_matrices():
             signs.append(1 if (mu > 0) == (prev > 0) else -1)
             prev = mu
         assert n_zero == 0
+        assert congruence(m).det == minors[-1]
         assert n_plus == signs.count(1)
         assert n_minus == signs.count(-1)
         assert signature(m) == n_plus - n_minus

@@ -1,6 +1,7 @@
 """Metamorphic tests of the realization oracle: changes of the input that
 keep the lattice (a change of basis) or undo each other (the complement of
-a complement) must not change its answer."""
+a complement) must not change its answer, and the Gauss sum of a product
+must add up the factors' closed-form central charges."""
 
 import random
 
@@ -25,7 +26,12 @@ from anyonlat.lattices import (
     verify_realization,
 )
 from anyonlat.linalg import determinant, mat_mul, transpose
-from anyonlat.metric_groups import conjugate, trivial_group
+from anyonlat.metric_groups import (
+    central_charge_closed,
+    central_charge_gauss,
+    conjugate,
+    trivial_group,
+)
 from anyonlat.realize import kmatrix_for
 from anyonlat.wall import direct_ef_k
 
@@ -98,3 +104,20 @@ def test_complement_of_complement_realizes_the_original_model(base, spec):
     report = verify_realization(back.gram, parse_spec(spec))
     assert report.passed, list(report.lines())
     assert report.signature == back.rank
+
+
+FAMILY_POOL = ["A[2]", "B[2]", "A[4]", "B[8]", "C[4]", "D[8]", "E[2]", "F[2]", "E[4]", "F[4]",
+               "A[3]", "B[3]", "A[5]", "B[5]", "A[7]", "B[7]", "A[9]", "B[11]", "A[13]", "B[3^3]"]
+
+
+def test_gauss_sum_of_a_product_adds_the_closed_forms():
+    rng = random.Random("gauss-products")
+    checked = 0
+    while checked < 40:
+        spec = "*".join(rng.choice(FAMILY_POOL) for _ in range(rng.randint(2, 4)))
+        group = parse_spec(spec)
+        if group.size > 4096:  # keeps each Gauss sum well under a second
+            continue
+        checked += 1
+        closed = sum(central_charge_closed(f) for f in parse_spec_factors(spec)) % 8
+        assert central_charge_gauss(group) == closed, spec

@@ -4,6 +4,7 @@ matrices, pinning down which branch labels hold and documenting the errata
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -26,9 +27,9 @@ from anyonlat.wall import assemble_w, direct_ef_k, k_from_wall, wall_sequence
 
 
 def frac_det(w):
-    from anyonlat.wall import _frac_det
-
-    return _frac_det(w)
+    """det W by Bareiss on the integer matrix s W, s the lcm of the denominators."""
+    s = lcm(*(Fraction(x).denominator for row in w for x in row))
+    return Fraction(determinant([[int(s * x) for x in row] for row in w]), s ** len(w))
 
 
 @pytest.mark.parametrize("case", WALL_BRANCH_CASES, ids=lambda c: c["name"])
