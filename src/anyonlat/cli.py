@@ -71,9 +71,9 @@ def parse_spec_factors(text: str) -> list[PrimeFamilySpec]:
         try:
             if "^" in body:
                 p_text, r_text = body.split("^", 1)
+                # PrimeFamilySpec checks p and r; p ** r before that check
+                # divides by zero on 0^-1.
                 p, r = int(p_text), int(r_text)
-                if p ** r <= 0:
-                    raise ValueError
             else:
                 p, r = prime_power_split(int(body))
         except ValueError as exc:
@@ -102,13 +102,17 @@ def load_matrix_file(path: str) -> tuple[list[list[int]], str | None, str | None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     target = comment = None
     try:
         payload = json.loads(text)
     except json.JSONDecodeError:
         payload = None
+    except (ValueError, RecursionError) as exc:
+        # JSON the decoder still refuses: an integer past Python's digit
+        # limit, or nesting past the recursion limit.
+        raise UsageError(f"{path}: cannot decode JSON: {exc}") from exc
     # A plain rank-1 file such as "4" parses as a JSON number, not an object.
     if isinstance(payload, dict):
         if "gram" not in payload:

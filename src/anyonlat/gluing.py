@@ -196,13 +196,18 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
         )
     all_orders = orders * 8
     group = disc.metric_group()
+    # Numerators of q and chi over the level, tabulated on D (|D| <= budget^(1/8)).
+    level = group.level
+    points = list(group.elements())
+    q_num = {x: group.q_num(x) for x in points}
+    bil_num = {(x, y): group.bilinear_num(x, y) for x in points for y in points}
     copies = [slice(copy * g, (copy + 1) * g) for copy in range(8)]
 
     def q2_total(vec) -> bool:
-        return sum(group.q(vec[c]) for c in copies) % 1 == 0
+        return sum(q_num[vec[c]] for c in copies) % level == 0
 
     def bil_total(v, w) -> bool:
-        return sum(group.bilinear(v[c], w[c]) for c in copies) % 1 == 0
+        return sum(bil_num[v[c], w[c]] for c in copies) % level == 0
 
     def span_with(span, vec):
         new = set(span)
@@ -243,7 +248,7 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
                 continue
             if not all(q2_total(x) for x in new_span - span):
                 continue
-            result = search(new_span, gens + [list(cand)], idx + 1)
+            result = search(new_span, gens + [cand], idx + 1)
             if result is not None:
                 return result
         return None
@@ -251,7 +256,7 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
     result = search({zero}, [], 0)
     if result is None:
         raise GlueSearchError("no glue group found within the budget")
-    return result
+    return [list(vec) for vec in result]
 
 
 # ---------------------------------------------------------------------------

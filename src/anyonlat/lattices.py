@@ -37,6 +37,7 @@ from .linalg import (
     smith_normal_form,
 )
 from .metric_groups import (
+    GAUSS_BUDGET_DEFAULT,
     MetricGroup,
     _mod1,
     central_charge_gauss,
@@ -182,7 +183,9 @@ def verify_realization(gram: list[list[int]], target: MetricGroup, iso_budget: i
 
     Checks evenness, |det| = |A|, nondegeneracy and exact inertia, the
     signature = central charge congruence mod 8, and finally an explicit
-    isometry between the discriminant form and the target.
+    isometry between the discriminant form and the target.  `iso_budget`
+    bounds the isometry search; the target's Gauss sum runs up to
+    max(iso_budget, GAUSS_BUDGET_DEFAULT) elements, as in `model`.
     """
     checks: list[CheckResult] = []
     if not is_symmetric(gram):
@@ -200,7 +203,7 @@ def verify_realization(gram: list[list[int]], target: MetricGroup, iso_budget: i
     checks.append(
         CheckResult("inertia", n_zero == 0, f"(n+, n-, n0) = ({n_plus}, {n_minus}, {n_zero})")
     )
-    charge = central_charge_gauss(target)
+    charge = central_charge_gauss(target, budget=max(iso_budget, GAUSS_BUDGET_DEFAULT))
     sig_ok = (sig - charge) % 8 == 0
     checks.append(
         CheckResult("signature_mod_8", sig_ok, f"signature {sig} vs central charge {charge} (mod 8)")

@@ -14,9 +14,21 @@ quadratic forms on finite abelian groups:
   E_{2^r}            Z_{2^r}^2, q(m, n) = mn/2^r            (toric-code family)
   F_{2^r}            Z_{2^r}^2, q(m, n) = (m^2+n^2+mn)/2^r  (three-fermion family)
 
+Every group has a level N, the lcm of the denominators of q(e_i) and
+chi(e_i, e_j): all values of q and chi lie in (1/N)Z/Z, and N is an isometry
+invariant (the lcm of the denominators of all values of q).  A MetricGroup
+stores the integer numerators N q(e_i) and N chi(e_i, e_j) mod N, and every
+internal computation (the Gauss-sum histogram, the isometry and automorphism
+searches, the glue search's isotropy sums, the radical) compares those ints;
+`q`, `bilinear` and `q_values` return Fractions only at the public boundary.
+
 The central charge c mod 8 is defined by sum_x theta(x) / sqrt|A| = e^{i pi c/4};
 `central_charge_closed` tabulates it per family and `central_charge_gauss`
-recomputes it from the Gauss sum as an independent oracle.
+recomputes it from the Gauss sum as an independent oracle.  The Gauss sum
+counts N q(x) mod N into a length-N histogram and sums it against the powers
+of e^{2 pi i/N} in fixed point, F = 42 + bits(N) + ceil(bits(|A|)/2)
+fractional bits: its normalized value is off by less than 2^-40, and a phase
+matches within 2^-20 (the derivation is in its docstring).
 
 `_q_sum` and `_bil_sum` are the package's only evaluators of q and chi, and
 `_isometries` its only generator-image search (`is_isomorphic` takes the first
@@ -28,7 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import mpmath
 
@@ -74,45 +86,75 @@ def _mod1(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
-def _q_sum(x, gen_q, gen_bil) -> Fraction:
-    """q(sum_i x_i e_i) mod 1 from q(e_i) and chi(e_i, e_j)."""
-    total = Fraction(0)
-    k = len(gen_q)
+def _q_sum(x, q_num, bil_num, level: int) -> int:
+    """N q(sum_i x_i e_i) mod N from N q(e_i) and N chi(e_i, e_j), N = level."""
+    total = 0
+    k = len(q_num)
     for i in range(k):
-        if x[i]:
-            total += x[i] * x[i] * gen_q[i]
+        xi = x[i]
+        if xi:
+            row = bil_num[i]
+            part = xi * q_num[i]
             for j in range(i + 1, k):
                 if x[j]:
-                    total += x[i] * x[j] * gen_bil[i][j]
-    return _mod1(total)
+                    part += x[j] * row[j]
+            total += xi * part
+    return total % level
 
 
-def _bil_sum(x, y, gen_bil) -> Fraction:
-    """chi(sum_i x_i e_i, sum_j y_j e_j) mod 1 from chi(e_i, e_j)."""
-    total = Fraction(0)
+def _bil_sum(x, y, bil_num, level: int) -> int:
+    """N chi(sum_i x_i e_i, sum_j y_j e_j) mod N from N chi(e_i, e_j), N = level."""
+    total = 0
     for i, xi in enumerate(x):
         if xi:
-            row = gen_bil[i]
+            row = bil_num[i]
             for j, yj in enumerate(y):
                 if yj:
                     total += xi * yj * row[j]
-    return _mod1(total)
+    return total % level
+
+
+def _q_numerators(g: MetricGroup):
+    """Yield N q(x) mod N for every x, in the order of `g.elements()`.
+
+    The last coordinate runs innermost: for a prefix p and the last generator
+    e, q(p + t e) = q(p) + t chi(p, e) + t^2 q(e), so `_q_sum` and `_bil_sum`
+    run once per prefix rather than once per element.
+    """
+    if not g.orders:
+        yield 0
+        return
+    *head, n = g.orders
+    level, q_num, bil_num = g.level, g.gen_q_num, g.gen_bil_num
+    a = q_num[-1]
+    last = (0,) * len(head) + (1,)
+    for prefix in itertools.product(*(range(m) for m in head)):
+        x = prefix + (0,)
+        base = _q_sum(x, q_num, bil_num, level)
+        lin = _bil_sum(x, last, bil_num, level)
+        for t in range(n):
+            yield (base + t * (lin + t * a)) % level
 
 
 class MetricGroup:
     """Immutable metric group given by q and chi on a fixed generator basis.
 
-    orders   : invariant factors n_1 | n_2 | ... (possibly empty: trivial group)
-    gen_q    : q(e_i) mod 1
-    gen_bil  : chi(e_i, e_j) mod 1, symmetric, with chi(e_i, e_i) = 2 q(e_i)
+    orders      : invariant factors n_1 | n_2 | ... (possibly empty: trivial group)
+    level       : N, the lcm of the denominators of q(e_i) and chi(e_i, e_j);
+                  every value of q and chi lies in (1/N)Z/Z
+    gen_q_num   : N q(e_i) mod N
+    gen_bil_num : N chi(e_i, e_j) mod N, symmetric, with chi(e_i, e_i) = 2 q(e_i)
+
+    The constructor takes q(e_i) and chi(e_i, e_j) as rationals; `gen_q`,
+    `gen_bil`, `q`, `bilinear` and `q_values` hand values back as Fractions.
     """
 
-    __slots__ = ("orders", "gen_q", "gen_bil", "_table")
+    __slots__ = ("orders", "level", "gen_q_num", "gen_bil_num")
 
     def __init__(self, orders, gen_q, gen_bil):
         orders = tuple(int(n) for n in orders)
-        gen_q = tuple(_mod1(Fraction(x)) for x in gen_q)
-        gen_bil = tuple(tuple(_mod1(Fraction(x)) for x in row) for row in gen_bil)
+        gen_q = [_mod1(Fraction(x)) for x in gen_q]
+        gen_bil = [[_mod1(Fraction(x)) for x in row] for row in gen_bil]
         k = len(orders)
         if any(n < 2 for n in orders):
             raise ValueError("invariant factors must be >= 2")
@@ -120,38 +162,49 @@ class MetricGroup:
             raise ValueError(f"orders {orders} are not a divisibility chain")
         if len(gen_q) != k or len(gen_bil) != k or any(len(r) != k for r in gen_bil):
             raise ValueError("generator data shape mismatch")
+        level = lcm(1, *(x.denominator for x in gen_q), *(b.denominator for row in gen_bil for b in row))
+        q_num = tuple(x.numerator * (level // x.denominator) for x in gen_q)
+        bil_num = tuple(tuple(b.numerator * (level // b.denominator) for b in row) for row in gen_bil)
         for i in range(k):
-            if gen_bil[i][i] != _mod1(2 * gen_q[i]):
+            if bil_num[i][i] != 2 * q_num[i] % level:
                 raise ValueError("chi(e_i, e_i) must equal 2 q(e_i) mod 1")
-            if (orders[i] * orders[i] * gen_q[i]).denominator != 1:
+            if orders[i] * orders[i] * q_num[i] % level:
                 raise ValueError("q is not well-defined on Z_{n_i}")
             for j in range(k):
-                if gen_bil[i][j] != gen_bil[j][i]:
+                if bil_num[i][j] != bil_num[j][i]:
                     raise ValueError("chi must be symmetric")
-                if (orders[i] * gen_bil[i][j]).denominator != 1:
+                if orders[i] * bil_num[i][j] % level:
                     raise ValueError("chi is not well-defined on Z_{n_i}")
         object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "gen_q", gen_q)
-        object.__setattr__(self, "gen_bil", gen_bil)
-        object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "gen_q_num", q_num)
+        object.__setattr__(self, "gen_bil_num", bil_num)
 
     def __setattr__(self, name, value):
         raise AttributeError("MetricGroup is immutable")
 
+    def _key(self):
+        return (self.orders, self.level, self.gen_q_num, self.gen_bil_num)
+
     def __eq__(self, other):
-        return (
-            isinstance(other, MetricGroup)
-            and self.orders == other.orders
-            and self.gen_q == other.gen_q
-            and self.gen_bil == other.gen_bil
-        )
+        return isinstance(other, MetricGroup) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.orders, self.gen_q, self.gen_bil))
+        return hash(self._key())
 
     def __repr__(self):
         qs = ", ".join(str(q) for q in self.gen_q)
         return f"MetricGroup(orders={self.orders}, q(gens)=[{qs}])"
+
+    @property
+    def gen_q(self) -> tuple[Fraction, ...]:
+        """q(e_i) mod 1."""
+        return tuple(Fraction(v, self.level) for v in self.gen_q_num)
+
+    @property
+    def gen_bil(self) -> tuple[tuple[Fraction, ...], ...]:
+        """chi(e_i, e_j) mod 1."""
+        return tuple(tuple(Fraction(v, self.level) for v in row) for row in self.gen_bil_num)
 
     @property
     def size(self) -> int:
@@ -175,28 +228,26 @@ class MetricGroup:
     def order_of(self, x) -> int:
         return lcm(1, *(n // gcd(a, n) for a, n in zip(x, self.orders)))
 
+    def q_num(self, x) -> int:
+        """N q(x) mod N, N = level."""
+        return _q_sum(self.reduce(x), self.gen_q_num, self.gen_bil_num, self.level)
+
+    def bilinear_num(self, x, y) -> int:
+        """N chi(x, y) mod N, N = level."""
+        return _bil_sum(self.reduce(x), self.reduce(y), self.gen_bil_num, self.level)
+
     def q(self, x) -> Fraction:
-        x = self.reduce(x)
-        table = self._q_table()
-        if table is not None:
-            return table[x]
-        return _q_sum(x, self.gen_q, self.gen_bil)
+        return Fraction(self.q_num(x), self.level)
 
     def bilinear(self, x, y) -> Fraction:
-        return _bil_sum(self.reduce(x), self.reduce(y), self.gen_bil)
-
-    def _q_table(self):
-        if self._table is None and 0 < self.size <= DENSE_TABLE_LIMIT:
-            gen_q, gen_bil = self.gen_q, self.gen_bil
-            table = {x: _q_sum(x, gen_q, gen_bil) for x in self.elements()}
-            object.__setattr__(self, "_table", table)
-        return self._table
+        return Fraction(self.bilinear_num(x, y), self.level)
 
     def q_values(self) -> dict[tuple[int, ...], Fraction]:
         """Dense q table (size-limited)."""
         if self.size > DENSE_TABLE_LIMIT:
             raise BudgetExceededError(f"group of order {self.size} exceeds dense-table limit")
-        return dict(self._q_table())
+        level = self.level
+        return {x: Fraction(v, level) for x, v in zip(self.elements(), _q_numerators(self))}
 
 
 def trivial_group() -> MetricGroup:
@@ -264,7 +315,7 @@ def canonical_unit(family: str, p: int) -> int:
 
 
 def _cyclic(n: int, q1: Fraction) -> MetricGroup:
-    return MetricGroup((n,), (q1,), ((_mod1(2 * q1),),))
+    return MetricGroup((n,), (q1,), ((2 * q1,),))
 
 
 def build_prime(spec: PrimeFamilySpec) -> MetricGroup:
@@ -290,72 +341,70 @@ def build_prime(spec: PrimeFamilySpec) -> MetricGroup:
         )
     else:  # F
         one = Fraction(1, n)
-        g = MetricGroup((n, n), (one, one), ((_mod1(2 * one), one), (one, _mod1(2 * one))))
+        g = MetricGroup((n, n), (one, one), ((2 * one, one), (one, 2 * one)))
     if not is_nondegenerate(g):
         raise DegenerateFormError(f"degenerate form for {spec}")
     return g
 
 
-def _canonicalize(orders, gen_q, gen_bil) -> MetricGroup:
+def _canonicalize(orders, level, q_num, bil_num) -> MetricGroup:
     """Rewrite generators so the orders form a divisibility chain."""
     k = len(orders)
     if k == 0:
         return trivial_group()
     chain = all(orders[i] % orders[i - 1] == 0 for i in range(1, k))
     if chain:
-        return MetricGroup(orders, gen_q, gen_bil)
-    rel = [[orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    snf = smith_normal_form(rel)
-    # x -> U x identifies Z^k / diag(orders) with Z^k / S; the new generator j
-    # pulls back to column j of U^{-1}.
-    new_orders = [snf.s[i][i] for i in range(k)]
-    gens = [tuple(snf.u_inv[i][j] for i in range(k)) for j in range(k)]
+        gens = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+        new_orders = list(orders)
+    else:
+        rel = [[orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
+        snf = smith_normal_form(rel)
+        # x -> U x identifies Z^k / diag(orders) with Z^k / S; the new
+        # generator j pulls back to column j of U^{-1}.
+        new_orders = [snf.s[i][i] for i in range(k)]
+        gens = [tuple(snf.u_inv[i][j] for i in range(k)) for j in range(k)]
 
     keep = [j for j in range(k) if new_orders[j] > 1]
-    q_new = [_q_sum(gens[j], gen_q, gen_bil) for j in keep]
-    bil_new = [[_bil_sum(gens[i], gens[j], gen_bil) for j in keep] for i in keep]
+    q_new = [Fraction(_q_sum(gens[j], q_num, bil_num, level), level) for j in keep]
+    bil_new = [[Fraction(_bil_sum(gens[i], gens[j], bil_num, level), level) for j in keep] for i in keep]
     return MetricGroup([new_orders[j] for j in keep], q_new, bil_new)
 
 
 def direct_sum(g1: MetricGroup, g2: MetricGroup) -> MetricGroup:
     """Orthogonal sum; invariant factors are renormalized to a chain."""
     k1, k2 = len(g1.orders), len(g2.orders)
-    orders = g1.orders + g2.orders
-    gen_q = g1.gen_q + g2.gen_q
-    bil = [[Fraction(0)] * (k1 + k2) for _ in range(k1 + k2)]
-    for i in range(k1):
-        for j in range(k1):
-            bil[i][j] = g1.gen_bil[i][j]
-    for i in range(k2):
-        for j in range(k2):
-            bil[k1 + i][k1 + j] = g2.gen_bil[i][j]
-    return _canonicalize(orders, gen_q, bil)
+    level = lcm(g1.level, g2.level)
+    s1, s2 = level // g1.level, level // g2.level
+    q_num = [v * s1 for v in g1.gen_q_num] + [v * s2 for v in g2.gen_q_num]
+    bil = [[v * s1 for v in row] + [0] * k2 for row in g1.gen_bil_num]
+    bil += [[0] * k1 + [v * s2 for v in row] for row in g2.gen_bil_num]
+    return _canonicalize(g1.orders + g2.orders, level, q_num, bil)
 
 
 def conjugate(g: MetricGroup) -> MetricGroup:
     """Same group with q replaced by -q."""
+    n = g.level
     return MetricGroup(
         g.orders,
-        tuple(_mod1(-q) for q in g.gen_q),
-        tuple(tuple(_mod1(-b) for b in row) for row in g.gen_bil),
+        tuple(Fraction(-v, n) for v in g.gen_q_num),
+        tuple(tuple(Fraction(-v, n) for v in row) for row in g.gen_bil_num),
     )
 
 
 def is_nondegenerate(g: MetricGroup) -> bool:
     """True iff x -> chi(x, .) is injective.
 
-    The radical is computed structurally: with D a common denominator and
-    C[i][j] = D * chi(e_i, e_j), the radical is S / diag(orders) Z^k where
-    S = {x : x C = 0 mod D}, so it is trivial exactly when [Z^k : S] = |A|.
+    The radical is computed structurally: with N the level and
+    C[i][j] = N chi(e_i, e_j), the radical is S / diag(orders) Z^k where
+    S = {x : x C = 0 mod N}, so it is trivial exactly when [Z^k : S] = |A|.
     """
     k = len(g.orders)
     if k == 0:
         return True
-    d = lcm(1, *(b.denominator for row in g.gen_bil for b in row))
-    c = [[int(g.gen_bil[i][j] * d) for j in range(k)] for i in range(k)]
+    d = g.level
     # S is the projection onto the first k coordinates of the left kernel of
-    # [[C], [D I]]; the projection is injective on that kernel.
-    block = [row[:] for row in c] + [[d if i == j else 0 for j in range(k)] for i in range(k)]
+    # [[C], [N I]]; the projection is injective on that kernel.
+    block = [list(row) for row in g.gen_bil_num] + [[d if i == j else 0 for j in range(k)] for i in range(k)]
     proj = [row[:k] for row in left_kernel(block)]
     h, _ = hermite_normal_form(proj)
     index = 1
@@ -391,36 +440,57 @@ def central_charge_closed(spec: PrimeFamilySpec) -> int:
     return 4 if r % 2 else 0  # F
 
 
-def central_charge_gauss(g: MetricGroup, budget: int = GAUSS_BUDGET_DEFAULT, tol: float = 1e-9) -> int:
+def central_charge_gauss(g: MetricGroup, budget: int = GAUSS_BUDGET_DEFAULT) -> int:
     """Central charge mod 8 from the normalized Gauss sum sum_x e^{2 pi i q(x)}.
 
-    High-precision arithmetic with a 1e-9 phase tolerance; the eight candidate
-    phases are separated by |e^{i pi/4} - 1| ~ 0.765, so the margin is vast.
-    Raises DegenerateFormError when no candidate matches (e.g. degenerate q).
+    With N the level, the sum is sum_v c_v zeta^v over the histogram
+    c_v = #{x : N q(x) = v mod N}, zeta = e^{2 pi i/N}.  It is summed in fixed
+    point with F fractional bits: mpmath rounds w = zeta once, z_0 = 1 and
+    z_{v+1} = z_v w truncated to F bits.  Each step adds at most 2.5 * 2^-F
+    to |z_v - zeta^v|, so |z_v - zeta^v| <= 3 v 2^-F and the normalized sum
+    (with its targets sqrt|A| e^{i pi c/4} rounded to F bits) is off by less
+    than 4 N sqrt|A| 2^-F <= 2^-40 for F = 42 + bits(N) + ceil(bits(|A|)/2).
+    A phase e^{i pi c/4} matches when it lies within 2^-20 of the normalized
+    sum: far above that error, and far below both the gap |e^{i pi/4} - 1|
+    ~ 0.765 between phases and the distance >= sqrt 2 - 1 from the unit
+    circle of a degenerate form's sum (modulus 0 or sqrt|radical| >= sqrt 2).
+    Raises DegenerateFormError when no phase matches.
     """
     size = g.size
     if size > budget:
-        raise BudgetExceededError(f"group of order {size} exceeds Gauss budget {budget}")
-    counts: dict[Fraction, int] = {}
-    if size <= DENSE_TABLE_LIMIT:
-        for value in g._q_table().values():
-            counts[value] = counts.get(value, 0) + 1
-    else:
-        for x in g.elements():
-            value = g.q(x)
-            counts[value] = counts.get(value, 0) + 1
-    # 96 bits for this sum only: importing the package leaves mpmath.mp alone.
-    with mpmath.workprec(96):
-        total = mpmath.mpc(0)
-        for value, count in sorted(counts.items()):
-            angle = 2 * mpmath.pi * mpmath.mpf(value.numerator) / value.denominator
-            total += count * mpmath.mpc(mpmath.cos(angle), mpmath.sin(angle))
-        norm = total / mpmath.sqrt(size)
-        for c in range(8):
-            target = mpmath.mpc(mpmath.cos(mpmath.pi * c / 4), mpmath.sin(mpmath.pi * c / 4))
-            if abs(norm - target) < tol:
-                return c
-    raise DegenerateFormError(f"Gauss sum {norm} matches no phase e^(i pi c/4)")
+        raise BudgetExceededError(
+            f"Gauss sum (central_charge_gauss): group of order {size} exceeds budget {budget}; "
+            "raise it with --budget"
+        )
+    n = g.level
+    counts = [0] * n
+    for v in _q_numerators(g):
+        counts[v] += 1
+    bits = 42 + n.bit_length() + (size.bit_length() + 1) // 2
+    # The only transcendental input; workprec leaves mpmath.mp alone.
+    with mpmath.workprec(bits + 16):
+        angle = 2 * mpmath.pi / n
+        wr = int(mpmath.nint(mpmath.ldexp(mpmath.cos(angle), bits)))
+        wi = int(mpmath.nint(mpmath.ldexp(mpmath.sin(angle), bits)))
+    zr, zi = 1 << bits, 0
+    sr = si = 0
+    for c in counts:
+        if c:
+            sr += c * zr
+            si += c * zi
+        zr, zi = (zr * wr - zi * wi) >> bits, (zr * wi + zi * wr) >> bits
+    full = isqrt(size << (2 * bits))  # sqrt|A| and sqrt(|A|/2), F bits
+    half = isqrt(size << (2 * bits - 1))
+    phases = ((full, 0), (half, half), (0, full), (-half, half),
+              (-full, 0), (-half, -half), (0, -full), (half, -half))
+    limit = size << (2 * bits - 40)  # |A| (2^-20)^2 in units of 2^-2F
+    for c, (tr, ti) in enumerate(phases):
+        if (sr - tr) ** 2 + (si - ti) ** 2 < limit:
+            return c
+    modulus2 = Fraction(sr * sr + si * si, size << (2 * bits))
+    raise DegenerateFormError(
+        f"Gauss sum matches no phase e^(i pi c/4): |sum|^2/|A| = {float(modulus2):.6g}"
+    )
 
 
 def _order_index(h_rows, orders) -> int:
@@ -437,36 +507,38 @@ def _order_index(h_rows, orders) -> int:
 
 
 def _cyclic_iso(g1: MetricGroup, g2: MetricGroup):
-    """Isometry between cyclic groups via square roots mod the denominator.
+    """Isometry between cyclic groups of the same level N via square roots mod N.
 
-    phi(1) = u works iff u^2 q2(1) = q1(1) mod 1 and gcd(u, n) = 1; solving
-    u^2 = a b^{-1} mod d covers all candidates, whatever the group size.
+    q(1) = a/N in lowest terms, so phi(1) = u works iff u^2 b = a mod N for
+    q2(1) = b/N and gcd(u, n) = 1; solving u^2 = a b^{-1} mod N covers all
+    candidates, whatever the group size.
     """
-    n = g1.orders[0]
-    a, b = g1.gen_q[0], g2.gen_q[0]
-    if a.denominator != b.denominator:
-        return None
-    d = a.denominator
+    n, d = g1.orders[0], g1.level
+    a, b = g1.gen_q_num[0], g2.gen_q_num[0]
     if d == 1:
         # q vanishes identically (degenerate unless n = 1); any unit matches.
-        return ((1,),) if a == b else None
-    target = a.numerator * pow(b.numerator, -1, d) % d
+        return ((1,),)
+    target = a * pow(b, -1, d) % d
     lifts = max(1, -(-n // d))
     for root in sorted(sqrt_mod(target, d)):
         for j in range(lifts):
             u = (root + j * d) % n
-            if u and gcd(u, n) == 1 and g2.q((u,)) == g1.gen_q[0]:
+            if u and gcd(u, n) == 1 and _q_sum((u,), g2.gen_q_num, g2.gen_bil_num, d) == a:
                 return ((u,),)
     return None
 
 
 def _isometries(g1: MetricGroup, g2: MetricGroup):
     """Yield every isometry g1 -> g2 (g1 not trivial) as generator images,
-    in the lexicographic order of the image tuples."""
+    in the lexicographic order of the image tuples.  The level is an
+    isometry invariant, so groups of different levels yield nothing."""
+    if g1.level != g2.level:
+        return iter(())
     k = len(g1.orders)
-    buckets: dict[Fraction, list] = {}
-    for x in g2.elements():
-        buckets.setdefault(g2.q(x), []).append(x)
+    level, bil2 = g2.level, g2.gen_bil_num
+    buckets: dict[int, list] = {}
+    for x, v in zip(g2.elements(), _q_numerators(g2)):
+        buckets.setdefault(v, []).append(x)
 
     images: list[tuple[int, ...]] = []
 
@@ -476,10 +548,11 @@ def _isometries(g1: MetricGroup, g2: MetricGroup):
                 yield tuple(images)
             return
         n_i = g1.orders[i]
-        for x in buckets.get(g1.gen_q[i], ()):
+        want = g1.gen_bil_num[i]
+        for x in buckets.get(g1.gen_q_num[i], ()):
             if n_i % g2.order_of(x):
                 continue
-            if any(g2.bilinear(x, images[j]) != g1.gen_bil[i][j] for j in range(i)):
+            if any(_bil_sum(x, images[j], bil2, level) != want[j] for j in range(i)):
                 continue
             images.append(x)
             yield from extend(i + 1)
@@ -493,11 +566,12 @@ def is_isomorphic(g1: MetricGroup, g2: MetricGroup, budget: int = ISO_BUDGET_DEF
 
     The witness phi maps sum x_i e_i to sum x_i images[i]; q2(phi(x)) = q1(x)
     holds for all x whenever it holds on generators and pairs, which is what
-    the search enforces.  Cyclic groups are handled in closed form via square
-    roots modulo the denominator, so they bypass the size budget; otherwise
-    the witness is the first isometry `_isometries` yields.
+    the search enforces.  Groups with different invariant factors or levels
+    are not isometric.  Cyclic groups are handled in closed form via square
+    roots modulo the level, so they bypass the size budget; otherwise the
+    witness is the first isometry `_isometries` yields.
     """
-    if g1.orders != g2.orders:
+    if g1.orders != g2.orders or g1.level != g2.level:
         return None
     k = len(g1.orders)
     if k == 0:
@@ -505,7 +579,10 @@ def is_isomorphic(g1: MetricGroup, g2: MetricGroup, budget: int = ISO_BUDGET_DEF
     if k == 1:
         return _cyclic_iso(g1, g2)
     if g1.size > budget:
-        raise BudgetExceededError(f"group of order {g1.size} exceeds isomorphism budget {budget}")
+        raise BudgetExceededError(
+            f"isometry search (is_isomorphic): group of order {g1.size} exceeds budget {budget}; "
+            "raise it with --budget"
+        )
     return next(_isometries(g1, g2), None)
 
 

@@ -61,7 +61,10 @@ class AutGroup:
 def aut_bruteforce(g: MetricGroup, budget: int = AUT_BUDGET_DEFAULT) -> AutGroup:
     """All q-preserving automorphisms: every isometry g -> g."""
     if g.size > budget:
-        raise BudgetExceededError(f"group of order {g.size} exceeds aut budget {budget}")
+        raise BudgetExceededError(
+            f"automorphism search (aut_bruteforce): group of order {g.size} exceeds budget {budget}; "
+            "raise it with --budget"
+        )
     if not g.orders:
         return AutGroup(g, ((),), "1")
     elements = tuple(sorted(_isometries(g, g)))

@@ -48,6 +48,10 @@ class TestParseSpec:
             parse_spec("Q[3]")
         with pytest.raises(UsageError):
             parse_spec("B3")
+        for text in ("A[0^-1]", "A[2^0]", "A[-2^2]", "A[0]", "A[1]"):
+            # "A[0^-1]" once raised ZeroDivisionError from 0 ** -1.
+            with pytest.raises(UsageError):
+                parse_spec(text)
 
 
 class TestMatrixFiles:
@@ -92,6 +96,22 @@ class TestMatrixFiles:
             load_matrix_file(str(path))
         assert main(["verify", str(path), "--target", "B[3]"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe2 1\n1 2\n",  # not UTF-8
+        b"[" * 100000 + b"]" * 100000,  # nesting past the recursion limit
+        b'{"gram": [[' + b"2" * 5000 + b"]]}",  # an integer past the digit limit
+    ], ids=["not-utf8", "deep-json", "long-int-json"])
+    def test_rejects_undecodable_files(self, tmp_path, capsys, data):
+        # Each escaped load_matrix_file as another exception; the deep JSON's
+        # RecursionError left main as a traceback.
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(UsageError):
+            load_matrix_file(str(path))
+        assert main(["verify", str(path), "--target", "B[3]"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
 
     def test_plain_rank_one_file_loads(self, tmp_path, capsys):
         # "2" also parses as a JSON number; only a JSON object is structured.
@@ -286,3 +306,24 @@ def test_continued_fraction_kmatrix_factors_k_once(monkeypatch, capsys):
     counts = _count_kernel_calls(monkeypatch, ["smith_normal_form"])
     assert main(["kmatrix", "B[7]"]) == 0
     assert counts == {"smith_normal_form": 1}
+
+
+def test_budget_flag_reaches_the_gauss_sum_of_kmatrix(capsys):
+    """`--budget` raises the Gauss sum's budget in `kmatrix` (and `verify`,
+    `complement`) as it does in `model`: at least the 10^6 default.  Before,
+    the target's Gauss sum kept the default and |A| = 3^13 exited 2."""
+    assert main(["kmatrix", "A[3^13]", "--budget", "2000000"]) == 0
+    assert "signature_mod_8: signature -2 vs central charge 6" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, layer, size, budget", [
+    (["model", "A[3^13]"], "Gauss sum", 3**13, 10**6),
+    (["kmatrix", "A[3^13]", "--budget", "5000"], "Gauss sum", 3**13, 10**6),
+    (["kmatrix", "E[2^7]"], "isometry search", 4**7, 4096),
+])
+def test_budget_errors_name_layer_size_budget_and_flag(capsys, argv, layer, size, budget):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {layer} (")
+    assert f"group of order {size} exceeds budget {budget}; raise it with --budget" in line

@@ -5,10 +5,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from anyonlat.metric_groups import (
     BudgetExceededError,
+    DegenerateFormError,
     MetricGroup,
     PrimeFamilySpec,
     build_prime,
@@ -139,7 +141,7 @@ class TestCentralCharge:
         assert central_charge_gauss(build_prime(spec("F", 2, 1))) == 4
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match=r"^Gauss sum .* 12167 exceeds budget 100; raise it with --budget$"):
             central_charge_gauss(build_prime(spec("A", 23, 3)), budget=100)
 
     def test_parity_opposite_for_cyclic_families(self):
@@ -149,8 +151,6 @@ class TestCentralCharge:
             assert central_charge_closed(s) % 2 != (p**r) % 2
 
     def test_no_phase_for_degenerate_form(self):
-        from anyonlat.metric_groups import DegenerateFormError
-
         with pytest.raises(DegenerateFormError):
             central_charge_gauss(MetricGroup((2,), (0,), ((0,),)))
 
@@ -277,3 +277,136 @@ def test_import_leaves_mpmath_precision_alone():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["53", "53"]
+
+
+def fraction_q(g, x):
+    """q(x) mod 1 recomputed in Fractions from q and chi on the generators."""
+    k = len(g.orders)
+    total = sum(x[i] * x[i] * g.gen_q[i] for i in range(k))
+    total += sum(x[i] * x[j] * g.gen_bil[i][j] for i in range(k) for j in range(i + 1, k))
+    return total % 1
+
+
+def fraction_bilinear(g, x, y):
+    k = len(g.orders)
+    return sum(x[i] * y[j] * g.gen_bil[i][j] for i in range(k) for j in range(k)) % 1
+
+
+def reference_gauss(g):
+    """The Gauss sum computed the slow way: a Fraction q table and one 96-bit
+    mpmath phase per distinct value, matched within 1e-9; None when no phase
+    e^(i pi c/4) matches."""
+    counts = {}
+    for x in g.elements():
+        value = fraction_q(g, x)
+        counts[value] = counts.get(value, 0) + 1
+    with mpmath.workprec(96):
+        total = mpmath.mpc(0)
+        for value, count in sorted(counts.items()):
+            total += count * mpmath.expjpi(2 * mpmath.mpf(value.numerator) / value.denominator)
+        norm = total / mpmath.sqrt(g.size)
+        for c in range(8):
+            if abs(norm - mpmath.expjpi(mpmath.mpf(c) / 4)) < 1e-9:
+                return c
+    return None
+
+
+def random_family(rng):
+    """A prime family with |A| <= 169, odd A/B with a random admissible unit."""
+    from anyonlat.numtheory import jacobi_symbol
+
+    if rng.random() < 0.5:
+        fam, p, r = rng.choice("AB"), rng.choice((3, 5, 7, 11, 13)), rng.choice((1, 1, 2))
+        want = 1 if fam == "A" else -1
+        units = [m for m in range(1, p) if jacobi_symbol(2 * m, p) == want]
+        return spec(fam, p, r, rng.choice(units))
+    fam = rng.choice("ABCDEF")
+    r = rng.randint(2, 4) if fam in "CD" else rng.randint(1, 3)
+    return spec(fam, 2, r)
+
+
+def random_form(rng):
+    """A metric group, possibly degenerate, with q and chi drawn at random."""
+    orders = rng.choice([(2,), (4,), (6,), (9,), (2, 2), (2, 4), (3, 3), (2, 6), (4, 8), (2, 2, 4), (3, 6, 6)])
+    k = len(orders)
+    # n^2 q(e_i) and n chi(e_i, e_i) = 2 n q(e_i) must be integers.
+    gen_q = [Fraction(rng.randrange(2 * n), 2 * n) if n % 2 == 0 else Fraction(rng.randrange(n), n)
+             for n in orders]
+    bil = [[2 * gen_q[i] if i == j else Fraction(0) for j in range(k)] for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            bil[i][j] = bil[j][i] = Fraction(rng.randrange(orders[i]), orders[i])
+    return MetricGroup(orders, gen_q, bil)
+
+
+def test_gauss_sum_matches_the_fraction_reference():
+    """Seeded direct sums of one to three prime families (non-canonical
+    units included), conjugates, and forms that match no phase."""
+    rng = random.Random("gauss-reference")
+    cases = [MetricGroup((2,), (0,), ((0,),)), MetricGroup((2, 2), (Fraction(1, 2), 0), ((0, 0), (0, 0))),
+             MetricGroup((4,), (Fraction(1, 2),), ((0,),))]
+    while len(cases) < 100:
+        group = trivial_group()
+        for _ in range(rng.randint(1, 3)):
+            group = direct_sum(group, build_prime(random_family(rng)))
+        if group.size <= 1500:
+            cases.append(conjugate(group) if rng.random() < 0.25 else group)
+    degenerate = 0
+    for g in cases:
+        want = reference_gauss(g)
+        if want is None:
+            degenerate += 1
+            with pytest.raises(DegenerateFormError):
+                central_charge_gauss(g)
+        else:
+            assert central_charge_gauss(g) == want, g
+    assert degenerate == 3
+
+
+def test_q_and_chi_match_a_fraction_recomputation():
+    """q, bilinear and q_values against Fraction sums over the generators,
+    on every element of seeded random forms and direct sums."""
+    rng = random.Random("int-evaluator")
+    groups = [random_form(rng) for _ in range(25)]
+    groups += [direct_sum(build_prime(random_family(rng)), build_prime(random_family(rng))) for _ in range(15)]
+    for g in groups:
+        if g.size > 1000:
+            continue
+        table = g.q_values()
+        elements = list(g.elements())
+        assert list(table) == elements
+        for x in elements:
+            assert table[x] == g.q(x) == fraction_q(g, x)
+            assert g.q(x).denominator <= g.level and g.level % g.q(x).denominator == 0
+        for _ in range(50):
+            x, y = rng.choice(elements), rng.choice(elements)
+            chi = g.bilinear(x, y)
+            assert chi == fraction_bilinear(g, x, y) == (g.q(g.add(x, y)) - g.q(x) - g.q(y)) % 1
+            # Unreduced representatives give the same values.
+            shifted = tuple(a + 3 * n for a, n in zip(x, g.orders))
+            assert g.q(shifted) == g.q(x) and g.bilinear(shifted, y) == chi
+
+
+def test_level_is_the_lcm_of_the_generator_denominators():
+    assert build_prime(spec("A", 2, 1)).level == 4  # q(1) = 1/4
+    assert build_prime(spec("E", 2, 1)).level == 2
+    assert build_prime(spec("B", 3, 1)).level == 3
+    assert direct_sum(build_prime(spec("E", 2, 1)), build_prime(spec("A", 2, 1))).level == 4
+    assert build_prime(spec("F", 2, 3)).level == 8
+    assert trivial_group().level == 1
+
+
+def test_groups_of_different_levels_are_not_isomorphic():
+    # Z2 x Z2: toric code (level 2) against two semions (level 4).
+    semion = build_prime(spec("A", 2, 1))
+    assert is_isomorphic(build_prime(spec("E", 2, 1)), direct_sum(semion, semion)) is None
+    # Z4 with q(1) = 1/4 (level 4) against A[4] (q(1) = 1/8, level 8).
+    assert is_isomorphic(MetricGroup((4,), (Fraction(1, 4),), ((Fraction(1, 2),),)),
+                         build_prime(spec("A", 2, 2))) is None
+    # Z64 x Z64 twice: the level decides before the size budget is consulted.
+    e64 = build_prime(spec("E", 2, 6))
+    ab64 = direct_sum(build_prime(spec("A", 2, 6)), build_prime(spec("B", 2, 6)))
+    assert e64.orders == ab64.orders and (e64.level, ab64.level) == (64, 128)
+    assert is_isomorphic(e64, ab64, budget=1) is None
+    with pytest.raises(BudgetExceededError, match=r"^isometry search .* 4096 exceeds budget 1; raise it with --budget$"):
+        is_isomorphic(e64, e64, budget=1)

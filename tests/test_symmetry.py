@@ -64,7 +64,8 @@ def test_e_family_commutativity_split():
 
 def test_budget():
     g = build_prime(PrimeFamilySpec("A", 23, 3))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"^automorphism search \(aut_bruteforce\): "
+                       r"group of order 12167 exceeds budget 4096; raise it with --budget$"):
         aut_bruteforce(g, budget=4096)
 
 
