@@ -55,6 +55,22 @@ class UsageError(ValueError):
 # model spec grammar
 
 
+# Bounds checked before any trial division or power: a bare n is factored by
+# trial division, and p^r is formed before its family is built.
+SPEC_DIGITS_LIMIT = 9
+SPEC_ORDER_LIMIT = 10**18
+
+
+def _spec_number(text: str, name: str, part: str) -> int:
+    """A run of ASCII digits 0-9, at most SPEC_DIGITS_LIMIT of them; int()
+    alone would also read signs, spaces, "_" and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise UsageError(f"bad {name} {text!r} in factor {part!r}: expected the digits 0-9 only")
+    if len(text) > SPEC_DIGITS_LIMIT:
+        raise UsageError(f"{name} in factor {part!r} has {len(text)} digits; the limit is {SPEC_DIGITS_LIMIT}")
+    return int(text)
+
+
 def parse_spec_factors(text: str) -> list[PrimeFamilySpec]:
     """`FAMILY[p^r]` factors joined by `*`, e.g. "B[3]*E[4]" or "A[5^3]"."""
     from .numtheory import prime_power_split
@@ -68,16 +84,18 @@ def parse_spec_factors(text: str) -> list[PrimeFamilySpec]:
             raise UsageError(f"cannot parse factor {part!r} (expected FAMILY[p^r])")
         family = part[0]
         body = part[2:-1]
-        try:
-            if "^" in body:
-                p_text, r_text = body.split("^", 1)
-                # PrimeFamilySpec checks p and r; p ** r before that check
-                # divides by zero on 0^-1.
-                p, r = int(p_text), int(r_text)
-            else:
-                p, r = prime_power_split(int(body))
-        except ValueError as exc:
-            raise UsageError(f"bad prime power {body!r} in factor {part!r}: {exc}") from exc
+        if "^" in body:
+            p_text, r_text = body.split("^", 1)
+            p, r = _spec_number(p_text, "p", part), _spec_number(r_text, "r", part)
+            # r is bounded first, so p ** r stays small even when it is refused.
+            if p > 1 and (r > SPEC_ORDER_LIMIT.bit_length() or p**r > SPEC_ORDER_LIMIT):
+                raise UsageError(f"p^r = {p}^{r} in factor {part!r} exceeds the limit 10^18")
+        else:
+            n = _spec_number(body, "n", part)
+            try:
+                p, r = prime_power_split(n)
+            except ValueError as exc:
+                raise UsageError(f"bad prime power {body!r} in factor {part!r}: {exc}") from exc
         try:
             factors.append(PrimeFamilySpec(family, p, r))
         except ValueError as exc:

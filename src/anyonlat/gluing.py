@@ -253,7 +253,12 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
                 return result
         return None
 
-    result = search({zero}, [], 0)
+    try:
+        result = search({zero}, [], 0)
+    finally:
+        # `search` refers to itself through its closure cell; breaking that
+        # cycle frees `elements` (all of D^8) now, not at a gen-2 collection.
+        del search
     if result is None:
         raise GlueSearchError("no glue group found within the budget")
     return [list(vec) for vec in result]

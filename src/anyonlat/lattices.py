@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from .linalg import (
+    congruence,
     determinant,
     has_even_diagonal,
     inertia,
@@ -137,8 +137,8 @@ def discriminant_form(gram: list[list[int]]) -> DiscriminantData:
         s = snf.s[j][j]
         if s > 1:
             factors.append(s)
-            gens.append(tuple(snf.u_inv[i][j] for i in range(m)))
-            sols.append(tuple(Fraction(snf.v[i][j], s) for i in range(m)))
+            gens.append(tuple(snf.u_inv_column(j)))
+            sols.append(tuple(Fraction(x, s) for x in snf.v_column(j)))
     q2 = tuple(
         sum(wi * zi for wi, zi in zip(w, z)) % 2
         for w, z in zip(gens, sols)
@@ -298,19 +298,18 @@ def k_o(r: int) -> Lattice:
 
 
 def _assert_posdef_even(gram, n, name):
-    """Even, positive definite, with cokernel Z_n (|det| read off the SNF)."""
+    """Even and positive definite with det = n, from one `congruence` pass.
+    The cyclic cokernel is left to the oracle, which `kmatrix` and
+    `build_ef_positive` always run: its isometry check on the discriminant
+    form is stronger."""
     if not has_even_diagonal(gram):
         raise ValueError(f"{name}: diagonal not even")
-    n_plus, n_minus, n_zero = inertia(gram)
+    elim = congruence(gram)
+    n_plus, n_minus, n_zero = elim.inertia
     if n_minus or n_zero:
         raise ValueError(f"{name}: not positive definite, inertia ({n_plus}, {n_minus}, {n_zero})")
-    snf = smith_normal_form(gram)
-    det = prod(snf.diagonal())
-    if det != n:
-        raise ValueError(f"{name}: |det| = {det}, expected {n}")
-    factors = snf.invariant_factors()
-    if factors != [n]:
-        raise ValueError(f"{name}: cokernel {factors} is not Z_{n}")
+    if elim.det != n:
+        raise ValueError(f"{name}: |det| = {elim.det}, expected {n}")
 
 
 def k_double_prime(p: int, r: int, s: int) -> tuple[Lattice, int, int]:

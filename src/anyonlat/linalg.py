@@ -5,14 +5,24 @@ use fractions.Fraction.  Nothing here touches floating point:
 
 * fraction-free (Bareiss) determinants,
 * rational solves and inverses over Q,
-* Smith normal form U m V = S keeping U^-1 (generators) and V (with S, the
-  inverse on the image: m^-1 U^-1 e_j = V e_j / s_j); U itself is not kept,
+* Smith normal form U m V = S, with U^-1 (generators) and V (with S, the
+  inverse on the image: m^-1 U^-1 e_j = V e_j / s_j) replayed per column from
+  a log of the elimination's elementary operations,
 * row-style Hermite normal form with its unimodular transform,
 * `congruence`, the one symmetric elimination: diagonal pivots, and
   hyperbolic 2x2 pivots when the remaining diagonal vanishes (Sylvester's
   law without any epsilon perturbation).  One pass yields the exact inertia,
   the determinant and, for positive-definite input, the factors of
   m = L D L^T.
+
+The two Bareiss-style eliminations (`determinant`, `congruence`) work in
+int throughout.  Once the pivots S are eliminated, with prev = det m[S, S],
+the entry (k, l) of the working matrix is the bordered minor
+b_kl = det m[S + k, S + l], so every division in Sylvester's identity is
+exact.  A row that a pivot does not touch (b_kp = 0) only scales by the
+ratio of the new prev to the old one, so it is not rewritten: each row
+carries a stamp, the prev at which it was last written, and stored * prev /
+stamp is its current value, computed only when the row is read.
 
 Pivot selection in SNF/HNF is smallest absolute value, ties by lowest index,
 so outputs are deterministic.
@@ -83,34 +93,44 @@ def has_even_diagonal(m) -> bool:
     return all(m[i][i] % 2 == 0 for i in range(len(m)))
 
 
+def _current(a, stamp, k, prev):
+    """Row k of a stamped elimination, brought up to the scale `prev`."""
+    s = stamp[k]
+    if s != prev:
+        a[k] = [x * prev // s for x in a[k]]
+        stamp[k] = prev
+    return a[k]
+
+
 def determinant(m: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination."""
+    """Exact determinant of an integer matrix by Bareiss elimination, whose
+    final prev is the determinant; rows without a multiplier keep their
+    stamp instead of being rescaled."""
     if not is_square(m):
         raise ValueError("determinant requires a square matrix")
     n = len(m)
-    if n == 0:
-        return 1
     a = copy_matrix(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
+    stamp = [1] * n
+    sign = prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            stamp[k], stamp[piv] = stamp[piv], stamp[k]
+            sign = -sign
+        row_k = _current(a, stamp, k, prev)
+        pivot, tail = row_k[k], row_k[k:]
         for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
+            if a[i][k]:
+                # columns before k are zero in both rows
+                row_i = _current(a, stamp, i, prev)
+                f = row_i[k]
+                row_i[k:] = [(pivot * x - f * y) // prev for x, y in zip(row_i[k:], tail)]
+                stamp[i] = pivot
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * prev
 
 
 def rational_inverse(m) -> list[list[Fraction]]:
@@ -163,11 +183,15 @@ def solve_columns(m, rhs_cols) -> list[list[Fraction]]:
 @dataclass(frozen=True)
 class SnfResult:
     """U * m * V = S with U, V unimodular and S diagonal with a divisibility
-    chain; U is carried as its inverse only."""
+    chain.  U^-1 and V are not stored: `row_ops` and `col_ops` log the
+    elementary operations in order, an entry (i, j, q) being a swap of lines
+    i and j when q == 0, a negation of line i when i == j, and otherwise
+    line j += q * line i.  A column of U^-1 or V is replayed from its log in
+    O(#ops); `u_inv` and `v` replay every column."""
 
     s: list[list[int]]
-    v: list[list[int]]
-    u_inv: list[list[int]]
+    row_ops: list[tuple[int, int, int]]
+    col_ops: list[tuple[int, int, int]]
 
     def diagonal(self) -> list[int]:
         return [self.s[i][i] for i in range(min(len(self.s), len(self.s[0]) if self.s else 0))]
@@ -175,111 +199,112 @@ class SnfResult:
     def invariant_factors(self) -> list[int]:
         return [d for d in self.diagonal() if d not in (0, 1)]
 
+    def u_inv_column(self, j: int) -> list[int]:
+        """U^-1 e_j = E_1^-1 ... E_t^-1 e_j for the row operations E_i."""
+        x = [0] * len(self.s)
+        x[j] = 1
+        for i, k, q in reversed(self.row_ops):
+            if not q:
+                x[i], x[k] = x[k], x[i]
+            elif i == k:
+                x[i] = -x[i]
+            elif x[i]:
+                x[k] -= q * x[i]
+        return x
 
-def _find_pivot(a, t, rows, cols):
+    def v_column(self, j: int) -> list[int]:
+        """V e_j = F_1 ... F_t e_j for the column operations F_i."""
+        x = [0] * (len(self.s[0]) if self.s else 0)
+        x[j] = 1
+        for i, k, q in reversed(self.col_ops):
+            if not q:
+                x[i], x[k] = x[k], x[i]
+            elif x[k]:
+                x[i] += q * x[k]
+        return x
+
+    @property
+    def u_inv(self) -> list[list[int]]:
+        return transpose([self.u_inv_column(j) for j in range(len(self.s))])
+
+    @property
+    def v(self) -> list[list[int]]:
+        return transpose([self.v_column(j) for j in range(len(self.s[0]) if self.s else 0)])
+
+
+def _find_pivot(a, t, rows):
+    """(i, j) of the smallest nonzero |a[i][j]| with i, j >= t, the first in
+    row-major order among equals; None for a zero block."""
     best = None
     for i in range(t, rows):
-        row = a[i]
-        for j in range(t, cols):
-            x = row[j]
-            if x:
-                if best is None or abs(x) < best[0]:
-                    best = (abs(x), i, j)
-                    if best[0] == 1:
-                        return best[1], best[2]
-    return (best[1], best[2]) if best else None
+        tail = a[i][t:]
+        x = min(filter(None, map(abs, tail)), default=0)
+        if x and (best is None or x < best[0]):
+            best = (x, i, t + min(tail.index(v) for v in (x, -x) if v in tail))
+            if x == 1:
+                break
+    return best and best[1:]
 
 
 def smith_normal_form(m: list[list[int]]) -> SnfResult:
-    """Smith normal form with V and U^-1; deterministic for a given input."""
+    """Smith normal form with the logs of U and V; deterministic for a given
+    input.  Once pivot t is being worked, the rows and columns before t hold
+    only their diagonal entry, so every operation starts at column or row t."""
     rows = len(m)
     cols = len(m[0]) if m else 0
     a = copy_matrix(m)
-    u_inv = identity_matrix(rows)
-    v = identity_matrix(cols)
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            for row in u_inv:
-                row[i], row[j] = row[j], row[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row_dst += q * row_src
-        if q:
-            arow_s, arow_d = a[src], a[dst]
-            for j in range(cols):
-                if arow_s[j]:
-                    arow_d[j] += q * arow_s[j]
-            for row in u_inv:
-                if row[dst]:
-                    row[src] -= q * row[dst]
-
-    def add_col(src, dst, q):
-        if q:
-            for row in a:
-                if row[src]:
-                    row[dst] += q * row[src]
-            for row in v:
-                if row[src]:
-                    row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        for row in u_inv:
-            row[i] = -row[i]
-
+    row_ops: list[tuple[int, int, int]] = []
+    col_ops: list[tuple[int, int, int]] = []
     t = 0
     while t < min(rows, cols):
-        pos = _find_pivot(a, t, rows, cols)
+        pos = _find_pivot(a, t, rows)
         if pos is None:
             break
         while True:
             i, j = pos
-            swap_rows(t, i)
-            swap_cols(t, j)
+            if i != t:
+                a[t], a[i] = a[i], a[t]
+                row_ops.append((t, i, 0))
+            if j != t:
+                for row in a[t:]:
+                    row[t], row[j] = row[j], row[t]
+                col_ops.append((t, j, 0))
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
+                row_ops.append((t, t, -1))
+            pivot_row = a[t]
+            p = pivot_row[t]
+            pivot_tail = pivot_row[t:]
             dirty = False
             for r in range(t + 1, rows):
-                if a[r][t]:
-                    q = a[r][t] // a[t][t]
-                    add_row(t, r, -q)
-                    if a[r][t]:
-                        dirty = True
-            for c in range(t + 1, cols):
-                if a[t][c]:
-                    q = a[t][c] // a[t][t]
-                    add_col(t, c, -q)
-                    if a[t][c]:
-                        dirty = True
-            if dirty:
-                pos = _find_pivot(a, t, rows, cols)
-                continue
-            # Row and column at t are clear; force the pivot to divide the rest.
-            offender = None
-            p = a[t][t]
-            for r in range(t + 1, rows):
                 row = a[r]
-                for c in range(t + 1, cols):
-                    if row[c] % p:
-                        offender = r
-                        break
-                if offender is not None:
-                    break
+                q = -(row[t] // p)
+                if q:
+                    row[t:] = [x + q * y if y else x for x, y in zip(row[t:], pivot_tail)]
+                    row_ops.append((t, r, q))
+                dirty = dirty or row[t] != 0
+            column = [row for row in a[t:] if row[t]]
+            for c in range(t + 1, cols):
+                q = -(pivot_row[c] // p)
+                if q:
+                    for row in column:
+                        row[c] += q * row[t]
+                    col_ops.append((t, c, q))
+                dirty = dirty or pivot_row[c] != 0
+            if dirty:
+                pos = _find_pivot(a, t, rows)
+                continue
+            # Row and column at t are clear; force the pivot to divide the
+            # rest, which a unit pivot always does.
+            offender = None if p == 1 else next(
+                (r for r in range(t + 1, rows) if any(x % p for x in a[r][t + 1:])), None)
             if offender is None:
                 break
-            add_row(offender, t, 1)
-            pos = _find_pivot(a, t, rows, cols)
+            pivot_row[t:] = [x + y for x, y in zip(pivot_row[t:], a[offender][t:])]
+            row_ops.append((offender, t, 1))
+            pos = _find_pivot(a, t, rows)
         t += 1
-    return SnfResult(s=a, v=v, u_inv=u_inv)
+    return SnfResult(a, row_ops, col_ops)
 
 
 def hermite_normal_form(m: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -338,87 +363,92 @@ def left_kernel(m: list[list[int]]) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class Congruence:
-    """One congruence elimination of a symmetric matrix m.
+    """One congruence elimination of an integer symmetric matrix m.
 
-    `inertia` is (n_plus, n_minus, n_zero) and `det` the exact determinant:
-    the product of the 1x1 pivots d and of -b^2 for each hyperbolic pivot
-    [[0, b], [b, 0]], or 0 once only a zero block is left.  `rows` is the
-    working matrix; the row of each eliminated pivot is frozen as it stood
-    when eliminated, which `ldl` decodes.
+    `inertia` is (n_plus, n_minus, n_zero) and `det` the exact determinant,
+    the last prev, or 0 once only a zero block is left.  `rows` is the
+    working matrix of bordered minors b (see the module docstring); the row
+    of each eliminated pivot is frozen as it stood when eliminated, with
+    `stamps` holding the prev it was frozen at, which `ldl` decodes.
     """
 
     inertia: tuple[int, int, int]
-    det: Fraction
-    rows: list[list[Fraction]]
+    det: int
+    rows: list[list[int]]
+    stamps: list[int]
 
     def ldl(self):
         """m = L D L^T for positive-definite m, whose pivots are taken in
-        order, so d_i = rows[i][i] and L[j][i] = rows[i][j] / d_i: the pivots
+        order, so d_i = b_ii / prev_i and L[j][i] = b_ij / b_ii: the pivots
         d and, for each column i of the unit lower-triangular L, its nonzero
         entries below the diagonal as pairs (j, L[j][i])."""
         rows = self.rows
-        d = [row[i] for i, row in enumerate(rows)]
-        lower = [[(j, x / d[i]) for j, x in enumerate(row[i + 1:], i + 1) if x] for i, row in enumerate(rows)]
+        d = [Fraction(row[i], stamp) for i, (row, stamp) in enumerate(zip(rows, self.stamps))]
+        lower = [[(j, Fraction(x, row[i])) for j, x in enumerate(row[i + 1:], i + 1) if x] for i, row in enumerate(rows)]
         return d, lower
 
 
 def congruence(m) -> Congruence:
-    """Exact congruence elimination with diagonal and hyperbolic 2x2 pivots."""
+    """Exact congruence elimination of an integer symmetric matrix with
+    diagonal and hyperbolic 2x2 pivots, fraction-free.
+
+    A diagonal pivot d = b_pp updates b_kl to (d b_kl - b_kp b_pl) / prev; a
+    hyperbolic pivot, taken once the remaining diagonal vanishes, with
+    beta = b_ij updates it to (-beta^2 b_kl + beta (b_ki b_jl + b_kj b_il))
+    / prev^2 and prev to -beta^2 / prev (Sylvester's identity).  The sign of
+    d / prev, the pivot of the rational elimination, counts towards the
+    inertia; a hyperbolic pivot counts once each way.
+    """
     if not is_symmetric(m):
         raise ValueError("inertia requires a symmetric matrix")
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
+    b = copy_matrix(m)
+    stamp = [1] * n
+    prev = 1
     alive = list(range(n))
     n_plus = n_minus = n_zero = 0
-    det = Fraction(1)
     while alive:
-        piv = next((i for i in alive if a[i][i] != 0), None)
-        if piv is not None:
-            d = a[piv][piv]
-            if d > 0:
+        p = next((i for i in alive if b[i][i]), None)
+        if p is not None:
+            row_p = _current(b, stamp, p, prev)
+            d = row_p[p]
+            if (d > 0) == (prev > 0):
                 n_plus += 1
             else:
                 n_minus += 1
-            det *= d
-            alive.remove(piv)
-            touched = [j for j in alive if a[j][piv] != 0]
-            for j in touched:
-                f = a[j][piv] / d
-                row_j, row_p = a[j], a[piv]
-                for k in alive:
-                    if row_p[k]:
-                        row_j[k] -= f * row_p[k]
+            lo = alive[0]  # columns before lo are eliminated: zero in every live row
+            alive.remove(p)
+            for k in alive:
+                if b[k][p]:
+                    row_k = _current(b, stamp, k, prev)
+                    f = row_k[p]
+                    row_k[lo:] = [(d * x - f * y) // prev for x, y in zip(row_k[lo:], row_p[lo:])]
+                    stamp[k] = d
+            prev = d
             continue
         # All remaining diagonal entries vanish; look for an off-diagonal entry.
-        pair = None
-        for idx, i in enumerate(alive):
-            for j in alive[idx + 1:]:
-                if a[i][j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+        pair = next(((i, j) for t, i in enumerate(alive) for j in alive[t + 1:] if b[i][j]), None)
         if pair is None:
-            n_zero += len(alive)
-            det = Fraction(0)
+            n_zero = len(alive)
             break
         i, j = pair
-        b = a[i][j]
+        row_i, row_j = _current(b, stamp, i, prev), _current(b, stamp, j, prev)
+        beta = row_i[j]
         n_plus += 1
         n_minus += 1
-        det *= -b * b
+        lo = alive[0]
         alive.remove(i)
         alive.remove(j)
-        # Schur complement of the hyperbolic block [[0, b], [b, 0]].
+        b2, div = beta * beta, prev * prev
         for k in alive:
-            ci, cj = a[k][i], a[k][j]
-            if ci or cj:
-                row_k = a[k]
-                for l in alive:
-                    delta = (ci * a[j][l] + cj * a[i][l]) / b
-                    if delta:
-                        row_k[l] -= delta
-    return Congruence((n_plus, n_minus, n_zero), det, a)
+            if b[k][i] or b[k][j]:
+                row_k = _current(b, stamp, k, prev)
+                fi, fj = row_k[i], row_k[j]
+                row_k[lo:] = [(beta * (fi * yj + fj * yi) - b2 * x) // div
+                              for x, yi, yj in zip(row_k[lo:], row_i[lo:], row_j[lo:])]
+                stamp[k] = -b2 // prev
+        prev = -b2 // prev
+    return Congruence((n_plus, n_minus, n_zero), 0 if n_zero else prev, b, stamp)
 
 
 def inertia(m) -> tuple[int, int, int]:

@@ -362,7 +362,7 @@ def _canonicalize(orders, level, q_num, bil_num) -> MetricGroup:
         # x -> U x identifies Z^k / diag(orders) with Z^k / S; the new
         # generator j pulls back to column j of U^{-1}.
         new_orders = [snf.s[i][i] for i in range(k)]
-        gens = [tuple(snf.u_inv[i][j] for i in range(k)) for j in range(k)]
+        gens = [tuple(snf.u_inv_column(j)) for j in range(k)]
 
     keep = [j for j in range(k) if new_orders[j] > 1]
     q_new = [Fraction(_q_sum(gens[j], q_num, bil_num, level), level) for j in keep]

@@ -154,9 +154,12 @@ def assemble_w(seq: WallSequence) -> list[list[Fraction]]:
         w[i][i] = Fraction(coeff)
     for i in range(size - 1):
         w[i][i + 1] = w[i + 1][i] = Fraction(1)
-    det = congruence(w).det
-    if det != Fraction(seq.epsilon, seq.modulus):
-        raise WallVerificationError(f"det(W) = {det}, expected {seq.epsilon}/{seq.modulus}")
+    # modulus * W is integral (only w[0][0] has a denominator), and
+    # det(modulus * W) = modulus^(k+1) det W.
+    det = congruence([[int(seq.modulus * x) for x in row] for row in w]).det
+    if det != seq.epsilon * seq.modulus**seq.k:
+        raise WallVerificationError(
+            f"det(W) = {Fraction(det, seq.modulus**size)}, expected {seq.epsilon}/{seq.modulus}")
     return w
 
 

@@ -107,7 +107,10 @@ def _branch_and_bound(d, lower, z0, exclude_zero_at=None):
             k += 1
         x[i] = 0
 
-    descend(n - 1, Fraction(0))
+    try:
+        descend(n - 1, Fraction(0))
+    finally:
+        del descend  # break the self-reference through the closure cell
     return best, best_x
 
 

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,25 @@ class TestParseSpec:
             # "A[0^-1]" once raised ZeroDivisionError from 0 ** -1.
             with pytest.raises(UsageError):
                 parse_spec(text)
+
+    @pytest.mark.parametrize("text", ["A[1_1]", "A[\u0663]", "A[ 3]", "A[3^ 2]", "A[+3]"])
+    def test_only_ascii_digits(self, capsys, text):
+        # int() reads "1_1" as 11, the Arabic-Indic digit three as 3, and
+        # surrounding spaces and signs.
+        assert main(["model", text]) == 2
+        assert "expected the digits 0-9 only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, limit", [
+        ("A[1000000016000000063]", "the limit is 9"),  # 10^9+7 times 10^9+9
+        ("A[3^1000000000]", "the limit is 9"),
+        ("A[3^38]", "exceeds the limit 10^18"),
+        ("B[999999937^3]", "exceeds the limit 10^18"),
+    ])
+    def test_sizes_are_bounded_before_any_arithmetic(self, capsys, text, limit):
+        start = time.perf_counter()
+        assert main(["model", text]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert limit in capsys.readouterr().err
 
 
 class TestMatrixFiles:
@@ -327,3 +347,12 @@ def test_budget_errors_name_layer_size_budget_and_flag(capsys, argv, layer, size
     (line,) = captured.err.splitlines()
     assert line.startswith(f"error: {layer} (")
     assert f"group of order {size} exceeds budget {budget}; raise it with --budget" in line
+
+
+@pytest.mark.parametrize("spec", ["B[5]", "D[2^4]"])
+def test_positive_definite_kmatrix_runs_one_smith_normal_form(monkeypatch, capsys, spec):
+    """The constructor's own check takes positive definiteness and det from
+    one congruence pass; only the oracle's discriminant form runs an SNF."""
+    counts = _count_kernel_calls(monkeypatch, ["smith_normal_form"])
+    assert main(["kmatrix", spec, "--positive-definite"]) == 0
+    assert counts == {"smith_normal_form": 1}

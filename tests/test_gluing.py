@@ -1,3 +1,6 @@
+import gc
+import inspect
+
 import pytest
 
 from anyonlat.gluing import (
@@ -27,7 +30,7 @@ from anyonlat.metric_groups import (
     conjugate,
     is_isomorphic,
 )
-from anyonlat.weights import minimum_nonzero_norm
+from anyonlat.weights import coset_minima, minimum_nonzero_norm
 
 
 def model(fam, p, r):
@@ -196,3 +199,21 @@ class TestEFBuilders:
         assert verify_realization(default_ef_input("E", 2).gram, model("B", 2, 2)).passed
         assert verify_realization(default_ef_input("E", 1).gram, model("B", 2, 1)).passed
         assert verify_realization(default_ef_input("F", 2).gram, model("C", 2, 2)).passed
+
+
+def test_recursive_searches_leave_no_reference_cycle():
+    """The glue search and the branch and bound are recursive closures; each
+    call must free them (and the D^8 list the glue search holds) on return
+    rather than leave a cycle for the collector."""
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        coset_minima(cartan_a(8).gram)
+        glue_selfdual_8([[2, 0], [0, 2]])
+        gc.collect()
+        saved = {getattr(obj, "__name__", None) for obj in gc.garbage if inspect.isfunction(obj)}
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert not saved & {"descend", "search"}

@@ -7,7 +7,6 @@ there is no deadline, so timing noise cannot fail it.
 """
 
 import json
-import re
 import shutil
 import tempfile
 
@@ -39,16 +38,16 @@ def _remove_hypothesis_home():
 FUZZ = settings(database=None, deadline=None, max_examples=150,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
-# parse_spec factors a bare FAMILY[n] by trial division and forms p^r with no
-# bound on either, so a long run of digits can take hours or exhaust memory.
-# Runs of at most four digits (int() also reads "_" between digits) keep every
-# spec drawn here to milliseconds.
+# parse_spec bounds the digits of p, r and a bare n and the size of p^r before
+# any trial division or power, so long digit runs are drawn too.
 _FACTOR = r"[A-G]\[-?[0-9]{1,3}(\^-?[0-9]{1,2})?\]"
+_LONG_FACTOR = r"[A-F]\[[0-9]{1,25}(\^[0-9]{1,25})?\]"
 SPEC_TEXT = st.one_of(
     st.text(max_size=30),
     st.text(alphabet="ABCDEFG[]^*0123456789 -+_.", max_size=24),
     st.from_regex(rf"{_FACTOR}(\*{_FACTOR}){{0,2}}", fullmatch=True),
-).filter(lambda text: not re.search(r"[\d_]{5}", text))
+    st.from_regex(rf"{_LONG_FACTOR}(\*{_LONG_FACTOR}){{0,2}}", fullmatch=True),
+)
 
 _ENTRY = st.integers(min_value=-50, max_value=50)
 _ROWS = st.lists(st.lists(_ENTRY, min_size=1, max_size=4), min_size=1, max_size=4)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -204,3 +205,84 @@ class TestKDoublePrime:
     def test_rejects_wrong_residue(self):
         with pytest.raises(ValueError):
             k_double_prime(7, 1, 1)
+
+
+def _block_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(b)] = row
+        at += len(b)
+    return out
+
+
+def _negated(gram):
+    return [[-x for x in row] for row in gram]
+
+
+def _disguised(gram, rng, ops):
+    """U K U^T for a seeded unimodular U of `ops` elementary operations."""
+    k = [row[:] for row in gram]
+    n = len(k)
+    for _ in range(ops):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for t in range(n):
+            k[i][t] += c * k[j][t]
+        for row in k:
+            row[i] += c * row[j]
+    return k
+
+
+_HYP = [[0, 1], [1, 0]]
+# Definite and indefinite even bases of rank 2 to 40, with cyclic and
+# non-cyclic discriminant groups.
+_PIN_BASES = [
+    cartan_a(2).gram, [[2, 3], [3, 2]], _block_sum(_HYP, [[4]]), cartan_a(4).gram,
+    _block_sum(cartan_a(3).gram, _negated(cartan_a(2).gram)), e6_gram().gram, k_e(4).gram,
+    cartan_d(8).gram, _block_sum(_HYP, cartan_a(7).gram), e7_gram().gram,
+    _block_sum(cartan_a(5).gram, cartan_a(5).gram), _block_sum(_negated(cartan_d(6).gram), cartan_a(8).gram),
+    cartan_a(16).gram, _block_sum(*[cartan_a(3).gram] * 4, [[12]]),
+    _block_sum(_HYP, _HYP, cartan_d(16).gram), cartan_a(24).gram,
+    _block_sum(_negated(cartan_a(14).gram), cartan_a(14).gram),
+    _block_sum(*[cartan_d(4).gram] * 3, cartan_a(20).gram), cartan_a(36).gram,
+    _block_sum(_negated(cartan_a(19).gram), cartan_a(18).gram, [[0, 5], [5, 0]]),
+]
+
+# SHA-256 (first 16 hex digits) of the repr of (invariant_factors,
+# generator_reps, q2_gen, bil_gen, dual_coords); `verify` prints q2 on these
+# generators and the isometry witness found from them.
+_PIN_DIGESTS = [
+    "c3d0aa6ed6377bff",  # rank 2, (3,)
+    "dbd7e546415b607f",  # rank 2, (5,)
+    "9c43642d8331c0c4",  # rank 3, (4,)
+    "b4bbd7fa7f3fb3a1",  # rank 4, (5,)
+    "684aa5f0a965ee29",  # rank 5, (12,)
+    "e01be4796aae1a54",  # rank 6, (3,)
+    "10deb4d32ca04471",  # rank 3, (16,)
+    "bcb45560fa0d64cb",  # rank 8, (2, 2)
+    "55491af9b1e87e71",  # rank 9, (8,)
+    "3f83b8fe492ed101",  # rank 7, (2,)
+    "d69445e8c3ee527e",  # rank 10, (6, 6)
+    "221d307ba68973c4",  # rank 14, (2, 18)
+    "69b51052770bb9a7",  # rank 16, (17,)
+    "563215d51275bcfa",  # rank 13, (4, 4, 4, 4, 12)
+    "982506fe082c5f03",  # rank 20, (2, 2)
+    "75e17ca835be8c4a",  # rank 24, (25,)
+    "e9fe0ccfedc770ca",  # rank 28, (15, 15)
+    "d5c86cb5a313f781",  # rank 32, (2, 2, 2, 2, 2, 42)
+    "5a9e40823a7149f7",  # rank 36, (37,)
+    "1e174cedbaf3abc3",  # rank 39, (5, 5, 380)
+]
+
+
+def test_discriminant_form_pins_generators_of_dense_disguises():
+    rng = random.Random(6262)
+    digests = []
+    for base in _PIN_BASES:
+        disc = discriminant_form(_disguised(base, rng, 6 * len(base)))
+        text = repr((disc.invariant_factors, disc.generator_reps, disc.q2_gen, disc.bil_gen, disc.dual_coords))
+        digests.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+    assert digests == _PIN_DIGESTS

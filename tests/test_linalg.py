@@ -193,3 +193,163 @@ def test_inertia_matches_minor_signs_on_regular_matrices():
         assert n_plus == signs.count(1)
         assert n_minus == signs.count(-1)
         assert signature(m) == n_plus - n_minus
+
+
+def cofactor_det(m):
+    """Independent determinant oracle: cofactor expansion along row 0."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * x * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j, x in enumerate(m[0]) if x
+    )
+
+
+def test_determinant_against_cofactor_expansion():
+    # Sparse entries, zero leading pivots and singular matrices: the cases
+    # where the stamped Bareiss elimination skips rows or swaps.
+    rng = random.Random(6161)
+    singular = 0
+    for trial in range(600):
+        n = rng.randint(1, 6)
+        zero_share = rng.choice((0.0, 0.3, 0.6, 0.8))
+        m = [[0 if rng.random() < zero_share else rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0:
+            m[0][0] = 0
+        if trial % 5 == 0 and n > 2:
+            # one row a combination of two others
+            i, j, k = rng.sample(range(n), 3)
+            c = rng.randint(-3, 3)
+            m[i] = [x + c * y for x, y in zip(m[j], m[k])]
+        expected = cofactor_det(m)
+        singular += expected == 0
+        assert determinant(m) == expected, m
+    assert singular > 100
+
+
+def fraction_congruence(m):
+    """Independent inertia and determinant oracle over Q.
+
+    Pivots on a nonzero diagonal entry when there is one; otherwise adds row
+    and column j to row and column i for an entry a_ij != 0, which makes the
+    diagonal entry 2 a_ij nonzero without changing inertia or determinant.
+    """
+    a = [[Fraction(x) for x in row] for row in m]
+    n_plus = n_minus = 0
+    det = Fraction(1)
+    while a:
+        i = next((i for i in range(len(a)) if a[i][i]), None)
+        if i is None:
+            pair = next(((i, j) for i in range(len(a)) for j in range(len(a)) if a[i][j]), None)
+            if pair is None:
+                return (n_plus, n_minus, len(a)), 0
+            i, j = pair
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+        d = a[i][i]
+        n_plus += d > 0
+        n_minus += d < 0
+        det *= d
+        a = [[a[k][l] - a[k][i] * a[i][l] / d for l in range(len(a)) if l != i]
+             for k in range(len(a)) if k != i]
+    return (n_plus, n_minus, 0), det
+
+
+def ldl_product(elim, n):
+    d, columns = elim.ldl()
+    lower = identity_matrix(n)
+    for i, column in enumerate(columns):
+        for j, x in column:
+            lower[j][i] = x
+    return [[sum(lower[i][k] * d[k] * lower[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def test_congruence_against_a_fraction_elimination():
+    rng = random.Random(6262)
+    hyperbolic = 0
+    for trial in range(400):
+        n = rng.randint(1, 7)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                m[i][j] = m[j][i] = 0 if rng.random() < 0.4 else rng.randint(-20, 20)
+        if trial % 2:
+            # zero diagonal: the first pivots are hyperbolic
+            for i in range(n):
+                m[i][i] = 0
+            hyperbolic += 1
+        if trial % 3 == 0 and n > 2:
+            # singular tail: the last row and column repeat a combination
+            c = rng.randint(-2, 2)
+            tail = [x + c * y for x, y in zip(m[0], m[1])]
+            for i in range(n):
+                m[i][-1] = m[-1][i] = tail[i]
+            m[-1][-1] = tail[0] + c * tail[1]
+        elim = congruence(m)
+        assert (elim.inertia, elim.det) == fraction_congruence(m), m
+    assert hyperbolic >= 200
+
+
+def test_congruence_ldl_rebuilds_positive_definite_matrices():
+    rng = random.Random(6363)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        m = [[sum(x * y for x, y in zip(r, s)) + (i == j) for j, s in enumerate(b)] for i, r in enumerate(b)]
+        elim = congruence(m)
+        assert elim.inertia == (n, 0, 0)
+        assert ldl_product(elim, n) == m
+
+
+def test_congruence_on_a_rank_300_cartan():
+    # A_300: det 301, pivots d_i = (i + 2) / (i + 1), L[i+1][i] = -(i + 1) / (i + 2).
+    n = 300
+    m = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    elim = congruence(m)
+    assert (elim.inertia, elim.det) == ((n, 0, 0), n + 1)
+    d, columns = elim.ldl()
+    assert d == [Fraction(i + 2, i + 1) for i in range(n)]
+    assert columns == [[(i + 1, Fraction(-(i + 1), i + 2))] for i in range(n - 1)] + [[]]
+    negated = [[-x for x in row] for row in m]
+    assert (congruence(negated).inertia, congruence(negated).det) == ((0, n, 0), n + 1)
+
+
+def replayed_transforms(snf, rows, cols):
+    """U^-1 and V built forward, by applying the logged operations to the
+    identity as right multiplications, the opposite order of the per-column
+    replay."""
+    u_inv, v = identity_matrix(rows), identity_matrix(cols)
+    for i, k, q in snf.row_ops:
+        for row in u_inv:
+            if not q:
+                row[i], row[k] = row[k], row[i]
+            elif i == k:
+                row[i] = -row[i]
+            else:
+                row[i] -= q * row[k]
+    for i, k, q in snf.col_ops:
+        for row in v:
+            if not q:
+                row[i], row[k] = row[k], row[i]
+            else:
+                row[k] += q * row[i]
+    return u_inv, v
+
+
+def test_smith_columns_replay_the_transforms():
+    rng = random.Random(6464)
+    for trial in range(150):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        if trial % 2:
+            cols = rows
+        m = [[rng.randint(-50, 50) if rng.random() < 0.7 else 0 for _ in range(cols)] for _ in range(rows)]
+        snf = smith_normal_form(m)
+        u_inv, v = snf.u_inv, snf.v
+        assert (u_inv, v) == replayed_transforms(snf, rows, cols)
+        for j in range(rows):
+            assert snf.u_inv_column(j) == [row[j] for row in u_inv]
+        for j in range(cols):
+            assert snf.v_column(j) == [row[j] for row in v]
+        assert mat_mul(m, v) == mat_mul(u_inv, snf.s)
+        assert abs(determinant(u_inv)) == 1 and abs(determinant(v)) == 1
