@@ -18,10 +18,14 @@ and CRT welds the prime parts for mixed n.  Non-cyclic discriminant groups
 fall back to a backtracking search over D^8 in lexicographic order, which
 tests isotropy with the q and chi of `DiscriminantData.metric_group()` and
 refuses up front, with BudgetExceededError, when |D|^8 exceeds its budget.
+Each span H + <v> of the search is built as the union of the cosets H + k v,
+k = 0, 1, ... until k v lies in H, so no element is added twice.
 
 The `GluedLattice` carries Lambda's basis in M and the base's discriminant
 form, which callers read instead of computing again; the orthogonal
 complement is taken from that basis and returned as a bare Gram matrix.
+The basis, Gram and kernel matrices are about 1-2% nonzero on Cartan bases,
+and every product of them goes through the row-sparse `linalg.mat_mul`.
 
 The E/F builders assemble Gram matrices from block generating data: a small
 scaled block, a dual-coset glue vector lambda (norm = -1/2^r mod 2) or mu
@@ -177,6 +181,21 @@ def _glue_generators_cyclic(n: int) -> list[list[int]]:
     return gens
 
 
+def _span_with(span: set, vec: tuple, orders) -> set:
+    """The subgroup H + <v> of Z_orders, for a subgroup H given as a set:
+    the union of the cosets H + k v, k = 0, 1, ... until k v lies in H."""
+
+    def add(x, y):
+        return tuple((a + b) % n for a, b, n in zip(x, y, orders))
+
+    new = set(span)
+    step = vec
+    while step not in span:
+        new.update(add(h, step) for h in span)
+        step = add(step, vec)
+    return new
+
+
 def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[int]]:
     """Backtracking element search over D^8 in lexicographic order.
 
@@ -209,18 +228,6 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
     def bil_total(v, w) -> bool:
         return sum(bil_num[v[c], w[c]] for c in copies) % level == 0
 
-    def span_with(span, vec):
-        new = set(span)
-        frontier = [vec]
-        while frontier:
-            x = frontier.pop()
-            for y in list(new):
-                z = tuple((a + b) % n for a, b, n in zip(x, y, all_orders))
-                if z not in new:
-                    new.add(z)
-                    frontier.append(z)
-        return new
-
     def touches_first_copy(x) -> bool:
         return any(x[:g]) and not any(x[g:])
 
@@ -241,7 +248,7 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
                 continue
             if any(not bil_total(cand, h) for h in gens):
                 continue
-            new_span = span_with(span, cand)
+            new_span = _span_with(span, cand, all_orders)
             if len(new_span) > target:
                 continue
             if any(touches_first_copy(x) for x in new_span - span):
@@ -371,18 +378,23 @@ def glue_selfdual_8(base: Lattice | list[list[int]], budget: int = GLUE_SEARCH_N
 
 
 def _solve_in_hnf_basis(h, den, targets) -> list[list[int]]:
-    """Integer X with X * (h / den) = targets, h upper triangular."""
+    """Integer X with X * (h / den) = targets, h upper triangular.
+
+    Forward substitution by rows: once x_c is known, x_c * h_c is taken off
+    the remaining right-hand side, through h_c's nonzero entries only."""
     big = len(h)
+    h_rows = [[(j, y) for j, y in enumerate(row) if y] for row in h]
     out = []
     for t in targets:
-        rhs = [den * x for x in t]
+        rest = [den * x for x in t]
         x = [0] * big
         for c in range(big):
-            acc = sum(x[j] * h[j][c] for j in range(c) if x[j])
-            num = rhs[c] - acc
-            if num % h[c][c]:
+            if rest[c] % h[c][c]:
                 raise ValueError("target row is not in the glued lattice")
-            x[c] = num // h[c][c]
+            xc = x[c] = rest[c] // h[c][c]
+            if xc:
+                for j, y in h_rows[c]:
+                    rest[j] -= xc * y
         out.append(x)
     return out
 

@@ -38,7 +38,6 @@ __all__ = [
     "copy_matrix",
     "transpose",
     "mat_mul",
-    "mat_vec",
     "is_square",
     "is_symmetric",
     "has_even_diagonal",
@@ -70,14 +69,23 @@ def transpose(m):
 
 
 def mat_mul(a, b):
+    """Exact product a * b of int or Fraction matrices, row-sparse on both
+    sides: b's nonzero (j, y) pairs are listed once per row, and each nonzero
+    a_ik adds a_ik * y into row i of the product.  The cost is the sum, over
+    nonzero a_ik, of nnz(b_k); a sum with no nonzero term is the int 0."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("dimension mismatch in mat_mul")
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col) if x) for col in bt] for row in a]
-
-
-def mat_vec(m, v):
-    return [sum(x * y for x, y in zip(row, v) if x) for row in m]
+    width = len(b[0]) if b else 0
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def is_square(m) -> bool:

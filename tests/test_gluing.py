@@ -1,9 +1,13 @@
 import gc
+import hashlib
 import inspect
+import random
 
 import pytest
 
+from anyonlat.cli import main
 from anyonlat.gluing import (
+    _span_with,
     anti_isometry_mod,
     build_ef_positive,
     conjugate_realization,
@@ -21,6 +25,7 @@ from anyonlat.lattices import (
 from anyonlat.linalg import (
     determinant,
     is_positive_definite,
+    mat_mul,
     smith_normal_form,
 )
 from anyonlat.metric_groups import (
@@ -91,6 +96,42 @@ class TestGlueRankTwo:
         d = discriminant_form(comp.gram)
         assert d.q2_gen == (Fraction(4, 3),)
         assert verify_realization(comp.gram, model("A", 3, 1)).passed
+
+
+class TestGlueBasis:
+    @pytest.mark.parametrize("base", [[[4]], [[6]], k_e(2).gram, cartan_a(5).gram], ids=["Z4", "Z6", "ke2", "a5"])
+    def test_first_copy_coordinates_rebuild_the_ambient_rows(self, base):
+        glued = glue_selfdual_8(base)
+        rebuilt = mat_mul(glued.first_copy_in_lattice, glued.basis_rows)
+        assert rebuilt == [[glued.denominator * x for x in row] for row in glued.first_copy_ambient]
+
+
+def pairwise_closure(span, vec, orders):
+    """Reference span: add every new element to every element until closed."""
+    new = set(span)
+    frontier = [vec]
+    while frontier:
+        x = frontier.pop()
+        for y in list(new):
+            z = tuple((a + b) % n for a, b, n in zip(x, y, orders))
+            if z not in new:
+                new.add(z)
+                frontier.append(z)
+    return new
+
+
+def test_coset_union_span_matches_the_pairwise_closure():
+    # Element orders above 2 need more than one new coset; within the glue
+    # search's default budget only Z2 x Z2 (all orders 2) is reachable.
+    rng = random.Random(7272)
+    for orders in [(4, 6), (2, 2, 2), (3, 9), (8,), (2, 4, 5)]:
+        for _ in range(20):
+            span = {tuple([0] * len(orders))}
+            for _ in range(rng.randint(1, 3)):
+                vec = tuple(rng.randrange(n) for n in orders)
+                expected = pairwise_closure(span, vec, orders)
+                span = _span_with(span, vec, orders)
+                assert span == expected
 
 
 class TestGlueSearchBudget:
@@ -217,3 +258,39 @@ def test_recursive_searches_leave_no_reference_cycle():
         gc.set_debug(flags)
         gc.garbage.clear()
     assert not saved & {"descend", "search"}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+# (complement Gram matrix, glue generators) digests, recorded before the
+# sparse products and the coset-union span; D4 and Z2 x Z2 take the
+# non-cyclic glue search.
+_GLUE_PINS = {
+    "Z2": ([[2]], "db0daf3517a3522b", "28ee180bdc931f2a"),
+    "Z4": ([[4]], "9a2deb4c23f7bf62", "192875bfd4b6f5c9"),
+    "A2": (cartan_a(2).gram, "4afc8de718d01a07", "4176c3d933cfccdd"),
+    "A3": (cartan_a(3).gram, "636d092bae4f370e", "192875bfd4b6f5c9"),
+    "A4": (cartan_a(4).gram, "06c9f05a2a77c2d0", "6186848e264964be"),
+    "A5": (cartan_a(5).gram, "d516bb2a88cfb15a", "5750b89ab084c7a1"),
+    "A6": (cartan_a(6).gram, "b5a688cddae98191", "253ef84d2b4994d3"),
+    "D4": (cartan_d(4).gram, "9ff906de4b4ec9b5", "cfefd54c604b2c93"),
+    "Z2xZ2": ([[2, 0], [0, 2]], "1e17b31059e3ee57", "6a69d6a949925999"),
+    "A22": (cartan_a(22).gram, "6d45342757a2661d", "27a8b81939ca6d5c"),
+}
+
+
+@pytest.mark.parametrize("name", list(_GLUE_PINS))
+def test_gluing_outputs_are_pinned(name):
+    base, complement_digest, glue_digest = _GLUE_PINS[name]
+    assert _digest(conjugate_realization(base).gram) == complement_digest
+    assert _digest(glue_selfdual_8(base).glue_generators) == glue_digest
+
+
+def test_positive_definite_kmatrix_file_is_pinned(tmp_path, capsys):
+    # A[7^2] goes through the complement of A48 (rank 336).
+    path = tmp_path / "a72.json"
+    assert main(["kmatrix", "A[7^2]", "--positive-definite", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == "483fe634eff5ba92"

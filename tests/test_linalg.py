@@ -353,3 +353,42 @@ def test_smith_columns_replay_the_transforms():
             assert snf.v_column(j) == [row[j] for row in v]
         assert mat_mul(m, v) == mat_mul(u_inv, snf.s)
         assert abs(determinant(u_inv)) == 1 and abs(determinant(v)) == 1
+
+
+def dense_mat_mul(a, b):
+    """The dense reference product: one dot product per output entry."""
+    bt = [list(col) for col in zip(*b)] if b else []
+    return [[sum(x * y for x, y in zip(row, col) if x) for col in bt] for row in a]
+
+
+def test_mat_mul_against_the_dense_product():
+    rng = random.Random(7171)
+
+    def matrix(rows, cols, density, entry):
+        return [[entry() if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+
+    def int_entry():
+        return rng.randint(-9, 9)
+
+    def fraction_entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    for trial in range(240):
+        k = rng.randint(1, 7)
+        rows, cols = rng.choice([(0, rng.randint(0, 7)), (1, rng.randint(1, 7)),
+                                 (rng.randint(1, 7), 1), (rng.randint(1, 7), 0),
+                                 (rng.randint(2, 7), rng.randint(2, 7))])
+        density = rng.choice((0.0, 0.02, 0.1, 0.3, 0.6, 1.0))
+        entry = fraction_entry if trial % 4 == 0 else int_entry
+        a = matrix(rows, k, density, entry)
+        b = matrix(k, cols, rng.choice((0.0, 0.1, 0.5, 1.0)), entry)
+        assert mat_mul(a, b) == dense_mat_mul(a, b), (a, b)
+    # k x 0 on the right, 0 x k on the left, 1 x k and k x 1 factors
+    assert mat_mul([[1, 2, 3]], [[], [], []]) == [[]]
+    assert mat_mul([], [[1, 2], [3, 4]]) == []
+    assert mat_mul([[1, 0, 2]], [[1], [5], [Fraction(1, 2)]]) == [[2]]
+    assert mat_mul([[3], [0], [Fraction(-1, 3)]], [[0, 6]]) == [[0, 18], [0, 0], [0, -2]]
+    with pytest.raises(ValueError):
+        mat_mul([[1, 2]], [[1, 2]])
+    with pytest.raises(ValueError):
+        mat_mul([[1, 2], [3, 4]], [[1], [2], [3]])
