@@ -31,8 +31,11 @@ fractional bits: its normalized value is off by less than 2^-40, and a phase
 matches within 2^-20 (the derivation is in its docstring).
 
 `_q_sum` and `_bil_sum` are the package's only evaluators of q and chi, and
-`_isometries` its only generator-image search (`is_isomorphic` takes the first
-isometry, `symmetry.aut_bruteforce` all of them).
+`_isometries` its only generator-image search.  It tries as images of e_i only
+the elements of q(e_i) and order exactly n_i, and can hold the first images
+fixed: `is_isomorphic` takes its first isometry, `symmetry.aut_bruteforce`
+asks it one first-extension question per orbit point it cannot reach from
+the witnesses it has, and the tests list every isometry with it.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 import mpmath
 
@@ -528,35 +532,64 @@ def _cyclic_iso(g1: MetricGroup, g2: MetricGroup):
     return None
 
 
-def _isometries(g1: MetricGroup, g2: MetricGroup):
-    """Yield every isometry g1 -> g2 (g1 not trivial) as generator images,
-    in the lexicographic order of the image tuples.  The level is an
-    isometry invariant, so groups of different levels yield nothing."""
-    if g1.level != g2.level:
-        return iter(())
-    k = len(g1.orders)
-    level, bil2 = g2.level, g2.gen_bil_num
-    buckets: dict[int, list] = {}
+def _candidates(g1: MetricGroup, g2: MetricGroup) -> list[list[tuple[int, ...]]]:
+    """Per generator e_i of g1, the elements x of g2 with q(x) = q(e_i) and
+    order exactly n_i, in lexicographic order.  An isometry is a bijective
+    homomorphism, so these are the only images e_i can have when g1 and g2
+    share their invariant factors."""
+    by_q: dict[int, list[int]] = {}
+    for i, v in enumerate(g1.gen_q_num):
+        by_q.setdefault(v, []).append(i)
+    pools: list[list[tuple[int, ...]]] = [[] for _ in g1.orders]
     for x, v in zip(g2.elements(), _q_numerators(g2)):
-        buckets.setdefault(v, []).append(x)
+        if v in by_q:
+            order = g2.order_of(x)
+            for i in by_q[v]:
+                if g1.orders[i] == order:
+                    pools[i].append(x)
+    return pools
+
+
+def _isometries(g1: MetricGroup, g2: MetricGroup, prefix=(), pools=None):
+    """Yield every isometry g1 -> g2 (g1 not trivial) that maps e_i to
+    prefix[i] for i < len(prefix), as generator images in the lexicographic
+    order of the image tuples.
+
+    Groups with different invariant factors or levels yield nothing.  The
+    images of e_i are drawn from `pools[i]` (default `_candidates(g1, g2)`);
+    a prefix image is held to the same q and order test.  Once an image y is
+    fixed, its column C y mod N (C the Gram numerators of g2, N the level) is
+    kept, so chi(x, y) against a deeper candidate x is one dot product.  The
+    generation check `_order_index` runs on every complete map: for a
+    degenerate form, a map preserving q and chi need not be injective.
+    """
+    if g1.orders != g2.orders or g1.level != g2.level:
+        return iter(())
+    if pools is None:
+        pools = _candidates(g1, g2)
+    orders, k, level, bil2 = g1.orders, len(g1.orders), g2.level, g2.gen_bil_num
+    levels = list(pools)
+    for i, y in enumerate(prefix):
+        fits = g2.q_num(y) == g1.gen_q_num[i] and g2.order_of(y) == orders[i]
+        levels[i] = [y] if fits else []
 
     images: list[tuple[int, ...]] = []
+    columns: list[tuple[int, ...]] = []
 
     def extend(i: int):
         if i == k:
-            if _order_index(images, g1.orders) == 1:
+            if _order_index(images, orders) == 1:
                 yield tuple(images)
             return
-        n_i = g1.orders[i]
         want = g1.gen_bil_num[i]
-        for x in buckets.get(g1.gen_q_num[i], ()):
-            if n_i % g2.order_of(x):
-                continue
-            if any(_bil_sum(x, images[j], bil2, level) != want[j] for j in range(i)):
+        for x in levels[i]:
+            if any(sum(map(mul, x, columns[j])) % level != want[j] for j in range(i)):
                 continue
             images.append(x)
+            columns.append(tuple(sum(map(mul, row, x)) % level for row in bil2))
             yield from extend(i + 1)
             images.pop()
+            columns.pop()
 
     return extend(0)
 

@@ -1,26 +1,36 @@
-"""Topological symmetry groups Aut(A, q): exhaustive enumeration plus the
+"""Topological symmetry groups Aut(A, q): a count by search plus the
 closed-form orders, with conservative structure identification.
 
 An automorphism is a group isomorphism of A preserving q; it is recorded as
-the tuple of generator images.  `aut_bruteforce` collects every isometry of
-(A, q) onto itself from `metric_groups._isometries`, the same search that
-`is_isomorphic` runs, and is the oracle that cross-validates
-`aut_order_closed`.
+the tuple of generator images.  `aut_bruteforce` counts Aut down a stabilizer
+chain: |Aut| is the product of the orbit lengths of the generators e_i under
+the automorphisms fixing e_1..e_{i-1}, and each orbit is found with
+first-hit queries to `metric_groups._isometries`, the same search that
+`is_isomorphic` runs.  Its count is the oracle that cross-validates
+`aut_order_closed`; the tests hold it to the full listing of that search.
 
 A structure name is attached only when it can be certified on the element
 table itself: cyclic/elementary-abelian cases by order census, dihedral-type
 groups by exhibiting an abelian index-2 subgroup inverted by an outside
 involution, and the order-24 case by a normal D6 plus a splitting involution.
+No rule covers an order other than 6, 12, 24 or a power of 2, so for those
+the table, the closure of the chain's witnesses, is never built; nor for a
+power of 2 whose group has too short orbits to hold the one name it could get.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache, cached_property
+from operator import mul
 
 from .metric_groups import (
     BudgetExceededError,
+    InternalError,
     MetricGroup,
     PrimeFamilySpec,
+    _candidates,
     _isometries,
 )
 
@@ -33,43 +43,113 @@ Morphism = tuple[tuple[int, ...], ...]  # generator images
 
 @dataclass(frozen=True)
 class AutGroup:
-    group: MetricGroup
-    elements: tuple[Morphism, ...]
-    structure_name: str | None
+    """Aut(A, q) as its order and a generating set of witnesses.
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    The element table and the structure name are derived on first use."""
+
+    group: MetricGroup
+    order: int
+    witnesses: tuple[Morphism, ...]
+
+    @cached_property
+    def elements(self) -> tuple[Morphism, ...]:
+        """Every automorphism, sorted: the closure of the witnesses."""
+        closure = _subgroup_generated(self, self.witnesses)
+        if len(closure) != self.order:
+            raise InternalError(
+                f"witnesses generate {len(closure)} automorphisms, the stabilizer chain counts {self.order}"
+            )
+        return tuple(sorted(closure))
+
+    @cached_property
+    def structure_name(self) -> str | None:
+        return _identify_structure(self)
 
     def apply(self, phi: Morphism, x) -> tuple[int, ...]:
-        g = self.group
-        out = tuple(0 for _ in g.orders)
-        for coeff, image in zip(x, phi):
-            if coeff:
-                out = g.add(out, tuple((coeff * c) % n for c, n in zip(image, g.orders)))
-        return out
+        return _apply(self.group.orders, phi, x)
 
     def compose(self, phi: Morphism, psi: Morphism) -> Morphism:
         """phi after psi."""
-        return tuple(self.apply(phi, image) for image in psi)
+        orders = self.group.orders
+        return tuple(_apply(orders, phi, x) for x in psi)
 
     def identity(self) -> Morphism:
-        k = len(self.group.orders)
-        return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
+        return _basis(len(self.group.orders))
+
+
+def _apply(orders, phi: Morphism, x) -> tuple[int, ...]:
+    """phi(x) = sum_i x_i phi(e_i), reduced once per coordinate."""
+    return tuple(sum(map(mul, x, row)) % n for row, n in zip(zip(*phi), orders))
+
+
+@cache
+def _basis(k: int) -> Morphism:
+    """(e_1, .., e_k), the identity's generator images."""
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
 def aut_bruteforce(g: MetricGroup, budget: int = AUT_BUDGET_DEFAULT) -> AutGroup:
-    """All q-preserving automorphisms: every isometry g -> g."""
+    """Aut(A, q) by search, its structure named where a rule can certify one."""
     if g.size > budget:
         raise BudgetExceededError(
             f"automorphism search (aut_bruteforce): group of order {g.size} exceeds budget {budget}; "
             "raise it with --budget"
         )
-    if not g.orders:
-        return AutGroup(g, ((),), "1")
-    elements = tuple(sorted(_isometries(g, g)))
-    aut = AutGroup(g, elements, None)
-    return AutGroup(g, elements, _identify_structure(aut))
+    aut = AutGroup(g, *_stabilizer_chain(g))
+    aut.structure_name  # certified here, so the time of naming counts as this call's
+    return aut
+
+
+def _stabilizer_chain(g: MetricGroup) -> tuple[int, tuple[Morphism, ...]]:
+    """|Aut| and a generating set of witnesses, down a stabilizer chain.
+
+    With G_i the automorphisms fixing e_1..e_i, |Aut| is the product over i of
+    the orbit lengths of e_i under G_{i-1}.  A candidate x for e_i lies in that
+    orbit iff chi(x, e_j) = chi(e_i, e_j) for j < i and some isometry extends
+    the images (e_1, .., e_{i-1}, x): one first-hit `_isometries` query.
+
+    The levels run from the last generator up, so every witness found so far
+    lies in G_{i-1}.  A candidate in the orbit of e_i under them needs no
+    query; a hit becomes a witness and the orbit is closed again; a miss rules
+    out the whole orbit of x under them.  The witnesses of levels i..k
+    generate G_{i-1} (Seress, Permutation Group Algorithms, 2003, ch. 4), so
+    all of them generate Aut.
+    """
+    basis = _basis(len(g.orders))
+    pools = _candidates(g, g)
+    order = 1
+    witnesses: list[Morphism] = []
+    level, bil = g.level, g.gen_bil_num
+    for i in reversed(range(len(pools))):
+        orbit = _orbit(g, basis[i], witnesses)
+        missed: set[tuple[int, ...]] = set()
+        for x in pools[i]:
+            if x in orbit or x in missed:
+                continue
+            if any(sum(map(mul, x, bil[j])) % level != bil[i][j] for j in range(i)):
+                continue  # chi(x, e_j) != chi(e_i, e_j): no map fixing e_j sends e_i to x
+            phi = next(_isometries(g, g, basis[:i] + (x,), pools), None)
+            if phi is None:
+                missed |= _orbit(g, x, witnesses)
+            else:
+                witnesses.append(phi)
+                orbit = _orbit(g, basis[i], witnesses)
+        order *= len(orbit)
+    return order, tuple(witnesses)
+
+
+def _orbit(g: MetricGroup, x, gens) -> set[tuple[int, ...]]:
+    """The orbit of x under the group the automorphisms gens generate."""
+    orbit = {x}
+    frontier = [x]
+    while frontier:
+        y = frontier.pop()
+        for w in gens:
+            z = _apply(g.orders, w, y)
+            if z not in orbit:
+                orbit.add(z)
+                frontier.append(z)
+    return orbit
 
 
 def aut_order_closed(spec: PrimeFamilySpec) -> tuple[int, str | None]:
@@ -125,143 +205,97 @@ def _inverse(aut: AutGroup, phi: Morphism) -> Morphism:
     return prev
 
 
-def _is_abelian(aut: AutGroup) -> bool:
-    els = aut.elements
-    return all(
-        aut.compose(a, b) == aut.compose(b, a) for i, a in enumerate(els) for b in els[i + 1:]
-    )
-
-
 def _subgroup_generated(aut: AutGroup, gens) -> set[Morphism]:
+    """Closure of gens under composition; in a finite group every element
+    is a word in the generators, so right multiplication alone reaches it."""
     seen = set(gens) | {aut.identity()}
     frontier = list(seen)
     while frontier:
         x = frontier.pop()
         for gph in gens:
-            for y in (aut.compose(x, gph), aut.compose(gph, x)):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
+            y = aut.compose(x, gph)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
     return seen
 
 
-def _abelian_invariants_small(orders_census: dict[int, int], size: int):
-    """Invariant factors of an abelian 2-group of the shapes met here."""
-    # Distinguish Z2 x Z_{2^m} from other order-2^{m+1} abelian groups by the
-    # exponent and the number of involutions.
-    exponent = max(orders_census)
-    involutions = orders_census.get(2, 0)
-    if size == exponent:
-        return (size,)
-    if size == 2 * exponent and involutions == 3:
-        return (2, exponent)
-    return None
-
-
-def _dihedral_over(aut: AutGroup, rotation_order: int) -> Morphism | None:
-    """An element a of the given order inverted by an outside involution,
-    generating the whole group together with it."""
-    n = aut.order
+def _dihedral_subgroups(aut: AutGroup, orders, rotation_order: int):
+    """Each subgroup <a, t> of order 2 * rotation_order, with a of order
+    rotation_order inverted by an involution t."""
     for a in aut.elements:
-        if _element_order(aut, a, n) != rotation_order:
+        if orders[a] != rotation_order:
             continue
         a_inv = _inverse(aut, a)
         for t in aut.elements:
-            if _element_order(aut, t, n) != 2:
+            if orders[t] != 2 or aut.compose(aut.compose(t, a), t) != a_inv:
                 continue
-            if aut.compose(aut.compose(t, a), t) != a_inv:
-                continue
-            if len(_subgroup_generated(aut, [a, t])) == n:
-                return a
-    return None
+            h = _subgroup_generated(aut, [a, t])
+            if len(h) == 2 * rotation_order:
+                yield h
 
 
 def _identify_structure(aut: AutGroup) -> str | None:
     n = aut.order
-    if n == 1:
-        return "1"
-    census: dict[int, int] = {}
-    for phi in aut.elements:
-        o = _element_order(aut, phi, n)
-        census[o] = census.get(o, 0) + 1
-    if _is_abelian(aut):
-        if n == 2:
-            return "Z2"
-        if census.get(2, 0) == n - 1:
-            # Elementary abelian 2-group; report Z2 x ... per size.
-            if n == 4:
-                return "Z2xZ2"
-            if n == 8:
-                # Matches the generalized-dihedral picture with trivial action.
-                return "(Z2xZ2):Z2" if _generalized_dihedral_name(aut, census) else "Z2xZ2xZ2"
-        name = _generalized_dihedral_name(aut, census)
-        if name:
-            return name
+    if n <= 2:
+        return "1" if n == 1 else "Z2"
+    if n & (n - 1) and n not in (6, 12, 24):
+        # No rule certifies any other order: leave the element table unbuilt.
         return None
-    if n == 6 and _dihedral_over(aut, 3):
-        return "D3"
-    if n == 12 and _dihedral_over(aut, 6):
-        return "D6"
+    if n >= 8 and not n & (n - 1):
+        # Only Dih(Z2 x Z_{n/4}) is named at these orders, and it has an
+        # element of order n/4.  In a 2-group an element's order is the
+        # longest of its orbits on the generators, and each of those lies in
+        # an orbit of the whole group: when all are shorter, no table.
+        if max(len(_orbit(aut.group, e, aut.witnesses)) for e in aut.identity()) < n // 4:
+            return None
+    orders = {phi: _element_order(aut, phi, n) for phi in aut.elements}
+    if n == 6 or n == 12:
+        # D3 or D6: the whole group is dihedral.
+        if next(_dihedral_subgroups(aut, orders, n // 2), None) is None:
+            return None
+        return "D3" if n == 6 else "D6"
     if n == 24:
-        return _certify_d6_extension(aut)
-    name = _generalized_dihedral_name(aut, census)
-    if name:
-        return name
-    return None
-
-
-def _generalized_dihedral_name(aut: AutGroup, census) -> str | None:
-    """Certify G = Dih(H) with H = Z2 x Z_{2^m}: abelian index-2 subgroup of
-    that shape, inverted elementwise by an involution outside it."""
-    n = aut.order
-    if n % 2 or n < 8 or n & (n - 1):
+        # D6:Z2: a D6 subgroup (index 2, so normal) and an involution outside it.
+        involutions = [s for s, o in orders.items() if o == 2]
+        for d6 in _dihedral_subgroups(aut, orders, 6):
+            if any(s not in d6 for s in involutions):
+                return "D6:Z2"
         return None
+    if n == 4:
+        return "Z2xZ2" if sum(o == 2 for o in orders.values()) == 3 else None
+    # An elementary abelian group of order 8 is Dih(Z2 x Z2) with trivial action.
+    return _generalized_dihedral_name(aut, orders)
+
+
+def _generalized_dihedral_name(aut: AutGroup, orders) -> str | None:
+    """Certify G = Dih(H) with H = Z2 x Z_{2^m}, |G| >= 8 a power of 2: an
+    abelian index-2 subgroup of that shape, inverted elementwise by an
+    involution outside it."""
+    n = aut.order
     half = n // 2
-    exponent = max(census)
-    if exponent * 2 != half and exponent != half and exponent * 4 != n:
+    if max(orders.values()) not in (n // 4, half):
         return None
     for a in aut.elements:
-        if _element_order(aut, a, n) != n // 4:
+        if orders[a] != n // 4:
             continue
         cyc = _subgroup_generated(aut, [a])
         for z in aut.elements:
-            if _element_order(aut, z, n) != 2 or z in cyc:
+            if orders[z] != 2 or z in cyc:
                 continue
             if aut.compose(a, z) != aut.compose(z, a):
                 continue
             h = _subgroup_generated(aut, [a, z])
             if len(h) != half:
                 continue
-            h_census: dict[int, int] = {}
-            for x in h:
-                o = _element_order(aut, x, n)
-                h_census[o] = h_census.get(o, 0) + 1
-            if _abelian_invariants_small(h_census, half) != (2, n // 4):
+            # h = <a, z> is abelian of order n/2; it is Z2 x Z_{n/4} iff its
+            # exponent is n/4 and it has exactly three involutions.
+            h_census = Counter(orders[x] for x in h)
+            if max(h_census) != n // 4 or h_census[2] != 3:
                 continue
             for t in aut.elements:
-                if t in h or _element_order(aut, t, n) != 2:
+                if t in h or orders[t] != 2:
                     continue
                 if all(aut.compose(aut.compose(t, x), t) == _inverse(aut, x) for x in h):
                     return f"(Z2xZ{n // 4}):Z2"
-    return None
-
-
-def _certify_d6_extension(aut: AutGroup) -> str | None:
-    """Order 24: normal D6 subgroup plus an outside involution splits G."""
-    n = aut.order
-    for a in aut.elements:
-        if _element_order(aut, a, n) != 6:
-            continue
-        a_inv = _inverse(aut, a)
-        for t in aut.elements:
-            if _element_order(aut, t, n) != 2:
-                continue
-            if aut.compose(aut.compose(t, a), t) != a_inv:
-                continue
-            d6 = _subgroup_generated(aut, [a, t])
-            if len(d6) != 12:
-                continue
-            for s in aut.elements:
-                if s not in d6 and _element_order(aut, s, n) == 2:
-                    return "D6:Z2"
     return None

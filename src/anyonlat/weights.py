@@ -120,10 +120,15 @@ def coset_minima(gram, budget: int = COSET_BUDGET_DEFAULT):
     d, lower = _factors(gram, "coset_minima")
     m = len(gram)
     if m > RANK_LIMIT:
-        raise BudgetExceededError(f"rank {m} exceeds enumeration limit {RANK_LIMIT}")
+        raise BudgetExceededError(
+            f"coset enumeration (coset_minima): rank {m} exceeds the fixed limit RANK_LIMIT = {RANK_LIMIT}; "
+            "no flag raises it"
+        )
     disc = discriminant_form(gram)
     if disc.order > budget:
-        raise BudgetExceededError(f"{disc.order} cosets exceed budget {budget}")
+        raise BudgetExceededError(
+            f"coset enumeration (coset_minima): {disc.order} cosets exceed budget {budget}; raise it with --budget"
+        )
     zcols = disc.dual_coords
     group = disc.metric_group()
     out = {}

@@ -340,13 +340,45 @@ def test_budget_flag_reaches_the_gauss_sum_of_kmatrix(capsys):
     (["model", "A[3^13]"], "Gauss sum", 3**13, 10**6),
     (["kmatrix", "A[3^13]", "--budget", "5000"], "Gauss sum", 3**13, 10**6),
     (["kmatrix", "E[2^7]"], "isometry search", 4**7, 4096),
+    (["weights", "z23.json", "--budget", "20"], "coset enumeration", 23, 20),
 ])
-def test_budget_errors_name_layer_size_budget_and_flag(capsys, argv, layer, size, budget):
+def test_budget_errors_name_layer_size_budget_and_flag(tmp_path, monkeypatch, capsys, argv, layer, size, budget):
+    # [[2, 1], [1, 12]] has discriminant group Z23: 23 cosets.
+    (tmp_path / "z23.json").write_text(json.dumps({"gram": [[2, 1], [1, 12]]}))
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
     (line,) = captured.err.splitlines()
     assert line.startswith(f"error: {layer} (")
-    assert f"group of order {size} exceeds budget {budget}; raise it with --budget" in line
+    excess = f"{size} cosets exceed" if layer == "coset enumeration" else f"group of order {size} exceeds"
+    assert f"{excess} budget {budget}; raise it with --budget" in line
+
+
+def test_weights_rank_limit_names_its_layer_and_that_no_flag_raises_it(tmp_path, capsys):
+    from anyonlat.weights import RANK_LIMIT
+
+    rank = RANK_LIMIT + 1
+    gram = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"gram": gram}))
+    assert main(["weights", str(path), "--budget", "10000000"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (f"error: coset enumeration (coset_minima): rank {rank} exceeds the fixed limit "
+                    f"RANK_LIMIT = {RANK_LIMIT}; no flag raises it")
+
+
+def test_model_counts_aut_of_toric_code_cubed_without_an_element_table(monkeypatch, capsys):
+    """|Aut| = 40320 comes from the stabilizer chain alone: no rule names that
+    order, so the closure that would build the element table never runs."""
+    import anyonlat.symmetry
+
+    def refuse(*args):
+        raise AssertionError("element table built")
+
+    monkeypatch.setattr(anyonlat.symmetry, "_subgroup_generated", refuse)
+    assert main(["model", "E[2]*E[2]*E[2]"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "|Aut| = 40320  [brute force]"
 
 
 @pytest.mark.parametrize("spec", ["B[5]", "D[2^4]"])

@@ -410,3 +410,89 @@ def test_groups_of_different_levels_are_not_isomorphic():
     assert is_isomorphic(e64, ab64, budget=1) is None
     with pytest.raises(BudgetExceededError, match=r"^isometry search .* 4096 exceeds budget 1; raise it with --budget$"):
         is_isomorphic(e64, e64, budget=1)
+
+
+def _unpruned_isometries(g1, g2):
+    """The isometry search without its pruning: every element with
+    q(x) = q(e_i) and order dividing n_i is tried at level i, and chi is
+    summed from the generator data at every node.  Kept as the reference the
+    pruned `_isometries` must reproduce, sequence and all."""
+    from anyonlat.metric_groups import _bil_sum, _order_index, _q_numerators
+
+    if g1.level != g2.level:
+        return
+    k = len(g1.orders)
+    level, bil2 = g2.level, g2.gen_bil_num
+    buckets = {}
+    for x, v in zip(g2.elements(), _q_numerators(g2)):
+        buckets.setdefault(v, []).append(x)
+    images = []
+
+    def extend(i):
+        if i == k:
+            if _order_index(images, g1.orders) == 1:
+                yield tuple(images)
+            return
+        n_i = g1.orders[i]
+        want = g1.gen_bil_num[i]
+        for x in buckets.get(g1.gen_q_num[i], ()):
+            if n_i % g2.order_of(x):
+                continue
+            if any(_bil_sum(x, images[j], bil2, level) != want[j] for j in range(i)):
+                continue
+            images.append(x)
+            yield from extend(i + 1)
+            images.pop()
+
+    yield from extend(0)
+
+
+def _swapped(g):
+    """g with its first two generators exchanged (same invariant factors)."""
+    perm = [1, 0] + list(range(2, len(g.orders)))
+    return MetricGroup(g.orders, [g.gen_q[i] for i in perm],
+                       [[g.gen_bil[i][j] for j in perm] for i in perm])
+
+
+def _pairs_for_the_pruning_check():
+    from anyonlat.cli import parse_spec
+
+    pairs = []
+    # Isometric pairs: a group with itself, relabeled, and factors reordered.
+    for text in ("E[2]*E[2]", "E[2]*F[2]", "A[2]*A[2]*A[2]", "B[2^2]*B[2^2]",
+                 "A[2]*A[2^2]*B[3]", "E[2^2]*A[2]", "F[2^2]", "C[2^2]*D[2^2]*A[2]"):
+        g = parse_spec(text)
+        pairs.append((g, g))
+        if g.orders[0] == g.orders[1]:
+            pairs.append((g, _swapped(g)))
+    pairs.append((parse_spec("A[2]*B[2]*A[2^2]"), parse_spec("B[2]*A[2^2]*A[2]")))
+    # E against F (E[2]^2 and F[2]^2 are isometric, the others are not), and
+    # conjugates that are not isometric: same invariant factors and level.
+    for a, b in (("E[2]", "F[2]"), ("E[2^2]", "F[2^2]"), ("E[2]*A[2]", "F[2]*A[2]"),
+                 ("E[2]*E[2]", "F[2]*F[2]")):
+        pairs.append((parse_spec(a), parse_spec(b)))
+    for text in ("A[2]*A[2]", "A[2]*A[2]*A[2^2]", "C[2^2]*A[2]"):
+        g = parse_spec(text)
+        pairs.append((g, conjugate(g)))
+    # Degenerate forms: q and chi vanish on part of the group, so maps that
+    # preserve them can fail to be injective.
+    zero = Fraction(0)
+    flat = MetricGroup((2, 2), (zero, zero), ((zero, zero), (zero, zero)))
+    odd = MetricGroup((2, 2), (Fraction(1, 2), zero), ((zero, zero), (zero, zero)))
+    half_radical = MetricGroup((2, 4), (zero, Fraction(1, 8)), ((zero, zero), (zero, Fraction(1, 4))))
+    rank3 = MetricGroup((2, 2, 2), (zero, zero, Fraction(1, 2)),
+                        ((zero, Fraction(1, 2), zero), (Fraction(1, 2), zero, zero), (zero, zero, zero)))
+    pairs += [(flat, flat), (odd, odd), (flat, odd), (odd, flat), (half_radical, half_radical),
+              (rank3, rank3), (rank3, _swapped(rank3))]
+    return pairs
+
+
+def test_pruned_isometry_search_matches_the_unpruned_sequence():
+    from anyonlat.metric_groups import _isometries
+
+    hits = 0
+    for g1, g2 in _pairs_for_the_pruning_check():
+        want = list(_unpruned_isometries(g1, g2))
+        assert list(_isometries(g1, g2)) == want, (g1, g2)
+        hits += bool(want)
+    assert hits >= 12  # the isometric pairs and the degenerate ones with a self-map
