@@ -12,8 +12,9 @@ use fractions.Fraction.  Nothing here touches floating point:
 * `congruence`, the one symmetric elimination: diagonal pivots, and
   hyperbolic 2x2 pivots when the remaining diagonal vanishes (Sylvester's
   law without any epsilon perturbation).  One pass yields the exact inertia,
-  the determinant and, for positive-definite input, the factors of
-  m = L D L^T.
+  the determinant and, for positive-definite input, the leading principal
+  minors and bordered minors that split y^T m y into integer squares (the
+  factors of m = L D L^T, undivided).
 
 The two Bareiss-style eliminations (`determinant`, `congruence`) work in
 int throughout.  Once the pivots S are eliminated, with prev = det m[S, S],
@@ -377,7 +378,13 @@ class Congruence:
     the last prev, or 0 once only a zero block is left.  `rows` is the
     working matrix of bordered minors b (see the module docstring); the row
     of each eliminated pivot is frozen as it stood when eliminated, with
-    `stamps` holding the prev it was frozen at, which `ldl` decodes.
+    `stamps` holding the prev it was frozen at.
+
+    For positive-definite m the pivots are taken in order, so frozen row i
+    holds b_ij = det m[0..i-1 + i, 0..i-1 + j], its diagonal b_ii = D_i is
+    the i-th leading principal minor, and its stamp is D_{i-1} (D_{-1} = 1).
+    Then y^T m y = sum_i M_i^2 / (D_i D_{i-1}) with M_i = sum_{j>=i} b_ij y_j:
+    `minors` hands out this integer view, and `ldl` is its Fraction decoding.
     """
 
     inertia: tuple[int, int, int]
@@ -385,14 +392,20 @@ class Congruence:
     rows: list[list[int]]
     stamps: list[int]
 
+    def minors(self) -> list[tuple[int, int, list[tuple[int, int]]]]:
+        """Per frozen row i of a positive-definite m: (D_i, D_{i-1}, the
+        nonzero bordered minors (j, b_ij) with j > i), all ints."""
+        return [(row[i], stamp, [(j, x) for j, x in enumerate(row[i + 1:], i + 1) if x])
+                for i, (row, stamp) in enumerate(zip(self.rows, self.stamps))]
+
     def ldl(self):
-        """m = L D L^T for positive-definite m, whose pivots are taken in
-        order, so d_i = b_ii / prev_i and L[j][i] = b_ij / b_ii: the pivots
-        d and, for each column i of the unit lower-triangular L, its nonzero
-        entries below the diagonal as pairs (j, L[j][i])."""
-        rows = self.rows
-        d = [Fraction(row[i], stamp) for i, (row, stamp) in enumerate(zip(rows, self.stamps))]
-        lower = [[(j, Fraction(x, row[i])) for j, x in enumerate(row[i + 1:], i + 1) if x] for i, row in enumerate(rows)]
+        """m = L D L^T for positive-definite m: d_i = D_i / D_{i-1} and
+        L[j][i] = b_ij / D_i, so the pivots d and, for each column i of the
+        unit lower-triangular L, its nonzero entries below the diagonal as
+        pairs (j, L[j][i])."""
+        view = self.minors()
+        d = [Fraction(minor, stamp) for minor, stamp, _ in view]
+        lower = [[(j, Fraction(x, minor)) for j, x in tail] for minor, _, tail in view]
         return d, lower
 
 

@@ -151,9 +151,10 @@ class MetricGroup:
 
     The constructor takes q(e_i) and chi(e_i, e_j) as rationals; `gen_q`,
     `gen_bil`, `q`, `bilinear` and `q_values` hand values back as Fractions.
+    `is_nondegenerate` memoizes its answer on the group, outside its identity.
     """
 
-    __slots__ = ("orders", "level", "gen_q_num", "gen_bil_num")
+    __slots__ = ("orders", "level", "gen_q_num", "gen_bil_num", "_nondegenerate")
 
     def __init__(self, orders, gen_q, gen_bil):
         orders = tuple(int(n) for n in orders)
@@ -183,6 +184,7 @@ class MetricGroup:
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "gen_q_num", q_num)
         object.__setattr__(self, "gen_bil_num", bil_num)
+        object.__setattr__(self, "_nondegenerate", None if k else True)
 
     def __setattr__(self, name, value):
         raise AttributeError("MetricGroup is immutable")
@@ -382,7 +384,11 @@ def direct_sum(g1: MetricGroup, g2: MetricGroup) -> MetricGroup:
     q_num = [v * s1 for v in g1.gen_q_num] + [v * s2 for v in g2.gen_q_num]
     bil = [[v * s1 for v in row] + [0] * k2 for row in g1.gen_bil_num]
     bil += [[0] * k1 + [v * s2 for v in row] for row in g2.gen_bil_num]
-    return _canonicalize(g1.orders + g2.orders, level, q_num, bil)
+    out = _canonicalize(g1.orders + g2.orders, level, q_num, bil)
+    if g1._nondegenerate and g2._nondegenerate:
+        # An orthogonal sum of nondegenerate forms is nondegenerate.
+        object.__setattr__(out, "_nondegenerate", True)
+    return out
 
 
 def conjugate(g: MetricGroup) -> MetricGroup:
@@ -401,7 +407,14 @@ def is_nondegenerate(g: MetricGroup) -> bool:
     The radical is computed structurally: with N the level and
     C[i][j] = N chi(e_i, e_j), the radical is S / diag(orders) Z^k where
     S = {x : x C = 0 mod N}, so it is trivial exactly when [Z^k : S] = |A|.
+    The answer is kept on g, so a group is checked once.
     """
+    if g._nondegenerate is None:
+        object.__setattr__(g, "_nondegenerate", _radical_is_trivial(g))
+    return g._nondegenerate
+
+
+def _radical_is_trivial(g: MetricGroup) -> bool:
     k = len(g.orders)
     if k == 0:
         return True
@@ -560,14 +573,18 @@ def _isometries(g1: MetricGroup, g2: MetricGroup, prefix=(), pools=None):
     a prefix image is held to the same q and order test.  Once an image y is
     fixed, its column C y mod N (C the Gram numerators of g2, N the level) is
     kept, so chi(x, y) against a deeper candidate x is one dot product.  The
-    generation check `_order_index` runs on every complete map: for a
-    degenerate form, a map preserving q and chi need not be injective.
+    generation check `_order_index` runs on every complete map unless g1 is
+    known to be nondegenerate (`is_nondegenerate` has answered for it): a map
+    preserving chi on a nondegenerate form has a trivial kernel, since a
+    kernel element pairs to 0 with everything, so it is a bijection; on a
+    degenerate form it need not be.
     """
     if g1.orders != g2.orders or g1.level != g2.level:
         return iter(())
     if pools is None:
         pools = _candidates(g1, g2)
     orders, k, level, bil2 = g1.orders, len(g1.orders), g2.level, g2.gen_bil_num
+    injective = g1._nondegenerate is True
     levels = list(pools)
     for i, y in enumerate(prefix):
         fits = g2.q_num(y) == g1.gen_q_num[i] and g2.order_of(y) == orders[i]
@@ -578,7 +595,7 @@ def _isometries(g1: MetricGroup, g2: MetricGroup, prefix=(), pools=None):
 
     def extend(i: int):
         if i == k:
-            if _order_index(images, orders) == 1:
+            if injective or _order_index(images, orders) == 1:
                 yield tuple(images)
             return
         want = g1.gen_bil_num[i]

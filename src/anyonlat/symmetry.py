@@ -32,6 +32,7 @@ from .metric_groups import (
     PrimeFamilySpec,
     _candidates,
     _isometries,
+    is_nondegenerate,
 )
 
 __all__ = ["AutGroup", "aut_bruteforce", "aut_order_closed"]
@@ -117,6 +118,7 @@ def _stabilizer_chain(g: MetricGroup) -> tuple[int, tuple[Morphism, ...]]:
     """
     basis = _basis(len(g.orders))
     pools = _candidates(g, g)
+    is_nondegenerate(g)  # once per group; a nondegenerate g spares every query the generation check
     order = 1
     witnesses: list[Morphism] = []
     level, bil = g.level, g.gen_bil_num

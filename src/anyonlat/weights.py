@@ -1,12 +1,23 @@
 """Conformal weights of dual cosets and the extremality score.
 
 For an even positive-definite Gram matrix K, the weight of a dual coset a is
-h_a = min { x.x / 2 : x in the coset a of L*/L }, found by exact branch and
-bound: with K = L D L^T (unit lower-triangular L, positive rational pivots
-D, from `linalg.congruence`), the norm splits as
-sum_i d_i (x_i + c_i)^2 where c_i depends only on later coordinates, so
-coordinates are enumerated last-to-first inside an exact shrinking bound.
-Always h_a = q2(a)/2 mod 1.
+h_a = min { y.y / 2 : y in the coset a of L*/L }, found by an all-integer
+Fincke-Pohst search (Fincke-Pohst 1985; Cohen, A Course in Computational
+Algebraic Number Theory, 2.7) over the elimination `linalg.congruence`
+already runs.  Its frozen rows hold the bordered minors b_ij, with
+b_ii = D_i the i-th leading principal minor, so
+
+    y^T K y = sum_i M_i^2 / (D_i D_{i-1}),   M_i = sum_{j>=i} b_ij y_j.
+
+A coset center is y0 = Z / den with Z an int vector and den the lcm of its
+denominators; with y = (Z + den x) / den for integer x, level i contributes
+den M_i = (D_i den) x_i + R_i, where the int R_i is fixed by the deeper
+coordinates.  Weighting each square by w_i = W / (D_i D_{i-1}), with W the
+lcm of the D_i D_{i-1}, makes the norm (sum_i (den M_i)^2 w_i) / (den^2 W):
+the nearest x_i is a floor division, every bound test compares ints, and a
+Fraction appears only in the returned norm.  Coordinates run last to first,
+each level from its nearest value outwards, inside the shrinking bound.
+Always h_a = q2(a)/2 mod 1, and every value is rechecked against it.
 
 The extremality score of a realization with N anyon types and rank c is
 N c / 4 + N (N - 1) / 2 - 6 sum_a h_a; an extremal chiral algebra in its
@@ -17,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 from .lattices import discriminant_form
 from .linalg import congruence, is_symmetric
@@ -33,112 +45,104 @@ COSET_BUDGET_DEFAULT = 4096
 RANK_LIMIT = 20  # largest rank whose coset minima are enumerated
 
 
-def _factors(gram, caller):
-    """gram = L D L^T as `Congruence.ldl` lists it.  The elimination's inertia
-    is also `caller`'s positive-definiteness check."""
+def _elimination(gram, caller, rank_limit=None):
+    """`congruence(gram)` after the symmetry check and, when given, the rank
+    limit; its inertia is also `caller`'s positive-definiteness check."""
     if not is_symmetric(gram):
         raise ValueError(f"{caller} requires a symmetric Gram matrix")
+    if rank_limit is not None and len(gram) > rank_limit:
+        raise BudgetExceededError(
+            f"coset enumeration ({caller}): rank {len(gram)} exceeds the fixed limit RANK_LIMIT = {rank_limit}; "
+            "no flag raises it"
+        )
     elim = congruence(gram)
     if elim.inertia[0] != len(gram):
         raise ValueError(f"{caller} requires a positive-definite Gram matrix")
-    return elim.ldl()
+    return elim
 
 
-def _branch_and_bound(d, lower, z0, exclude_zero_at=None):
-    """Minimize (z0 + x)^T K (z0 + x) over integer x for K = L D L^T, with L
-    given by the nonzero entries of its columns as `Congruence.ldl` lists them.
+class _Search:
+    """Integer Fincke-Pohst over the minors of one positive-definite
+    elimination: `minimum(z, den)` is min over integer x of
+    (z + den x)^T K (z + den x) / den^2."""
 
-    The norm separates as sum_i d_i (x_i + c_i)^2 with c_i = (L^T z0)_i plus
-    the L^T-contributions of the already-fixed later coordinates, so the
-    enumeration runs last coordinate first inside an exact shrinking bound.
-    `exclude_zero_at` excludes one specific point (used for the shortest
-    nonzero vector and nothing else).
-    """
-    n = len(d)
-    center = [z0[i] + sum(f * z0[j] for j, f in lower[i]) for i in range(n)]
+    def __init__(self, elim):
+        minors = elim.minors()
+        self.tails = [tail for _, _, tail in minors]
+        self.diag = [minor for minor, _, _ in minors]
+        self.scale = lcm(*(minor * stamp for minor, stamp, _ in minors))
+        self.weight = [self.scale // (minor * stamp) for minor, stamp, _ in minors]
 
-    def initial_guess():
-        x = [0] * n
-        for i in range(n - 1, -1, -1):
-            c = center[i] + sum(f * x[j] for j, f in lower[i])
-            x[i] = -round(c)
-        return x
-
-    def value_of(x):
-        total = Fraction(0)
-        for i in range(n):
-            c = center[i] + sum(f * x[j] for j, f in lower[i])
-            total += d[i] * (x[i] + c) ** 2
-        return total
-
-    guess = initial_guess()
-    best = value_of(guess)
-    best_x = list(guess)
-    if exclude_zero_at is not None and guess == exclude_zero_at:
+    def minimum(self, z, den, exclude_zero=False) -> Fraction | None:
+        """The norm; with `exclude_zero` (z = 0 only), over x != 0, which
+        is None for rank 0."""
+        diag, tails, weight = self.diag, self.tails, self.weight
+        t = list(z)  # t_j = z_j + den x_j on the levels fixed so far
         best = None
-        best_x = None
 
-    x = [0] * n
-
-    def descend(i, partial):
-        nonlocal best, best_x
-        if i < 0:
-            if exclude_zero_at is not None and x == exclude_zero_at:
+        def descend(i, partial, on_zero):
+            nonlocal best
+            d = diag[i]
+            a, w = d * den, weight[i]
+            r = d * z[i] + sum(b * t[j] for j, b in tails[i])
+            base = -((2 * r + a) // (2 * a))  # |a base + r| <= a / 2
+            if i == 0:
+                # The squares grow away from base, so one value settles the leaf.
+                if exclude_zero and on_zero and base == 0:
+                    term = min((r + a) ** 2, (r - a) ** 2) * w
+                else:
+                    term = (a * base + r) ** 2 * w
+                if best is None or partial + term < best:
+                    best = partial + term
                 return
-            if best is None or partial < best:
-                best = partial
-                best_x = list(x)
-            return
-        c = center[i] + sum(f * x[j] for j, f in lower[i])
-        base = -round(c)  # |base + c| <= 1/2 is the per-level minimum
-        k = 0
-        while True:
-            hit = False
-            for xi in (base,) if k == 0 else (base + k, base - k):
-                term = d[i] * (xi + c) ** 2
-                if best is None or partial + term <= best:
-                    hit = True
-                    x[i] = xi
-                    descend(i - 1, partial + term)
-            # |xi + c| grows monotonically with k on both sides, so once a
-            # ring misses entirely nothing farther out can fit.
-            if k > 0 and not hit:
-                break
-            k += 1
-        x[i] = 0
+            k = 0
+            while True:
+                hit = False
+                for xi in (base,) if k == 0 else (base + k, base - k):
+                    term = (a * xi + r) ** 2 * w
+                    if best is None or partial + term < best:
+                        hit = True
+                        t[i] = z[i] + den * xi
+                        descend(i - 1, partial + term, on_zero and xi == 0)
+                # |a xi + r| grows with k on both sides, so once a ring misses
+                # entirely nothing farther out can fit.
+                if k > 0 and not hit:
+                    break
+                k += 1
 
-    try:
-        descend(n - 1, Fraction(0))
-    finally:
-        del descend  # break the self-reference through the closure cell
-    return best, best_x
+        try:
+            if diag:
+                descend(len(diag) - 1, 0, True)
+        finally:
+            del descend  # break the self-reference through the closure cell
+        return None if best is None else Fraction(best, den * den * self.scale)
 
 
 def coset_minima(gram, budget: int = COSET_BUDGET_DEFAULT):
     """h_a for every dual coset a, keyed by coordinates in the discriminant
-    generators; exact, with the q2 congruence rechecked on every value."""
-    d, lower = _factors(gram, "coset_minima")
-    m = len(gram)
-    if m > RANK_LIMIT:
+    generators; exact, with the q2 congruence rechecked on every value.  The
+    rank limit is checked before the elimination, and the coset budget
+    against |det K| from it, before the discriminant form is built."""
+    elim = _elimination(gram, "coset_minima", RANK_LIMIT)
+    if elim.det > budget:
         raise BudgetExceededError(
-            f"coset enumeration (coset_minima): rank {m} exceeds the fixed limit RANK_LIMIT = {RANK_LIMIT}; "
-            "no flag raises it"
+            f"coset enumeration (coset_minima): {elim.det} cosets exceed budget {budget}; raise it with --budget"
         )
     disc = discriminant_form(gram)
-    if disc.order > budget:
-        raise BudgetExceededError(
-            f"coset enumeration (coset_minima): {disc.order} cosets exceed budget {budget}; raise it with --budget"
-        )
-    zcols = disc.dual_coords
+    search = _Search(elim)
+    # s_j K^-1 w_j = V e_j is an int column and s_j divides the exponent e,
+    # so every coset center is an int vector over e.
+    e = disc.invariant_factors[-1] if disc.invariant_factors else 1
+    zcols = [[v.numerator * (e // v.denominator) for v in col] for col in disc.dual_coords]
     group = disc.metric_group()
     out = {}
     for coeffs in itertools.product(*(range(k) for k in disc.invariant_factors)):
         if not any(coeffs):
             out[coeffs] = Fraction(0)
             continue
-        center = [sum(c * zcols[j][i] for j, c in enumerate(coeffs)) for i in range(m)]
-        norm, _ = _branch_and_bound(d, lower, center)
-        h = norm / 2
+        z = [sum(c * col[i] for c, col in zip(coeffs, zcols) if c) for i in range(len(gram))]
+        g = gcd(e, *z)
+        h = search.minimum([v // g for v in z], e // g) / 2
         q = group.q(coeffs)
         if (h - q) % 1 != 0:
             raise InternalError(f"h = {h} incompatible with q2/2 = {q} at {coeffs}")
@@ -148,10 +152,8 @@ def coset_minima(gram, budget: int = COSET_BUDGET_DEFAULT):
 
 def minimum_nonzero_norm(gram) -> Fraction:
     """Norm of a shortest nonzero lattice vector (exact enumeration)."""
-    d, lower = _factors(gram, "minimum_nonzero_norm")
-    m = len(gram)
-    norm, _ = _branch_and_bound(d, lower, [Fraction(0)] * m, exclude_zero_at=[0] * m)
-    return norm
+    elim = _elimination(gram, "minimum_nonzero_norm")
+    return _Search(elim).minimum([0] * len(gram), 1, exclude_zero=True)
 
 
 def extremality_score(gram, budget: int = COSET_BUDGET_DEFAULT) -> Fraction:

@@ -302,6 +302,25 @@ def test_congruence_ldl_rebuilds_positive_definite_matrices():
         assert ldl_product(elim, n) == m
 
 
+def test_congruence_minors_split_the_norm_into_integer_squares():
+    # D_i is the leading principal minor (gauss_det), stamped at D_{i-1}, and
+    # y^T m y = sum_i M_i^2 / (D_i D_{i-1}) with M_i = sum_{j>=i} b_ij y_j.
+    rng = random.Random(6565)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        m = [[sum(x * y for x, y in zip(r, s)) + (i == j) for j, s in enumerate(b)] for i, r in enumerate(b)]
+        view = congruence(m).minors()
+        leading = [1] + [gauss_det([row[:i + 1] for row in m[:i + 1]]) for i in range(n)]
+        assert [(minor, stamp) for minor, stamp, _ in view] == list(zip(leading[1:], leading[:-1]))
+        assert all(isinstance(x, int) and x and j > i for i, (_, _, tail) in enumerate(view) for j, x in tail)
+        y = [rng.randint(-5, 5) for _ in range(n)]
+        norm = sum(y[i] * m[i][j] * y[j] for i in range(n) for j in range(n))
+        squares = sum(Fraction((minor * y[i] + sum(x * y[j] for j, x in tail)) ** 2, minor * stamp)
+                      for i, (minor, stamp, tail) in enumerate(view))
+        assert squares == norm
+
+
 def test_congruence_on_a_rank_300_cartan():
     # A_300: det 301, pivots d_i = (i + 2) / (i + 1), L[i+1][i] = -(i + 1) / (i + 2).
     n = 300

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,11 +8,13 @@ from anyonlat.cli import parse_spec
 from anyonlat.metric_groups import (
     BudgetExceededError,
     InternalError,
+    MetricGroup,
     PrimeFamilySpec,
     _isometries,
     build_prime,
     direct_sum,
     is_isomorphic,
+    is_nondegenerate,
 )
 from anyonlat.symmetry import AutGroup, aut_bruteforce, aut_order_closed
 
@@ -198,3 +201,31 @@ def test_closure_must_reach_the_chain_order():
     assert len(aut.elements) == 120
     with pytest.raises(InternalError, match="witnesses generate 120 automorphisms, the stabilizer chain counts 60"):
         AutGroup(g, 60, aut.witnesses).elements
+
+
+def test_nondegenerate_groups_skip_the_generation_check(monkeypatch):
+    """A map preserving chi on a nondegenerate form is injective, so once
+    `is_nondegenerate` has answered, no complete map runs `_order_index`, and
+    the listing is the one the check would let through."""
+    import anyonlat.metric_groups
+
+    for text in ("E[2]*F[2]", "A[2]*A[2^2]*A[2^2]", "A[2]*B[2]*C[2^2]*D[2^2]"):
+        g = parse_spec(text)
+        checked = MetricGroup(g.orders, g.gen_q, g.gen_bil)  # nondegeneracy not yet known
+        assert list(_isometries(g, g)) == list(_isometries(checked, checked))
+
+    def refuse(*args):
+        raise AssertionError("generation check on a nondegenerate group")
+
+    monkeypatch.setattr(anyonlat.metric_groups, "_order_index", refuse)
+    assert aut_bruteforce(parse_spec("F[2^2]*E[2^2]")).order == 7680
+    checked = MetricGroup((2, 2), (0, 0), ((0, Fraction(1, 2)), (Fraction(1, 2), 0)))
+    assert aut_bruteforce(checked).order == 2  # is_nondegenerate settles E[2] once
+
+
+def test_degenerate_groups_keep_the_generation_check():
+    # chi vanishes on Z2 x Z2, so e_1, e_2 -> x, x preserves q and chi but is
+    # not a bijection; only the 6 elements of GL(2, 2) are isometries.
+    g = MetricGroup((2, 2), (0, 0), ((0, 0), (0, 0)))
+    assert not is_nondegenerate(g)
+    assert len(list(_isometries(g, g))) == 6

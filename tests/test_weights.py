@@ -59,3 +59,27 @@ def test_budget_and_definiteness_errors():
         coset_minima([[0, 2], [2, 0]])
     with pytest.raises(BudgetExceededError):
         coset_minima([[2, 1], [1, 12]], budget=5)
+
+
+def test_rank_limit_comes_before_the_elimination():
+    # -A_21 is not positive-definite, but the rank limit is checked first.
+    from anyonlat.weights import RANK_LIMIT
+
+    rank = RANK_LIMIT + 1
+    gram = [[-x for x in row] for row in cartan_a(rank).gram]
+    with pytest.raises(BudgetExceededError) as err:
+        coset_minima(gram)
+    assert str(err.value) == (f"coset enumeration (coset_minima): rank {rank} exceeds the fixed limit "
+                              f"RANK_LIMIT = {RANK_LIMIT}; no flag raises it")
+
+
+def test_coset_budget_comes_before_the_discriminant_form(monkeypatch):
+    import anyonlat.weights
+
+    def refuse(gram):
+        raise AssertionError("discriminant_form ran past an exceeded coset budget")
+
+    monkeypatch.setattr(anyonlat.weights, "discriminant_form", refuse)
+    with pytest.raises(BudgetExceededError) as err:
+        coset_minima([[2, 1], [1, 12]], budget=5)
+    assert str(err.value) == "coset enumeration (coset_minima): 23 cosets exceed budget 5; raise it with --budget"
