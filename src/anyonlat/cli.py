@@ -19,6 +19,7 @@ failed internal consistency check, reported on one `internal error:` line).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -36,6 +37,7 @@ from .metric_groups import (
     build_prime,
     central_charge_closed,
     central_charge_gauss,
+    check_gauss_budget,
     conjugate,
     direct_sum,
     trivial_group,
@@ -202,8 +204,8 @@ def _cmd_model(args) -> int:
         return 1
     if group.size <= 64:
         print("q values:")
-        for x in sorted(group.q_values()):
-            print(f"  {x} -> {_frac(group.q(x))}")
+        for x, q in sorted(group.q_values().items()):
+            print(f"  {x} -> {_frac(q)}")
     for f in factors:
         order, name = aut_order_closed(f)
         label = f" ({name})" if name else ""
@@ -219,6 +221,9 @@ def _cmd_model(args) -> int:
 def _cmd_kmatrix(args) -> int:
     started = time.perf_counter()
     factors = parse_spec_factors(args.spec)
+    target = parse_spec(args.spec)
+    # The oracle's Gauss sum refusal, before any block (they grow with |A|).
+    check_gauss_budget(target.size, max(args.budget, GAUSS_BUDGET_DEFAULT))
     blocks = []
     routes = []
     for f in factors:
@@ -233,7 +238,6 @@ def _cmd_kmatrix(args) -> int:
             for j, x in enumerate(row):
                 gram[offset + i][offset + j] = x
         offset += len(b)
-    target = parse_spec(args.spec)
     report = verify_realization(gram, target, iso_budget=args.budget)
     for line in report.lines():
         print(line)
@@ -272,7 +276,7 @@ def _cmd_complement(args) -> int:
     comp = orthogonal_complement(glued, glued.first_copy_ambient)
     disc_in = glued.base_disc
     if disc_in.order <= args.budget:
-        target = conjugate(disc_in.metric_group())
+        target = conjugate(disc_in.group)
         report = verify_realization(comp.gram, target, iso_budget=args.budget)
         print(f"complement rank {comp.rank}, |det| {abs(report.det)}")
         for line in report.lines():
@@ -336,6 +340,7 @@ def _cmd_weights(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anyonlat",

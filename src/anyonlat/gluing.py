@@ -16,14 +16,15 @@ rotation blocks built from a^2 + b^2 = -1 supply it for odd n, a quaternion
 multiplication matrix with a^2 + b^2 + c^2 + d^2 = -1 mod 2^{r+1} for n = 2^r,
 and CRT welds the prime parts for mixed n.  Non-cyclic discriminant groups
 fall back to a backtracking search over D^8 in lexicographic order, which
-tests isotropy with the q and chi of `DiscriminantData.metric_group()` and
+tests isotropy with the q and chi of the base's `DiscriminantData.group` and
 refuses up front, with BudgetExceededError, when |D|^8 exceeds its budget.
 Each span H + <v> of the search is built as the union of the cosets H + k v,
 k = 0, 1, ... until k v lies in H, so no element is added twice.
 
-The `GluedLattice` carries Lambda's basis in M and the base's discriminant
-form, which callers read instead of computing again; the orthogonal
-complement is taken from that basis and returned as a bare Gram matrix.
+The `GluedLattice` carries Lambda's basis in M over the exponent e of D,
+built from the int columns e K^{-1} w_j, and the base's discriminant form,
+which callers read instead of computing again; the orthogonal complement is
+taken from that basis and returned as a bare Gram matrix.
 The basis, Gram and kernel matrices are about 1-2% nonzero on Cartan bases,
 and every product of them goes through the row-sparse `linalg.mat_mul`.
 
@@ -40,7 +41,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .lattices import (
     DiscriminantData,
@@ -214,7 +214,7 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
             f"glue search over D^8 with |D| = {disc.order}: {size} elements exceed node budget {budget}"
         )
     all_orders = orders * 8
-    group = disc.metric_group()
+    group = disc.group
     # Numerators of q and chi over the level, tabulated on D (|D| <= budget^(1/8)).
     level = group.level
     points = list(group.elements())
@@ -278,15 +278,14 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
 @dataclass(frozen=True)
 class GluedLattice:
     """An even unimodular overlattice of base^{+8}, with the base embedded
-    primitively as the first summand; its basis is `basis_rows / denominator`
-    in the coordinates of base^{+8}, whose Gram matrix is `ambient_gram`."""
+    primitively as the first summand; its basis is `basis_rows / e` (e =
+    `base_disc.exponent`) in the coordinates of base^{+8}, with Gram matrix
+    `ambient_gram` there."""
 
     lattice: Lattice
-    base: Lattice
     base_disc: DiscriminantData
     glue_generators: tuple[tuple[int, ...], ...]
     basis_rows: list[list[int]]
-    denominator: int
     ambient_gram: list[list[int]]
     first_copy_ambient: list[list[int]]
     first_copy_in_lattice: list[list[int]]
@@ -309,7 +308,6 @@ def _int_sandwich(left_int, middle_int, right_int, divide_by: int):
 def glue_selfdual_8(base: Lattice | list[list[int]], budget: int = GLUE_SEARCH_NODE_BUDGET) -> GluedLattice:
     """Glue base^{+8} into an even unimodular lattice, first copy primitive."""
     gram = base.gram if isinstance(base, Lattice) else base
-    base_lat = base if isinstance(base, Lattice) else Lattice(gram)
     if not has_even_diagonal(gram):
         raise ValueError("glue_selfdual_8 requires an even base")
     n_plus, n_minus, n_zero = inertia(gram)
@@ -326,8 +324,8 @@ def glue_selfdual_8(base: Lattice | list[list[int]], budget: int = GLUE_SEARCH_N
     else:
         glue_gens = _glue_generators_search(disc, budget)
 
-    zcols = disc.dual_coords
-    den = lcm(1, *(z.denominator for col in zcols for z in col))
+    zcols = disc.dual_num
+    den = disc.exponent
 
     big = 8 * m
     rows = [[den if i == j else 0 for j in range(big)] for i in range(big)]
@@ -338,8 +336,7 @@ def glue_selfdual_8(base: Lattice | list[list[int]], budget: int = GLUE_SEARCH_N
             for j, cj in enumerate(coeffs):
                 if cj:
                     for i in range(m):
-                        value = cj * zcols[j][i] * den
-                        row[copy * m + i] += int(value)
+                        row[copy * m + i] += cj * zcols[j][i]
         rows.append(row)
     h, _ = hermite_normal_form(rows)
     h = h[:big]
@@ -366,11 +363,9 @@ def glue_selfdual_8(base: Lattice | list[list[int]], budget: int = GLUE_SEARCH_N
 
     return GluedLattice(
         lattice=Lattice(lam_gram),
-        base=base_lat,
         base_disc=disc,
         glue_generators=tuple(tuple(gen) for gen in glue_gens),
         basis_rows=h,
-        denominator=den,
         ambient_gram=k8,
         first_copy_ambient=first_ambient,
         first_copy_in_lattice=first_in_lattice,
@@ -405,7 +400,7 @@ def orthogonal_complement(glued: GluedLattice, sub_ambient_rows: list[list[int]]
     `sub_ambient_rows` are rows in the ambient coordinates of base^{+8}
     that lie inside the glued lattice.
     """
-    den = glued.denominator
+    den = glued.base_disc.exponent
     pairing = mat_mul(mat_mul(glued.basis_rows, glued.ambient_gram), transpose(sub_ambient_rows))
     if any(x % den for row in pairing for x in row):
         raise ValueError("sublattice pairing is not integral; rows not in the lattice?")
@@ -440,7 +435,7 @@ def _dual_generator_with_norm(disc: DiscriminantData, gram, target_num: int, r: 
     for u in range(1, 2 * n + 1, 2):
         if (u * u * base_norm - target) % 2 == 0:
             w = [u * x for x in disc.generator_reps[0]]
-            z = [u * c for c in disc.dual_coords[0]]
+            z = [Fraction(u * x, n) for x in disc.dual_num[0]]  # n is the exponent
             for j, zj in enumerate(z):
                 s = -round(zj)  # exact: round() on Fraction
                 if s:

@@ -4,7 +4,8 @@ A Gram matrix K of an even lattice L determines the discriminant group
 A_L = Z^m / K Z^m of order |det K| together with the quadratic form
 q2(w) = w^T K^{-1} w mod 2 on dual-coset representatives w.  The metric group
 (A_L, q2/2 mod 1) is the abelian anyon model the lattice realizes, with twists
-theta = e^{pi i q2} and central charge = signature(K) mod 8.
+theta = e^{pi i q2} and central charge = signature(K) mod 8; `discriminant_form`
+holds it once, as a `MetricGroup`, with the int columns e K^{-1} w_j.
 
 `verify_realization` is the oracle used throughout: it re-derives evenness,
 determinant, exact inertia, and the discriminant form of a candidate Gram
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .linalg import (
     congruence,
@@ -39,7 +41,6 @@ from .linalg import (
 from .metric_groups import (
     GAUSS_BUDGET_DEFAULT,
     MetricGroup,
-    _mod1,
     central_charge_gauss,
     is_isomorphic,
 )
@@ -49,7 +50,6 @@ __all__ = [
     "Lattice",
     "DiscriminantData",
     "discriminant_form",
-    "lattice_metric_group",
     "CheckResult",
     "RealizationReport",
     "verify_realization",
@@ -88,71 +88,60 @@ class Lattice:
 
 @dataclass(frozen=True)
 class DiscriminantData:
-    """Cokernel invariants, dual-coset generator representatives w_j, the
-    values of q2 (mod 2) and the pairing b (mod 1) on those generators, and
-    the dual coordinates K^{-1} w_j, read off V of the Smith normal form,
-    which later layers read instead of solving for them."""
+    """The discriminant form on dual-coset generators w_j: `group` is
+    (A_L, q2/2 mod 1) with chi(e_i, e_j) = w_i . K^{-1} w_j, and `dual_num`
+    holds the int columns e K^{-1} w_j, e the exponent; column j has exact
+    order s_j mod Z^m, so e is the lcm of the denominators of all K^{-1} w_j."""
 
-    invariant_factors: tuple[int, ...]
+    group: MetricGroup
     generator_reps: tuple[tuple[int, ...], ...]
-    q2_gen: tuple[Fraction, ...]
-    bil_gen: tuple[tuple[Fraction, ...], ...]
-    dual_coords: tuple[tuple[Fraction, ...], ...]
+    dual_num: tuple[tuple[int, ...], ...]
+
+    @property
+    def invariant_factors(self) -> tuple[int, ...]:
+        return self.group.orders
 
     @property
     def order(self) -> int:
-        out = 1
-        for n in self.invariant_factors:
-            out *= n
-        return out
+        return self.group.size
 
-    def metric_group(self) -> MetricGroup:
-        return MetricGroup(
-            self.invariant_factors,
-            tuple(q / 2 for q in self.q2_gen),
-            self.bil_gen,
-        )
+    @property
+    def exponent(self) -> int:
+        return self.group.orders[-1] if self.group.orders else 1
+
+    @property
+    def q2_gen(self) -> tuple[Fraction, ...]:
+        """q2(w_j) = 2 q(e_j) mod 2."""
+        return tuple(Fraction(2 * v, self.group.level) for v in self.group.gen_q_num)
 
 
 def discriminant_form(gram: list[list[int]]) -> DiscriminantData:
-    """Extract A_L = Z^m / K Z^m with q2 on generators, via Smith normal form.
+    """Extract A_L = Z^m / K Z^m with its form on generators, via Smith normal form.
 
     Requires an even symmetric Gram matrix with nonzero determinant; a zero
     on the diagonal of S marks a singular one.  The generator representative
     for the j-th invariant factor s_j is w_j = column j of U^{-1}, where
-    U K V = S, so K^{-1} w_j = V S^{-1} e_j is column j of V over s_j.
+    U K V = S, so e K^{-1} w_j = (e / s_j) V e_j; q(e_j) and chi(e_i, e_j)
+    are its dot products with w_j resp. w_i over 2e resp. e, which the
+    `MetricGroup` constructor reduces to the level.
     """
     if not is_symmetric(gram):
         raise ValueError("Gram matrix must be symmetric")
     if not has_even_diagonal(gram):
         raise ValueError("Gram matrix must be even (all diagonal entries even)")
-    m = len(gram)
     snf = smith_normal_form(gram)
-    if 0 in snf.diagonal():
+    diag = snf.diagonal()
+    if 0 in diag:
         raise ValueError("Gram matrix is singular")
-    gens: list[tuple[int, ...]] = []
-    factors: list[int] = []
-    sols: list[tuple[Fraction, ...]] = []
-    for j in range(m):
-        s = snf.s[j][j]
-        if s > 1:
-            factors.append(s)
-            gens.append(tuple(snf.u_inv_column(j)))
-            sols.append(tuple(Fraction(x, s) for x in snf.v_column(j)))
-    q2 = tuple(
-        sum(wi * zi for wi, zi in zip(w, z)) % 2
-        for w, z in zip(gens, sols)
-    )
-    bil = tuple(
-        tuple(_mod1(sum(wi * zi for wi, zi in zip(w, sols[j]))) for j in range(len(gens)))
-        for w in gens
-    )
-    return DiscriminantData(tuple(factors), tuple(gens), q2, bil, tuple(sols))
-
-
-def lattice_metric_group(gram: list[list[int]]) -> MetricGroup:
-    """The anyon model (A_L, q2/2 mod 1) attached to an even Gram matrix."""
-    return discriminant_form(gram).metric_group()
+    cols = [j for j, s in enumerate(diag) if s > 1]
+    factors = [diag[j] for j in cols]
+    e = factors[-1] if factors else 1
+    gens = tuple(tuple(snf.u_inv_column(j)) for j in cols)
+    dual = tuple(tuple(e // s * x for x in snf.v_column(j)) for j, s in zip(cols, factors))
+    dots = [[sum(map(mul, w, z)) for z in dual] for w in gens]
+    q = [Fraction(row[j], 2 * e) for j, row in enumerate(dots)]
+    group = MetricGroup(factors, q, [[Fraction(x, e) for x in row] for row in dots])
+    return DiscriminantData(group, gens, dual)
 
 
 @dataclass(frozen=True)
@@ -211,7 +200,7 @@ def verify_realization(gram: list[list[int]], target: MetricGroup, iso_budget: i
     if not size_ok:
         return RealizationReport(tuple(checks), det=det, signature=sig)
     disc = discriminant_form(gram)
-    witness = is_isomorphic(disc.metric_group(), target, budget=iso_budget)
+    witness = is_isomorphic(disc.group, target, budget=iso_budget)
     checks.append(
         CheckResult(
             "discriminant_form",

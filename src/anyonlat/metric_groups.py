@@ -61,6 +61,7 @@ __all__ = [
     "is_nondegenerate",
     "central_charge_closed",
     "central_charge_gauss",
+    "check_gauss_budget",
     "is_isomorphic",
     "gauged_center_fpdim",
     "canonical_unit",
@@ -457,6 +458,15 @@ def central_charge_closed(spec: PrimeFamilySpec) -> int:
     return 4 if r % 2 else 0  # F
 
 
+def check_gauss_budget(size: int, budget: int) -> None:
+    """The Gauss sum's refusal of a group of order `size`, also asked early."""
+    if size > budget:
+        raise BudgetExceededError(
+            f"Gauss sum (central_charge_gauss): group of order {size} exceeds budget {budget}; "
+            "raise it with --budget"
+        )
+
+
 def central_charge_gauss(g: MetricGroup, budget: int = GAUSS_BUDGET_DEFAULT) -> int:
     """Central charge mod 8 from the normalized Gauss sum sum_x e^{2 pi i q(x)}.
 
@@ -474,11 +484,7 @@ def central_charge_gauss(g: MetricGroup, budget: int = GAUSS_BUDGET_DEFAULT) -> 
     Raises DegenerateFormError when no phase matches.
     """
     size = g.size
-    if size > budget:
-        raise BudgetExceededError(
-            f"Gauss sum (central_charge_gauss): group of order {size} exceeds budget {budget}; "
-            "raise it with --budget"
-        )
+    check_gauss_budget(size, budget)
     n = g.level
     counts = [0] * n
     for v in _q_numerators(g):

@@ -130,11 +130,8 @@ def coset_minima(gram, budget: int = COSET_BUDGET_DEFAULT):
         )
     disc = discriminant_form(gram)
     search = _Search(elim)
-    # s_j K^-1 w_j = V e_j is an int column and s_j divides the exponent e,
-    # so every coset center is an int vector over e.
-    e = disc.invariant_factors[-1] if disc.invariant_factors else 1
-    zcols = [[v.numerator * (e // v.denominator) for v in col] for col in disc.dual_coords]
-    group = disc.metric_group()
+    # Every coset center is an int vector over the exponent e.
+    e, zcols, group = disc.exponent, disc.dual_num, disc.group
     out = {}
     for coeffs in itertools.product(*(range(k) for k in disc.invariant_factors)):
         if not any(coeffs):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import anyonlat.linalg
+from anyonlat import cli
 from anyonlat.cli import (
     UsageError,
     dump_matrix_file,
@@ -388,3 +389,38 @@ def test_positive_definite_kmatrix_runs_one_smith_normal_form(monkeypatch, capsy
     counts = _count_kernel_calls(monkeypatch, ["smith_normal_form"])
     assert main(["kmatrix", spec, "--positive-definite"]) == 0
     assert counts == {"smith_normal_form": 1}
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["kmatrix", "E[2^30]", "--positive-definite"], 4**30),
+    (["kmatrix", "F[2^21]", "--positive-definite"], 4**21),
+    (["kmatrix", "B[3^30]", "--positive-definite"], 3**30),
+    (["kmatrix", "A[3^13]", "--budget", "5000"], 3**13),
+])
+def test_kmatrix_refuses_an_over_budget_target_before_building_a_block(monkeypatch, capsys, argv, size):
+    """The Gauss-budget refusal comes before any construction: E[2^30] used to
+    scan 2^30 odd multipliers and B[3^30] to list a rank-(3^30 - 1) Cartan
+    matrix, only to end on this same line."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("kmatrix_for called")
+
+    monkeypatch.setattr("anyonlat.cli.kmatrix_for", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: Gauss sum (central_charge_gauss): group of order {size} exceeds budget {10**6}; "
+        "raise it with --budget"
+    ]
+
+
+def test_cached_parser_leaves_no_options_behind(monkeypatch):
+    """`main` reuses one parser; each call still starts from the defaults."""
+    seen = []
+    monkeypatch.setitem(cli._HANDLERS, "kmatrix", lambda args: seen.append(vars(args)) or 0)
+    assert main(["kmatrix", "B[7]", "--positive-definite", "--budget", "9", "--format", "plain"]) == 0
+    assert main(["kmatrix", "B[7]"]) == 0
+    assert cli._build_parser() is cli._build_parser()
+    assert seen[0]["positive_definite"] and seen[0]["budget"] == 9 and seen[0]["format"] == "plain"
+    assert seen[1] == {"command": "kmatrix", "spec": "B[7]", "positive_definite": False,
+                       "out": None, "format": "structured", "budget": 4096}

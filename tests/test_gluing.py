@@ -103,7 +103,7 @@ class TestGlueBasis:
     def test_first_copy_coordinates_rebuild_the_ambient_rows(self, base):
         glued = glue_selfdual_8(base)
         rebuilt = mat_mul(glued.first_copy_in_lattice, glued.basis_rows)
-        assert rebuilt == [[glued.denominator * x for x in row] for row in glued.first_copy_ambient]
+        assert rebuilt == [[glued.base_disc.exponent * x for x in row] for row in glued.first_copy_ambient]
 
 
 def pairwise_closure(span, vec, orders):
@@ -159,7 +159,7 @@ class TestComplementDuality:
         assert glued.lattice.rank == 8 * rank
         assert comp.rank == 7 * rank
         assert abs(determinant(comp.gram)) == abs(determinant(base))
-        target = conjugate(discriminant_form(base).metric_group())
+        target = conjugate(discriminant_form(base).group)
         assert verify_realization(comp.gram, target).passed
 
     def test_complement_of_everything_is_trivial(self):
@@ -187,7 +187,7 @@ class TestGlueGroupProperties:
         glued = glue_selfdual_8(base)
         assert determinant(glued.lattice.gram) == 1
         comp = orthogonal_complement(glued, glued.first_copy_ambient)
-        target = conjugate(discriminant_form(base.gram).metric_group())
+        target = conjugate(discriminant_form(base.gram).group)
         assert verify_realization(comp.gram, target).passed
 
     def test_rejects_indefinite_base(self):
@@ -212,14 +212,14 @@ class TestEFBuilders:
 
     def test_e1_matches_d8_form(self):
         lat = build_ef_positive("E", 1)
-        g1 = discriminant_form(lat.gram).metric_group()
-        g2 = discriminant_form(cartan_d(8).gram).metric_group()
+        g1 = discriminant_form(lat.gram).group
+        g2 = discriminant_form(cartan_d(8).gram).group
         assert is_isomorphic(g1, g2) is not None
 
     def test_f1_matches_d4_form(self):
         lat = build_ef_positive("F", 1, input_lattice=None)
-        g1 = discriminant_form(lat.gram).metric_group()
-        g2 = discriminant_form(cartan_d(4).gram).metric_group()
+        g1 = discriminant_form(lat.gram).group
+        g2 = discriminant_form(cartan_d(4).gram).group
         assert is_isomorphic(g1, g2) is not None
 
     def test_f1_explicit_input(self):

@@ -1,6 +1,8 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import pytest
 
@@ -14,11 +16,11 @@ from anyonlat.lattices import (
     k_double_prime,
     k_e,
     k_o,
-    lattice_metric_group,
     verify_realization,
 )
 from anyonlat.linalg import determinant, is_positive_definite, solve_columns
 from anyonlat.metric_groups import (
+    MetricGroup,
     PrimeFamilySpec,
     build_prime,
     central_charge_closed,
@@ -45,7 +47,7 @@ class TestDiscriminantForm:
     def test_toric_block(self):
         d = discriminant_form([[0, 2], [2, 0]])
         assert d.invariant_factors == (2, 2)
-        g = d.metric_group()
+        g = d.group
         assert sorted(2 * q for q in g.q_values().values()) == [0, 0, 0, 1]
 
     def test_rejects_odd_or_singular(self):
@@ -68,11 +70,13 @@ class TestDiscriminantForm:
                 grams.append(gram)
         for gram in grams:
             d = discriminant_form(gram)
-            assert len(d.dual_coords) == len(d.generator_reps)
-            for w, z in zip(d.generator_reps, d.dual_coords):
-                assert [sum(a * b for a, b in zip(row, z)) for row in gram] == list(w)
-            # read off V of the SNF, equal to a rational solve of K z = w
-            assert [list(z) for z in d.dual_coords] == solve_columns(gram, [list(w) for w in d.generator_reps])
+            e = d.exponent
+            assert len(d.dual_num) == len(d.generator_reps)
+            for w, z in zip(d.generator_reps, d.dual_num):
+                assert [sum(a * b for a, b in zip(row, z)) for row in gram] == [e * x for x in w]
+            # read off V of the SNF, equal to e times a rational solve of K z = w
+            solved = solve_columns(gram, [list(w) for w in d.generator_reps])
+            assert [[Fraction(x, e) for x in z] for z in d.dual_num] == solved
 
     def test_q2_well_defined_on_cosets(self):
         rng = random.Random(5)
@@ -142,7 +146,7 @@ class TestAdeTable:
         # {0, s/2, s/2, (s-4)/2} agrees at s = 2 but not at s = 4, where the
         # vector class has q2 = 1, not 0.
         for s, expected in ((2, [0, 1, 1, 1]), (4, [0, 0, 0, 1]), (3, [0, Fraction(3, 2), Fraction(3, 2), 1])):
-            table = lattice_metric_group(cartan_d(2 * s).gram).q_values()
+            table = discriminant_form(cartan_d(2 * s).gram).group.q_values()
             assert sorted(2 * q % 2 for q in table.values()) == sorted(Fraction(e) % 2 for e in expected)
         assert verify_realization(cartan_d(4).gram, model("F", 2, 1)).passed
         assert verify_realization(cartan_d(8).gram, model("E", 2, 1)).passed
@@ -252,8 +256,9 @@ _PIN_BASES = [
 ]
 
 # SHA-256 (first 16 hex digits) of the repr of (invariant_factors,
-# generator_reps, q2_gen, bil_gen, dual_coords); `verify` prints q2 on these
-# generators and the isometry witness found from them.
+# generator_reps, q2_gen, bil_gen, dual_coords), recorded when
+# DiscriminantData held q2, chi and K^-1 w as Fractions; `verify` prints q2 on
+# these generators and the isometry witness found from them.
 _PIN_DIGESTS = [
     "c3d0aa6ed6377bff",  # rank 2, (3,)
     "dbd7e546415b607f",  # rank 2, (5,)
@@ -283,6 +288,43 @@ def test_discriminant_form_pins_generators_of_dense_disguises():
     digests = []
     for base in _PIN_BASES:
         disc = discriminant_form(_disguised(base, rng, 6 * len(base)))
-        text = repr((disc.invariant_factors, disc.generator_reps, disc.q2_gen, disc.bil_gen, disc.dual_coords))
+        e = disc.exponent
+        dual_coords = tuple(tuple(Fraction(x, e) for x in col) for col in disc.dual_num)
+        text = repr((disc.invariant_factors, disc.generator_reps, disc.q2_gen, disc.group.gen_bil, dual_coords))
         digests.append(hashlib.sha256(text.encode()).hexdigest()[:16])
     assert digests == _PIN_DIGESTS
+
+
+def _rebuilt_from_solve(gram, disc):
+    """(group, dual_num) from K^-1 w_j solved by `solve_columns`, not read off
+    the SNF's V, with the level as the lcm of the denominators of q and chi."""
+    sols = solve_columns(gram, [list(w) for w in disc.generator_reps])
+    e = lcm(1, *(x.denominator for col in sols for x in col))
+    q = [sum(map(mul, w, z)) / 2 % 1 for w, z in zip(disc.generator_reps, sols)]
+    bil = [[sum(map(mul, w, z)) % 1 for z in sols] for w in disc.generator_reps]
+    level = lcm(1, *(x.denominator for x in q), *(x.denominator for row in bil for x in row))
+    group = MetricGroup(disc.invariant_factors, q, bil)
+    assert group.level == level
+    return group, tuple(tuple(int(x * e) for x in col) for col in sols), e
+
+
+def test_group_and_dual_num_match_a_rebuild_from_solved_dual_coordinates():
+    rng = random.Random(7373)
+    grams = [base for base in _PIN_BASES if len(base) <= 16]
+    grams += [_disguised(base, rng, 4 * len(base)) for base in list(grams)]
+    while len(grams) < 80:
+        n = rng.randint(1, 5)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = 2 * rng.randint(-4, 4)
+            for j in range(i):
+                gram[i][j] = gram[j][i] = rng.randint(-4, 4)
+        if determinant(gram) != 0:
+            grams.append(gram)
+    for gram in grams:
+        disc = discriminant_form(gram)
+        group, dual_num, e = _rebuilt_from_solve(gram, disc)
+        assert disc.group == group and disc.group.level == group.level
+        # the lcm of the denominators of K^-1 w is the exponent
+        assert e == disc.exponent
+        assert disc.dual_num == dual_num

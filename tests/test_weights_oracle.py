@@ -26,7 +26,7 @@ import pytest
 
 from anyonlat.cli import main
 from anyonlat.lattices import cartan_a, cartan_d, discriminant_form, e6_gram, e7_gram, k_e, k_o
-from anyonlat.linalg import congruence, determinant, rational_inverse
+from anyonlat.linalg import congruence, determinant, rational_inverse, solve_columns
 from anyonlat.weights import coset_minima, minimum_nonzero_norm
 
 
@@ -159,11 +159,13 @@ def _box_minimum(gram, z0, bound, exclude_zero=False):
 
 
 def _centers(gram):
-    """(coefficients, coset center K^-1 w) for every dual coset."""
+    """(coefficients, coset center K^-1 w) for every dual coset, with K^-1 w_j
+    solved for, not read off the discriminant form."""
     disc = discriminant_form(gram)
+    sols = solve_columns(gram, [list(w) for w in disc.generator_reps])
     m = len(gram)
     for coeffs in itertools.product(*(range(k) for k in disc.invariant_factors)):
-        yield coeffs, [sum(c * disc.dual_coords[j][i] for j, c in enumerate(coeffs)) for i in range(m)]
+        yield coeffs, [sum(c * sols[j][i] for j, c in enumerate(coeffs)) for i in range(m)]
 
 
 # The box holds prod_i (2 sqrt(B (K^-1)_ii) + 1) points, millions per coset
