@@ -122,8 +122,9 @@ def discriminant_form(gram: list[list[int]]) -> DiscriminantData:
     on the diagonal of S marks a singular one.  The generator representative
     for the j-th invariant factor s_j is w_j = column j of U^{-1}, where
     U K V = S, so e K^{-1} w_j = (e / s_j) V e_j; q(e_j) and chi(e_i, e_j)
-    are its dot products with w_j resp. w_i over 2e resp. e, which the
-    `MetricGroup` constructor reduces to the level.
+    are its dot products with w_j resp. w_i over 2e resp. e, passed as
+    numerators over 2e, which the `MetricGroup` constructor reduces to the
+    level.
     """
     if not is_symmetric(gram):
         raise ValueError("Gram matrix must be symmetric")
@@ -139,8 +140,8 @@ def discriminant_form(gram: list[list[int]]) -> DiscriminantData:
     gens = tuple(tuple(snf.u_inv_column(j)) for j in cols)
     dual = tuple(tuple(e // s * x for x in snf.v_column(j)) for j, s in zip(cols, factors))
     dots = [[sum(map(mul, w, z)) for z in dual] for w in gens]
-    q = [Fraction(row[j], 2 * e) for j, row in enumerate(dots)]
-    group = MetricGroup(factors, q, [[Fraction(x, e) for x in row] for row in dots])
+    q = [row[j] for j, row in enumerate(dots)]
+    group = MetricGroup(factors, 2 * e, q, [[2 * x for x in row] for row in dots])
     return DiscriminantData(group, gens, dual)
 
 

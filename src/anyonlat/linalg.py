@@ -4,7 +4,8 @@ Matrices are plain lists of lists; integer routines stay in int, rational ones
 use fractions.Fraction.  Nothing here touches floating point:
 
 * fraction-free (Bareiss) determinants,
-* rational solves and inverses over Q,
+* rational solves and inverses over Q (no package module calls them; the
+  tests use them as an oracle, and the benchmark's tracer wraps them),
 * Smith normal form U m V = S, with U^-1 (generators) and V (with S, the
   inverse on the image: m^-1 U^-1 e_j = V e_j / s_j) replayed per column from
   a log of the elimination's elementary operations,
@@ -384,7 +385,7 @@ class Congruence:
     holds b_ij = det m[0..i-1 + i, 0..i-1 + j], its diagonal b_ii = D_i is
     the i-th leading principal minor, and its stamp is D_{i-1} (D_{-1} = 1).
     Then y^T m y = sum_i M_i^2 / (D_i D_{i-1}) with M_i = sum_{j>=i} b_ij y_j:
-    `minors` hands out this integer view, and `ldl` is its Fraction decoding.
+    `minors` hands out this integer view.
     """
 
     inertia: tuple[int, int, int]
@@ -397,16 +398,6 @@ class Congruence:
         nonzero bordered minors (j, b_ij) with j > i), all ints."""
         return [(row[i], stamp, [(j, x) for j, x in enumerate(row[i + 1:], i + 1) if x])
                 for i, (row, stamp) in enumerate(zip(self.rows, self.stamps))]
-
-    def ldl(self):
-        """m = L D L^T for positive-definite m: d_i = D_i / D_{i-1} and
-        L[j][i] = b_ij / D_i, so the pivots d and, for each column i of the
-        unit lower-triangular L, its nonzero entries below the diagonal as
-        pairs (j, L[j][i])."""
-        view = self.minors()
-        d = [Fraction(minor, stamp) for minor, stamp, _ in view]
-        lower = [[(j, Fraction(x, minor)) for j, x in tail] for minor, _, tail in view]
-        return d, lower
 
 
 def congruence(m) -> Congruence:

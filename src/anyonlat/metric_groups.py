@@ -19,8 +19,10 @@ chi(e_i, e_j): all values of q and chi lie in (1/N)Z/Z, and N is an isometry
 invariant (the lcm of the denominators of all values of q).  A MetricGroup
 stores the integer numerators N q(e_i) and N chi(e_i, e_j) mod N, and every
 internal computation (the Gauss-sum histogram, the isometry and automorphism
-searches, the glue search's isotropy sums, the radical) compares those ints;
-`q`, `bilinear` and `q_values` return Fractions only at the public boundary.
+searches, the glue search's isotropy sums, the radical) compares those ints.
+The constructor takes int numerators over any common denominator and reduces
+them to the level with one gcd; `q`, `bilinear` and `q_values` return
+Fractions only at the public boundary.
 
 The central charge c mod 8 is defined by sum_x theta(x) / sqrt|A| = e^{i pi c/4};
 `central_charge_closed` tabulates it per family and `central_charge_gauss`
@@ -87,10 +89,6 @@ class InternalError(RuntimeError):
     """An internal consistency check failed: a bug, not bad input."""
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
 def _q_sum(x, q_num, bil_num, level: int) -> int:
     """N q(sum_i x_i e_i) mod N from N q(e_i) and N chi(e_i, e_j), N = level."""
     total = 0
@@ -150,27 +148,33 @@ class MetricGroup:
     gen_q_num   : N q(e_i) mod N
     gen_bil_num : N chi(e_i, e_j) mod N, symmetric, with chi(e_i, e_i) = 2 q(e_i)
 
-    The constructor takes q(e_i) and chi(e_i, e_j) as rationals; `gen_q`,
-    `gen_bil`, `q`, `bilinear` and `q_values` hand values back as Fractions.
+    The constructor takes q(e_i) = q_num[i] / den and chi(e_i, e_j) =
+    bil_num[i][j] / den as exact ints, refusing any other type, and reduces
+    den to N = den / g, g = gcd(den, every numerator).  `gen_q`, `gen_bil`,
+    `q`, `bilinear` and `q_values` hand values back as Fractions.
     `is_nondegenerate` memoizes its answer on the group, outside its identity.
     """
 
     __slots__ = ("orders", "level", "gen_q_num", "gen_bil_num", "_nondegenerate")
 
-    def __init__(self, orders, gen_q, gen_bil):
-        orders = tuple(int(n) for n in orders)
-        gen_q = [_mod1(Fraction(x)) for x in gen_q]
-        gen_bil = [[_mod1(Fraction(x)) for x in row] for row in gen_bil]
+    def __init__(self, orders, den, q_num, bil_num):
+        orders, q_num = tuple(orders), tuple(q_num)
+        bil_num = tuple(tuple(row) for row in bil_num)
         k = len(orders)
+        if len(q_num) != k or len(bil_num) != k or any(len(r) != k for r in bil_num):
+            raise ValueError("generator data shape mismatch")
+        if any(type(x) is not int for x in (den, *orders, *q_num, *(b for row in bil_num for b in row))):
+            raise TypeError("orders, denominator and numerators must be ints")
+        if den < 1:
+            raise ValueError(f"denominator must be >= 1, got {den}")
         if any(n < 2 for n in orders):
             raise ValueError("invariant factors must be >= 2")
         if any(orders[i] % orders[i - 1] for i in range(1, k)):
             raise ValueError(f"orders {orders} are not a divisibility chain")
-        if len(gen_q) != k or len(gen_bil) != k or any(len(r) != k for r in gen_bil):
-            raise ValueError("generator data shape mismatch")
-        level = lcm(1, *(x.denominator for x in gen_q), *(b.denominator for row in gen_bil for b in row))
-        q_num = tuple(x.numerator * (level // x.denominator) for x in gen_q)
-        bil_num = tuple(tuple(b.numerator * (level // b.denominator) for b in row) for row in gen_bil)
+        g = gcd(den, *q_num, *(b for row in bil_num for b in row))
+        level = den // g
+        q_num = tuple(v // g % level for v in q_num)
+        bil_num = tuple(tuple(b // g % level for b in row) for row in bil_num)
         for i in range(k):
             if bil_num[i][i] != 2 * q_num[i] % level:
                 raise ValueError("chi(e_i, e_i) must equal 2 q(e_i) mod 1")
@@ -258,7 +262,7 @@ class MetricGroup:
 
 
 def trivial_group() -> MetricGroup:
-    return MetricGroup((), (), ())
+    return MetricGroup((), 1, (), ())
 
 
 @dataclass(frozen=True)
@@ -321,8 +325,9 @@ def canonical_unit(family: str, p: int) -> int:
     raise ValueError(f"no admissible unit below {p}")
 
 
-def _cyclic(n: int, q1: Fraction) -> MetricGroup:
-    return MetricGroup((n,), (q1,), ((2 * q1,),))
+def _cyclic(n: int, num: int, den: int) -> MetricGroup:
+    """Z_n with q(1) = num / den."""
+    return MetricGroup((n,), den, (num,), ((2 * num,),))
 
 
 def build_prime(spec: PrimeFamilySpec) -> MetricGroup:
@@ -331,24 +336,13 @@ def build_prime(spec: PrimeFamilySpec) -> MetricGroup:
     n = p**r
     if spec.family in "AB" and p != 2:
         m = spec.unit if spec.unit is not None else canonical_unit(spec.family, p)
-        g = _cyclic(n, Fraction(m, n))
-    elif spec.family == "A":
-        g = _cyclic(n, Fraction(1, 2 * n))
-    elif spec.family == "B":
-        g = _cyclic(n, Fraction(-1, 2 * n))
-    elif spec.family == "C":
-        g = _cyclic(n, Fraction(5, 2 * n))
-    elif spec.family == "D":
-        g = _cyclic(n, Fraction(-5, 2 * n))
+        g = _cyclic(n, m, n)
+    elif spec.family in "ABCD":
+        g = _cyclic(n, {"A": 1, "B": -1, "C": 5, "D": -5}[spec.family], 2 * n)
     elif spec.family == "E":
-        g = MetricGroup(
-            (n, n),
-            (Fraction(0), Fraction(0)),
-            ((Fraction(0), Fraction(1, n)), (Fraction(1, n), Fraction(0))),
-        )
+        g = MetricGroup((n, n), n, (0, 0), ((0, 1), (1, 0)))
     else:  # F
-        one = Fraction(1, n)
-        g = MetricGroup((n, n), (one, one), ((2 * one, one), (one, 2 * one)))
+        g = MetricGroup((n, n), n, (1, 1), ((2, 1), (1, 2)))
     if not is_nondegenerate(g):
         raise DegenerateFormError(f"degenerate form for {spec}")
     return g
@@ -372,9 +366,9 @@ def _canonicalize(orders, level, q_num, bil_num) -> MetricGroup:
         gens = [tuple(snf.u_inv_column(j)) for j in range(k)]
 
     keep = [j for j in range(k) if new_orders[j] > 1]
-    q_new = [Fraction(_q_sum(gens[j], q_num, bil_num, level), level) for j in keep]
-    bil_new = [[Fraction(_bil_sum(gens[i], gens[j], bil_num, level), level) for j in keep] for i in keep]
-    return MetricGroup([new_orders[j] for j in keep], q_new, bil_new)
+    q_new = [_q_sum(gens[j], q_num, bil_num, level) for j in keep]
+    bil_new = [[_bil_sum(gens[i], gens[j], bil_num, level) for j in keep] for i in keep]
+    return MetricGroup([new_orders[j] for j in keep], level, q_new, bil_new)
 
 
 def direct_sum(g1: MetricGroup, g2: MetricGroup) -> MetricGroup:
@@ -394,12 +388,8 @@ def direct_sum(g1: MetricGroup, g2: MetricGroup) -> MetricGroup:
 
 def conjugate(g: MetricGroup) -> MetricGroup:
     """Same group with q replaced by -q."""
-    n = g.level
-    return MetricGroup(
-        g.orders,
-        tuple(Fraction(-v, n) for v in g.gen_q_num),
-        tuple(tuple(Fraction(-v, n) for v in row) for row in g.gen_bil_num),
-    )
+    return MetricGroup(g.orders, g.level, [-v for v in g.gen_q_num],
+                       [[-v for v in row] for row in g.gen_bil_num])
 
 
 def is_nondegenerate(g: MetricGroup) -> bool:

@@ -13,36 +13,37 @@ off-diagonals then has det W = +-p^{-r}, and K = W^{-1} is an even symmetric
 integer matrix with cyclic cokernel Z_{p^r} and q2(generator) = n/p^r, i.e. a
 K-matrix for the cyclic model with q(1) = n/(2 p^r).
 
+W is never formed.  The inverse of a tridiagonal matrix with unit
+off-diagonals is (W^{-1})_ij = (-1)^{i+j} theta_min(i,j) phi_max(i,j) / det W
+for i, j = 0..k, theta_i the leading principal minor of order i and phi_j
+the trailing one on the rows after j (Usmani 1994).  Here p^r theta_i are
+the continuants T_0 = p^r, T_1 = n, T_{i+1} = a_i T_i - T_{i-1}, with
+T_{k+1} = p^r det W = epsilon, and epsilon phi_j are the remainders d_{j+1}
+themselves (same recurrence, run from the other end), so
+K_ij = (-1)^{i+j} T_min(i,j) d_{max(i,j)+1} in ints (`k_from_wall`).
+
 Initial solution convention: the smallest positive d_1 with the parity the
 parity bookkeeping requires (d_1 even for odd p; d_2 even and positive for
 p = 2).  This choice is deterministic and reproduces most of the standard
 per-family matrices; see the regression tests for the exceptions.
 
 For the two rank-2 families the K-matrices are written down directly
-(`direct_ef_k`): antidiagonal 2^r for the E family, and a 4x4 closed form for
-the F family obtained by inverting a fixed tridiagonal W.
+(`direct_ef_k`): antidiagonal 2^r for the E family, and for the F family the
+4x4 closed form of the inverse of a fixed tridiagonal W.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .linalg import (
-    congruence,
-    has_even_diagonal,
-    is_symmetric,
-    rational_inverse,
-    smith_normal_form,
-)
+from .linalg import has_even_diagonal, smith_normal_form
 from .metric_groups import InternalError, PrimeFamilySpec
 from .numtheory import jacobi_symbol, prime_power_split
 
 __all__ = [
     "WallSequence",
     "wall_sequence",
-    "assemble_w",
     "k_from_wall",
     "choose_c_for_family",
     "direct_ef_k",
@@ -87,8 +88,7 @@ def _closest_even_multiple(target: int, base: int) -> int:
     Ties (target exactly between two even multiples) resolve to the smaller
     |a|, then to positive a.
     """
-    ratio = Fraction(target, 2 * base)
-    lo = 2 * (ratio.numerator // ratio.denominator)
+    lo = 2 * (target // (2 * base))
     candidates = sorted(
         (lo, lo + 2),
         key=lambda a: (abs(target - a * base), abs(a), -a),
@@ -145,45 +145,27 @@ def wall_sequence(n: int, modulus: int) -> WallSequence:
     return WallSequence(n=n, modulus=modulus, d=tuple(ds), a=tuple(a), epsilon=epsilon)
 
 
-def assemble_w(seq: WallSequence) -> list[list[Fraction]]:
-    """The (k+1) x (k+1) tridiagonal matrix with diagonal (n/p^r, a_1..a_k)."""
-    size = seq.k + 1
-    w = [[Fraction(0)] * size for _ in range(size)]
-    w[0][0] = Fraction(seq.n, seq.modulus)
-    for i, coeff in enumerate(seq.a, start=1):
-        w[i][i] = Fraction(coeff)
-    for i in range(size - 1):
-        w[i][i + 1] = w[i + 1][i] = Fraction(1)
-    # modulus * W is integral (only w[0][0] has a denominator), and
-    # det(modulus * W) = modulus^(k+1) det W.
-    det = congruence([[int(seq.modulus * x) for x in row] for row in w]).det
-    if det != seq.epsilon * seq.modulus**seq.k:
-        raise WallVerificationError(
-            f"det(W) = {Fraction(det, seq.modulus**size)}, expected {seq.epsilon}/{seq.modulus}")
-    return w
-
-
 def k_from_wall(n: int, modulus: int) -> list[list[int]]:
     """K = W^{-1}: even symmetric integral with cokernel Z_modulus, verified.
 
-    Every run re-checks integrality, evenness, |det K| = modulus and the
-    cokernel before returning, without factoring K: `assemble_w` checked
-    det W = epsilon/modulus, so det K = epsilon * modulus exactly, and the
-    cokernel is cyclic iff d_{n-1}(K), the gcd of the (n-1)-minors of K, is 1.
-    Those minors are the entries of adj K = det(K) W.  Any failure is a bug,
-    not an input error, and raises WallVerificationError.
+    K_ij = (-1)^{i+j} T_min(i,j) d_{max(i,j)+1} from the continuants T (see
+    the module docstring) is integral and symmetric by construction.  Every
+    run re-checks T_{k+1} = epsilon, which is det W = epsilon/modulus and so
+    det K = epsilon * modulus, and the even diagonal.  The cokernel is
+    cyclic iff the gcd of the entries of adj K = det(K) W is 1, and that gcd
+    is gcd(n, modulus) = 1, which `wall_sequence` enforces.  Any failure is
+    a bug, not an input error, and raises WallVerificationError.
     """
     seq = wall_sequence(n, modulus)
-    w = assemble_w(seq)
-    k_frac = rational_inverse(w)
-    if any(x.denominator != 1 for row in k_frac for x in row):
-        raise WallVerificationError(f"W^-1 not integral for ({n}, {modulus})")
-    k = [[int(x) for x in row] for row in k_frac]
-    if not is_symmetric(k) or not has_even_diagonal(k):
-        raise WallVerificationError(f"K not even symmetric for ({n}, {modulus})")
-    d_last = gcd(*(int(modulus * x) for row in w for x in row))
-    if d_last != 1:
-        raise WallVerificationError(f"cokernel is not cyclic of order {modulus}: d_(n-1)(K) = {d_last}")
+    t = [modulus, n]
+    for coeff in seq.a:
+        t.append(coeff * t[-1] - t[-2])
+    if t[-1] != seq.epsilon:
+        raise WallVerificationError(f"det(W) = {t[-1]}/{modulus}, expected {seq.epsilon}/{modulus}")
+    d, size = seq.d, seq.k + 1
+    k = [[(-1) ** (i + j) * t[min(i, j)] * d[max(i, j)] for j in range(size)] for i in range(size)]
+    if not has_even_diagonal(k):
+        raise WallVerificationError(f"K not even for ({n}, {modulus})")
     return k
 
 
@@ -228,9 +210,10 @@ def choose_c_for_family(spec: PrimeFamilySpec) -> int:
 def direct_ef_k(family: str, r: int) -> list[list[int]]:
     """Closed-form K-matrices for the rank-2 families.
 
-    E: antidiagonal (2^r).  F: the inverse of the fixed 4x4 tridiagonal W with
-    diagonal (2^{1-r}, 2^{1-r}, 2a, 2b), a = (2^r - (-1)^r)/3, b = (-1)^{r-1},
-    and (1,2)-entry 2^{-r}; signature 4 for odd r and 0 for even r.
+    E: antidiagonal (2^r).  F: the inverse, written out in closed form, of
+    the fixed 4x4 tridiagonal W with diagonal (2^{1-r}, 2^{1-r}, 2a, 2b),
+    a = (2^r - (-1)^r)/3, b = (-1)^{r-1}, and (1,2)-entry 2^{-r}; signature
+    4 for odd r and 0 for even r.
     """
     if family not in "EF":
         raise ValueError(f"direct_ef_k serves families E and F, got {family!r}")
@@ -241,16 +224,12 @@ def direct_ef_k(family: str, r: int) -> list[list[int]]:
         return [[0, n], [n, 0]]
     a = (n - (-1) ** r) // 3
     b = (-1) ** (r - 1)
-    w = [
-        [Fraction(2, n), Fraction(1, n), Fraction(0), Fraction(0)],
-        [Fraction(1, n), Fraction(2, n), Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(1), Fraction(2 * a), Fraction(1)],
-        [Fraction(0), Fraction(0), Fraction(1), Fraction(2 * b)],
+    k = [
+        [2 * n * (4 * a * b - b * n - 1), n * (1 - 4 * a * b), 2 * b * n, -n],
+        [n * (1 - 4 * a * b), 2 * n * (4 * a * b - 1), -4 * b * n, 2 * n],
+        [2 * b * n, -4 * b * n, 6 * b, -3],
+        [-n, 2 * n, -3, 2 * (3 * a - n)],
     ]
-    k_frac = rational_inverse(w)
-    if any(x.denominator != 1 for row in k_frac for x in row):
-        raise WallVerificationError(f"F-family W^-1 not integral at r={r}")
-    k = [[int(x) for x in row] for row in k_frac]
     if not has_even_diagonal(k):
         raise WallVerificationError(f"F-family K not even at r={r}")
     # d_3(K) alone does not pin the factors (1, 1, n, n): (1, 2, 2, 4) has

@@ -29,6 +29,11 @@ def tridiagonal_w(first: Fraction, diag: list[int]) -> list[list[Fraction]]:
     return w
 
 
+def wall_w(seq) -> list[list[Fraction]]:
+    """The tridiagonal W of a `WallSequence`: diagonal (n/p^r, a_1..a_k)."""
+    return tridiagonal_w(Fraction(seq.n, seq.modulus), list(seq.a))
+
+
 WALL_BRANCH_CASES = [
     # family A, odd p, n = 4
     {

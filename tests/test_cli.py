@@ -324,9 +324,16 @@ def test_verify_runs_each_kernel_once_and_solves_nothing(tmp_path, monkeypatch, 
 
 
 def test_continued_fraction_kmatrix_factors_k_once(monkeypatch, capsys):
-    counts = _count_kernel_calls(monkeypatch, ["smith_normal_form"])
+    """K = W^-1 comes from the Wall continuants, not a rational solve: the
+    oracle's one congruence and one SNF are all `kmatrix` runs, and the
+    closed-form F matrix solves nothing either."""
+    names = ["solve_columns", "congruence", "smith_normal_form"]
+    counts = _count_kernel_calls(monkeypatch, names)
     assert main(["kmatrix", "B[7]"]) == 0
-    assert counts == {"smith_normal_form": 1}
+    assert counts == {"solve_columns": 0, "congruence": 1, "smith_normal_form": 1}
+    counts.update(dict.fromkeys(names, 0))
+    assert main(["kmatrix", "F[4]"]) == 0
+    assert counts["solve_columns"] == 0
 
 
 def test_budget_flag_reaches_the_gauss_sum_of_kmatrix(capsys):

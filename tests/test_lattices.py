@@ -303,7 +303,8 @@ def _rebuilt_from_solve(gram, disc):
     q = [sum(map(mul, w, z)) / 2 % 1 for w, z in zip(disc.generator_reps, sols)]
     bil = [[sum(map(mul, w, z)) % 1 for z in sols] for w in disc.generator_reps]
     level = lcm(1, *(x.denominator for x in q), *(x.denominator for row in bil for x in row))
-    group = MetricGroup(disc.invariant_factors, q, bil)
+    group = MetricGroup(disc.invariant_factors, level, [int(x * level) for x in q],
+                        [[int(x * level) for x in row] for row in bil])
     assert group.level == level
     return group, tuple(tuple(int(x * e) for x in col) for col in sols), e
 

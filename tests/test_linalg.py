@@ -77,13 +77,7 @@ def test_inertia_examples():
     assert inertia(m) == (4, 0, 0)
     assert is_positive_definite(m)
     # positive definite: the elimination factors m = L D L^T
-    d, columns = congruence(m).ldl()
-    lower = identity_matrix(4)
-    for i, column in enumerate(columns):
-        for j, x in column:
-            lower[j][i] = x
-    ldl = [[sum(lower[i][k] * d[k] * lower[j][k] for k in range(4)) for j in range(4)] for i in range(4)]
-    assert ldl == m
+    assert ldl_product(congruence(m), 4) == m
     assert inertia([[0, 0], [0, 0]]) == (0, 0, 2)
     with pytest.raises(ValueError):
         inertia([[1, 2], [3, 4]])
@@ -256,8 +250,19 @@ def fraction_congruence(m):
     return (n_plus, n_minus, 0), det
 
 
+def ldl(elim):
+    """The Fraction decoding of `Congruence.minors` for positive-definite m:
+    m = L D L^T with d_i = D_i / D_{i-1} and L[j][i] = b_ij / D_i, as the
+    pivots d and, per column i of the unit lower-triangular L, its nonzero
+    entries below the diagonal as pairs (j, L[j][i])."""
+    view = elim.minors()
+    d = [Fraction(minor, stamp) for minor, stamp, _ in view]
+    lower = [[(j, Fraction(x, minor)) for j, x in tail] for minor, _, tail in view]
+    return d, lower
+
+
 def ldl_product(elim, n):
-    d, columns = elim.ldl()
+    d, columns = ldl(elim)
     lower = identity_matrix(n)
     for i, column in enumerate(columns):
         for j, x in column:
@@ -327,7 +332,7 @@ def test_congruence_on_a_rank_300_cartan():
     m = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
     elim = congruence(m)
     assert (elim.inertia, elim.det) == ((n, 0, 0), n + 1)
-    d, columns = elim.ldl()
+    d, columns = ldl(elim)
     assert d == [Fraction(i + 2, i + 1) for i in range(n)]
     assert columns == [[(i + 1, Fraction(-(i + 1), i + 2))] for i in range(n - 1)] + [[]]
     negated = [[-x for x in row] for row in m]

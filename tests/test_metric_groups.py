@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import mpmath
@@ -114,14 +115,14 @@ class TestNondegeneracy:
         assert is_nondegenerate(build_prime(spec("A", 2, 1)))
 
     def test_zero_form(self):
-        assert not is_nondegenerate(MetricGroup((2,), (0,), ((0,),)))
+        assert not is_nondegenerate(MetricGroup((2,), 1, (0,), ((0,),)))
 
     def test_f2(self):
         assert is_nondegenerate(build_prime(spec("F", 2, 1)))
 
     def test_matches_bruteforce_radical(self):
         for g in (build_prime(spec("E", 2, 2)), build_prime(spec("B", 3, 2)),
-                  MetricGroup((2, 2), (Fraction(1, 2), 0), ((0, 0), (0, 0)))):
+                  MetricGroup((2, 2), 2, (1, 0), ((0, 0), (0, 0)))):
             radical = [
                 x for x in g.elements()
                 if all(g.bilinear(x, y) == 0 for y in g.elements())
@@ -152,7 +153,7 @@ class TestCentralCharge:
 
     def test_no_phase_for_degenerate_form(self):
         with pytest.raises(DegenerateFormError):
-            central_charge_gauss(MetricGroup((2,), (0,), ((0,),)))
+            central_charge_gauss(MetricGroup((2,), 1, (0,), ((0,),)))
 
 
 class TestIsomorphism:
@@ -170,8 +171,7 @@ class TestIsomorphism:
 
     def test_symmetric_with_inverse_witness(self):
         g1 = build_prime(spec("F", 2, 2))
-        g2 = MetricGroup(g1.orders, (g1.gen_q[1], g1.gen_q[0]),
-                         ((g1.gen_bil[1][1], g1.gen_bil[1][0]), (g1.gen_bil[0][1], g1.gen_bil[0][0])))
+        g2 = _swapped(g1)
         fwd = is_isomorphic(g1, g2)
         back = is_isomorphic(g2, g1)
         assert fwd is not None and back is not None
@@ -187,12 +187,7 @@ class TestIsomorphism:
 
     def test_relabeling_invariance(self):
         g = build_prime(spec("E", 2, 2))
-        swapped = MetricGroup(
-            g.orders,
-            (g.gen_q[1], g.gen_q[0]),
-            ((g.gen_bil[1][1], g.gen_bil[1][0]), (g.gen_bil[0][1], g.gen_bil[0][0])),
-        )
-        assert is_isomorphic(g, swapped) is not None
+        assert is_isomorphic(g, _swapped(g)) is not None
 
     def test_unit_choices_equivalent(self):
         # Any admissible parameter yields the same theory: p <= 13, r <= 2.
@@ -329,22 +324,24 @@ def random_form(rng):
     """A metric group, possibly degenerate, with q and chi drawn at random."""
     orders = rng.choice([(2,), (4,), (6,), (9,), (2, 2), (2, 4), (3, 3), (2, 6), (4, 8), (2, 2, 4), (3, 6, 6)])
     k = len(orders)
-    # n^2 q(e_i) and n chi(e_i, e_i) = 2 n q(e_i) must be integers.
-    gen_q = [Fraction(rng.randrange(2 * n), 2 * n) if n % 2 == 0 else Fraction(rng.randrange(n), n)
+    # n^2 q(e_i) and n chi(e_i, e_i) = 2 n q(e_i) must be integers.  All
+    # values are numerators over den = 2 lcm(orders).
+    den = 2 * lcm(*orders)
+    gen_q = [rng.randrange(2 * n) * (den // (2 * n)) if n % 2 == 0 else rng.randrange(n) * (den // n)
              for n in orders]
-    bil = [[2 * gen_q[i] if i == j else Fraction(0) for j in range(k)] for i in range(k)]
+    bil = [[2 * gen_q[i] if i == j else 0 for j in range(k)] for i in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            bil[i][j] = bil[j][i] = Fraction(rng.randrange(orders[i]), orders[i])
-    return MetricGroup(orders, gen_q, bil)
+            bil[i][j] = bil[j][i] = rng.randrange(orders[i]) * (den // orders[i])
+    return MetricGroup(orders, den, gen_q, bil)
 
 
 def test_gauss_sum_matches_the_fraction_reference():
     """Seeded direct sums of one to three prime families (non-canonical
     units included), conjugates, and forms that match no phase."""
     rng = random.Random("gauss-reference")
-    cases = [MetricGroup((2,), (0,), ((0,),)), MetricGroup((2, 2), (Fraction(1, 2), 0), ((0, 0), (0, 0))),
-             MetricGroup((4,), (Fraction(1, 2),), ((0,),))]
+    cases = [MetricGroup((2,), 1, (0,), ((0,),)), MetricGroup((2, 2), 2, (1, 0), ((0, 0), (0, 0))),
+             MetricGroup((4,), 2, (1,), ((0,),))]
     while len(cases) < 100:
         group = trivial_group()
         for _ in range(rng.randint(1, 3)):
@@ -385,6 +382,18 @@ def test_q_and_chi_match_a_fraction_recomputation():
             # Unreduced representatives give the same values.
             shifted = tuple(a + 3 * n for a, n in zip(x, g.orders))
             assert g.q(shifted) == g.q(x) and g.bilinear(shifted, y) == chi
+        # The level is the lcm of the reduced denominators of q and chi, on
+        # the generators and over every value of q.
+        assert g.level == lcm(1, *(x.denominator for x in g.gen_q),
+                              *(x.denominator for row in g.gen_bil for x in row))
+        assert g.level == lcm(1, *(v.denominator for v in table.values()))
+        # Numerators over any multiple of the level, shifted by multiples of
+        # the denominator, build the same group.
+        scale = rng.randint(2, 6)
+        den = scale * g.level
+        scaled = MetricGroup(g.orders, den, [scale * v + den * rng.randint(-2, 2) for v in g.gen_q_num],
+                             [[scale * v for v in row] for row in g.gen_bil_num])
+        assert scaled == g and hash(scaled) == hash(g)
 
 
 def test_level_is_the_lcm_of_the_generator_denominators():
@@ -396,12 +405,35 @@ def test_level_is_the_lcm_of_the_generator_denominators():
     assert trivial_group().level == 1
 
 
+@pytest.mark.parametrize("orders, den, q_num, bil_num", [
+    ((4.9,), 4, (1,), ((2,),)),
+    (("4",), 4, (1,), ((2,),)),
+    ((True, 2), 4, (1, 0), ((2, 0), (0, 0))),
+    ((4,), 4.0, (1,), ((2,),)),
+    ((4,), Fraction(4), (1,), ((2,),)),
+    ((4,), 4, (Fraction(1, 4),), ((Fraction(1, 2),),)),
+    ((4,), 4, (0.25,), ((0.5,),)),
+    ((4,), 4, (1,), ((2.0,),)),
+    ((4,), 4, (True,), ((2,),)),
+])
+def test_constructor_refuses_anything_but_ints(orders, den, q_num, bil_num):
+    """Each of these once came back as Z4 with q = 1/4 or the like."""
+    with pytest.raises(TypeError, match="must be ints"):
+        MetricGroup(orders, den, q_num, bil_num)
+
+
+@pytest.mark.parametrize("den", [0, -4])
+def test_constructor_refuses_a_denominator_below_one(den):
+    with pytest.raises(ValueError, match="denominator must be >= 1"):
+        MetricGroup((4,), den, (1,), ((2,),))
+
+
 def test_groups_of_different_levels_are_not_isomorphic():
     # Z2 x Z2: toric code (level 2) against two semions (level 4).
     semion = build_prime(spec("A", 2, 1))
     assert is_isomorphic(build_prime(spec("E", 2, 1)), direct_sum(semion, semion)) is None
     # Z4 with q(1) = 1/4 (level 4) against A[4] (q(1) = 1/8, level 8).
-    assert is_isomorphic(MetricGroup((4,), (Fraction(1, 4),), ((Fraction(1, 2),),)),
+    assert is_isomorphic(MetricGroup((4,), 4, (1,), ((2,),)),
                          build_prime(spec("A", 2, 2))) is None
     # Z64 x Z64 twice: the level decides before the size budget is consulted.
     e64 = build_prime(spec("E", 2, 6))
@@ -450,8 +482,8 @@ def _unpruned_isometries(g1, g2):
 def _swapped(g):
     """g with its first two generators exchanged (same invariant factors)."""
     perm = [1, 0] + list(range(2, len(g.orders)))
-    return MetricGroup(g.orders, [g.gen_q[i] for i in perm],
-                       [[g.gen_bil[i][j] for j in perm] for i in perm])
+    return MetricGroup(g.orders, g.level, [g.gen_q_num[i] for i in perm],
+                       [[g.gen_bil_num[i][j] for j in perm] for i in perm])
 
 
 def _pairs_for_the_pruning_check():
@@ -476,12 +508,10 @@ def _pairs_for_the_pruning_check():
         pairs.append((g, conjugate(g)))
     # Degenerate forms: q and chi vanish on part of the group, so maps that
     # preserve them can fail to be injective.
-    zero = Fraction(0)
-    flat = MetricGroup((2, 2), (zero, zero), ((zero, zero), (zero, zero)))
-    odd = MetricGroup((2, 2), (Fraction(1, 2), zero), ((zero, zero), (zero, zero)))
-    half_radical = MetricGroup((2, 4), (zero, Fraction(1, 8)), ((zero, zero), (zero, Fraction(1, 4))))
-    rank3 = MetricGroup((2, 2, 2), (zero, zero, Fraction(1, 2)),
-                        ((zero, Fraction(1, 2), zero), (Fraction(1, 2), zero, zero), (zero, zero, zero)))
+    flat = MetricGroup((2, 2), 1, (0, 0), ((0, 0), (0, 0)))
+    odd = MetricGroup((2, 2), 2, (1, 0), ((0, 0), (0, 0)))
+    half_radical = MetricGroup((2, 4), 8, (0, 1), ((0, 0), (0, 2)))
+    rank3 = MetricGroup((2, 2, 2), 2, (0, 0, 1), ((0, 1, 0), (1, 0, 0), (0, 0, 0)))
     pairs += [(flat, flat), (odd, odd), (flat, odd), (odd, flat), (half_radical, half_radical),
               (rank3, rank3), (rank3, _swapped(rank3))]
     return pairs

@@ -18,12 +18,13 @@ from reference_matrices import (
     P5_C8_K,
     SU3_K,
     WALL_BRANCH_CASES,
+    wall_w,
 )
 
 from anyonlat.cli import parse_spec
 from anyonlat.lattices import k_e, k_o, verify_realization
 from anyonlat.linalg import determinant, inertia, rational_inverse, signature
-from anyonlat.wall import assemble_w, direct_ef_k, k_from_wall, wall_sequence
+from anyonlat.wall import direct_ef_k, k_from_wall, wall_sequence
 
 
 def frac_det(w):
@@ -36,7 +37,7 @@ def frac_det(w):
 def test_wall_branch(case):
     n, modulus = case["n"], case["modulus"]
     seq = wall_sequence(n, modulus)
-    ours = assemble_w(seq)
+    ours = wall_w(seq)
     target = parse_spec(case["target"])
 
     # Whatever the branch status, our synthesized K must realize the model.

@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -211,7 +210,7 @@ def test_nondegenerate_groups_skip_the_generation_check(monkeypatch):
 
     for text in ("E[2]*F[2]", "A[2]*A[2^2]*A[2^2]", "A[2]*B[2]*C[2^2]*D[2^2]"):
         g = parse_spec(text)
-        checked = MetricGroup(g.orders, g.gen_q, g.gen_bil)  # nondegeneracy not yet known
+        checked = MetricGroup(g.orders, g.level, g.gen_q_num, g.gen_bil_num)  # nondegeneracy not yet known
         assert list(_isometries(g, g)) == list(_isometries(checked, checked))
 
     def refuse(*args):
@@ -219,13 +218,13 @@ def test_nondegenerate_groups_skip_the_generation_check(monkeypatch):
 
     monkeypatch.setattr(anyonlat.metric_groups, "_order_index", refuse)
     assert aut_bruteforce(parse_spec("F[2^2]*E[2^2]")).order == 7680
-    checked = MetricGroup((2, 2), (0, 0), ((0, Fraction(1, 2)), (Fraction(1, 2), 0)))
+    checked = MetricGroup((2, 2), 2, (0, 0), ((0, 1), (1, 0)))
     assert aut_bruteforce(checked).order == 2  # is_nondegenerate settles E[2] once
 
 
 def test_degenerate_groups_keep_the_generation_check():
     # chi vanishes on Z2 x Z2, so e_1, e_2 -> x, x preserves q and chi but is
     # not a bijection; only the 6 elements of GL(2, 2) are isometries.
-    g = MetricGroup((2, 2), (0, 0), ((0, 0), (0, 0)))
+    g = MetricGroup((2, 2), 1, (0, 0), ((0, 0), (0, 0)))
     assert not is_nondegenerate(g)
     assert len(list(_isometries(g, g))) == 6

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from anyonlat.linalg import determinant, inertia, signature, smith_normal_form
+from reference_matrices import wall_w
+
+from anyonlat.linalg import determinant, inertia, rational_inverse, signature, smith_normal_form
 from anyonlat.metric_groups import PrimeFamilySpec, build_prime, central_charge_closed
 from anyonlat.lattices import verify_realization
+from anyonlat.numtheory import is_prime
 from anyonlat.wall import (
     SpecialCaseRouted,
-    assemble_w,
     choose_c_for_family,
     direct_ef_k,
     k_from_wall,
@@ -21,14 +23,13 @@ def test_sequence_4_mod_7():
     assert seq.d == (2, 1)
     assert seq.a == (2,)
     assert seq.epsilon == 1
-    assert assemble_w(seq) == [[Fraction(4, 7), 1], [1, 2]]
+    assert wall_w(seq) == [[Fraction(4, 7), 1], [1, 2]]
 
 
 def test_sequence_1_mod_4():
     seq = wall_sequence(1, 4)
     assert seq.a == (4, -2)
-    w = assemble_w(seq)
-    assert w == [[Fraction(1, 4), 1, 0], [1, 4, 1], [0, 1, -2]]
+    assert wall_w(seq) == [[Fraction(1, 4), 1, 0], [1, 4, 1], [0, 1, -2]]
 
 
 def test_sequence_invariants_sweep():
@@ -79,9 +80,33 @@ def test_w_determinant_property_random():
         if n % p == 0 or (p != 2 and n % 2):
             continue
         seq = wall_sequence(n, modulus)
-        w = assemble_w(seq)  # assemble_w verifies |det W| = 1/modulus
-        assert len(w) == seq.k + 1
+        k = k_from_wall(n, modulus)
+        assert len(k) == seq.k + 1
+        assert determinant(k) == seq.epsilon * modulus  # det W = epsilon / modulus
         done += 1
+
+
+def _inverse_of_w(n, modulus):
+    k = rational_inverse(wall_w(wall_sequence(n, modulus)))
+    assert all(x.denominator == 1 for row in k for x in row)
+    return [[int(x) for x in row] for row in k]
+
+
+def test_k_from_wall_matches_the_rational_inverse_of_w():
+    """The continuant K against a Gaussian solve of the Fraction W, over the
+    canonical parameter of A/B at odd p < 100 and A-D at p = 2, r <= 3."""
+    checked = 0
+    for p in [q for q in range(2, 100) if is_prime(q)]:
+        for r in (1, 2, 3):
+            for fam in ("ABCD" if p == 2 else "AB"):
+                try:
+                    spec = PrimeFamilySpec(fam, p, r)
+                    n = choose_c_for_family(spec)
+                except ValueError:  # no such family, or SpecialCaseRouted
+                    continue
+                assert k_from_wall(n, p**r) == _inverse_of_w(n, p**r), spec
+                checked += 1
+    assert checked == 150
 
 
 def test_k_from_wall_examples():
@@ -137,6 +162,19 @@ def test_direct_f_k():
     k3 = direct_ef_k("F", 3)
     assert signature(k3) == 4
     assert verify_realization(k3, build_prime(PrimeFamilySpec("F", 2, 3))).passed
+
+
+def test_direct_f_k_is_the_inverse_of_its_w():
+    for r in range(1, 13):
+        n = 2**r
+        a, b = (n - (-1) ** r) // 3, (-1) ** (r - 1)
+        w = [
+            [Fraction(2, n), Fraction(1, n), 0, 0],
+            [Fraction(1, n), Fraction(2, n), 1, 0],
+            [0, 1, 2 * a, 1],
+            [0, 0, 1, 2 * b],
+        ]
+        assert direct_ef_k("F", r) == rational_inverse(w), r
 
 
 def test_wall_rejects_bad_input():

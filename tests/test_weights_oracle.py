@@ -5,7 +5,8 @@ searches on seeded even positive-definite Gram matrices of rank 1 to 8,
 dense U K U^T disguises included:
 
 * `_fraction_branch_and_bound`, a Fraction Fincke-Pohst over the L D L^T
-  factors that `Congruence.ldl` decodes, kept here as the reference;
+  factors that `_ldl` decodes from `Congruence.minors`, kept here as the
+  reference;
 * a brute-force box search: a vector y with y^T K y <= B has
   y_i^2 <= B (K^-1)_ii (Cauchy-Schwarz in the K^-1 inner product), so with
   B the claimed minimum every shorter vector of the coset lies in the box
@@ -95,11 +96,19 @@ def _cases():
 CASES = _cases()
 
 
+def _ldl(gram):
+    """K = L D L^T in Fractions: d_i = D_i / D_{i-1}, and per column i of L
+    its entries below the diagonal as pairs (j, L[j][i] = b_ij / D_i)."""
+    view = congruence(gram).minors()
+    d = [Fraction(minor, stamp) for minor, stamp, _ in view]
+    return d, [[(j, Fraction(x, minor)) for j, x in tail] for minor, _, tail in view]
+
+
 def _fraction_branch_and_bound(gram, z0, exclude_zero_at=None):
     """min (z0 + x)^T K (z0 + x) over integer x, in Fractions: with
     K = L D L^T the norm is sum_i d_i (x_i + c_i)^2, c_i fixed by the later
     coordinates, enumerated last coordinate first inside a shrinking bound."""
-    d, lower = congruence(gram).ldl()
+    d, lower = _ldl(gram)
     n = len(d)
     center = [z0[i] + sum(f * z0[j] for j, f in lower[i]) for i in range(n)]
     best = None
