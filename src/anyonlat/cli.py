@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .gluing import glue_selfdual_8, orthogonal_complement
 from .lattices import verify_realization
-from .linalg import determinant, is_symmetric
+from .linalg import block_diagonal, determinant, is_symmetric
 from .metric_groups import (
     GAUSS_BUDGET_DEFAULT,
     BudgetExceededError,
@@ -230,14 +230,7 @@ def _cmd_kmatrix(args) -> int:
         gram, route = kmatrix_for(f, positive_definite=args.positive_definite)
         blocks.append(gram)
         routes.append(f"{f.label()}: {route} (rank {len(gram)})")
-    size = sum(len(b) for b in blocks)
-    gram = [[0] * size for _ in range(size)]
-    offset = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                gram[offset + i][offset + j] = x
-        offset += len(b)
+    gram = block_diagonal(blocks)
     report = verify_realization(gram, target, iso_budget=args.budget)
     for line in report.lines():
         print(line)
@@ -273,7 +266,7 @@ def _cmd_complement(args) -> int:
     started = time.perf_counter()
     gram, embedded_target, _ = load_matrix_file(args.file)
     glued = glue_selfdual_8(gram)
-    comp = orthogonal_complement(glued, glued.first_copy_ambient)
+    comp = orthogonal_complement(glued)
     disc_in = glued.base_disc
     if disc_in.order <= args.budget:
         target = conjugate(disc_in.group)

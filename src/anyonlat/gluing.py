@@ -21,10 +21,25 @@ refuses up front, with BudgetExceededError, when |D|^8 exceeds its budget.
 Each span H + <v> of the search is built as the union of the cosets H + k v,
 k = 0, 1, ... until k v lies in H, so no element is added twice.
 
-The `GluedLattice` carries Lambda's basis in M over the exponent e of D,
-built from the int columns e K^{-1} w_j, and the base's discriminant form,
-which callers read instead of computing again; the orthogonal complement is
-taken from that basis and returned as a bare Gram matrix.
+The `GluedLattice` carries the HNF basis h of e Lambda in M, e the exponent
+of D, built from the int columns e K^{-1} w_j; the product h K^{+8}; and the
+base's discriminant form, which callers read instead of computing again.
+Lambda's rank-8m Gram matrix h K^{+8} h^T / e^2 is never formed.  Each check
+is an exact identity on those matrices instead:
+
+* unimodular: [Lambda : M] = e^{8m} / prod h_ii and det M = |D|^8, so
+  det Lambda = 1 iff prod h_ii * |D|^4 = e^{8m};
+* even: Lambda = M + <glue rows / e>, the glue rows being the rows of h not
+  divisible by e.  M is even and pairs integrally with Lambda, which lies in
+  M*, so Lambda is even iff the glue rows' Gram matrix is integral with an
+  even diagonal: glue rows times h K^{+8} is 0 mod e^2, and 0 mod 2 e^2 on
+  the diagonal.  Even norms of the basis vectors alone are not enough;
+* first copy primitive: for unimodular Lambda, L_1 is primitive iff the
+  pairing Lambda -> L_1* is onto, i.e. iff the HNF of the pairing matrix
+  (the first m columns of h K^{+8}, over e) has unit pivots.  The zero rows
+  of that HNF's transform span the orthogonal complement, whose Gram matrix
+  is (kernel h K^{+8}) (kernel h)^T / e^2.
+
 The basis, Gram and kernel matrices are about 1-2% nonzero on Cartan bases,
 and every product of them goes through the row-sparse `linalg.mat_mul`.
 
@@ -39,6 +54,7 @@ form, so no system is solved and no irrational arithmetic ever occurs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,13 +68,11 @@ from .lattices import (
     verify_realization,
 )
 from .linalg import (
-    determinant,
+    block_diagonal,
     has_even_diagonal,
     hermite_normal_form,
     inertia,
-    left_kernel,
     mat_mul,
-    smith_normal_form,
     transpose,
 )
 from .metric_groups import BudgetExceededError, InternalError, PrimeFamilySpec, build_prime
@@ -211,7 +225,8 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
     size = disc.order**8
     if size > budget:
         raise BudgetExceededError(
-            f"glue search over D^8 with |D| = {disc.order}: {size} elements exceed node budget {budget}"
+            f"glue search (glue_selfdual_8): D^8 with |D| = {disc.order}: {size} elements exceed node budget "
+            f"{budget}; no flag raises it"
         )
     all_orders = orders * 8
     group = disc.group
@@ -277,36 +292,20 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
 
 @dataclass(frozen=True)
 class GluedLattice:
-    """An even unimodular overlattice of base^{+8}, with the base embedded
-    primitively as the first summand; its basis is `basis_rows / e` (e =
-    `base_disc.exponent`) in the coordinates of base^{+8}, with Gram matrix
-    `ambient_gram` there."""
+    """An even unimodular overlattice Lambda of M = base^{+8}.  Its basis is
+    `basis_rows / e` (e = `base_disc.exponent`) in the coordinates of M, and
+    `basis_k8` is the product basis_rows * K^{+8}, so Lambda's Gram matrix
+    is basis_k8 * basis_rows^T / e^2.  `orthogonal_complement` checks that
+    the first copy is primitive."""
 
-    lattice: Lattice
     base_disc: DiscriminantData
     glue_generators: tuple[tuple[int, ...], ...]
     basis_rows: list[list[int]]
-    ambient_gram: list[list[int]]
-    first_copy_ambient: list[list[int]]
-    first_copy_in_lattice: list[list[int]]
-
-
-def _int_sandwich(left_int, middle_int, right_int, divide_by: int):
-    """(left * middle * right^T) / divide_by with exact divisibility check."""
-    product = mat_mul(mat_mul(left_int, middle_int), transpose(right_int))
-    out = []
-    for row in product:
-        new_row = []
-        for x in row:
-            if x % divide_by:
-                raise GlueSearchError("non-integral Gram entry in glued lattice")
-            new_row.append(x // divide_by)
-        out.append(new_row)
-    return out
+    basis_k8: list[list[int]]
 
 
 def glue_selfdual_8(base: Lattice | list[list[int]], budget: int = GLUE_SEARCH_NODE_BUDGET) -> GluedLattice:
-    """Glue base^{+8} into an even unimodular lattice, first copy primitive."""
+    """Glue base^{+8} into an even unimodular lattice."""
     gram = base.gram if isinstance(base, Lattice) else base
     if not has_even_diagonal(gram):
         raise ValueError("glue_selfdual_8 requires an even base")
@@ -338,81 +337,50 @@ def glue_selfdual_8(base: Lattice | list[list[int]], budget: int = GLUE_SEARCH_N
                     for i in range(m):
                         row[copy * m + i] += cj * zcols[j][i]
         rows.append(row)
-    h, _ = hermite_normal_form(rows)
-    h = h[:big]
-    if any(h[i][i] == 0 for i in range(big)):
-        raise GlueSearchError("glued lattice basis is rank-deficient")
-
-    k8 = [[0] * big for _ in range(big)]
-    for copy in range(8):
-        for i in range(m):
-            for j in range(m):
-                k8[copy * m + i][copy * m + j] = gram[i][j]
-
-    lam_gram = _int_sandwich(h, k8, h, den * den)
-    if not has_even_diagonal(lam_gram):
-        raise GlueSearchError("glued lattice is not even")
-    det = determinant(lam_gram)
-    if abs(det) != 1:
-        raise GlueSearchError(f"glued lattice has |det| = {abs(det)}, want 1")
-
-    first_ambient = [[1 if j == i else 0 for j in range(big)] for i in range(m)]
-    first_in_lattice = _solve_in_hnf_basis(h, den, first_ambient)
-    if smith_normal_form(first_in_lattice).invariant_factors():
-        raise GlueSearchError("first copy is not primitively embedded")
-
+    h = hermite_normal_form(rows)[0][:big]
+    # [Lambda : M] = e^{8m} / prod h_ii and det M = |D|^8.
+    index_den = math.prod(h[i][i] for i in range(big))
+    if index_den * disc.order**4 != den ** big:
+        det = Fraction(disc.order**8 * index_den**2, den ** (2 * big))
+        raise GlueSearchError(f"glued lattice is not unimodular: |det| = {det}")
+    hk8 = mat_mul(h, block_diagonal([gram] * 8))
+    # The rows of h not divisible by e glue Lambda to M (module docstring).
+    glue_rows = [i for i, row in enumerate(h) if any(x % den for x in row)]
+    for a, i in enumerate(glue_rows):
+        for j in glue_rows[a:]:
+            if sum(x * y for x, y in zip(hk8[i], h[j])) % (2 * den * den if i == j else den * den):
+                raise GlueSearchError("glued lattice is not even")
     return GluedLattice(
-        lattice=Lattice(lam_gram),
         base_disc=disc,
         glue_generators=tuple(tuple(gen) for gen in glue_gens),
         basis_rows=h,
-        ambient_gram=k8,
-        first_copy_ambient=first_ambient,
-        first_copy_in_lattice=first_in_lattice,
+        basis_k8=hk8,
     )
 
 
-def _solve_in_hnf_basis(h, den, targets) -> list[list[int]]:
-    """Integer X with X * (h / den) = targets, h upper triangular.
+def orthogonal_complement(glued: GluedLattice) -> Lattice:
+    """The Gram matrix of {x in the glued lattice : x . first copy = 0}.
 
-    Forward substitution by rows: once x_c is known, x_c * h_c is taken off
-    the remaining right-hand side, through h_c's nonzero entries only."""
-    big = len(h)
-    h_rows = [[(j, y) for j, y in enumerate(row) if y] for row in h]
-    out = []
-    for t in targets:
-        rest = [den * x for x in t]
-        x = [0] * big
-        for c in range(big):
-            if rest[c] % h[c][c]:
-                raise ValueError("target row is not in the glued lattice")
-            xc = x[c] = rest[c] // h[c][c]
-            if xc:
-                for j, y in h_rows[c]:
-                    rest[j] -= xc * y
-        out.append(x)
-    return out
-
-
-def orthogonal_complement(glued: GluedLattice, sub_ambient_rows: list[list[int]]) -> Lattice:
-    """The Gram matrix of {x in the glued lattice : x . sub = 0}.
-
-    `sub_ambient_rows` are rows in the ambient coordinates of base^{+8}
-    that lie inside the glued lattice.
-    """
+    The pairing of the basis with the first copy is the first m columns of
+    basis_k8 over e, exactly, as the glued lattice lies in the dual of
+    base^{+8}; the unit pivots of its HNF say the first copy is primitive,
+    and its transform's rows against the HNF's zero rows span the
+    complement."""
     den = glued.base_disc.exponent
-    pairing = mat_mul(mat_mul(glued.basis_rows, glued.ambient_gram), transpose(sub_ambient_rows))
-    if any(x % den for row in pairing for x in row):
-        raise ValueError("sublattice pairing is not integral; rows not in the lattice?")
-    kernel = left_kernel([[x // den for x in row] for row in pairing])
-    return Lattice(mat_mul(mat_mul(kernel, glued.lattice.gram), transpose(kernel)))
+    m = len(glued.basis_k8) // 8
+    pairing = [[x // den for x in row[:m]] for row in glued.basis_k8]
+    hnf, transform = hermite_normal_form(pairing)
+    if any(hnf[i][i] != 1 for i in range(m)):
+        raise GlueSearchError("first copy is not primitively embedded")
+    kernel = [t for t, row in zip(transform, hnf) if not any(row)]
+    gram = mat_mul(mat_mul(kernel, glued.basis_k8), transpose(mat_mul(kernel, glued.basis_rows)))
+    return Lattice([[x // (den * den) for x in row] for row in gram])
 
 
 def conjugate_realization(base: Lattice | list[list[int]]) -> Lattice:
     """Glue 8 copies of the base and take the complement of the embedded copy:
     an even positive-definite lattice realizing the conjugate model."""
-    glued = glue_selfdual_8(base)
-    return orthogonal_complement(glued, glued.first_copy_ambient)
+    return orthogonal_complement(glue_selfdual_8(base))
 
 
 # ---------------------------------------------------------------------------

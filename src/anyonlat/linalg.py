@@ -40,6 +40,7 @@ __all__ = [
     "copy_matrix",
     "transpose",
     "mat_mul",
+    "block_diagonal",
     "is_square",
     "is_symmetric",
     "has_even_diagonal",
@@ -87,6 +88,18 @@ def mat_mul(a, b):
                 for j, y in b_row:
                     acc[j] += x * y
         out.append(acc)
+    return out
+
+
+def block_diagonal(blocks) -> list[list[int]]:
+    """The square matrix with the given square blocks down its diagonal."""
+    size = sum(len(b) for b in blocks)
+    out = []
+    offset = 0
+    for b in blocks:
+        for row in b:
+            out.append([0] * offset + list(row) + [0] * (size - offset - len(b)))
+        offset += len(b)
     return out
 
 

@@ -228,7 +228,12 @@ class MetricGroup:
         return itertools.product(*(range(n) for n in self.orders))
 
     def reduce(self, x) -> tuple[int, ...]:
-        return tuple(int(a) % n for a, n in zip(x, self.orders))
+        """Int coordinates reduced mod the orders; anything else is refused."""
+        if len(x) != len(self.orders):
+            raise ValueError(f"element {tuple(x)} has {len(x)} coordinates, want {len(self.orders)}")
+        if any(type(a) is not int for a in x):
+            raise TypeError(f"element coordinates must be ints, got {tuple(x)!r}")
+        return tuple(a % n for a, n in zip(x, self.orders))
 
     def add(self, x, y) -> tuple[int, ...]:
         return tuple((a + b) % n for a, b, n in zip(x, y, self.orders))

@@ -274,3 +274,38 @@ KO3 = [
     [0, 0, 0, 0, -1, 2, 0],
     [-1, 0, 0, -1, 0, 0, 2],
 ]
+
+
+def glued_lattice_oracle(base_gram, glued):
+    """The full Gram matrix of a `GluedLattice` and the first copy's
+    coordinates in its basis, rebuilt from `basis_rows` (h) alone.
+
+    The Gram matrix is h K^{+8} h^T / e^2, e = the base's exponent, with
+    K^{+8} assembled by hand from the base and every entry checked to be
+    divisible by e^2.  The coordinates X solve X h = e [I_m | 0] by forward
+    substitution down the upper-triangular h, each step checked to divide.
+    """
+    from anyonlat.linalg import mat_mul, transpose
+
+    m = len(base_gram)
+    big = 8 * m
+    den = glued.base_disc.exponent
+    h = glued.basis_rows
+    k8 = [[0] * big for _ in range(big)]
+    for copy in range(8):
+        for i in range(m):
+            for j in range(m):
+                k8[copy * m + i][copy * m + j] = base_gram[i][j]
+    product = mat_mul(mat_mul(h, k8), transpose(h))
+    assert all(x % (den * den) == 0 for row in product for x in row), "non-integral glued Gram matrix"
+    gram = [[x // (den * den) for x in row] for row in product]
+    first_copy = []
+    for t in range(m):
+        rest = [den if j == t else 0 for j in range(big)]
+        x = [0] * big
+        for c in range(big):
+            assert rest[c] % h[c][c] == 0, "first copy row is not in the glued lattice"
+            x[c] = rest[c] // h[c][c]
+            rest = [r - x[c] * y for r, y in zip(rest, h[c])]
+        first_copy.append(x)
+    return gram, first_copy

@@ -18,6 +18,7 @@ from reference_matrices import (
     P5_C4_K,
     SU3_K,
     WALL_BRANCH_CASES,
+    glued_lattice_oracle,
 )
 
 from anyonlat.cli import parse_spec
@@ -35,6 +36,7 @@ from anyonlat.lattices import (
 )
 from anyonlat.linalg import (
     determinant,
+    has_even_diagonal,
     inertia,
     is_positive_definite,
     mat_mul,
@@ -162,17 +164,16 @@ def test_criterion_3_printed_matrix_regression():
 def test_criterion_4_complement_construction():
     with _Criterion(4, 120.0):  # 60s per pipeline
         glued = glue_selfdual_8([[2]])
-        lam = glued.lattice
-        assert lam.rank == 8 and lam.is_even and abs(determinant(lam.gram)) == 1
-        comp = orthogonal_complement(glued, glued.first_copy_ambient)
+        lam, _ = glued_lattice_oracle([[2]], glued)
+        assert len(lam) == 8 and has_even_diagonal(lam) and abs(determinant(lam)) == 1
+        comp = orthogonal_complement(glued)
         assert comp.rank == 7
         assert determinant(comp.gram) == 2
         assert comp.is_even and is_positive_definite(comp.gram)
         assert discriminant_form(comp.gram).q2_gen == (Fraction(3, 2),)
         assert verify_realization(comp.gram, conjugate(build_prime(PrimeFamilySpec("A", 2, 1)))).passed
 
-        glued2 = glue_selfdual_8(cartan_a(2))
-        comp2 = orthogonal_complement(glued2, glued2.first_copy_ambient)
+        comp2 = orthogonal_complement(glue_selfdual_8(cartan_a(2)))
         assert comp2.rank == 14
         assert discriminant_form(comp2.gram).q2_gen == (Fraction(4, 3),)
         assert verify_realization(comp2.gram, build_prime(PrimeFamilySpec("A", 3, 1))).passed

@@ -18,8 +18,8 @@ from anyonlat.cli import (
     parse_spec,
     parse_spec_factors,
 )
-from anyonlat.gluing import GLUE_SEARCH_NODE_BUDGET, GlueSearchError
-from anyonlat.lattices import cartan_d, e8_gram
+from anyonlat.gluing import GLUE_SEARCH_NODE_BUDGET, GlueSearchError, conjugate_realization
+from anyonlat.lattices import cartan_a, cartan_d, e8_gram
 from anyonlat.metric_groups import central_charge_gauss
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -280,6 +280,19 @@ def test_complement_over_glue_budget_exits_2(tmp_path):
     assert str(12**8) in line and str(GLUE_SEARCH_NODE_BUDGET) in line
 
 
+def test_glue_budget_error_names_its_layer_and_that_no_flag_raises_it(tmp_path, capsys):
+    """D = Z2 x Z4 puts 8^8 elements in D^8; `--budget` does not reach the
+    glue search, and the message says so in the package's budget form."""
+    path = tmp_path / "z2z4.json"
+    path.write_text(dump_matrix_file([[2, 0], [0, 4]]))
+    assert main(["complement", str(path), "--budget", "100000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: glue search (glue_selfdual_8): D^8 with |D| = 8: {8**8} elements exceed node budget "
+        f"{GLUE_SEARCH_NODE_BUDGET}; no flag raises it"]
+
+
 @pytest.mark.parametrize("message", [
     "no glue group found within the budget",
     "E_4 gluing failed verification:\n[FAIL] discriminant_form: no isometry",
@@ -334,6 +347,17 @@ def test_continued_fraction_kmatrix_factors_k_once(monkeypatch, capsys):
     counts.update(dict.fromkeys(names, 0))
     assert main(["kmatrix", "F[4]"]) == 0
     assert counts["solve_columns"] == 0
+
+
+def test_complement_eliminates_each_matrix_once(monkeypatch):
+    """The gluing checks unimodularity and primitivity on the HNF of its basis
+    and of the pairing with the first copy, whose kernel is the complement:
+    no determinant of the glued Gram matrix and no SNF of the first copy's
+    coordinates, only the discriminant form's one SNF."""
+    names = ["determinant", "smith_normal_form", "hermite_normal_form"]
+    counts = _count_kernel_calls(monkeypatch, names)
+    conjugate_realization(cartan_a(6))
+    assert counts == {"determinant": 0, "smith_normal_form": 1, "hermite_normal_form": 2}
 
 
 def test_budget_flag_reaches_the_gauss_sum_of_kmatrix(capsys):

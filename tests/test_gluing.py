@@ -4,9 +4,12 @@ import inspect
 import random
 
 import pytest
+from reference_matrices import glued_lattice_oracle
 
+import anyonlat.gluing as gluing
 from anyonlat.cli import main
 from anyonlat.gluing import (
+    GlueSearchError,
     _span_with,
     anti_isometry_mod,
     build_ef_positive,
@@ -19,11 +22,14 @@ from anyonlat.lattices import (
     cartan_a,
     cartan_d,
     discriminant_form,
+    e8_gram,
     k_e,
+    k_o,
     verify_realization,
 )
 from anyonlat.linalg import (
     determinant,
+    has_even_diagonal,
     is_positive_definite,
     mat_mul,
     smith_normal_form,
@@ -55,19 +61,17 @@ class TestAntiIsometry:
 
 class TestGlueRankOne:
     def test_e8_from_rank_one(self):
-        glued = glue_selfdual_8([[2]])
-        lam = glued.lattice
-        assert lam.rank == 8
-        assert determinant(lam.gram) == 1
-        assert lam.is_even
-        assert is_positive_definite(lam.gram)
-        assert minimum_nonzero_norm(lam.gram) == 2  # the unique such lattice
+        lam, _ = glued_lattice_oracle([[2]], glue_selfdual_8([[2]]))
+        assert len(lam) == 8
+        assert determinant(lam) == 1
+        assert has_even_diagonal(lam)
+        assert is_positive_definite(lam)
+        assert minimum_nonzero_norm(lam) == 2  # the unique such lattice
 
     def test_complement_is_antisemion(self):
         from fractions import Fraction
 
-        glued = glue_selfdual_8([[2]])
-        comp = orthogonal_complement(glued, glued.first_copy_ambient)
+        comp = orthogonal_complement(glue_selfdual_8([[2]]))
         assert comp.rank == 7
         assert determinant(comp.gram) == 2
         assert comp.is_even
@@ -80,12 +84,12 @@ class TestGlueRankOne:
 
 class TestGlueRankTwo:
     def test_su3_gluing(self):
-        glued = glue_selfdual_8(cartan_a(2))
-        assert glued.lattice.rank == 16
-        assert determinant(glued.lattice.gram) == 1
-        assert glued.lattice.is_even
+        lam, first_copy = glued_lattice_oracle(cartan_a(2).gram, glue_selfdual_8(cartan_a(2)))
+        assert len(lam) == 16
+        assert determinant(lam) == 1
+        assert has_even_diagonal(lam)
         # The first copy stays primitive: its quotient is torsion-free.
-        assert smith_normal_form(glued.first_copy_in_lattice).invariant_factors() == []
+        assert smith_normal_form(first_copy).invariant_factors() == []
 
     def test_complement_realizes_a3(self):
         from fractions import Fraction
@@ -102,8 +106,10 @@ class TestGlueBasis:
     @pytest.mark.parametrize("base", [[[4]], [[6]], k_e(2).gram, cartan_a(5).gram], ids=["Z4", "Z6", "ke2", "a5"])
     def test_first_copy_coordinates_rebuild_the_ambient_rows(self, base):
         glued = glue_selfdual_8(base)
-        rebuilt = mat_mul(glued.first_copy_in_lattice, glued.basis_rows)
-        assert rebuilt == [[glued.base_disc.exponent * x for x in row] for row in glued.first_copy_ambient]
+        _, first_copy = glued_lattice_oracle(base, glued)
+        e, m = glued.base_disc.exponent, len(base)
+        assert mat_mul(first_copy, glued.basis_rows) == [
+            [e if j == i else 0 for j in range(8 * m)] for i in range(m)]
 
 
 def pairwise_closure(span, vec, orders):
@@ -154,20 +160,13 @@ class TestComplementDuality:
     )
     def test_conjugate_form_and_ranks(self, base):
         glued = glue_selfdual_8(base)
-        comp = orthogonal_complement(glued, glued.first_copy_ambient)
+        comp = orthogonal_complement(glued)
         rank = len(base)
-        assert glued.lattice.rank == 8 * rank
+        assert len(glued_lattice_oracle(base, glued)[0]) == 8 * rank
         assert comp.rank == 7 * rank
         assert abs(determinant(comp.gram)) == abs(determinant(base))
         target = conjugate(discriminant_form(base).group)
         assert verify_realization(comp.gram, target).passed
-
-    def test_complement_of_everything_is_trivial(self):
-        glued = glue_selfdual_8([[2]])
-        all_rows = [[int(x * 1) for x in row] for row in
-                    [[1 if i == j else 0 for j in range(8)] for i in range(8)]]
-        comp = orthogonal_complement(glued, all_rows)
-        assert comp.rank == 0
 
 
 class TestGlueGroupProperties:
@@ -185,8 +184,8 @@ class TestGlueGroupProperties:
     def test_noncyclic_backtracking(self):
         base = cartan_d(4)  # discriminant Z2 x Z2
         glued = glue_selfdual_8(base)
-        assert determinant(glued.lattice.gram) == 1
-        comp = orthogonal_complement(glued, glued.first_copy_ambient)
+        assert determinant(glued_lattice_oracle(base.gram, glued)[0]) == 1
+        comp = orthogonal_complement(glued)
         target = conjugate(discriminant_form(base.gram).group)
         assert verify_realization(comp.gram, target).passed
 
@@ -286,6 +285,64 @@ def test_gluing_outputs_are_pinned(name):
     base, complement_digest, glue_digest = _GLUE_PINS[name]
     assert _digest(conjugate_realization(base).gram) == complement_digest
     assert _digest(glue_selfdual_8(base).glue_generators) == glue_digest
+
+
+_ORACLE_BASES = {name: base for name, (base, _, _) in _GLUE_PINS.items()}
+_ORACLE_BASES.update(E8=e8_gram().gram, ko5=k_o(5).gram)
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_BASES))
+def test_glued_lattice_is_even_unimodular_with_a_primitive_first_copy(name):
+    """The gluing checks these three by identities on its HNFs; here they
+    run on the full rank-8m Gram matrix and the first copy's coordinates."""
+    base = _ORACLE_BASES[name]
+    lam, first_copy = glued_lattice_oracle(base, glue_selfdual_8(base))
+    assert determinant(lam) == 1
+    assert has_even_diagonal(lam)
+    assert smith_normal_form(first_copy).invariant_factors() == []
+
+
+_cyclic_generators = gluing._glue_generators_cyclic
+
+
+@pytest.mark.parametrize("base, generators, message", [
+    # (3 Z9)^8 is isotropic of order 9^4, so Lambda is even unimodular, but it
+    # holds 3 e_1 of the first copy.
+    (cartan_a(8), lambda n: [[3 if j == t else 0 for j in range(8)] for t in range(8)],
+     "first copy is not primitively embedded"),
+    # {(x, x)} has order 9^4, but q2(x, x) = 2 q2(x) = 16/9 mod 2.
+    (cartan_a(8), lambda n: [[1 if j in (t, 4 + t) else 0 for j in range(8)] for t in range(4)],
+     "glued lattice is not even"),
+    # Three of the four generators span a group of order 5^3 < 5^4.
+    (cartan_a(4), lambda n: _cyclic_generators(n)[:3],
+     "glued lattice is not unimodular"),
+], ids=["imprimitive", "identity-graph", "three-generators"])
+def test_replacement_checks_refuse_a_bad_glue_group(monkeypatch, base, generators, message):
+    monkeypatch.setattr(gluing, "_glue_generators_cyclic", generators)
+    with pytest.raises(GlueSearchError, match=message):
+        conjugate_realization(base)
+
+
+# Eight generators in 0 + (Z2 x Z2)^7 for D8, found by a random search: they
+# span a group of order 4^4 on which q vanishes at every row of the HNF basis,
+# so each basis vector of Lambda has even norm, but chi does not vanish on
+# it.  Evenness needs the glue rows' pairings too, not only their norms.
+_NON_ISOTROPIC_D8_GLUE = [
+    [0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 1, 1, 1, 0, 0],
+    [0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 0, 0, 1, 0],
+    [0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1],
+    [0, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 0, 1],
+    [0, 0, 1, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 1, 1, 1],
+    [0, 0, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 0],
+    [0, 0, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 1],
+]
+
+
+def test_a_glue_group_with_even_basis_norms_but_odd_pairings_is_not_even(monkeypatch):
+    monkeypatch.setattr(gluing, "_glue_generators_search", lambda disc, budget: _NON_ISOTROPIC_D8_GLUE)
+    with pytest.raises(GlueSearchError, match="glued lattice is not even"):
+        glue_selfdual_8(cartan_d(8))
 
 
 def test_positive_definite_kmatrix_file_is_pinned(tmp_path, capsys):

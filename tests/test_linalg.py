@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from anyonlat.linalg import (
+    block_diagonal,
     congruence,
     determinant,
     hermite_normal_form,
@@ -90,6 +91,22 @@ def test_hermite_normal_form_examples():
     assert mat_mul(t, [[2, 0], [1, 1]]) == h
     zero = [[0, 0], [0, 0]]
     assert hermite_normal_form(zero)[0] == zero
+
+
+def test_block_diagonal_against_a_hand_assembled_matrix():
+    blocks = [[[2, 1], [1, 2]], [[4]], [], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]]
+    assert block_diagonal(blocks) == [
+        [2, 1, 0, 0, 0, 0],
+        [1, 2, 0, 0, 0, 0],
+        [0, 0, 4, 0, 0, 0],
+        [0, 0, 0, 2, -1, 0],
+        [0, 0, 0, -1, 2, -1],
+        [0, 0, 0, 0, -1, 2],
+    ]
+    assert block_diagonal([]) == []
+    block = [[6]]
+    assert block_diagonal([block, block]) == [[6, 0], [0, 6]]
+    assert block == [[6]]
 
 
 def test_left_kernel():

@@ -422,6 +422,26 @@ def test_constructor_refuses_anything_but_ints(orders, den, q_num, bil_num):
         MetricGroup(orders, den, q_num, bil_num)
 
 
+@pytest.mark.parametrize("x", [(1.9,), ("3",), (True,), (Fraction(1),), (1.0,)])
+def test_elements_refuse_coordinates_that_are_not_ints(x):
+    """On A[4] each of these once came back as q = 1/8."""
+    g = build_prime(spec("A", 2, 2))
+    with pytest.raises(TypeError, match="must be ints"):
+        g.q(x)
+    with pytest.raises(TypeError, match="must be ints"):
+        g.bilinear((1,), x)
+
+
+@pytest.mark.parametrize("x", [(), (1, 5), (1, 0, 0)])
+def test_elements_refuse_the_wrong_number_of_coordinates(x):
+    g = build_prime(spec("A", 2, 2))
+    assert g.q((1,)) == g.q((5,)) == Fraction(1, 8)
+    with pytest.raises(ValueError, match="coordinates, want 1"):
+        g.q(x)
+    with pytest.raises(ValueError, match="coordinates, want 1"):
+        g.bilinear((1,), x)
+
+
 @pytest.mark.parametrize("den", [0, -4])
 def test_constructor_refuses_a_denominator_below_one(den):
     with pytest.raises(ValueError, match="denominator must be >= 1"):

