@@ -42,7 +42,7 @@ from .metric_groups import (
     direct_sum,
     trivial_group,
 )
-from .realize import kmatrix_for
+from .realize import check_route_rank, kmatrix_for
 from .symmetry import aut_bruteforce, aut_order_closed
 from .weights import coset_minima, score_of_minima
 
@@ -224,6 +224,9 @@ def _cmd_kmatrix(args) -> int:
     target = parse_spec(args.spec)
     # The oracle's Gauss sum refusal, before any block (they grow with |A|).
     check_gauss_budget(target.size, max(args.budget, GAUSS_BUDGET_DEFAULT))
+    if args.positive_definite:
+        for f in factors:
+            check_route_rank(f)
     blocks = []
     routes = []
     for f in factors:

@@ -16,10 +16,12 @@ rotation blocks built from a^2 + b^2 = -1 supply it for odd n, a quaternion
 multiplication matrix with a^2 + b^2 + c^2 + d^2 = -1 mod 2^{r+1} for n = 2^r,
 and CRT welds the prime parts for mixed n.  Non-cyclic discriminant groups
 fall back to a backtracking search over D^8 in lexicographic order, which
-tests isotropy with the q and chi of the base's `DiscriminantData.group` and
 refuses up front, with BudgetExceededError, when |D|^8 exceeds its budget.
-Each span H + <v> of the search is built as the union of the cosets H + k v,
-k = 0, 1, ... until k v lies in H, so no element is added twice.
+It indexes D^8 by ints in mixed radix, so ascending ints are lexicographic,
+and reads q and chi of the base's `DiscriminantData.group` off tables over
+the two D^4 halves of an index: the candidates are the sorted isotropic
+ints, filtered down to chi(., h) = 0 as each generator h is taken, and each
+span is a set of ints, grown coset by coset through a table of x -> x + v.
 
 The `GluedLattice` carries the HNF basis h of e Lambda in M, e the exponent
 of D, built from the int columns e K^{-1} w_j; the product h K^{+8}; and the
@@ -53,7 +55,6 @@ form, so no system is solved and no irrational arithmetic ever occurs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -195,19 +196,15 @@ def _glue_generators_cyclic(n: int) -> list[list[int]]:
     return gens
 
 
-def _span_with(span: set, vec: tuple, orders) -> set:
-    """The subgroup H + <v> of Z_orders, for a subgroup H given as a set:
-    the union of the cosets H + k v, k = 0, 1, ... until k v lies in H."""
+def _over_four_copies(columns, radix: int) -> list[int]:
+    """[sum_c radix^(3-c) columns[c][a_c] for a in D^4], indexed like D^4.
 
-    def add(x, y):
-        return tuple((a + b) % n for a, b, n in zip(x, y, orders))
-
-    new = set(span)
-    step = vec
-    while step not in span:
-        new.update(add(h, step) for h in span)
-        step = add(step, vec)
-    return new
+    With radix 1 this sums a per-copy table over the four copies; with radix
+    |D| and columns[c][x] = x + v_c it is the index of a + v."""
+    table = [0]
+    for column in columns:
+        table = [t * radix + x for t in table for x in column]
+    return table
 
 
 def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[int]]:
@@ -217,10 +214,16 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
     chi = 0 mod 1, summed over the eight copies of the discriminant metric
     group) and meet the first copy only in zero.  Practical only for small
     non-cyclic D; cyclic groups use the structural path instead.  Raises
-    BudgetExceededError before listing D^8 when |D|^8 exceeds the budget.
+    BudgetExceededError before tabulating anything when |D|^8 exceeds the
+    budget.
+
+    An element of D^8 is an int in mixed radix, first coordinate most
+    significant, so ascending ints run in lexicographic order; x splits into
+    halves x // |D|^4 and x % |D|^4 of D^4, and q, chi(., h) and x -> x + v
+    are looked up in tables over D^4.  The candidates are the isotropic ints
+    chi-orthogonal to every generator taken so far; `nodes` counts every int
+    the scan passes over, candidate or not, against the budget.
     """
-    orders = list(disc.invariant_factors)
-    g = len(orders)
     target = disc.order**4
     size = disc.order**8
     if size > budget:
@@ -228,62 +231,86 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
             f"glue search (glue_selfdual_8): D^8 with |D| = {disc.order}: {size} elements exceed node budget "
             f"{budget}; no flag raises it"
         )
-    all_orders = orders * 8
     group = disc.group
-    # Numerators of q and chi over the level, tabulated on D (|D| <= budget^(1/8)).
-    level = group.level
+    level, d = group.level, disc.order
+    half = d**4
     points = list(group.elements())
-    q_num = {x: group.q_num(x) for x in points}
-    bil_num = {(x, y): group.bilinear_num(x, y) for x in points for y in points}
-    copies = [slice(copy * g, (copy + 1) * g) for copy in range(8)]
+    index = {x: i for i, x in enumerate(points)}
+    # Numerators of q and chi over the level and the sum, tabulated on D.
+    q_num = [group.q_num(x) for x in points]
+    bil_num = [[group.bilinear_num(x, y) for y in points] for x in points]
+    add = [[index[group.add(x, y)] for y in points] for x in points]
+    q_half = _over_four_copies([q_num] * 4, 1)
 
-    def q2_total(vec) -> bool:
-        return sum(q_num[vec[c]] for c in copies) % level == 0
+    def digits(a):
+        return [a // d**k % d for k in (3, 2, 1, 0)]
 
-    def bil_total(v, w) -> bool:
-        return sum(bil_num[v[c], w[c]] for c in copies) % level == 0
+    def q_total(x) -> int:
+        return (q_half[x // half] + q_half[x % half]) % level
 
-    def touches_first_copy(x) -> bool:
-        return any(x[:g]) and not any(x[g:])
+    def half_tables(v, rows, radix):
+        """`_over_four_copies` of rows[v_c], c over each D^4 half of v."""
+        return [_over_four_copies([rows[c] for c in digits(part)], radix) for part in divmod(v, half)]
 
-    elements = list(itertools.product(*(range(n) for n in all_orders)))
-    zero = tuple([0] * (8 * g))
+    def span_with(span, vec):
+        """H + <v>, the union of the cosets H + k v until k v lies in H (then
+        0 lies in the coset), or None once it outgrows the target."""
+        hi, lo = half_tables(vec, add, d)
+        new = set(span)
+        coset = span
+        while True:
+            coset = {hi[x // half] * half + lo[x % half] for x in coset}
+            if 0 in coset:
+                return new
+            new |= coset
+            if len(new) > target:
+                return None
+
+    by_q: dict[int, list[int]] = {}
+    for lo, v in enumerate(q_half):
+        by_q.setdefault(v % level, []).append(lo)
+    isotropic = [hi * half + lo for hi, v in enumerate(q_half) for lo in by_q.get(-v % level, ())]
+    first_copy = d**7  # x lies in the first copy iff x % d^7 == 0
     nodes = 0
 
-    def search(span, gens, start):
+    def search(span, gens, candidates, start):
         nonlocal nodes
         if len(span) == target:
             return gens
-        for idx in range(start, len(elements)):
-            nodes += 1
+        for i, cand in enumerate(candidates):
+            nodes += cand - start + 1
+            start = cand + 1
             if nodes > budget:
                 raise GlueSearchError("glue search node budget exhausted")
-            cand = elements[idx]
-            if cand in span or not q2_total(cand):
+            if cand in span:
                 continue
-            if any(not bil_total(cand, h) for h in gens):
+            new_span = span_with(span, cand)
+            if new_span is None:
                 continue
-            new_span = _span_with(span, cand, all_orders)
-            if len(new_span) > target:
+            fresh = new_span - span  # 0 lies in span, so fresh has no zero
+            if any(x % first_copy == 0 for x in fresh):
                 continue
-            if any(touches_first_copy(x) for x in new_span - span):
+            if any(q_total(x) for x in fresh):
                 continue
-            if not all(q2_total(x) for x in new_span - span):
-                continue
-            result = search(new_span, gens + [cand], idx + 1)
+            hi, lo = half_tables(cand, bil_num, 1)
+            orthogonal = [x for x in candidates[i + 1:] if (hi[x // half] + lo[x % half]) % level == 0]
+            result = search(new_span, gens + [cand], orthogonal, cand + 1)
             if result is not None:
                 return result
+        nodes += size - start
+        if nodes > budget:
+            raise GlueSearchError("glue search node budget exhausted")
         return None
 
     try:
-        result = search({zero}, [], 0)
+        result = search({0}, [], isotropic, 0)
     finally:
         # `search` refers to itself through its closure cell; breaking that
-        # cycle frees `elements` (all of D^8) now, not at a gen-2 collection.
+        # cycle frees its tables now, not at a gen-2 collection.
         del search
     if result is None:
         raise GlueSearchError("no glue group found within the budget")
-    return [list(vec) for vec in result]
+    return [[a for k in (7, 6, 5, 4, 3, 2, 1, 0) for a in points[x // d**k % d]] for x in result]
 
 
 # ---------------------------------------------------------------------------

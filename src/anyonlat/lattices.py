@@ -61,6 +61,7 @@ __all__ = [
     "k_e",
     "k_o",
     "k_double_prime",
+    "auxiliary_prime",
 ]
 
 # Largest auxiliary prime p' that k_double_prime tries.
@@ -302,6 +303,26 @@ def _assert_posdef_even(gram, n, name):
         raise ValueError(f"{name}: |det| = {elim.det}, expected {n}")
 
 
+def auxiliary_prime(p: int, r: int, s: int) -> int:
+    """The smallest prime p' = 3 mod 4 with (2 p^r / p') = 1 and
+    (2 p' / p) = s, for a prime p = 1 mod 4: `k_double_prime` has rank p' + 1."""
+    if p % 4 != 1 or not is_prime(p):
+        raise ValueError(f"p must be a prime = 1 mod 4, got {p}")
+    if s not in (1, -1):
+        raise ValueError(f"s must be +-1, got {s}")
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    n = p**r
+    for candidate in range(3, PPRIME_BOUND + 1, 4):
+        if (
+            is_prime(candidate)
+            and jacobi_symbol(2 * n % candidate, candidate) == 1
+            and jacobi_symbol(2 * candidate % p, p) == s
+        ):
+            return candidate
+    raise ValueError(f"no auxiliary prime below {PPRIME_BOUND} for (p, r, s) = ({p}, {r}, {s})")
+
+
 def k_double_prime(p: int, r: int, s: int) -> tuple[Lattice, int, int]:
     """Even positive-definite lattice with discriminant Z_{p^r}, p = 1 mod 4.
 
@@ -311,28 +332,8 @@ def k_double_prime(p: int, r: int, s: int) -> tuple[Lattice, int, int]:
     (p' p^r + 1)/2 tied to the last coordinate by p^r, and a unit hook at
     position p' - t.  Returns (lattice, p', t).
     """
-    if p % 4 != 1 or not is_prime(p):
-        raise ValueError(f"p must be a prime = 1 mod 4, got {p}")
-    if s not in (1, -1):
-        raise ValueError(f"s must be +-1, got {s}")
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    pprime = auxiliary_prime(p, r, s)
     n = p**r
-    pprime = None
-    candidate = 3
-    while candidate <= PPRIME_BOUND:
-        if (
-            candidate % 4 == 3
-            and is_prime(candidate)
-            and candidate != p
-            and jacobi_symbol(2 * n % candidate, candidate) == 1
-            and jacobi_symbol(2 * candidate % p, p) == s
-        ):
-            pprime = candidate
-            break
-        candidate += 2
-    if pprime is None:
-        raise ValueError(f"no auxiliary prime below {PPRIME_BOUND} for (p, r, s) = ({p}, {r}, {s})")
     t = min(sqrt_mod_prime_power(2 * n % pprime, pprime, 1))
     c = pprime + 1
     gram = [[0] * c for _ in range(c)]

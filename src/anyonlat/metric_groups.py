@@ -594,7 +594,10 @@ def _isometries(g1: MetricGroup, g2: MetricGroup, prefix=(), pools=None):
     images: list[tuple[int, ...]] = []
     columns: list[tuple[int, ...]] = []
 
-    def extend(i: int):
+    # `extend` gets itself as an argument: recursing through its closure
+    # cell would tie the function to itself in a cycle that keeps the pools
+    # alive until a gen-2 collection.
+    def extend(i: int, extend):
         if i == k:
             if injective or _order_index(images, orders) == 1:
                 yield tuple(images)
@@ -605,11 +608,11 @@ def _isometries(g1: MetricGroup, g2: MetricGroup, prefix=(), pools=None):
                 continue
             images.append(x)
             columns.append(tuple(sum(map(mul, row, x)) % level for row in bil2))
-            yield from extend(i + 1)
+            yield from extend(i + 1, extend)
             images.pop()
             columns.pop()
 
-    return extend(0)
+    return extend(0, extend)
 
 
 def is_isomorphic(g1: MetricGroup, g2: MetricGroup, budget: int = ISO_BUDGET_DEFAULT):

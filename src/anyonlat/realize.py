@@ -18,16 +18,50 @@ complements, and the E/F gluings:
 
 The four instances the expansion cannot serve (A_3, B_2, B_4, C_4) fall
 through to the positive-definite route automatically.
+
+`route_rank` reads the rank of the largest matrix a positive-definite route
+builds off this table, without building it; `check_route_rank` refuses a
+route past ROUTE_RANK_LIMIT before anything is allocated.
 """
 
 from __future__ import annotations
 
 from .gluing import build_ef_positive, conjugate_realization
-from .lattices import Lattice, cartan_a, k_double_prime, k_e, k_o
-from .metric_groups import PrimeFamilySpec
+from .lattices import Lattice, auxiliary_prime, cartan_a, k_double_prime, k_e, k_o
+from .metric_groups import BudgetExceededError, PrimeFamilySpec
 from .wall import SpecialCaseRouted, choose_c_for_family, direct_ef_k, k_from_wall
 
-__all__ = ["kmatrix_for", "positive_definite_realization"]
+__all__ = ["kmatrix_for", "positive_definite_realization", "route_rank", "check_route_rank"]
+
+# Timed end to end (`kmatrix --positive-definite`, one 2-core x86 container,
+# Python 3.11): rank 960 builds and verifies in 3.8 s and 244 MB (B[31^2]) or
+# 6.0 s and 99 MB (A[11^2], 960 glue rows); 1936 glue rows (A[3^5]) take 22 s
+# and 317 MB.
+ROUTE_RANK_LIMIT = 1000
+
+
+def route_rank(spec: PrimeFamilySpec) -> int:
+    """The rank of the largest matrix the positive-definite route builds:
+    p^r - 1 for the Cartan A_{p^r - 1}, 8 (p^r - 1) glue rows for its
+    eight-copy complement, p' + 1 for K''.  At p = 2 no route passes the 56
+    glue rows of eight copies of k_o(r), whatever r is."""
+    fam, p, r = spec.family, spec.p, spec.r
+    if p == 2:
+        return 56
+    if p % 4 == 1:
+        return auxiliary_prime(p, r, 1 if fam == "A" else -1) + 1
+    return p**r - 1 if fam == "B" else 8 * (p**r - 1)
+
+
+def check_route_rank(spec: PrimeFamilySpec) -> None:
+    """Refuse a positive-definite route whose largest matrix passes
+    ROUTE_RANK_LIMIT, before it builds anything."""
+    rank = route_rank(spec)
+    if rank > ROUTE_RANK_LIMIT:
+        raise BudgetExceededError(
+            f"positive-definite route (positive_definite_realization): {spec.label()} builds a matrix of rank "
+            f"{rank}, past the rank limit {ROUTE_RANK_LIMIT}; no flag raises it"
+        )
 
 
 def positive_definite_realization(spec: PrimeFamilySpec) -> Lattice:

@@ -309,3 +309,104 @@ def glued_lattice_oracle(base_gram, glued):
             rest = [r - x[c] * y for r, y in zip(rest, h[c])]
         first_copy.append(x)
     return gram, first_copy
+
+
+def disguised(gram, rng, ops):
+    """U K U^T for a seeded unimodular U of `ops` elementary operations."""
+    k = [row[:] for row in gram]
+    n = len(k)
+    for _ in range(ops):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for t in range(n):
+            k[i][t] += c * k[j][t]
+        for row in k:
+            row[i] += c * row[j]
+    return k
+
+
+def span_with(span: set, vec: tuple, orders) -> set:
+    """The subgroup H + <v> of Z_orders, for a subgroup H given as a set:
+    the union of the cosets H + k v, k = 0, 1, ... until k v lies in H."""
+
+    def add(x, y):
+        return tuple((a + b) % n for a, b, n in zip(x, y, orders))
+
+    new = set(span)
+    step = vec
+    while step not in span:
+        new.update(add(h, step) for h in span)
+        step = add(step, vec)
+    return new
+
+
+def glue_generators_search_oracle(disc, budget: int) -> list[list[int]]:
+    """The glue search over a list of every tuple of D^8, in lexicographic
+    order: the same depth-first search, checks and node count as
+    `gluing._glue_generators_search`, with q and chi summed copy by copy and
+    each span built from tuples.  Kept as the reference its generators must
+    match."""
+    import itertools
+
+    from anyonlat.gluing import GlueSearchError
+    from anyonlat.metric_groups import BudgetExceededError
+
+    orders = list(disc.invariant_factors)
+    g = len(orders)
+    target = disc.order**4
+    size = disc.order**8
+    if size > budget:
+        raise BudgetExceededError(f"D^8 with |D| = {disc.order}: {size} elements exceed node budget {budget}")
+    all_orders = orders * 8
+    group = disc.group
+    level = group.level
+    points = list(group.elements())
+    q_num = {x: group.q_num(x) for x in points}
+    bil_num = {(x, y): group.bilinear_num(x, y) for x in points for y in points}
+    copies = [slice(copy * g, (copy + 1) * g) for copy in range(8)]
+
+    def q2_total(vec) -> bool:
+        return sum(q_num[vec[c]] for c in copies) % level == 0
+
+    def bil_total(v, w) -> bool:
+        return sum(bil_num[v[c], w[c]] for c in copies) % level == 0
+
+    def touches_first_copy(x) -> bool:
+        return any(x[:g]) and not any(x[g:])
+
+    elements = list(itertools.product(*(range(n) for n in all_orders)))
+    zero = tuple([0] * (8 * g))
+    nodes = 0
+
+    def search(span, gens, start):
+        nonlocal nodes
+        if len(span) == target:
+            return gens
+        for idx in range(start, len(elements)):
+            nodes += 1
+            if nodes > budget:
+                raise GlueSearchError("glue search node budget exhausted")
+            cand = elements[idx]
+            if cand in span or not q2_total(cand):
+                continue
+            if any(not bil_total(cand, h) for h in gens):
+                continue
+            new_span = span_with(span, cand, all_orders)
+            if len(new_span) > target:
+                continue
+            if any(touches_first_copy(x) for x in new_span - span):
+                continue
+            if not all(q2_total(x) for x in new_span - span):
+                continue
+            result = search(new_span, gens + [cand], idx + 1)
+            if result is not None:
+                return result
+        return None
+
+    try:
+        result = search({zero}, [], 0)
+    finally:
+        del search  # break the self-reference through the closure cell
+    if result is None:
+        raise GlueSearchError("no glue group found within the budget")
+    return [list(vec) for vec in result]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import anyonlat.linalg
-from anyonlat import cli
+from anyonlat import cli, realize
 from anyonlat.cli import (
     UsageError,
     dump_matrix_file,
@@ -21,6 +21,7 @@ from anyonlat.cli import (
 from anyonlat.gluing import GLUE_SEARCH_NODE_BUDGET, GlueSearchError, conjugate_realization
 from anyonlat.lattices import cartan_a, cartan_d, e8_gram
 from anyonlat.metric_groups import central_charge_gauss
+from anyonlat.realize import ROUTE_RANK_LIMIT
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -443,6 +444,52 @@ def test_kmatrix_refuses_an_over_budget_target_before_building_a_block(monkeypat
         f"error: Gauss sum (central_charge_gauss): group of order {size} exceeds budget {10**6}; "
         "raise it with --budget"
     ]
+
+
+@pytest.mark.parametrize("argv, label, rank", [
+    (["kmatrix", "B[3^9]", "--positive-definite"], "B[3^9]", 3**9 - 1),
+    (["kmatrix", "A[5]*A[3^5]", "--positive-definite", "--budget", "10000000"], "A[3^5]", 8 * (3**5 - 1)),
+])
+def test_kmatrix_refuses_an_oversized_route_before_building_a_block(monkeypatch, capsys, argv, label, rank):
+    """B[3^9] passes the Gauss budget but routes to a rank-19682 Cartan
+    matrix; A[3^5] to the complement of A_242, whose gluing has 1936 rows.
+    Both are refused before any factor is built, whatever --budget says."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("kmatrix_for called")
+
+    monkeypatch.setattr("anyonlat.cli.kmatrix_for", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: positive-definite route (positive_definite_realization): {label} builds a matrix of rank "
+        f"{rank}, past the rank limit {ROUTE_RANK_LIMIT}; no flag raises it"
+    ]
+
+
+@pytest.mark.parametrize("spec", ["A[3]", "B[3]", "A[7]", "B[7^2]", "A[5]", "B[5]", "B[13^2]", "A[17]",
+                                  "A[2]", "B[2^3]", "C[2^4]", "C[2^5]", "D[2^3]", "E[2^2]", "E[2^3]",
+                                  "F[2]", "F[2^2]", "F[2^3]"])
+def test_route_rank_bounds_every_matrix_the_route_builds(monkeypatch, spec):
+    """route_rank is read off the routing table; the ranks of the Gram
+    matrices the route actually glues or returns never pass it, and the
+    Cartan, complement and K'' routes reach it exactly."""
+    built = []
+    glue = realize.conjugate_realization
+
+    def traced_glue(base):
+        gram = base.gram if hasattr(base, "gram") else base
+        built.append(8 * len(gram))
+        return glue(base)
+
+    monkeypatch.setattr(realize, "conjugate_realization", traced_glue)
+    monkeypatch.setattr("anyonlat.gluing.conjugate_realization", traced_glue)
+    factor = parse_spec_factors(spec)[0]
+    built.append(len(realize.positive_definite_realization(factor).gram))
+    bound = realize.route_rank(factor)
+    assert max(built) <= bound
+    if factor.p != 2:
+        assert max(built) == bound
 
 
 def test_cached_parser_leaves_no_options_behind(monkeypatch):

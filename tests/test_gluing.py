@@ -4,13 +4,13 @@ import inspect
 import random
 
 import pytest
-from reference_matrices import glued_lattice_oracle
+from reference_matrices import disguised, glue_generators_search_oracle, glued_lattice_oracle, span_with
 
 import anyonlat.gluing as gluing
 from anyonlat.cli import main
 from anyonlat.gluing import (
+    GLUE_SEARCH_NODE_BUDGET,
     GlueSearchError,
-    _span_with,
     anti_isometry_mod,
     build_ef_positive,
     conjugate_realization,
@@ -22,12 +22,14 @@ from anyonlat.lattices import (
     cartan_a,
     cartan_d,
     discriminant_form,
+    e7_gram,
     e8_gram,
     k_e,
     k_o,
     verify_realization,
 )
 from anyonlat.linalg import (
+    block_diagonal,
     determinant,
     has_even_diagonal,
     is_positive_definite,
@@ -39,8 +41,10 @@ from anyonlat.metric_groups import (
     PrimeFamilySpec,
     build_prime,
     conjugate,
+    direct_sum,
     is_isomorphic,
 )
+from anyonlat.symmetry import aut_bruteforce
 from anyonlat.weights import coset_minima, minimum_nonzero_norm
 
 
@@ -136,11 +140,35 @@ def test_coset_union_span_matches_the_pairwise_closure():
             for _ in range(rng.randint(1, 3)):
                 vec = tuple(rng.randrange(n) for n in orders)
                 expected = pairwise_closure(span, vec, orders)
-                span = _span_with(span, vec, orders)
+                span = span_with(span, vec, orders)
                 assert span == expected
 
 
+_Z2_SQUARED_BASES = {"Z2xZ2": [[2, 0], [0, 2]], **{f"D{n}": cartan_d(n).gram for n in (4, 6, 10, 12)}}
+
+
+@pytest.mark.parametrize("name, seed", [(name, seed) for name in _Z2_SQUARED_BASES for seed in (None, 1, 2)])
+def test_glue_search_returns_the_generators_of_the_tuple_search(name, seed):
+    """The int-indexed search takes the same lexicographic-first glue group
+    as the search over a list of every D^8 tuple, on Z2 x Z2 bases and two
+    disguises of each (which move the discriminant form's generators)."""
+    base = _Z2_SQUARED_BASES[name]
+    disc = discriminant_form(base if seed is None else disguised(base, random.Random(seed), 6))
+    assert disc.invariant_factors == (2, 2)
+    expected = glue_generators_search_oracle(disc, GLUE_SEARCH_NODE_BUDGET)
+    assert gluing._glue_generators_search(disc, GLUE_SEARCH_NODE_BUDGET) == expected
+
+
 class TestGlueSearchBudget:
+    def test_node_budget_counts_every_index_the_scan_passes(self):
+        # A1 + E7 (D = Z2 x Z2) backtracks: the tuple search passes 3933473
+        # indices of D^8 before it finds its glue group (the generators
+        # pinned here), so that budget is the least one it succeeds with.
+        disc = discriminant_form(block_diagonal([[[2]], e7_gram().gram]))
+        with pytest.raises(GlueSearchError, match="node budget exhausted"):
+            gluing._glue_generators_search(disc, 3933472)
+        assert _digest(gluing._glue_generators_search(disc, 3933473)) == "364a4848483e66ba"
+
     def test_refuses_before_listing_d8(self):
         # D = Z2 x Z2: 4^8 = 65536 elements of D^8, over a budget of 1000.
         with pytest.raises(BudgetExceededError, match="65536"):
@@ -242,21 +270,24 @@ class TestEFBuilders:
 
 
 def test_recursive_searches_leave_no_reference_cycle():
-    """The glue search and the branch and bound are recursive closures; each
-    call must free them (and the D^8 list the glue search holds) on return
-    rather than leave a cycle for the collector."""
+    """The glue search, the branch and bound and the isometry search are
+    recursive closures; each call must free them (and the tables and pools
+    they hold) on return rather than leave a cycle for the collector."""
+    z3_squared = direct_sum(model("A", 3, 1), model("B", 3, 1))
     gc.collect()
     flags = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         coset_minima(cartan_a(8).gram)
         glue_selfdual_8([[2, 0], [0, 2]])
+        assert is_isomorphic(z3_squared, z3_squared) is not None
+        aut_bruteforce(z3_squared)
         gc.collect()
         saved = {getattr(obj, "__name__", None) for obj in gc.garbage if inspect.isfunction(obj)}
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
-    assert not saved & {"descend", "search"}
+    assert not saved & {"descend", "search", "extend"}
 
 
 def _digest(obj) -> str:

@@ -5,6 +5,7 @@ from math import lcm
 from operator import mul
 
 import pytest
+from reference_matrices import disguised
 
 from anyonlat.lattices import (
     cartan_a,
@@ -226,20 +227,6 @@ def _negated(gram):
     return [[-x for x in row] for row in gram]
 
 
-def _disguised(gram, rng, ops):
-    """U K U^T for a seeded unimodular U of `ops` elementary operations."""
-    k = [row[:] for row in gram]
-    n = len(k)
-    for _ in range(ops):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-2, -1, 1, 2))
-        for t in range(n):
-            k[i][t] += c * k[j][t]
-        for row in k:
-            row[i] += c * row[j]
-    return k
-
-
 _HYP = [[0, 1], [1, 0]]
 # Definite and indefinite even bases of rank 2 to 40, with cyclic and
 # non-cyclic discriminant groups.
@@ -287,7 +274,7 @@ def test_discriminant_form_pins_generators_of_dense_disguises():
     rng = random.Random(6262)
     digests = []
     for base in _PIN_BASES:
-        disc = discriminant_form(_disguised(base, rng, 6 * len(base)))
+        disc = discriminant_form(disguised(base, rng, 6 * len(base)))
         e = disc.exponent
         dual_coords = tuple(tuple(Fraction(x, e) for x in col) for col in disc.dual_num)
         text = repr((disc.invariant_factors, disc.generator_reps, disc.q2_gen, disc.group.gen_bil, dual_coords))
@@ -312,7 +299,7 @@ def _rebuilt_from_solve(gram, disc):
 def test_group_and_dual_num_match_a_rebuild_from_solved_dual_coordinates():
     rng = random.Random(7373)
     grams = [base for base in _PIN_BASES if len(base) <= 16]
-    grams += [_disguised(base, rng, 4 * len(base)) for base in list(grams)]
+    grams += [disguised(base, rng, 4 * len(base)) for base in list(grams)]
     while len(grams) < 80:
         n = rng.randint(1, 5)
         gram = [[0] * n for _ in range(n)]
