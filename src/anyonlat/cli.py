@@ -2,7 +2,7 @@
 
 Subcommands:
   model      SPEC                    group data, q table, central charges, |Aut|
-  kmatrix    SPEC [--positive-definite]   synthesize and self-verify a K-matrix
+  kmatrix    SPEC [--positive-definite]   synthesize a K-matrix, run the oracle once on it
   verify     FILE --target SPEC      run the full realization oracle
   complement FILE                    glue 8 copies, emit the complement Gram
   weights    FILE                    conformal weights h_a and extremality score
@@ -24,6 +24,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 
 from .gluing import glue_selfdual_8, orthogonal_complement
 from .lattices import verify_realization
@@ -141,7 +142,7 @@ def load_matrix_file(path: str) -> tuple[list[list[int]], str | None, str | None
         if not isinstance(gram, list) or not all(isinstance(row, list) for row in gram):
             raise UsageError(f"{path}: 'gram' must be a list of rows")
         # Exact type test: bool is an int subclass, and JSON true is no entry.
-        if any(type(x) is not int for row in gram for x in row):
+        if not set(map(type, chain.from_iterable(gram))) <= {int}:
             raise UsageError(f"{path}: matrix entries must be JSON integers")
         for key in ("target", "comment"):
             if key in payload and not isinstance(payload[key], str):
@@ -162,14 +163,18 @@ def load_matrix_file(path: str) -> tuple[list[list[int]], str | None, str | None
 
 
 def dump_matrix_file(gram, target: str | None = None, comment: str | None = None, fmt: str = "structured") -> str:
+    """Plain rows, or the text of json.dumps(payload, sort_keys=True,
+    indent=2) + "\n" built by joins: one int per line, keys in sorted order,
+    strings through json.dumps."""
     if fmt == "plain":
         return "\n".join(" ".join(str(x) for x in row) for row in gram) + "\n"
-    payload = {"gram": gram}
-    if target is not None:
-        payload["target"] = target
+    rows = ["[\n      " + ",\n      ".join(map(str, row)) + "\n    ]" for row in gram]
+    fields = ['"gram": ' + ("[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]")]
     if comment is not None:
-        payload["comment"] = comment
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        fields.insert(0, '"comment": ' + json.dumps(comment))
+    if target is not None:
+        fields.append('"target": ' + json.dumps(target))
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def _write_out(path: str | None, content: str) -> None:
@@ -235,6 +240,11 @@ def _cmd_kmatrix(args) -> int:
         routes.append(f"{f.label()}: {route} (rank {len(gram)})")
     gram = block_diagonal(blocks)
     report = verify_realization(gram, target, iso_budget=args.budget)
+    # The routes leave definiteness to this one oracle run.
+    if args.positive_definite and report.passed and report.signature != len(gram):
+        raise InternalError(
+            f"positive-definite route gave signature {report.signature} at rank {len(gram)} for {args.spec}"
+        )
     for line in report.lines():
         print(line)
     for route in routes:
@@ -336,6 +346,12 @@ def _cmd_weights(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"invalid positive_int value: {text!r}")
+    return int(text)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -345,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--budget", type=int, default=4096, help="enumeration budget (group order)")
+        p.add_argument("--budget", type=positive_int, default=4096, help="enumeration budget (group order), at least 1")
 
     p_model = sub.add_parser("model", help="describe a model: q table, central charges, symmetries")
     p_model.add_argument("spec")

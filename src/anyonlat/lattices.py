@@ -22,6 +22,10 @@ Explicit even positive-definite families provided here:
 * `k_double_prime(p, r, s)`: the rank-(p'+1) construction for cyclic odd
   p = 1 mod 4 models, built from an auxiliary prime p' = 3 mod 4 with
   prescribed quadratic characters and a square root t of 2 p^r mod p'.
+
+These constructors check only their parameters: each package path to one
+ends in the oracle `kmatrix` runs on its output (with signature = rank under
+--positive-definite) or in `glue_selfdual_8`'s inertia check of its base.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from fractions import Fraction
 from operator import mul
 
 from .linalg import (
-    congruence,
     determinant,
     has_even_diagonal,
     inertia,
@@ -261,13 +264,11 @@ def e8_gram() -> Lattice:
 def k_e(r: int) -> Lattice:
     """Rank-3 even positive-definite lattice with discriminant Z_{2^r} in the
     D family; defined for even r >= 2 (the corner (2^r + 2)/3 is integral
-    exactly then)."""
+    exactly then).  Unchecked: see the module docstring."""
     if r < 2 or r % 2:
         raise ValueError(f"k_e requires even r >= 2, got {r}")
     corner = (2**r + 2) // 3
-    gram = [[corner, 0, 1], [0, 2, -1], [1, -1, 2]]
-    _assert_posdef_even(gram, 2**r, "k_e")
-    return Lattice(gram)
+    return Lattice([[corner, 0, 1], [0, 2, -1], [1, -1, 2]])
 
 
 def k_o(r: int) -> Lattice:
@@ -284,23 +285,7 @@ def k_o(r: int) -> Lattice:
         [0, 0, 0, 0, -1, 2, 0],
         [-1, 0, 0, -1, 0, 0, 2],
     ]
-    _assert_posdef_even(gram, 2**r, "k_o")
     return Lattice(gram)
-
-
-def _assert_posdef_even(gram, n, name):
-    """Even and positive definite with det = n, from one `congruence` pass.
-    The cyclic cokernel is left to the oracle, which `kmatrix` and
-    `build_ef_positive` always run: its isometry check on the discriminant
-    form is stronger."""
-    if not has_even_diagonal(gram):
-        raise ValueError(f"{name}: diagonal not even")
-    elim = congruence(gram)
-    n_plus, n_minus, n_zero = elim.inertia
-    if n_minus or n_zero:
-        raise ValueError(f"{name}: not positive definite, inertia ({n_plus}, {n_minus}, {n_zero})")
-    if elim.det != n:
-        raise ValueError(f"{name}: |det| = {elim.det}, expected {n}")
 
 
 def auxiliary_prime(p: int, r: int, s: int) -> int:
@@ -330,7 +315,7 @@ def k_double_prime(p: int, r: int, s: int) -> tuple[Lattice, int, int]:
     (2 p' / p) = s, takes the smallest t with t^2 = 2 p^r mod p', and builds
     the rank-(p'+1) matrix: a Cartan A_{p'-1} core, a heavy corner
     (p' p^r + 1)/2 tied to the last coordinate by p^r, and a unit hook at
-    position p' - t.  Returns (lattice, p', t).
+    position p' - t.  Returns (lattice, p', t), unchecked like k_e.
     """
     pprime = auxiliary_prime(p, r, s)
     n = p**r
@@ -346,5 +331,4 @@ def k_double_prime(p: int, r: int, s: int) -> tuple[Lattice, int, int]:
     hook = pprime - t
     gram[hook][c - 1] = gram[c - 1][hook] = 1
     gram[c - 1][c - 1] = (2 * n + t * (pprime - t)) // pprime
-    _assert_posdef_even(gram, n, "k_double_prime")
     return Lattice(gram), pprime, t

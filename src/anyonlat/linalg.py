@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq
 
 __all__ = [
     "identity_matrix",
@@ -108,8 +109,9 @@ def is_square(m) -> bool:
 
 
 def is_symmetric(m) -> bool:
-    n = len(m)
-    return is_square(m) and all(m[i][j] == m[j][i] for i in range(n) for j in range(i))
+    """Square with each row equal to the column of the same index; rows may
+    be lists or tuples, and ragged input is not symmetric."""
+    return is_square(m) and all(map(eq, map(tuple, m), zip(*m)))
 
 
 def has_even_diagonal(m) -> bool:

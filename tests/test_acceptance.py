@@ -183,8 +183,9 @@ def test_criterion_5_ef_positive_definite_gluing():
     with _Criterion(5, 120.0):
         for fam in "EF":
             for r in (1, 2, 3):
-                lat = build_ef_positive(fam, r)  # verifies internally
+                lat = build_ef_positive(fam, r)
                 assert lat.is_even and is_positive_definite(lat.gram)
+                assert verify_realization(lat.gram, build_prime(PrimeFamilySpec(fam, 2, r))).passed
                 if (fam, r) == ("E", 2):
                     assert lat.rank == 16
 

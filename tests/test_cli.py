@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import anyonlat.lattices
 import anyonlat.linalg
 from anyonlat import cli, realize
 from anyonlat.cli import (
@@ -97,6 +99,23 @@ class TestMatrixFiles:
         with pytest.raises(UsageError):
             load_matrix_file(str(path))
 
+    def test_structured_writer_matches_json_dumps(self):
+        """The writer's joins give json.dumps(sort_keys=True, indent=2)'s text
+        byte for byte: empty and rank-1 grams, 60-digit and negative entries,
+        each key present or absent, strings that need escapes."""
+        rng = random.Random(14)
+        strings = ["B[3]*E[4]", "", 'say "hi"', "back\\slash\\", "caf\u00e9 \u2603 \U0001f600", "tab\tnl\n\x00"]
+        for _ in range(300):
+            n = rng.choice([0, 1, 1, 2, 3, 5])
+            big = rng.randrange(10**59, 10**60)
+            gram = [[rng.choice([0, 2, -1, -big, big, rng.randint(-99, 99)]) for _ in range(n)] for _ in range(n)]
+            payload = {"gram": gram}
+            for key in ("target", "comment"):
+                if rng.random() < 0.5:
+                    payload[key] = rng.choice(strings)
+            expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            assert dump_matrix_file(gram, payload.get("target"), payload.get("comment")) == expected
+
     def test_missing_file(self):
         with pytest.raises(UsageError):
             load_matrix_file("/nonexistent/nowhere.json")
@@ -106,6 +125,9 @@ class TestMatrixFiles:
         '{"gram": [[2, 1.0], [1.0, 2]]}',
         '{"gram": [[2, true], [true, 2]]}',
         '{"gram": [[2, "1"], ["1", 2]]}',
+        '{"gram": [[2, 1], [true, 2]]}',
+        '{"gram": [[2, 1], [1, 2.0]]}',
+        '{"gram": [[2, 1], [1, "2"]]}',
         '{"gram": [[2, null], [null, 2]]}',
         '{"gram": 5}',
         '{"gram": ["21", "12"]}',
@@ -310,12 +332,13 @@ def test_internal_error_exits_3_with_one_line(tmp_path, monkeypatch, capsys, mes
     assert err.splitlines() == ["internal error: " + message.replace("\n", "; ")]
 
 
-def _count_kernel_calls(monkeypatch, names):
-    """Count calls of `linalg` kernels, wherever the package binds them."""
+def _count_kernel_calls(monkeypatch, names, source=anyonlat.linalg):
+    """Count calls of `source`'s functions (`linalg` kernels by default),
+    wherever the package binds them."""
     counts = dict.fromkeys(names, 0)
     modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "anyonlat"]
     for name in names:
-        original = getattr(anyonlat.linalg, name)
+        original = getattr(source, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
@@ -416,11 +439,54 @@ def test_model_counts_aut_of_toric_code_cubed_without_an_element_table(monkeypat
 
 @pytest.mark.parametrize("spec", ["B[5]", "D[2^4]"])
 def test_positive_definite_kmatrix_runs_one_smith_normal_form(monkeypatch, capsys, spec):
-    """The constructor's own check takes positive definiteness and det from
-    one congruence pass; only the oracle's discriminant form runs an SNF."""
-    counts = _count_kernel_calls(monkeypatch, ["smith_normal_form"])
+    """The constructors run no elimination of their own: the oracle's one
+    congruence gives definiteness and its discriminant form the one SNF."""
+    counts = _count_kernel_calls(monkeypatch, ["smith_normal_form", "congruence"])
     assert main(["kmatrix", spec, "--positive-definite"]) == 0
+    assert counts == {"smith_normal_form": 1, "congruence": 1}
+
+
+def test_positive_definite_f_kmatrix_runs_the_oracle_once(monkeypatch, capsys):
+    """build_ef_positive leaves its output to the oracle `kmatrix` runs, so
+    F[2^3] is verified once: one oracle run, one Bareiss determinant."""
+    oracle = _count_kernel_calls(monkeypatch, ["verify_realization"], source=anyonlat.lattices)
+    kernels = _count_kernel_calls(monkeypatch, ["determinant"])
+    assert main(["kmatrix", "F[2^3]", "--positive-definite"]) == 0
+    assert (oracle, kernels) == ({"verify_realization": 1}, {"determinant": 1})
+
+
+def test_direct_f_kmatrix_runs_one_smith_normal_form(monkeypatch, capsys):
+    """direct_ef_k leaves the cokernel of the closed-form F matrix to the
+    oracle's discriminant form: one SNF in the op."""
+    counts = _count_kernel_calls(monkeypatch, ["smith_normal_form"])
+    assert main(["kmatrix", "F[2^2]"]) == 0
     assert counts == {"smith_normal_form": 1}
+
+
+def test_positive_definite_kmatrix_refuses_an_indefinite_route(monkeypatch, capsys):
+    """[[0, 2], [2, 0]] realizes E[2] with signature 0: the oracle passes it,
+    and `kmatrix --positive-definite` refuses it as an internal error."""
+    monkeypatch.setattr("anyonlat.cli.kmatrix_for", lambda spec, positive_definite: ([[0, 2], [2, 0]], "patched"))
+    assert main(["kmatrix", "E[2]", "--positive-definite"]) == 3
+    captured = capsys.readouterr()
+    assert "verdict" not in captured.out
+    (line,) = captured.err.splitlines()
+    assert line.startswith("internal error: ") and "signature 0 at rank 2" in line
+    assert main(["kmatrix", "E[2]"]) == 0  # without the flag, the same matrix passes
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("command, operand", [
+    ("model", "A[3]"), ("kmatrix", "A[3]"), ("verify", "k.json"), ("complement", "k.json"), ("weights", "k.json"),
+])
+def test_budget_below_one_is_a_usage_error(capsys, command, operand, budget):
+    """`model "A[3]" --budget -5` used to exit 0 without its brute-force |Aut|
+    line, and `kmatrix --budget 0` to pass: the parser refuses both."""
+    assert main([command, operand, "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"anyonlat {command}: error: argument --budget: invalid positive_int value: {budget!r}"]
 
 
 @pytest.mark.parametrize("argv, size", [

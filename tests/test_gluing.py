@@ -231,7 +231,7 @@ class TestEFBuilders:
             assert lat.is_even
             assert is_positive_definite(lat.gram)
             assert abs(determinant(lat.gram)) == 4**r
-            # build_ef_positive verifies against the model internally.
+            assert verify_realization(lat.gram, model("E", 2, r)).passed
 
     def test_e2_rank_16(self):
         lat = build_ef_positive("E", 2)
@@ -262,6 +262,7 @@ class TestEFBuilders:
             assert lat.is_even
             assert is_positive_definite(lat.gram)
             assert abs(determinant(lat.gram)) == 4**r
+            assert verify_realization(lat.gram, model("F", 2, r)).passed
 
     def test_default_inputs_realize_required_forms(self):
         assert verify_realization(default_ef_input("E", 2).gram, model("B", 2, 2)).passed

@@ -11,6 +11,7 @@ from anyonlat.linalg import (
     identity_matrix,
     inertia,
     is_positive_definite,
+    is_symmetric,
     left_kernel,
     mat_mul,
     rational_inverse,
@@ -433,3 +434,32 @@ def test_mat_mul_against_the_dense_product():
         mat_mul([[1, 2]], [[1, 2]])
     with pytest.raises(ValueError):
         mat_mul([[1, 2], [3, 4]], [[1], [2], [3]])
+
+
+def test_is_symmetric_matches_the_pairwise_definition():
+    """Rows against columns, on square, ragged and tuple-row input alike."""
+    rng = random.Random(14)
+
+    def pairwise(m):
+        n = len(m)
+        return all(len(row) == n for row in m) and all(m[i][j] == m[j][i] for i in range(n) for j in range(i))
+
+    seen = set()
+    for _ in range(2000):
+        n = rng.randint(0, 5)
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            for i in range(n):
+                for j in range(i):
+                    m[i][j] = m[j][i]
+        if n and rng.random() < 0.2:
+            row = rng.randrange(n)
+            m[row] = m[row][:-1] if rng.random() < 0.5 else m[row] + [m[row][0]]
+        if rng.random() < 0.3:
+            m = [tuple(row) for row in m]
+        expected = pairwise(m)
+        seen.add(expected)
+        assert is_symmetric(m) == expected, m
+    assert seen == {True, False}
+    assert not is_symmetric([[1, 2], [2]]) and not is_symmetric([[1], [2]])
+    assert is_symmetric(((1, 2), (2, 3))) and is_symmetric([(1, 2), [2, 3]])

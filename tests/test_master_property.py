@@ -39,6 +39,7 @@ def test_odd_prime_positive_definite_routes(fam, p, r):
     lat = positive_definite_realization(spec)
     report = verify_realization(lat.gram, build_prime(spec))
     assert report.passed, (spec, list(report.lines()))
+    assert report.signature == lat.rank  # the constructors leave definiteness to the caller
 
 
 @pytest.mark.parametrize("fam,p,r", TWO_CASES, ids=lambda v: str(v))
@@ -47,6 +48,7 @@ def test_two_adic_positive_definite_routes(fam, p, r):
     lat = positive_definite_realization(spec)
     report = verify_realization(lat.gram, build_prime(spec))
     assert report.passed, (spec, list(report.lines()))
+    assert report.signature == lat.rank  # the constructors leave definiteness to the caller
 
 
 def test_expansion_special_cases_route_to_lattices():
@@ -85,3 +87,5 @@ def test_eight_copy_glue_exists_for_every_base_tested():
 def test_ef_gluing_larger_r():
     lat = build_ef_positive("E", 5)
     assert lat.rank == 16
+    report = verify_realization(lat.gram, build_prime(PrimeFamilySpec("E", 2, 5)))
+    assert report.passed and report.signature == 16
