@@ -347,7 +347,10 @@ def _cmd_weights(args) -> int:
 
 
 def positive_int(text: str) -> int:
-    if int(text) < 1:
+    """An int >= 1 written in the ASCII digits 0-9 only, the rule
+    `_spec_number` applies to specs; int() alone would also read signs,
+    spaces, "_" and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"invalid positive_int value: {text!r}")
     return int(text)
 

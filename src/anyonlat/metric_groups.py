@@ -27,12 +27,17 @@ Fractions only at the public boundary.
 The central charge c mod 8 is defined by sum_x theta(x) / sqrt|A| = e^{i pi c/4};
 `central_charge_closed` tabulates it per family and `central_charge_gauss`
 recomputes it from the Gauss sum as an independent oracle.  The Gauss sum
-counts N q(x) mod N into a length-N histogram and sums it against the powers
-of e^{2 pi i/N} in fixed point, F = 42 + bits(N) + ceil(bits(|A|)/2)
-fractional bits: its normalized value is off by less than 2^-40, and a phase
+counts N q(x) mod N into a length-N histogram, evaluating one x of each pair
+{x, -x} (q(-x) = q(x)) and counting it twice, and sums the histogram against
+the powers of e^{2 pi i/N} in fixed point, F = 42 + bits(N) +
+ceil(bits(|A|)/2) fractional bits, in blocks of ceil(sqrt N) levels: a
+C-level dot product with the block's baby powers, turned by one giant power
+per block.  Its normalized value is off by less than 2^-36, and a phase
 matches within 2^-20 (the derivation is in its docstring).
 
-`_q_sum` and `_bil_sum` are the package's only evaluators of q and chi, and
+`_q_sum` and `_bil_sum` are the package's only evaluators of q and chi,
+`_q_rows` their only per-element sweep (the histogram's paired runs and the
+flattened per-element view of `q_values` and `_candidates`), and
 `_isometries` its only generator-image search.  It tries as images of e_i only
 the elements of q(e_i) and order exactly n_i, and can hold the first images
 fixed: `is_isomorphic` takes its first isometry, `symmetry.aut_bruteforce`
@@ -73,6 +78,9 @@ __all__ = [
 ]
 
 DENSE_TABLE_LIMIT = 2**16
+# The longest run `_q_rows` lists at once, so a sweep holds O(ROW_CHUNK)
+# values beyond what its caller keeps.
+ROW_CHUNK = 2**12
 GAUSS_BUDGET_DEFAULT = 10**6
 ISO_BUDGET_DEFAULT = 4096
 
@@ -117,26 +125,68 @@ def _bil_sum(x, y, bil_num, level: int) -> int:
     return total % level
 
 
-def _q_numerators(g: MetricGroup):
-    """Yield N q(x) mod N for every x, in the order of `g.elements()`.
+def _q_rows(g: MetricGroup, paired: bool = False):
+    """Yield (weight, values): N q(x) mod N over runs x = p + t e, t in a range.
 
-    The last coordinate runs innermost: for a prefix p and the last generator
-    e, q(p + t e) = q(p) + t chi(p, e) + t^2 q(e), so `_q_sum` and `_bil_sum`
-    run once per prefix rather than once per element.
+    The last coordinate runs innermost: for a prefix p of the first k - 1
+    coordinates and the last generator e, q(p + t e) = q(p) + t chi(p, e) +
+    t^2 q(e), so `_q_sum` and `_bil_sum` run once per prefix and each run of
+    t is one comprehension, at most ROW_CHUNK values long.  Unpaired, every
+    run has weight 1 and the runs list every element in `g.elements()` order.
+
+    Paired, each pair {x, -x} is listed once with weight 2 (and x = -x once
+    with weight 1), which is what a histogram of q needs: q(-x) = q(x).  A
+    prefix p with -p <_lex p is skipped and its partner's row counted twice,
+    since q(-p + t e) = q(p + (n - t) e).  A self-paired prefix (-p = p, the
+    empty prefix of a cyclic group included) has equal values at t and n - t:
+    t = 1..ceil(n/2)-1 count twice, t = 0 and t = n/2 (n even) once.
     """
     if not g.orders:
-        yield 0
+        yield 1, [0]
         return
     *head, n = g.orders
     level, q_num, bil_num = g.level, g.gen_q_num, g.gen_bil_num
     a = q_num[-1]
     last = (0,) * len(head) + (1,)
-    for prefix in itertools.product(*(range(m) for m in head)):
+    # (weight, ts) runs of t: every t for an unpaired or a twice-counted
+    # prefix, t = 0 (and n/2) once and 1..ceil(n/2)-1 twice for a self-paired one.
+    runs = full = [(2 if paired else 1, ts) for ts in _chunks(0, n)]
+    ranges = [range(m) for m in head]
+    if paired:
+        self_paired = [(1, (0, n // 2) if n % 2 == 0 else (0,))] + [(2, ts) for ts in _chunks(1, (n + 1) // 2)]
+        # -p for each prefix p, in step with the prefixes.
+        negatives = itertools.product(*([-c % m for c in range(m)] for m in head))
+    for prefix in itertools.product(*ranges):
+        if paired:
+            neg = next(negatives)
+            if neg < prefix:
+                continue
+            runs = self_paired if neg == prefix else full
         x = prefix + (0,)
         base = _q_sum(x, q_num, bil_num, level)
         lin = _bil_sum(x, last, bil_num, level)
-        for t in range(n):
-            yield (base + t * (lin + t * a)) % level
+        for weight, ts in runs:
+            yield weight, [(base + t * (lin + t * a)) % level for t in ts]
+
+
+def _chunks(start: int, stop: int) -> list[range]:
+    """range(start, stop) cut into ranges of at most ROW_CHUNK values."""
+    return [range(lo, min(lo + ROW_CHUNK, stop)) for lo in range(start, stop, ROW_CHUNK)]
+
+
+def _q_histogram(g: MetricGroup) -> list[int]:
+    """c_v = #{x : N q(x) = v mod N} for v < N, from the paired runs."""
+    counts = [0] * g.level
+    for weight, values in _q_rows(g, paired=True):
+        for v in values:
+            counts[v] += weight
+    return counts
+
+
+def _q_numerators(g: MetricGroup):
+    """Yield N q(x) mod N for every x, in the order of `g.elements()`."""
+    for _, values in _q_rows(g):
+        yield from values
 
 
 class MetricGroup:
@@ -466,37 +516,56 @@ def central_charge_gauss(g: MetricGroup, budget: int = GAUSS_BUDGET_DEFAULT) -> 
     """Central charge mod 8 from the normalized Gauss sum sum_x e^{2 pi i q(x)}.
 
     With N the level, the sum is sum_v c_v zeta^v over the histogram
-    c_v = #{x : N q(x) = v mod N}, zeta = e^{2 pi i/N}.  It is summed in fixed
-    point with F fractional bits: mpmath rounds w = zeta once, z_0 = 1 and
-    z_{v+1} = z_v w truncated to F bits.  Each step adds at most 2.5 * 2^-F
-    to |z_v - zeta^v|, so |z_v - zeta^v| <= 3 v 2^-F and the normalized sum
-    (with its targets sqrt|A| e^{i pi c/4} rounded to F bits) is off by less
-    than 4 N sqrt|A| 2^-F <= 2^-40 for F = 42 + bits(N) + ceil(bits(|A|)/2).
-    A phase e^{i pi c/4} matches when it lies within 2^-20 of the normalized
-    sum: far above that error, and far below both the gap |e^{i pi/4} - 1|
-    ~ 0.765 between phases and the distance >= sqrt 2 - 1 from the unit
-    circle of a degenerate form's sum (modulus 0 or sqrt|radical| >= sqrt 2).
+    c_v = #{x : N q(x) = v mod N}, zeta = e^{2 pi i/N}.  `_q_histogram`
+    fills it from `_q_rows(g, paired=True)`: q(-x) = q(x), so each pair
+    {x, -x} is evaluated once and counted twice.
+
+    The sum is taken in fixed point with F fractional bits (u = 2^-F), in
+    blocks of B = ceil(sqrt N) levels.  mpmath rounds w = zeta once; the baby
+    powers are z_0 = 1 and z_{j+1} = z_j w truncated to F bits, j <= B, and
+    the giant powers G_0 = 1 and G_{h+1} = G_h z_B truncated.  Each baby step
+    adds at most 2.5u to |z_j - zeta^j|, so it is <= 3 j u, and each giant
+    step at most |G_h| 3 B u + sqrt 2 u < (3B + 3) u (|z_B - zeta^B| <= 3 B u,
+    and a truncation moves each part by less than u), so
+    |G_h - zeta^{hB}| <= h (3B + 3) u.
+    Block h adds (A_h G_h) >> F with A_h = sum_j c_{hB+j} z_j, an exact
+    integer (a C-level sum of products), so it is off by at most
+    C_h (3B + h (3B + 3)) u (1 + 3Bu) + sqrt 2 u, C_h the block's count.  With
+    h < ceil(N/B) <= B the sum is off by less than 4 |A| (B + 1)^2 u
+    <= 36 N |A| u, and the normalized sum (with its targets sqrt|A|
+    e^{i pi c/4} rounded to F bits) by less than 2^-36 for
+    F = 42 + bits(N) + ceil(bits(|A|)/2).  A phase e^{i pi c/4} matches when
+    it lies within 2^-20 of the normalized sum: far above that error, and far
+    below both the gap |e^{i pi/4} - 1| ~ 0.765 between phases and the
+    distance >= sqrt 2 - 1 from the unit circle of a degenerate form's sum
+    (modulus 0 or sqrt|radical| >= sqrt 2).
     Raises DegenerateFormError when no phase matches.
     """
     size = g.size
     check_gauss_budget(size, budget)
     n = g.level
-    counts = [0] * n
-    for v in _q_numerators(g):
-        counts[v] += 1
+    counts = _q_histogram(g)
     bits = 42 + n.bit_length() + (size.bit_length() + 1) // 2
     # The only transcendental input; workprec leaves mpmath.mp alone.
     with mpmath.workprec(bits + 16):
         angle = 2 * mpmath.pi / n
         wr = int(mpmath.nint(mpmath.ldexp(mpmath.cos(angle), bits)))
         wi = int(mpmath.nint(mpmath.ldexp(mpmath.sin(angle), bits)))
+    block = isqrt(n - 1) + 1  # B = ceil(sqrt N)
+    baby_re, baby_im = [], []
     zr, zi = 1 << bits, 0
-    sr = si = 0
-    for c in counts:
-        if c:
-            sr += c * zr
-            si += c * zi
+    for _ in range(block):
+        baby_re.append(zr)
+        baby_im.append(zi)
         zr, zi = (zr * wr - zi * wi) >> bits, (zr * wi + zi * wr) >> bits
+    gr, gi = 1 << bits, 0
+    sr = si = 0
+    for h in range(0, n, block):
+        part = counts[h:h + block]
+        ar, ai = sum(map(mul, part, baby_re)), sum(map(mul, part, baby_im))
+        sr += (ar * gr - ai * gi) >> bits
+        si += (ar * gi + ai * gr) >> bits
+        gr, gi = (gr * zr - gi * zi) >> bits, (gr * zi + gi * zr) >> bits
     full = isqrt(size << (2 * bits))  # sqrt|A| and sqrt(|A|/2), F bits
     half = isqrt(size << (2 * bits - 1))
     phases = ((full, 0), (half, half), (0, full), (-half, half),

@@ -489,6 +489,22 @@ def test_budget_below_one_is_a_usage_error(capsys, command, operand, budget):
     assert errors == [f"anyonlat {command}: error: argument --budget: invalid positive_int value: {budget!r}"]
 
 
+@pytest.mark.parametrize("budget", ["1_0", " 5", "+7", "\u0663"])
+@pytest.mark.parametrize("command, operand", [
+    ("model", "A[3]"), ("kmatrix", "A[3]"), ("verify", "k.json"), ("complement", "k.json"), ("weights", "k.json"),
+])
+def test_budget_not_in_ascii_digits_is_a_usage_error(capsys, command, operand, budget):
+    """int() reads each of these ("\u0663" is the Arabic-Indic digit three),
+    and `model "A[3]" --budget 1_0` used to exit 0: the parser takes the
+    ASCII digits 0-9 only, as spec numbers do."""
+    assert main([command, operand, "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith(f"usage: anyonlat {command} ")
+    assert lines[-1] == f"anyonlat {command}: error: argument --budget: invalid positive_int value: {budget!r}"
+
+
 @pytest.mark.parametrize("argv, size", [
     (["kmatrix", "E[2^30]", "--positive-definite"], 4**30),
     (["kmatrix", "F[2^21]", "--positive-definite"], 4**21),

@@ -14,6 +14,7 @@ from anyonlat.metric_groups import (
     DegenerateFormError,
     MetricGroup,
     PrimeFamilySpec,
+    _cyclic,
     build_prime,
     canonical_unit,
     central_charge_closed,
@@ -358,6 +359,100 @@ def test_gauss_sum_matches_the_fraction_reference():
         else:
             assert central_charge_gauss(g) == want, g
     assert degenerate == 3
+
+
+def _histogram_cases():
+    """Cyclic groups of odd and even order (2 and 4 included), E and F at
+    p = 2, sums with two or three Z2 factors (several self-paired prefixes),
+    seeded random forms (degenerate ones included) and the trivial group."""
+    rng = random.Random("paired-histogram")
+    families = [spec("A", 2, 1), spec("B", 2, 2), spec("B", 3, 1), spec("A", 5, 1), spec("C", 2, 3),
+                spec("A", 3, 2), spec("D", 2, 4), spec("E", 2, 1), spec("F", 2, 1), spec("E", 2, 2),
+                spec("F", 2, 3)]
+    cases = [trivial_group(), _cyclic(6, 1, 12), _cyclic(2, 1, 2), _cyclic(4, 1, 2)]
+    cases += [build_prime(s) for s in families]
+    a2, e2 = build_prime(spec("A", 2, 1)), build_prime(spec("E", 2, 1))
+    cases += [direct_sum(a2, a2), direct_sum(direct_sum(a2, a2), a2), direct_sum(e2, a2),
+              direct_sum(e2, build_prime(spec("F", 2, 2))),
+              direct_sum(direct_sum(a2, build_prime(spec("A", 2, 2))), build_prime(spec("B", 3, 1))),
+              direct_sum(direct_sum(a2, e2), build_prime(spec("A", 3, 1)))]
+    cases += [random_form(rng) for _ in range(30)]
+    return cases
+
+
+def test_paired_histogram_counts_every_element_once():
+    """The histogram built from one x of each pair {x, -x} against a count of
+    `_q_sum` over every element; the flattened rows in `g.elements()` order."""
+    from anyonlat.metric_groups import _q_histogram, _q_numerators, _q_sum
+
+    cases = _histogram_cases()
+    assert any(len(g.orders) == 3 and g.orders[:2] == (2, 2) for g in cases)
+    assert sum(not is_nondegenerate(g) for g in cases) >= 5
+    for g in cases:
+        values = [_q_sum(x, g.gen_q_num, g.gen_bil_num, g.level) for x in g.elements()]
+        want = [0] * g.level
+        for v in values:
+            want[v] += 1
+        assert _q_histogram(g) == want, g
+        assert list(_q_numerators(g)) == values, g
+
+
+def test_rows_are_cut_into_chunks_without_changing_the_counts(monkeypatch):
+    """With ROW_CHUNK = 3 every row longer than three values is cut; the
+    histogram and the flattened order stay the same, and no run is longer."""
+    from anyonlat import metric_groups
+    from anyonlat.metric_groups import _q_histogram, _q_numerators, _q_rows
+
+    cases = _histogram_cases() + [build_prime(spec("A", 2, 4)), build_prime(spec("B", 3, 3))]
+    whole = [(_q_histogram(g), list(_q_numerators(g))) for g in cases]
+    monkeypatch.setattr(metric_groups, "ROW_CHUNK", 3)
+    for g, (counts, values) in zip(cases, whole):
+        assert _q_histogram(g) == counts and list(_q_numerators(g)) == values, g
+        for paired in (False, True):
+            assert all(len(run) <= 3 for _, run in _q_rows(g, paired)), g
+
+
+def _level_n_groups(n):
+    """A nondegenerate form of level n, and for even n the degenerate Z_n
+    with q(1) = 1/n (radical of order 2)."""
+    if n == 1:
+        return [trivial_group()]
+    if n % 2:
+        return [_cyclic(n, 1, n)]
+    if n % 4 == 0:
+        return [_cyclic(n // 2, 1, n), _cyclic(n, 1, n)]
+    e2 = build_prime(spec("E", 2, 1))
+    return [e2 if n == 2 else direct_sum(e2, _cyclic(n // 2, 1, n // 2)), _cyclic(n, 1, n)]
+
+
+def test_block_sum_matches_the_fraction_reference():
+    """Levels on both sides of each block edge B^2 (B = ceil(sqrt N)), the
+    levels 1 to 4, larger levels, and degenerate forms whose radicals have
+    order 2 and 4, against the mpmath reference."""
+    levels = [1, 2, 3, 4]
+    for b in range(2, 13):
+        levels += [b * b - 1, b * b, b * b + 1]
+    levels += [32 * 32 - 1, 32 * 32, 32 * 32 + 1]
+    cases = [g for n in levels for g in _level_n_groups(n)]
+    assert {g.level for g in cases} == set(levels)
+    cases += [build_prime(spec("B", 23, 2)), build_prime(spec("A", 3, 7)),
+              direct_sum(build_prime(spec("E", 2, 4)), build_prime(spec("A", 5, 1)))]
+    a27 = build_prime(spec("A", 3, 3))
+    zero4 = MetricGroup((2, 2), 1, (0, 0), ((0, 0), (0, 0)))  # radical of order 4, q = 0 on it
+    half4 = _cyclic(4, 1, 2)  # q(x) = x^2/2: radical of order 4, q = 1/2 on it
+    degenerate = [_cyclic(50, 1, 50), direct_sum(a27, zero4), direct_sum(a27, half4),
+                  direct_sum(build_prime(spec("B", 5, 2)), _cyclic(2, 1, 2))]
+    cases += degenerate
+    refused = 0
+    for g in cases:
+        want = reference_gauss(g)
+        if want is None:
+            refused += 1
+            with pytest.raises(DegenerateFormError):
+                central_charge_gauss(g)
+        else:
+            assert central_charge_gauss(g) == want, g
+    assert refused == sum(not is_nondegenerate(g) for g in cases) >= len(degenerate) + 10
 
 
 def test_q_and_chi_match_a_fraction_recomputation():
