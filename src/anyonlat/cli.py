@@ -28,7 +28,7 @@ from itertools import chain
 
 from .gluing import glue_selfdual_8, orthogonal_complement
 from .lattices import verify_realization
-from .linalg import block_diagonal, determinant, is_symmetric
+from .linalg import block_diagonal, is_symmetric
 from .metric_groups import (
     GAUSS_BUDGET_DEFAULT,
     BudgetExceededError,
@@ -280,19 +280,10 @@ def _cmd_complement(args) -> int:
     gram, embedded_target, _ = load_matrix_file(args.file)
     glued = glue_selfdual_8(gram)
     comp = orthogonal_complement(glued)
-    disc_in = glued.base_disc
-    if disc_in.order <= args.budget:
-        target = conjugate(disc_in.group)
-        report = verify_realization(comp.gram, target, iso_budget=args.budget)
-        print(f"complement rank {comp.rank}, |det| {abs(report.det)}")
-        for line in report.lines():
-            print(line)
-        verdict = report.passed
-    else:
-        det = determinant(comp.gram)
-        print(f"complement rank {comp.rank}, |det| {abs(det)}")
-        verdict = comp.is_even and abs(det) == disc_in.order
-        print(f"[{'pass' if verdict else 'FAIL'}] structural checks only (budget)")
+    report = verify_realization(comp.gram, conjugate(glued.base_disc.group), iso_budget=args.budget)
+    print(f"complement rank {comp.rank}, |det| {abs(report.det)}")
+    for line in report.lines():
+        print(line)
     out_target = None
     if embedded_target:
         try:
@@ -304,9 +295,9 @@ def _cmd_complement(args) -> int:
     _write_out(args.out, dump_matrix_file(comp.gram, target=out_target, fmt=args.format))
     if args.out:
         print(f"wrote {args.out}")
-    print(f"verdict: {'pass' if verdict else 'FAIL'}")
+    print(f"verdict: {'pass' if report.passed else 'FAIL'}")
     print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
-    return 0 if verdict else 1
+    return 0 if report.passed else 1
 
 
 def _conjugate_label(spec: PrimeFamilySpec) -> str:

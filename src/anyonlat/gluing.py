@@ -60,6 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .lattices import (
     DiscriminantData,
@@ -415,31 +416,35 @@ def conjugate_realization(base: Lattice | list[list[int]]) -> Lattice:
 # E/F positive-definite builders
 
 
-def _dual_generator_with_norm(disc: DiscriminantData, gram, target_num: int, r: int) -> tuple[list[int], Fraction]:
+def _dual_generator_with_norm(disc: DiscriminantData, gram, target_num: int, r: int) -> tuple[list[int], int]:
     """Integer dual-coset vector w generating Z_{2^r} with w K^{-1} w =
-    target_num / 2^r mod 2, and its exact norm w K^{-1} w.
+    target_num / 2^r mod 2, and n (w K^{-1} w) as an int, n = 2^r.
 
     w = u * (SNF generator) for the smallest odd u, shifted by the Gram rows
-    sum_j s_j K_j with s = -round(u * K^{-1} generator) to shrink coordinates;
-    the shift stays in the same dual coset and moves K^{-1} w by s.
+    sum_j s_j K_j with s = -round(u * K^{-1} generator), halves to even, to
+    shrink coordinates; the shift stays in the same dual coset and moves
+    K^{-1} w by s.  n is the exponent, so n K^{-1} w = u * dual_num is an
+    int column and the norms compare as residues mod 2n.
     """
     n = 2**r
     if disc.invariant_factors != (n,):
         raise ValueError(f"input discriminant group {disc.invariant_factors} is not Z_{n}")
-    base_norm = disc.q2_gen[0]
-    target = Fraction(target_num, n)
+    gen, dual = disc.generator_reps[0], disc.dual_num[0]
+    base = sum(map(mul, gen, dual))  # n (w K^{-1} w) at u = 1
     for u in range(1, 2 * n + 1, 2):
-        if (u * u * base_norm - target) % 2 == 0:
-            w = [u * x for x in disc.generator_reps[0]]
-            z = [Fraction(u * x, n) for x in disc.dual_num[0]]  # n is the exponent
+        if (u * u * base - target_num) % (2 * n) == 0:
+            w = [u * x for x in gen]
+            z = [u * x for x in dual]  # n K^{-1} w
             for j, zj in enumerate(z):
-                s = -round(zj)  # exact: round() on Fraction
+                s, rem = divmod(zj, n)
+                if 2 * rem > n or (2 * rem == n and s % 2):
+                    s += 1
                 if s:
-                    z[j] += s
+                    z[j] -= s * n
                     for i in range(len(w)):
-                        w[i] += s * gram[j][i]
-            return w, sum(a * b for a, b in zip(w, z))
-    raise ValueError(f"no dual generator with norm {target} mod 2 exists")
+                        w[i] -= s * gram[j][i]
+            return w, sum(map(mul, w, z))
+    raise ValueError(f"no dual generator with norm {target_num}/{n} mod 2 exists")
 
 
 def default_ef_input(family: str, r: int) -> Lattice:
@@ -468,9 +473,11 @@ def build_ef_positive(family: str, r: int, input_lattice: Lattice | None = None)
     E: a rank-2 block [[2/2^r + 2 l.l, 1], [1, 2^r]] tied to two copies of the
     input lattice through the dual vector lambda with l.l = -1/2^r mod 2.
     F: a rank-3 block with corner 3/2^r + m.m (m.m = -3/2^r mod 2) and two
-    scaled axes, tied to one input copy through mu.  The input is checked to
-    be positive definite; the output is not verified here: `kmatrix` runs the
-    oracle on it, and refuses it unless its signature is its rank.
+    scaled axes, tied to one input copy through mu.  Both are the block
+    diagonal of the head block and the copies, with the glue vector written
+    into row and column 0 of each copy.  The input is checked to be positive
+    definite; the output is not verified here: `kmatrix` runs the oracle on
+    it, and refuses it unless its signature is its rank.
     """
     if family not in "EF":
         raise ValueError(f"family must be E or F, got {family!r}")
@@ -483,37 +490,20 @@ def build_ef_positive(family: str, r: int, input_lattice: Lattice | None = None)
     if n_minus or n_zero:
         raise ValueError("input lattice must be positive definite")
     disc = discriminant_form(gram_in)
-    m = len(gram_in)
+    # norm is n (w K^{-1} w), so the corner is (2 + 2 norm) / n resp. (3 + norm) / n.
     if family == "E":
         w, norm = _dual_generator_with_norm(disc, gram_in, -1, r)
-        corner = Fraction(2, n) + 2 * norm
-        if corner.denominator != 1:
-            raise GlueSearchError("lambda norm residue violated")
-        size = 2 + 2 * m
-        gram = [[0] * size for _ in range(size)]
-        gram[0][0] = int(corner)
-        gram[0][1] = gram[1][0] = 1
-        gram[1][1] = n
-        for copy in range(2):
-            off = 2 + copy * m
-            for i in range(m):
-                gram[0][off + i] = gram[off + i][0] = w[i]
-                for j in range(m):
-                    gram[off + i][off + j] = gram_in[i][j]
+        corner, rem = divmod(2 + 2 * norm, n)
+        head, copies, glue = [[corner, 1], [1, n]], 2, "lambda"
     else:
         w, norm = _dual_generator_with_norm(disc, gram_in, -3, r)
-        corner = Fraction(3, n) + norm
-        if corner.denominator != 1:
-            raise GlueSearchError("mu norm residue violated")
-        size = 3 + m
-        gram = [[0] * size for _ in range(size)]
-        gram[0][0] = int(corner)
-        gram[0][1] = gram[1][0] = 1
-        gram[0][2] = gram[2][0] = 1
-        gram[1][1] = n
-        gram[2][2] = n
-        for i in range(m):
-            gram[0][3 + i] = gram[3 + i][0] = w[i]
-            for j in range(m):
-                gram[3 + i][3 + j] = gram_in[i][j]
+        corner, rem = divmod(3 + norm, n)
+        head, copies, glue = [[corner, 1, 1], [1, n, 0], [1, 0, n]], 1, "mu"
+    if rem:
+        raise GlueSearchError(f"{glue} norm residue violated")
+    gram = block_diagonal([head] + [gram_in] * copies)
+    for copy in range(copies):
+        off = len(head) + copy * len(gram_in)
+        for i, wi in enumerate(w):
+            gram[0][off + i] = gram[off + i][0] = wi
     return Lattice(gram)

@@ -381,7 +381,8 @@ def hermite_normal_form(m: list[list[int]]) -> tuple[list[list[int]], list[list[
 
 
 def left_kernel(m: list[list[int]]) -> list[list[int]]:
-    """Basis of {y integer row : y * m = 0}; saturated by construction."""
+    """Basis of {y integer row : y * m = 0}, saturated by construction; no
+    package module calls it, and the benchmark's tracer wraps it by name."""
     h, t = hermite_normal_form(m)
     return [t[i] for i in range(len(m)) if not any(h[i])]
 

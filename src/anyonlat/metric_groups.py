@@ -19,10 +19,10 @@ chi(e_i, e_j): all values of q and chi lie in (1/N)Z/Z, and N is an isometry
 invariant (the lcm of the denominators of all values of q).  A MetricGroup
 stores the integer numerators N q(e_i) and N chi(e_i, e_j) mod N, and every
 internal computation (the Gauss-sum histogram, the isometry and automorphism
-searches, the glue search's isotropy sums, the radical) compares those ints.
-The constructor takes int numerators over any common denominator and reduces
-them to the level with one gcd; `q`, `bilinear` and `q_values` return
-Fractions only at the public boundary.
+searches, the glue search's isotropy sums, the nondegeneracy test) compares
+those ints.  The constructor takes int numerators over any common
+denominator and reduces them to the level with one gcd; `q`, `bilinear` and
+`q_values` return Fractions only at the public boundary.
 
 The central charge c mod 8 is defined by sum_x theta(x) / sqrt|A| = e^{i pi c/4};
 `central_charge_closed` tabulates it per family and `central_charge_gauss`
@@ -55,7 +55,7 @@ from operator import mul
 
 import mpmath
 
-from .linalg import hermite_normal_form, left_kernel, smith_normal_form
+from .linalg import hermite_normal_form, smith_normal_form
 from .numtheory import is_prime, jacobi_symbol, sqrt_mod
 
 __all__ = [
@@ -450,32 +450,18 @@ def conjugate(g: MetricGroup) -> MetricGroup:
 def is_nondegenerate(g: MetricGroup) -> bool:
     """True iff x -> chi(x, .) is injective.
 
-    The radical is computed structurally: with N the level and
-    C[i][j] = N chi(e_i, e_j), the radical is S / diag(orders) Z^k where
-    S = {x : x C = 0 mod N}, so it is trivial exactly when [Z^k : S] = |A|.
-    The answer is kept on g, so a group is checked once.
+    With N the level and C[i][j] = N chi(e_i, e_j), row i of
+    n_j C[i][j] / N is the image of e_i in the character group
+    Hom(A, Q/Z) = Z_{n_1} x ... x Z_{n_k}.  A and its character group have
+    the same order, so the map is injective iff it is onto, i.e. iff those
+    rows generate Z^k / diag(orders) Z^k (Nikulin 1979, section 1).  The
+    answer is kept on g, so a group is checked once.
     """
     if g._nondegenerate is None:
-        object.__setattr__(g, "_nondegenerate", _radical_is_trivial(g))
+        level, orders = g.level, g.orders
+        rows = [[n * c // level for n, c in zip(orders, row)] for row in g.gen_bil_num]
+        object.__setattr__(g, "_nondegenerate", _order_index(rows, orders) == 1)
     return g._nondegenerate
-
-
-def _radical_is_trivial(g: MetricGroup) -> bool:
-    k = len(g.orders)
-    if k == 0:
-        return True
-    d = g.level
-    # S is the projection onto the first k coordinates of the left kernel of
-    # [[C], [N I]]; the projection is injective on that kernel.
-    block = [list(row) for row in g.gen_bil_num] + [[d if i == j else 0 for j in range(k)] for i in range(k)]
-    proj = [row[:k] for row in left_kernel(block)]
-    h, _ = hermite_normal_form(proj)
-    index = 1
-    for i in range(k):
-        if i >= len(h) or h[i][i] == 0:
-            return False
-        index *= h[i][i]
-    return index == g.size
 
 
 _ODD_A_CHARGE = {1: 0, 7: 2, 5: 4, 3: 6}
@@ -512,6 +498,14 @@ def check_gauss_budget(size: int, budget: int) -> None:
         )
 
 
+def _gauss_bits(level: int, size: int) -> int:
+    """F = 42 + bits(N) + ceil(bits(|A|)/2) fractional bits for the Gauss sum
+    of a group of order |A| = size and level N: then 36 N < 2^(6 + bits(N))
+    and sqrt|A| <= 2^ceil(bits(|A|)/2), so 36 N sqrt|A| <= 2^(F - 36), which
+    is the bound `central_charge_gauss` needs."""
+    return 42 + level.bit_length() + (size.bit_length() + 1) // 2
+
+
 def central_charge_gauss(g: MetricGroup, budget: int = GAUSS_BUDGET_DEFAULT) -> int:
     """Central charge mod 8 from the normalized Gauss sum sum_x e^{2 pi i q(x)}.
 
@@ -545,7 +539,7 @@ def central_charge_gauss(g: MetricGroup, budget: int = GAUSS_BUDGET_DEFAULT) -> 
     check_gauss_budget(size, budget)
     n = g.level
     counts = _q_histogram(g)
-    bits = 42 + n.bit_length() + (size.bit_length() + 1) // 2
+    bits = _gauss_bits(n, size)
     # The only transcendental input; workprec leaves mpmath.mp alone.
     with mpmath.workprec(bits + 16):
         angle = 2 * mpmath.pi / n

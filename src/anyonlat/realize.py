@@ -16,8 +16,8 @@ complements, and the E/F gluings:
   C_{2^r}                   complement of k_e(r) / k_o(r)
   E_{2^r}, F_{2^r}          block gluing over a B- resp. C-family input
 
-The four instances the expansion cannot serve (A_3, B_2, B_4, C_4) fall
-through to the positive-definite route automatically.
+The four instances the expansion cannot serve (A_3, B_2, B_4, C_4), where
+`choose_c_for_family` gives None, take the positive-definite route.
 
 `route_rank` reads the rank of the largest matrix a positive-definite route
 builds off this table, without building it; `check_route_rank` refuses a
@@ -29,7 +29,7 @@ from __future__ import annotations
 from .gluing import build_ef_positive, conjugate_realization
 from .lattices import Lattice, auxiliary_prime, cartan_a, k_double_prime, k_e, k_o
 from .metric_groups import BudgetExceededError, PrimeFamilySpec
-from .wall import SpecialCaseRouted, choose_c_for_family, direct_ef_k, k_from_wall
+from .wall import choose_c_for_family, direct_ef_k, k_from_wall
 
 __all__ = ["kmatrix_for", "positive_definite_realization", "route_rank", "check_route_rank"]
 
@@ -38,6 +38,13 @@ __all__ = ["kmatrix_for", "positive_definite_realization", "route_rank", "check_
 # 6.0 s and 99 MB (A[11^2], 960 glue rows); 1936 glue rows (A[3^5]) take 22 s
 # and 317 MB.
 ROUTE_RANK_LIMIT = 1000
+
+
+_SPECIAL_CASE_ROUTES = {
+    "A": "complement of the SU(3) Cartan lattice",
+    "B": "complement of the rank-1 lattice (2^r)",
+    "C": "complement of the D-family lattice",
+}
 
 
 def route_rank(spec: PrimeFamilySpec) -> int:
@@ -89,8 +96,7 @@ def kmatrix_for(spec: PrimeFamilySpec, positive_definite: bool = False) -> tuple
         return positive_definite_realization(spec).gram, "positive-definite table"
     if spec.family in "EF":
         return direct_ef_k(spec.family, spec.r), "direct rank-2/4 form"
-    try:
-        n = choose_c_for_family(spec)
-    except SpecialCaseRouted as routed:
-        return positive_definite_realization(spec).gram, f"special case: {routed.route}"
+    n = choose_c_for_family(spec)
+    if n is None:
+        return positive_definite_realization(spec).gram, f"special case: {_SPECIAL_CASE_ROUTES[spec.family]}"
     return k_from_wall(n, spec.p**spec.r), f"continued fraction, n = {n}"

@@ -48,22 +48,8 @@ __all__ = [
     "k_from_wall",
     "choose_c_for_family",
     "direct_ef_k",
-    "SpecialCaseRouted",
     "WallVerificationError",
 ]
-
-
-class SpecialCaseRouted(ValueError):
-    """The family instance is served by an explicit lattice, not the expansion.
-
-    Raised for A_3, B_2, B_4 and C_4, where no admissible parameter n exists
-    below the modulus; `route` names the replacement construction.
-    """
-
-    def __init__(self, spec: PrimeFamilySpec, route: str):
-        super().__init__(f"{spec.label()} routes to {route}")
-        self.spec = spec
-        self.route = route
 
 
 class WallVerificationError(InternalError):
@@ -170,42 +156,29 @@ def k_from_wall(n: int, modulus: int) -> list[list[int]]:
     return k
 
 
-def choose_c_for_family(spec: PrimeFamilySpec) -> int:
+def choose_c_for_family(spec: PrimeFamilySpec) -> int | None:
     """The canonical expansion parameter n for an A/B/C/D family instance.
 
     Odd p: n = 2m with m = 2 for family A, and for family B the smallest
     quadratic non-residue pairing (found by search when p = 1 mod 8).
-    p = 2: n = 1, 7, 5, 3 for A, B, C, D.  Instances whose parameter would
-    not satisfy n < p^r raise SpecialCaseRouted.
+    p = 2: n = 1, 7, 5, 3 for A, B, C, D.  None when n >= p^r, which happens
+    for A_3, B_2, B_4 and C_4 only; `realize.kmatrix_for` routes those to a
+    positive-definite lattice.
     """
     fam, p, r = spec.family, spec.p, spec.r
-    modulus = p**r
     if fam in "EF":
         raise ValueError(f"family {fam} has a direct K-matrix; use direct_ef_k")
-    if p != 2:
-        if fam == "A":
-            n = 4  # m = 2; (4/p) = 1 always
-            if n >= modulus:
-                raise SpecialCaseRouted(spec, "complement of the SU(3) Cartan lattice")
-            return n
-        if p % 8 in (3, 5):
-            n = 2
-        elif p % 8 == 7:
-            n = p - 1
-        else:
-            m = next(m for m in range(1, p) if jacobi_symbol(2 * m, p) == -1)
-            n = 2 * m
-        if n >= modulus:
-            raise SpecialCaseRouted(spec, "direct lattice table")
-        return n
-    n = {"A": 1, "B": 7, "C": 5, "D": 3}[fam]
-    if n >= modulus:
-        route = {
-            "B": "complement of the rank-1 lattice (2^r)",
-            "C": "complement of the D-family lattice",
-        }.get(fam, "direct lattice table")
-        raise SpecialCaseRouted(spec, route)
-    return n
+    if p == 2:
+        n = {"A": 1, "B": 7, "C": 5, "D": 3}[fam]
+    elif fam == "A":
+        n = 4  # m = 2; (4/p) = 1 always
+    elif p % 8 in (3, 5):
+        n = 2
+    elif p % 8 == 7:
+        n = p - 1
+    else:
+        n = 2 * next(m for m in range(1, p) if jacobi_symbol(2 * m, p) == -1)
+    return n if n < p**r else None
 
 
 def direct_ef_k(family: str, r: int) -> list[list[int]]:

@@ -56,7 +56,7 @@ from anyonlat.metric_groups import (
     trivial_group,
 )
 from anyonlat.symmetry import aut_bruteforce, aut_order_closed
-from anyonlat.wall import SpecialCaseRouted, choose_c_for_family, k_from_wall
+from anyonlat.wall import choose_c_for_family, k_from_wall
 from anyonlat.weights import coset_minima
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
@@ -111,9 +111,8 @@ def test_criterion_2_wall_synthesis_end_to_end():
         for spec in all_family_specs():
             if spec.family in "EF":
                 continue
-            try:
-                n = choose_c_for_family(spec)
-            except SpecialCaseRouted:
+            n = choose_c_for_family(spec)
+            if n is None:
                 special.append((spec.family, spec.p, spec.r))
                 continue
             modulus = spec.p**spec.r

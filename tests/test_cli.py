@@ -316,6 +316,43 @@ def test_glue_budget_error_names_its_layer_and_that_no_flag_raises_it(tmp_path, 
         f"{GLUE_SEARCH_NODE_BUDGET}; no flag raises it"]
 
 
+def test_complement_runs_the_oracle_past_the_enumeration_budget(tmp_path, capsys):
+    """|D| = 10^4 is past the default `--budget` of 4096, but the oracle
+    settles a cyclic D in closed form, so `complement` runs it in full."""
+    path = tmp_path / "z10000.txt"
+    path.write_text("10000\n")
+    assert main(["complement", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "[pass] discriminant_form: invariants (10000,), q2(gens) = ['19519/10000'], witness ((2191,),)" in out
+    assert out[-1] == "verdict: pass"
+
+
+def test_complement_past_the_gauss_budget_exits_2_and_writes_nothing(tmp_path, capsys):
+    """|D| = 2 * 10^6 is past the Gauss sum's default budget of 10^6: exit 2
+    on its budget line, as `verify` does, and no `--out` file."""
+    path = tmp_path / "z2000000.txt"
+    path.write_text("2000000\n")
+    out = tmp_path / "comp.json"
+    assert main(["complement", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: Gauss sum (central_charge_gauss): group of order 2000000 exceeds budget 1000000; "
+        "raise it with --budget"]
+    assert not out.exists()
+
+
+def test_complement_of_a_noncyclic_group_past_the_budget_exits_2(tmp_path, capsys):
+    """D_4 has D = Z2 x Z2; with `--budget 2` the isometry search refuses it."""
+    path = tmp_path / "d4.json"
+    path.write_text(dump_matrix_file(cartan_d(4).gram))
+    assert main(["complement", str(path), "--budget", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: isometry search (is_isomorphic): group of order 4 exceeds budget 2; raise it with --budget"]
+
+
 @pytest.mark.parametrize("message", [
     "no glue group found within the budget",
     "E_4 gluing failed verification:\n[FAIL] discriminant_form: no isometry",

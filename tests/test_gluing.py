@@ -319,6 +319,22 @@ def test_gluing_outputs_are_pinned(name):
     assert _digest(glue_selfdual_8(base).glue_generators) == glue_digest
 
 
+# build_ef_positive's Gram matrices for r = 1..6, as `kmatrix
+# --positive-definite` writes them.  Several of them take a half-way rounding
+# of the glue vector's dual coordinates, so they pin the halves-to-even rule.
+_EF_PINS = {
+    "E": ("1b8f7f5bd2a0b84b", "113341cec953f054", "b5dd84114be32ebf",
+          "53d120c3a89fbee2", "5eb70fb31fd48988", "7ee1f6bd1948cee8"),
+    "F": ("f26492395de1aecc", "ae35c1edb01b812d", "a198d9ef4348aa1e",
+          "875035969034a0bb", "078603cc9158b762", "396a166e3dc4a062"),
+}
+
+
+@pytest.mark.parametrize("family", list(_EF_PINS))
+def test_ef_builder_outputs_are_pinned(family):
+    assert tuple(_digest(build_ef_positive(family, r).gram) for r in range(1, 7)) == _EF_PINS[family]
+
+
 _ORACLE_BASES = {name: base for name, (base, _, _) in _GLUE_PINS.items()}
 _ORACLE_BASES.update(E8=e8_gram().gram, ko5=k_o(5).gram)
 

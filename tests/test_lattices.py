@@ -118,6 +118,17 @@ class TestVerifyRealization:
         failed = {c.name for c in rep.checks if not c.passed}
         assert "discriminant_form" in failed
 
+    @pytest.mark.parametrize("gram, checks", [
+        ([[3, 1], [1, 2]], [("even", False), ("nondegenerate", True)]),
+        ([[2, 2], [2, 2]], [("even", True), ("nondegenerate", False)]),
+    ])
+    def test_odd_or_singular_matrix_stops_after_two_checks(self, gram, checks):
+        """An odd matrix, or a singular even one, has no discriminant form:
+        the report lists evenness and nondegeneracy and nothing after them."""
+        rep = verify_realization(gram, model("A", 5, 1))
+        assert [(c.name, c.passed) for c in rep.checks] == checks
+        assert rep.signature is None and not rep.passed
+
 
 class TestAdeTable:
     def test_a_series_forms(self):

@@ -122,13 +122,22 @@ class TestNondegeneracy:
         assert is_nondegenerate(build_prime(spec("F", 2, 1)))
 
     def test_matches_bruteforce_radical(self):
-        for g in (build_prime(spec("E", 2, 2)), build_prime(spec("B", 3, 2)),
-                  MetricGroup((2, 2), 2, (1, 0), ((0, 0), (0, 0)))):
+        """The index of chi's image in the character group against the
+        radical listed by brute force, on seeded random forms, degenerate
+        ones included."""
+        rng = random.Random("radical")
+        cases = [build_prime(spec("E", 2, 2)), build_prime(spec("B", 3, 2)),
+                 MetricGroup((2, 2), 2, (1, 0), ((0, 0), (0, 0)))]
+        cases += [random_form(rng) for _ in range(60)]
+        degenerate = 0
+        for g in cases:
             radical = [
                 x for x in g.elements()
                 if all(g.bilinear(x, y) == 0 for y in g.elements())
             ]
-            assert is_nondegenerate(g) == (len(radical) == 1)
+            assert is_nondegenerate(g) == (len(radical) == 1), g
+            degenerate += len(radical) > 1
+        assert degenerate == 41  # 40 of the random forms
 
 
 class TestCentralCharge:
@@ -359,6 +368,22 @@ def test_gauss_sum_matches_the_fraction_reference():
         else:
             assert central_charge_gauss(g) == want, g
     assert degenerate == 3
+
+
+def test_gauss_precision_meets_the_error_bound():
+    """The sum is off by less than 36 N |A| 2^-F, and the proof needs that
+    to be at most 2^-36 sqrt|A|: (36 N)^2 |A| <= 2^(2 (F - 36)) in ints, over
+    a grid of levels N and orders |A| up to and past the 10^6 budget."""
+    from anyonlat.metric_groups import _gauss_bits
+
+    values = sorted({*range(1, 130), *(2**k + d for k in range(7, 22) for d in (-1, 0, 1)),
+                     12167, 531441, 10**6 - 1, 10**6, 10**6 + 1, 2 * 10**6})
+    for level in values:
+        for size in values:
+            bits = _gauss_bits(level, size)
+            assert (36 * level) ** 2 * size <= 1 << (2 * (bits - 36)), (level, size)
+    assert _gauss_bits(23**3, 23**3) == 63
+    assert _gauss_bits(3**12, 3**12) == 72
 
 
 def _histogram_cases():

@@ -208,18 +208,28 @@ def test_nondegenerate_groups_skip_the_generation_check(monkeypatch):
     the listing is the one the check would let through."""
     import anyonlat.metric_groups
 
-    for text in ("E[2]*F[2]", "A[2]*A[2^2]*A[2^2]", "A[2]*B[2]*C[2^2]*D[2^2]"):
-        g = parse_spec(text)
+    groups = [parse_spec(text) for text in ("E[2]*F[2]", "A[2]*A[2^2]*A[2^2]", "A[2]*B[2]*C[2^2]*D[2^2]")]
+    for g in groups:
         checked = MetricGroup(g.orders, g.level, g.gen_q_num, g.gen_bil_num)  # nondegeneracy not yet known
         assert list(_isometries(g, g)) == list(_isometries(checked, checked))
-
-    def refuse(*args):
-        raise AssertionError("generation check on a nondegenerate group")
-
-    monkeypatch.setattr(anyonlat.metric_groups, "_order_index", refuse)
-    assert aut_bruteforce(parse_spec("F[2^2]*E[2^2]")).order == 7680
+    known = parse_spec("F[2^2]*E[2^2]")
     checked = MetricGroup((2, 2), 2, (0, 0), ((0, 1), (1, 0)))
-    assert aut_bruteforce(checked).order == 2  # is_nondegenerate settles E[2] once
+
+    calls = []
+    order_index = anyonlat.metric_groups._order_index
+
+    def counting(*args):
+        calls.append(args)
+        return order_index(*args)
+
+    monkeypatch.setattr(anyonlat.metric_groups, "_order_index", counting)
+    for g in groups:
+        assert list(_isometries(g, g))
+    assert aut_bruteforce(known).order == 7680
+    assert calls == []
+    # is_nondegenerate settles E[2] with one call, and no complete map adds one.
+    assert aut_bruteforce(checked).order == 2
+    assert len(calls) == 1
 
 
 def test_degenerate_groups_keep_the_generation_check():
