@@ -30,10 +30,13 @@ recomputes it from the Gauss sum as an independent oracle.  The Gauss sum
 counts N q(x) mod N into a length-N histogram, evaluating one x of each pair
 {x, -x} (q(-x) = q(x)) and counting it twice, and sums the histogram against
 the powers of e^{2 pi i/N} in fixed point, F = 42 + bits(N) +
-ceil(bits(|A|)/2) fractional bits, in blocks of ceil(sqrt N) levels: a
-C-level dot product with the block's baby powers, turned by one giant power
-per block.  Its normalized value is off by less than 2^-36, and a phase
-matches within 2^-20 (the derivation is in its docstring).
+ceil(bits(|A|)/2) fractional bits, in blocks of ceil(sqrt N) levels: one
+C-level dot product with the block's baby powers, each packed with its real
+and imaginary part in one int, turned by one giant power per block.  e^{2 pi
+i/N} itself is rounded in integers (`_unit_root`: Machin's pi, then Taylor
+series), so the package needs nothing outside the standard library.  The
+normalized value is off by less than 2^-36, and a phase matches within 2^-20
+(the derivation is in its docstring).
 
 `_q_sum` and `_bil_sum` are the package's only evaluators of q and chi,
 `_q_rows` their only per-element sweep (the histogram's paired runs and the
@@ -50,10 +53,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
 from operator import mul
-
-import mpmath
 
 from .linalg import hermite_normal_form, smith_normal_form
 from .numtheory import is_prime, jacobi_symbol, sqrt_mod
@@ -506,6 +508,65 @@ def _gauss_bits(level: int, size: int) -> int:
     return 42 + level.bit_length() + (size.bit_length() + 1) // 2
 
 
+# Guard bits of `_unit_root`'s working precision W = F + 32: its integer
+# steps lose less than 2 W + 16 units of 2^-W, under 2^-20 of w's last bit.
+_ROOT_GUARD = 32
+
+
+@cache
+def _machin_pi(bits: int) -> int:
+    """pi 2^bits from Machin's formula pi = 16 atan(1/5) - 4 atan(1/239).
+
+    Each series term floor(2^bits / (d x^d)), d = 1, 3, 5, ..., is one floor
+    (nested floors by ints are one), so it is off by less than 1; the series
+    for x stops at the first zero power, after at most bits/(2 log2 x) + 1/2
+    terms, and its omitted tail is below 1.  So the result is off by less
+    than 16 (bits/4.6 + 1.5) + 4 (bits/15.8 + 1.5) < 4 bits + 30 units."""
+
+    def atan_inv(x: int) -> int:
+        total, power, x2, d = 0, (1 << bits) // x, x * x, 1
+        while power:
+            term = power // d
+            total += -term if d & 2 else term  # d = 3, 7, 11, ... subtract
+            power //= x2
+            d += 2
+        return total
+
+    return 16 * atan_inv(5) - 4 * atan_inv(239)
+
+
+def _unit_root(level: int, bits: int) -> tuple[int, int]:
+    """w = (cos, sin)(2 pi/N) 2^F for N = level, F = bits, each part within
+    1/2 + 2^-20 of the exact value, in integers only.
+
+    In W = F + 32 fractional bits, 2 pi/N = q pi/2 + phi with q = round(4/N)
+    and |phi| <= pi/4 (phi = 0 for N = 1, 2, 4).  phi is pi's value times
+    (4 - q N)/(2N), of modulus <= 1/4, floored: off by less than W + 9 units.
+    Both Taylor series run on phi^2 floored to W bits; each of their at most
+    W/4 + 2 terms is one floor of the last term times -phi^2/(d (d + 1)) <=
+    0.31, so it is off by less than 2.2 units, and the tail is below 1.  With
+    |cos'|, |sin'| <= 1 each part is off by less than 2 W + 16 units before
+    the quarter turns i^q (exact) and the rounding to F bits, so for F <= 2000
+    w is within 1/2 + 2^-20 of (cos, sin)(2 pi/N) 2^F."""
+    work = bits + _ROOT_GUARD
+    q = (8 + level) // (2 * level)
+    x = _machin_pi(work) * (4 - q * level) // (2 * level)
+    x2 = x * x >> work
+    c = t = 1 << work  # cos: terms (-phi^2)^k / (2k)!
+    s = u = x  # sin: terms phi (-phi^2)^k / (2k + 1)!
+    d = 1
+    while t or u:
+        t = -(t * x2) // ((d * (d + 1)) << work)
+        u = -(u * x2) // (((d + 1) * (d + 2)) << work)
+        c += t
+        s += u
+        d += 2
+    for _ in range(q % 4):
+        c, s = -s, c
+    half = 1 << (_ROOT_GUARD - 1)
+    return (c + half) >> _ROOT_GUARD, (s + half) >> _ROOT_GUARD
+
+
 def central_charge_gauss(g: MetricGroup, budget: int = GAUSS_BUDGET_DEFAULT) -> int:
     """Central charge mod 8 from the normalized Gauss sum sum_x e^{2 pi i q(x)}.
 
@@ -515,15 +576,16 @@ def central_charge_gauss(g: MetricGroup, budget: int = GAUSS_BUDGET_DEFAULT) -> 
     {x, -x} is evaluated once and counted twice.
 
     The sum is taken in fixed point with F fractional bits (u = 2^-F), in
-    blocks of B = ceil(sqrt N) levels.  mpmath rounds w = zeta once; the baby
-    powers are z_0 = 1 and z_{j+1} = z_j w truncated to F bits, j <= B, and
-    the giant powers G_0 = 1 and G_{h+1} = G_h z_B truncated.  Each baby step
-    adds at most 2.5u to |z_j - zeta^j|, so it is <= 3 j u, and each giant
-    step at most |G_h| 3 B u + sqrt 2 u < (3B + 3) u (|z_B - zeta^B| <= 3 B u,
-    and a truncation moves each part by less than u), so
-    |G_h - zeta^{hB}| <= h (3B + 3) u.
+    blocks of B = ceil(sqrt N) levels.  `_unit_root` rounds w = zeta once, in
+    integers, each part within (1/2 + 2^-20) u, so |w - zeta| < 0.71 u; the
+    baby powers are z_0 = 1 and z_{j+1} = z_j w truncated to F bits, j <= B,
+    and the giant powers G_0 = 1 and G_{h+1} = G_h z_B truncated.  Each baby
+    step adds at most |z_j| 0.71 u + sqrt 2 u < 2.5u to |z_j - zeta^j|, so it
+    is <= 3 j u, and each giant step at most |G_h| 3 B u + sqrt 2 u <
+    (3B + 3) u (|z_B - zeta^B| <= 3 B u, and a truncation moves each part by
+    less than u), so |G_h - zeta^{hB}| <= h (3B + 3) u.
     Block h adds (A_h G_h) >> F with A_h = sum_j c_{hB+j} z_j, an exact
-    integer (a C-level sum of products), so it is off by at most
+    integer, so it is off by at most
     C_h (3B + h (3B + 3)) u (1 + 3Bu) + sqrt 2 u, C_h the block's count.  With
     h < ceil(N/B) <= B the sum is off by less than 4 |A| (B + 1)^2 u
     <= 36 N |A| u, and the normalized sum (with its targets sqrt|A|
@@ -533,6 +595,12 @@ def central_charge_gauss(g: MetricGroup, budget: int = GAUSS_BUDGET_DEFAULT) -> 
     below both the gap |e^{i pi/4} - 1| ~ 0.765 between phases and the
     distance >= sqrt 2 - 1 from the unit circle of a degenerate form's sum
     (modulus 0 or sqrt|radical| >= sqrt 2).
+    Both parts of A_h come from one C-level dot product: each baby power is
+    packed into one int, (re + 2^(F+1)) + im 2^S with S = F + 2 + bits(|A| - 1).
+    Each |re| <= 2^F + 3B < 2^(F+1), so the low slot holds values in
+    (0, 2^(F+2)); a block sums at most |A| <= 2^bits(|A| - 1) of them, so the
+    slot stays below 2^S and never carries into im.  The mask and the shift
+    then give A_h exactly, after 2^(F+1) sum_j c_{hB+j} comes off re.
     Raises DegenerateFormError when no phase matches.
     """
     size = g.size
@@ -540,23 +608,22 @@ def central_charge_gauss(g: MetricGroup, budget: int = GAUSS_BUDGET_DEFAULT) -> 
     n = g.level
     counts = _q_histogram(g)
     bits = _gauss_bits(n, size)
-    # The only transcendental input; workprec leaves mpmath.mp alone.
-    with mpmath.workprec(bits + 16):
-        angle = 2 * mpmath.pi / n
-        wr = int(mpmath.nint(mpmath.ldexp(mpmath.cos(angle), bits)))
-        wi = int(mpmath.nint(mpmath.ldexp(mpmath.sin(angle), bits)))
+    wr, wi = _unit_root(n, bits)
     block = isqrt(n - 1) + 1  # B = ceil(sqrt N)
-    baby_re, baby_im = [], []
+    off = 1 << (bits + 1)
+    shift = bits + 2 + (size - 1).bit_length()
+    mask = (1 << shift) - 1
+    baby = []
     zr, zi = 1 << bits, 0
     for _ in range(block):
-        baby_re.append(zr)
-        baby_im.append(zi)
+        baby.append(zr + off + (zi << shift))
         zr, zi = (zr * wr - zi * wi) >> bits, (zr * wi + zi * wr) >> bits
     gr, gi = 1 << bits, 0
     sr = si = 0
     for h in range(0, n, block):
         part = counts[h:h + block]
-        ar, ai = sum(map(mul, part, baby_re)), sum(map(mul, part, baby_im))
+        packed = sum(map(mul, part, baby))
+        ar, ai = (packed & mask) - off * sum(part), packed >> shift
         sr += (ar * gr - ai * gi) >> bits
         si += (ar * gi + ai * gr) >> bits
         gr, gi = (gr * zr - gi * zi) >> bits, (gr * zi + gi * zr) >> bits

@@ -270,10 +270,20 @@ def test_direct_sum_order_does_not_matter_up_to_isometry():
 
 
 def test_import_leaves_mpmath_precision_alone():
+    """In a fresh process, `import anyonlat.cli` loads nothing but the
+    standard library and the package itself (the modules `site` loaded
+    before it do not count), and a Gauss sum leaves mpmath's precision as
+    it was."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "import mpmath, anyonlat.cli\n"
+        "import sys\n"
+        "loaded = set(sys.modules)\n"
+        "import anyonlat.cli\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - loaded}\n"
+        "outside = sorted(new - set(sys.stdlib_module_names) - {'anyonlat'})\n"
+        "assert not outside, outside\n"
+        "import mpmath\n"
         "from anyonlat import build_prime, central_charge_gauss, PrimeFamilySpec\n"
         "before = mpmath.mp.prec\n"
         "assert central_charge_gauss(build_prime(PrimeFamilySpec('B', 3, 1))) == 2\n"
@@ -282,6 +292,27 @@ def test_import_leaves_mpmath_precision_alone():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["53", "53"]
+
+
+def test_unit_root_is_correctly_rounded():
+    """w = (cos, sin)(2 pi/N) 2^F from Machin's pi and the Taylor series
+    is within 1/2 + 2^-20 ulp of mpmath's value at F + 40 bits in each part,
+    on every level 1-399 and four large ones, at F = 40..127; a w one ulp
+    off fails almost everywhere on this grid."""
+    from anyonlat.metric_groups import _unit_root
+
+    levels = [*range(1, 400), 12167, 531441, 10**6, 2 * 10**6]
+    slack = 0.5 + 2**-20 + 2**-30  # the bound, and the reference's own error
+    for bits in range(40, 128):
+        with mpmath.workprec(bits + 40):
+            for n in levels:
+                wr, wi = _unit_root(n, bits)
+                angle = 2 * mpmath.pi / n
+                assert abs(wr - mpmath.ldexp(mpmath.cos(angle), bits)) <= slack, (n, bits)
+                assert abs(wi - mpmath.ldexp(mpmath.sin(angle), bits)) <= slack, (n, bits)
+    assert _unit_root(1, 40) == (1 << 40, 0)
+    assert _unit_root(2, 40) == (-(1 << 40), 0)
+    assert _unit_root(4, 40) == (0, 1 << 40)
 
 
 def fraction_q(g, x):
@@ -384,6 +415,22 @@ def test_gauss_precision_meets_the_error_bound():
             assert (36 * level) ** 2 * size <= 1 << (2 * (bits - 36)), (level, size)
     assert _gauss_bits(23**3, 23**3) == 63
     assert _gauss_bits(3**12, 3**12) == 72
+
+
+def test_packed_block_sum_has_room_for_all_of_a():
+    """At level 2 one block carries all of |A|, and its low slot sums the
+    packed real parts 3 2^F and 2^F over |A| elements: for E[2]^a + F[2]^b
+    with b even it reaches past 2^(F + 1 + bits(|A| - 1)), so a slot one bit
+    narrower carries into the imaginary part.  Products up to |A| = 4^9, the
+    largest within the Gauss budget, against the closed form."""
+    e2, f2 = spec("E", 2, 1), spec("F", 2, 1)
+    mixes = [(a, m - a) for m in range(1, 7) for a in range(m + 1)] + [(7, 2)]
+    for a, b in mixes:
+        group = trivial_group()
+        for s in [e2] * a + [f2] * b:
+            group = direct_sum(group, build_prime(s))
+        assert group.level == 2 and group.size == 4 ** (a + b)
+        assert central_charge_gauss(group) == 4 * b % 8, (a, b)
 
 
 def _histogram_cases():
