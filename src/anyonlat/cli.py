@@ -30,8 +30,8 @@ from .gluing import glue_selfdual_8, orthogonal_complement
 from .lattices import verify_realization
 from .linalg import block_diagonal, is_symmetric
 from .metric_groups import (
+    BUDGET_DEFAULT,
     GAUSS_BUDGET_DEFAULT,
-    BudgetExceededError,
     InternalError,
     MetricGroup,
     PrimeFamilySpec,
@@ -355,7 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--budget", type=positive_int, default=4096, help="enumeration budget (group order), at least 1")
+        p.add_argument("--budget", type=positive_int, default=BUDGET_DEFAULT,
+                       help="enumeration budget (group order), at least 1")
 
     p_model = sub.add_parser("model", help="describe a model: q table, central charges, symmetries")
     p_model.add_argument("spec")
@@ -403,9 +404,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _HANDLERS[args.command](args)
-    except (UsageError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 
 from .linalg import (
@@ -42,6 +43,7 @@ from .linalg import (
     smith_normal_form,
 )
 from .metric_groups import (
+    BUDGET_DEFAULT,
     GAUSS_BUDGET_DEFAULT,
     MetricGroup,
     central_charge_gauss,
@@ -125,10 +127,11 @@ def discriminant_form(gram: list[list[int]]) -> DiscriminantData:
     Requires an even symmetric Gram matrix with nonzero determinant; a zero
     on the diagonal of S marks a singular one.  The generator representative
     for the j-th invariant factor s_j is w_j = column j of U^{-1}, where
-    U K V = S, so e K^{-1} w_j = (e / s_j) V e_j; q(e_j) and chi(e_i, e_j)
-    are its dot products with w_j resp. w_i over 2e resp. e, passed as
-    numerators over 2e, which the `MetricGroup` constructor reduces to the
-    level.
+    U K V = S.  Only V is replayed: K V e_j = s_j U^{-1} e_j, so with
+    v_j = V e_j, w_j = K v_j / s_j (an exact division) and
+    e K^{-1} w_j = (e / s_j) v_j; q(e_j) and chi(e_i, e_j) are its dot
+    products with w_j resp. w_i over 2e resp. e, passed as numerators over
+    2e, which the `MetricGroup` constructor reduces to the level.
     """
     if not is_symmetric(gram):
         raise ValueError("Gram matrix must be symmetric")
@@ -141,8 +144,11 @@ def discriminant_form(gram: list[list[int]]) -> DiscriminantData:
     cols = [j for j, s in enumerate(diag) if s > 1]
     factors = [diag[j] for j in cols]
     e = factors[-1] if factors else 1
-    gens = tuple(tuple(snf.u_inv_column(j)) for j in cols)
-    dual = tuple(tuple(e // s * x for x in snf.v_column(j)) for j, s in zip(cols, factors))
+    vs = [snf.v_column(j) for j in cols]
+    # K v over the nonzero entries of each row only: Cartan-like K is sparse
+    gens = tuple(tuple(sum(map(mul, filter(None, row), compress(v, row))) // s for row in gram)
+                 for v, s in zip(vs, factors))
+    dual = tuple(tuple(e // s * x for x in v) for v, s in zip(vs, factors))
     dots = [[sum(map(mul, w, z)) for z in dual] for w in gens]
     q = [row[j] for j, row in enumerate(dots)]
     group = MetricGroup(factors, 2 * e, q, [[2 * x for x in row] for row in dots])
@@ -172,7 +178,9 @@ class RealizationReport:
             yield f"[{'pass' if c.passed else 'FAIL'}] {c.name}: {c.detail}"
 
 
-def verify_realization(gram: list[list[int]], target: MetricGroup, iso_budget: int = 4096) -> RealizationReport:
+def verify_realization(
+    gram: list[list[int]], target: MetricGroup, iso_budget: int = BUDGET_DEFAULT
+) -> RealizationReport:
     """Full oracle: does this Gram matrix realize the target anyon model?
 
     Checks evenness, |det| = |A|, nondegeneracy and exact inertia, the

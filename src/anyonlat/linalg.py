@@ -6,9 +6,9 @@ use fractions.Fraction.  Nothing here touches floating point:
 * fraction-free (Bareiss) determinants,
 * rational solves and inverses over Q (no package module calls them; the
   tests use them as an oracle, and the benchmark's tracer wraps them),
-* Smith normal form U m V = S, with U^-1 (generators) and V (with S, the
-  inverse on the image: m^-1 U^-1 e_j = V e_j / s_j) replayed per column from
-  a log of the elimination's elementary operations,
+* Smith normal form U m V = S, with V replayed per column from a log of the
+  elimination's column operations; U is not kept, since m V e_j = s_j U^-1 e_j
+  gives each column of U^-1 with s_j != 0 as m V e_j / s_j exactly,
 * row-style Hermite normal form with its unimodular transform,
 * `congruence`, the one symmetric elimination: diagonal pivots, and
   hyperbolic 2x2 pivots when the remaining diagonal vanishes (Sylvester's
@@ -208,14 +208,13 @@ def solve_columns(m, rhs_cols) -> list[list[Fraction]]:
 @dataclass(frozen=True)
 class SnfResult:
     """U * m * V = S with U, V unimodular and S diagonal with a divisibility
-    chain.  U^-1 and V are not stored: `row_ops` and `col_ops` log the
-    elementary operations in order, an entry (i, j, q) being a swap of lines
-    i and j when q == 0, a negation of line i when i == j, and otherwise
-    line j += q * line i.  A column of U^-1 or V is replayed from its log in
-    O(#ops); `u_inv` and `v` replay every column."""
+    chain.  V is not stored: `col_ops` logs the elementary column operations
+    in order, an entry (i, j, q) being a swap of columns i and j when q == 0
+    and otherwise column j += q * column i.  A column of V is replayed from
+    the log in O(#ops); `v` replays every column.  U is not logged at all:
+    m V = U^-1 S, so U^-1 e_j = m V e_j / s_j for each s_j != 0."""
 
     s: list[list[int]]
-    row_ops: list[tuple[int, int, int]]
     col_ops: list[tuple[int, int, int]]
 
     def diagonal(self) -> list[int]:
@@ -223,19 +222,6 @@ class SnfResult:
 
     def invariant_factors(self) -> list[int]:
         return [d for d in self.diagonal() if d not in (0, 1)]
-
-    def u_inv_column(self, j: int) -> list[int]:
-        """U^-1 e_j = E_1^-1 ... E_t^-1 e_j for the row operations E_i."""
-        x = [0] * len(self.s)
-        x[j] = 1
-        for i, k, q in reversed(self.row_ops):
-            if not q:
-                x[i], x[k] = x[k], x[i]
-            elif i == k:
-                x[i] = -x[i]
-            elif x[i]:
-                x[k] -= q * x[i]
-        return x
 
     def v_column(self, j: int) -> list[int]:
         """V e_j = F_1 ... F_t e_j for the column operations F_i."""
@@ -247,10 +233,6 @@ class SnfResult:
             elif x[k]:
                 x[i] += q * x[k]
         return x
-
-    @property
-    def u_inv(self) -> list[list[int]]:
-        return transpose([self.u_inv_column(j) for j in range(len(self.s))])
 
     @property
     def v(self) -> list[list[int]]:
@@ -272,13 +254,14 @@ def _find_pivot(a, t, rows):
 
 
 def smith_normal_form(m: list[list[int]]) -> SnfResult:
-    """Smith normal form with the logs of U and V; deterministic for a given
-    input.  Once pivot t is being worked, the rows and columns before t hold
-    only their diagonal entry, so every operation starts at column or row t."""
+    """Smith normal form with the log of V; deterministic for a given input.
+    The row operations are applied but not recorded (U^-1 is read off m V,
+    see `SnfResult`).  Once pivot t is being worked, the rows and columns
+    before t hold only their diagonal entry, so every operation starts at
+    column or row t."""
     rows = len(m)
     cols = len(m[0]) if m else 0
     a = copy_matrix(m)
-    row_ops: list[tuple[int, int, int]] = []
     col_ops: list[tuple[int, int, int]] = []
     t = 0
     while t < min(rows, cols):
@@ -289,14 +272,12 @@ def smith_normal_form(m: list[list[int]]) -> SnfResult:
             i, j = pos
             if i != t:
                 a[t], a[i] = a[i], a[t]
-                row_ops.append((t, i, 0))
             if j != t:
                 for row in a[t:]:
                     row[t], row[j] = row[j], row[t]
                 col_ops.append((t, j, 0))
             if a[t][t] < 0:
                 a[t] = [-x for x in a[t]]
-                row_ops.append((t, t, -1))
             pivot_row = a[t]
             p = pivot_row[t]
             pivot_tail = pivot_row[t:]
@@ -306,7 +287,6 @@ def smith_normal_form(m: list[list[int]]) -> SnfResult:
                 q = -(row[t] // p)
                 if q:
                     row[t:] = [x + q * y if y else x for x, y in zip(row[t:], pivot_tail)]
-                    row_ops.append((t, r, q))
                 dirty = dirty or row[t] != 0
             column = [row for row in a[t:] if row[t]]
             for c in range(t + 1, cols):
@@ -326,10 +306,9 @@ def smith_normal_form(m: list[list[int]]) -> SnfResult:
             if offender is None:
                 break
             pivot_row[t:] = [x + y for x, y in zip(pivot_row[t:], a[offender][t:])]
-            row_ops.append((offender, t, 1))
             pos = _find_pivot(a, t, rows)
         t += 1
-    return SnfResult(a, row_ops, col_ops)
+    return SnfResult(a, col_ops)
 
 
 def hermite_normal_form(m: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:

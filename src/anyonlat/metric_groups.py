@@ -84,7 +84,9 @@ DENSE_TABLE_LIMIT = 2**16
 # values beyond what its caller keeps.
 ROW_CHUNK = 2**12
 GAUSS_BUDGET_DEFAULT = 10**6
-ISO_BUDGET_DEFAULT = 4096
+# The default size budget of every other enumeration: isometry and
+# automorphism search, coset minima, and the CLI's --budget.
+BUDGET_DEFAULT = 4096
 
 
 class DegenerateFormError(ValueError):
@@ -290,9 +292,6 @@ class MetricGroup:
     def add(self, x, y) -> tuple[int, ...]:
         return tuple((a + b) % n for a, b, n in zip(x, y, self.orders))
 
-    def neg(self, x) -> tuple[int, ...]:
-        return tuple((-a) % n for a, n in zip(x, self.orders))
-
     def order_of(self, x) -> int:
         return lcm(1, *(n // gcd(a, n) for a, n in zip(x, self.orders)))
 
@@ -418,9 +417,11 @@ def _canonicalize(orders, level, q_num, bil_num) -> MetricGroup:
         rel = [[orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
         snf = smith_normal_form(rel)
         # x -> U x identifies Z^k / diag(orders) with Z^k / S; the new
-        # generator j pulls back to column j of U^{-1}.
+        # generator j pulls back to column j of U^{-1}, and U rel V = S makes
+        # that diag(orders) V e_j / s_j.
         new_orders = [snf.s[i][i] for i in range(k)]
-        gens = [tuple(snf.u_inv_column(j)) for j in range(k)]
+        gens = [tuple(n * x // s for n, x in zip(orders, snf.v_column(j)))
+                for j, s in enumerate(new_orders)]
 
     keep = [j for j in range(k) if new_orders[j] > 1]
     q_new = [_q_sum(gens[j], q_num, bil_num, level) for j in keep]
@@ -745,7 +746,7 @@ def _isometries(g1: MetricGroup, g2: MetricGroup, prefix=(), pools=None):
     return extend(0, extend)
 
 
-def is_isomorphic(g1: MetricGroup, g2: MetricGroup, budget: int = ISO_BUDGET_DEFAULT):
+def is_isomorphic(g1: MetricGroup, g2: MetricGroup, budget: int = BUDGET_DEFAULT):
     """An isometry g1 -> g2 as a tuple of generator images, or None.
 
     The witness phi maps sum x_i e_i to sum x_i images[i]; q2(phi(x)) = q1(x)

@@ -16,7 +16,6 @@ __all__ = [
     "sqrt_mod_prime_power",
     "sqrt_mod",
     "is_prime",
-    "primes",
     "factorize",
     "prime_power_split",
     "crt_pair",
@@ -63,15 +62,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def primes():
-    """Yield 2, 3, 5, ... indefinitely."""
-    n = 2
-    while True:
-        if is_prime(n):
-            yield n
-        n += 1
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -26,6 +26,7 @@ from functools import cache, cached_property
 from operator import mul
 
 from .metric_groups import (
+    BUDGET_DEFAULT,
     BudgetExceededError,
     InternalError,
     MetricGroup,
@@ -36,8 +37,6 @@ from .metric_groups import (
 )
 
 __all__ = ["AutGroup", "aut_bruteforce", "aut_order_closed"]
-
-AUT_BUDGET_DEFAULT = 4096
 
 Morphism = tuple[tuple[int, ...], ...]  # generator images
 
@@ -89,7 +88,7 @@ def _basis(k: int) -> Morphism:
     return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
-def aut_bruteforce(g: MetricGroup, budget: int = AUT_BUDGET_DEFAULT) -> AutGroup:
+def aut_bruteforce(g: MetricGroup, budget: int = BUDGET_DEFAULT) -> AutGroup:
     """Aut(A, q) by search, its structure named where a rule can certify one."""
     if g.size > budget:
         raise BudgetExceededError(

@@ -187,8 +187,9 @@ def direct_ef_k(family: str, r: int) -> list[list[int]]:
     E: antidiagonal (2^r).  F: the inverse, written out in closed form, of
     the fixed 4x4 tridiagonal W with diagonal (2^{1-r}, 2^{1-r}, 2a, 2b),
     a = (2^r - (-1)^r)/3, b = (-1)^{r-1}, and (1,2)-entry 2^{-r}; signature
-    4 for odd r and 0 for even r.  Only the even diagonal is checked: the
-    oracle `kmatrix` runs on K matches its whole discriminant form.
+    4 for odd r and 0 for even r.  K itself is not checked here: every
+    diagonal entry is 2 * (...), and the oracle `kmatrix` runs on K checks
+    evenness and matches its whole discriminant form.
     """
     if family not in "EF":
         raise ValueError(f"direct_ef_k serves families E and F, got {family!r}")
@@ -199,12 +200,9 @@ def direct_ef_k(family: str, r: int) -> list[list[int]]:
         return [[0, n], [n, 0]]
     a = (n - (-1) ** r) // 3
     b = (-1) ** (r - 1)
-    k = [
+    return [
         [2 * n * (4 * a * b - b * n - 1), n * (1 - 4 * a * b), 2 * b * n, -n],
         [n * (1 - 4 * a * b), 2 * n * (4 * a * b - 1), -4 * b * n, 2 * n],
         [2 * b * n, -4 * b * n, 6 * b, -3],
         [-n, 2 * n, -3, 2 * (3 * a - n)],
     ]
-    if not has_even_diagonal(k):
-        raise WallVerificationError(f"F-family K not even at r={r}")
-    return k

@@ -32,7 +32,7 @@ from math import gcd, lcm
 
 from .lattices import discriminant_form
 from .linalg import congruence, is_symmetric
-from .metric_groups import BudgetExceededError, InternalError
+from .metric_groups import BUDGET_DEFAULT, BudgetExceededError, InternalError
 
 __all__ = [
     "coset_minima",
@@ -41,7 +41,6 @@ __all__ = [
     "score_of_minima",
 ]
 
-COSET_BUDGET_DEFAULT = 4096
 RANK_LIMIT = 20  # largest rank whose coset minima are enumerated
 
 
@@ -118,7 +117,7 @@ class _Search:
         return None if best is None else Fraction(best, den * den * self.scale)
 
 
-def coset_minima(gram, budget: int = COSET_BUDGET_DEFAULT):
+def coset_minima(gram, budget: int = BUDGET_DEFAULT):
     """h_a for every dual coset a, keyed by coordinates in the discriminant
     generators; exact, with the q2 congruence rechecked on every value.  The
     rank limit is checked before the elimination, and the coset budget
@@ -153,7 +152,7 @@ def minimum_nonzero_norm(gram) -> Fraction:
     return _Search(elim).minimum([0] * len(gram), 1, exclude_zero=True)
 
 
-def extremality_score(gram, budget: int = COSET_BUDGET_DEFAULT) -> Fraction:
+def extremality_score(gram, budget: int = BUDGET_DEFAULT) -> Fraction:
     """N c / 4 + N (N - 1) / 2 - 6 sum_a h_a with N anyon types, c = rank."""
     return score_of_minima(coset_minima(gram, budget=budget), len(gram))
 

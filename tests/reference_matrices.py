@@ -311,6 +311,34 @@ def glued_lattice_oracle(base_gram, glued):
     return gram, first_copy
 
 
+def smith_u_inv_columns(m, snf):
+    """Check a Smith normal form U m V = S whose U is not kept, and return the
+    columns U^-1 e_j, j < r = rank, read off m V = U^-1 S.
+
+    Column j < r of m V must be divisible by s_j, the columns past r must
+    vanish, V must be unimodular, and the r quotient columns must have gcd 1
+    over their r x r minors (each taken with `determinant`), so that they
+    extend to a unimodular U^-1: for square nonsingular m the one minor is
+    det(m V S^-1) = +-1.
+    """
+    import itertools
+    from math import gcd
+
+    from anyonlat.linalg import determinant, mat_mul, transpose
+
+    diag = snf.diagonal()
+    rank = sum(1 for d in diag if d)
+    mv_cols = transpose(mat_mul(m, snf.v))
+    assert all(not any(col) for col in mv_cols[rank:]), "a column of m V past the rank is nonzero"
+    assert all(x % s == 0 for col, s in zip(mv_cols, diag[:rank]) for x in col), "m V e_j is not divisible by s_j"
+    quotients = [[x // s for x in col] for col, s in zip(mv_cols, diag[:rank])]
+    rows = transpose(quotients) if quotients else [[] for _ in m]
+    minors = (determinant([rows[i] for i in pick]) for pick in itertools.combinations(range(len(m)), rank))
+    assert gcd(*minors) == 1, "the columns of U^-1 do not extend to a unimodular matrix"
+    assert abs(determinant(snf.v)) == 1
+    return quotients
+
+
 def disguised(gram, rng, ops):
     """U K U^T for a seeded unimodular U of `ops` elementary operations."""
     k = [row[:] for row in gram]

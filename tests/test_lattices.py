@@ -285,8 +285,12 @@ def test_discriminant_form_pins_generators_of_dense_disguises():
     rng = random.Random(6262)
     digests = []
     for base in _PIN_BASES:
-        disc = discriminant_form(disguised(base, rng, 6 * len(base)))
+        gram = disguised(base, rng, 6 * len(base))
+        disc = discriminant_form(gram)
         e = disc.exponent
+        for w, z in zip(disc.generator_reps, disc.dual_num):
+            # w_j = K (e K^-1 w_j) / e: the generators are K V e_j / s_j
+            assert [e * x for x in w] == [sum(map(mul, row, z)) for row in gram]
         dual_coords = tuple(tuple(Fraction(x, e) for x in col) for col in disc.dual_num)
         text = repr((disc.invariant_factors, disc.generator_reps, disc.q2_gen, disc.group.gen_bil, dual_coords))
         digests.append(hashlib.sha256(text.encode()).hexdigest()[:16])
