@@ -366,7 +366,7 @@ def glue_selfdual_8(base: Lattice | list[list[int]], budget: int = GLUE_SEARCH_N
                     for i in range(m):
                         row[copy * m + i] += cj * zcols[j][i]
         rows.append(row)
-    h = hermite_normal_form(rows)[0][:big]
+    h = hermite_normal_form(rows).h[:big]
     # [Lambda : M] = e^{8m} / prod h_ii and det M = |D|^8.
     index_den = math.prod(h[i][i] for i in range(big))
     if index_den * disc.order**4 != den ** big:
@@ -398,10 +398,10 @@ def orthogonal_complement(glued: GluedLattice) -> Lattice:
     den = glued.base_disc.exponent
     m = len(glued.basis_k8) // 8
     pairing = [[x // den for x in row[:m]] for row in glued.basis_k8]
-    hnf, transform = hermite_normal_form(pairing)
-    if any(hnf[i][i] != 1 for i in range(m)):
+    hnf = hermite_normal_form(pairing)
+    if any(hnf.h[i][i] != 1 for i in range(m)):
         raise GlueSearchError("first copy is not primitively embedded")
-    kernel = [t for t, row in zip(transform, hnf) if not any(row)]
+    kernel = [t for t, row in zip(hnf.t, hnf.h) if not any(row)]
     gram = mat_mul(mat_mul(kernel, glued.basis_k8), transpose(mat_mul(kernel, glued.basis_rows)))
     return Lattice([[x // (den * den) for x in row] for row in gram])
 

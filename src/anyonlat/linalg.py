@@ -9,7 +9,8 @@ use fractions.Fraction.  Nothing here touches floating point:
 * Smith normal form U m V = S, with V replayed per column from a log of the
   elimination's column operations; U is not kept, since m V e_j = s_j U^-1 e_j
   gives each column of U^-1 with s_j != 0 as m V e_j / s_j exactly,
-* row-style Hermite normal form with its unimodular transform,
+* row-style Hermite normal form T m = H, with T replayed from a log of the
+  row operations only when it is read,
 * `congruence`, the one symmetric elimination: diagonal pivots, and
   hyperbolic 2x2 pivots when the remaining diagonal vanishes (Sylvester's
   law without any epsilon perturbation).  One pass yields the exact inertia,
@@ -24,7 +25,22 @@ b_kl = det m[S + k, S + l], so every division in Sylvester's identity is
 exact.  A row that a pivot does not touch (b_kp = 0) only scales by the
 ratio of the new prev to the old one, so it is not rewritten: each row
 carries a stamp, the prev at which it was last written, and stored * prev /
-stamp is its current value, computed only when the row is read.
+stamp is its current value.  A pivot row is brought to scale when read; a
+row a pivot updates is divided by its own stamp instead of prev, which gives
+the same ints without rescaling it first.
+
+Sparse input costs in proportion to the nonzeros the eliminations touch.
+In `determinant`, `congruence` and `hermite_normal_form` each row keeps an
+upper bound on its last nonzero column, and every row operation, rescale and
+negation runs from the pivot column (the first live one in `congruence`) to
+the larger of its rows' bounds: past both, both rows are zero and stay so.
+`congruence` reads the rows a pivot updates off the pivot row, since the
+bordered minors are symmetric; `determinant` keeps a bound on each column's
+last nonzero row.  `determinant` and `inertia` give the same value for
+P m P^T, so they eliminate in minimum-degree order (`_fill_order`), which
+keeps a band or a full pattern in index order and puts hub rows after their
+neighbours.  `congruence(m)` itself keeps index order: its frozen rows are
+the leading principal minors that `weights` reads in order.
 
 Pivot selection in SNF/HNF is smallest absolute value, ties by lowest index,
 so outputs are deterministic.
@@ -34,7 +50,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import eq
+from itertools import accumulate, compress, repeat
+from operator import add, contains, eq, itemgetter, le, or_, sub
 
 __all__ = [
     "identity_matrix",
@@ -50,6 +67,7 @@ __all__ = [
     "solve_columns",
     "SnfResult",
     "smith_normal_form",
+    "HnfResult",
     "hermite_normal_form",
     "left_kernel",
     "Congruence",
@@ -105,7 +123,7 @@ def block_diagonal(blocks) -> list[list[int]]:
 
 
 def is_square(m) -> bool:
-    return all(len(row) == len(m) for row in m)
+    return all(map(len(m).__eq__, map(len, m)))
 
 
 def is_symmetric(m) -> bool:
@@ -118,42 +136,167 @@ def has_even_diagonal(m) -> bool:
     return all(m[i][i] % 2 == 0 for i in range(len(m)))
 
 
-def _current(a, stamp, k, prev):
-    """Row k of a stamped elimination, brought up to the scale `prev`."""
+def _pattern(m, width: int) -> list[list[int]]:
+    """The columns of the nonzero entries of each row, in order."""
+    cols = range(width)
+    return [list(compress(cols, row)) for row in m]
+
+
+def _ends(m) -> list[int]:
+    """1 + the column of each row's last nonzero entry (0 for a zero row),
+    scanning each row from its end."""
+    width = len(m[0]) if m else 0
+    if not width:
+        return [0] * len(m)
+    back = range(width - 1, -1, -1)
+    return [width if row[-1] else next(compress(back, reversed(row)), -1) + 1 for row in m]
+
+
+def _current(a, stamp, k, prev, lo, hi):
+    """Pivot row k of a stamped elimination, brought up to the scale `prev`;
+    the row is zero outside columns lo..hi-1, so only those are rescaled."""
+    row = a[k]
     s = stamp[k]
     if s != prev:
-        a[k] = [x * prev // s for x in a[k]]
+        row[lo:hi] = [x * prev // s for x in row[lo:hi]]
         stamp[k] = prev
-    return a[k]
+    return row
+
+
+def _natural_is_fill_free(pattern) -> bool:
+    """Whether index order is a minimum-degree order of a symmetric pattern
+    that makes no fill: every row an interval [lo_k, hi_k] around k, the
+    hi_k never decreasing, and each k with no more neighbours after it
+    (hi_k - k) than any vertex j > hi_k has in all (hi_j - lo_j).  Then the
+    neighbours of k among the vertices left are k+1..hi_k, already a
+    clique, and every other vertex left has at least as many.  All C-level:
+    a band or a full pattern passes at the cost of a few sweeps."""
+    if not all(pattern):
+        return False
+    hi = list(map(itemgetter(-1), pattern))
+    if hi != sorted(hi):
+        return False
+    lo = list(map(itemgetter(0), pattern))
+    width = list(map(sub, hi, lo))
+    index = range(len(pattern))
+    if not (all(map(le, lo, index)) and all(map(le, index, hi))
+            and list(map(len, pattern)) == [w + 1 for w in width]):
+        return False
+    least = list(accumulate(reversed(width), min))[::-1] + [len(pattern)]  # min width of j >= i
+    return all(map(le, map(sub, hi, index), map(least.__getitem__, map(add, hi, repeat(1)))))
+
+
+def _fill_order(m):
+    """(order, pattern): the minimum-degree elimination order of the nonzero
+    pattern of m's rows, ties broken by the lower index (George and Liu,
+    SIAM Review 31, 1989), or None for the natural order; and that pattern,
+    the nonzero columns of each row, or None where n bounds every row: a
+    matrix without a zero entry, or one of at most two rows.  Any order
+    serves a matrix whose pattern is not symmetric, since P m P^T keeps its
+    determinant.
+
+    Each step eliminates a vertex of least degree and joins its neighbours
+    into a clique.  Once the least degree is the number of vertices left
+    minus one, the rest is a clique and keeps its index order, so a matrix
+    without a zero entry costs one C-level scan for a zero.  Two vertices
+    always have equal degrees, and a band is recognized without simulating
+    anything (`_natural_is_fill_free`).
+    """
+    n = len(m)
+    if n < 3 or not any(map(contains, m, repeat(0))):
+        return None, None
+    pattern = _pattern(m, n)
+    if _natural_is_fill_free(pattern):
+        return None, pattern
+    adj = list(map(set, pattern))
+    for v, nbrs in enumerate(adj):
+        nbrs.discard(v)
+    alive = list(range(n))
+    order = []
+    while alive:
+        degree, v = min(zip(map(len, map(adj.__getitem__, alive)), alive))
+        if degree == len(alive) - 1:
+            order += alive
+            break
+        order.append(v)
+        alive.remove(v)
+        nbrs = adj[v]
+        for u in nbrs:
+            joined = adj[u]
+            if degree > 1:
+                joined |= nbrs
+                joined.discard(u)
+            joined.discard(v)
+    return None if order == list(range(n)) else order, pattern
+
+
+def _permuted(m, order):
+    """P m P^T, a new matrix, for the permutation `order` of the indices
+    (None: the natural order)."""
+    if order is None:
+        return copy_matrix(m)
+    pick = itemgetter(*order)
+    return [list(pick(m[i])) for i in order]
 
 
 def determinant(m: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination, whose
-    final prev is the determinant; rows without a multiplier keep their
-    stamp instead of being rescaled."""
+    """Exact determinant of an integer matrix by Bareiss elimination of
+    P m P^T in the minimum-degree order of m's pattern (`_fill_order`); its
+    final prev is the determinant.  Each row keeps a bound on its last
+    nonzero column and each column one on its last nonzero row, so a row
+    operation runs from the pivot column to the larger of its two rows'
+    bounds and only the rows the pivot column reaches are read; rows
+    without a multiplier keep their stamp instead of being rescaled."""
     if not is_square(m):
         raise ValueError("determinant requires a square matrix")
     n = len(m)
-    a = copy_matrix(m)
+    order, pattern = _fill_order(m)
+    a = _permuted(m, order)
+    if pattern is None:
+        # n bounds every row and column alike
+        end = col_end = [n] * n
+    else:
+        end = _ends(a) if order else [row[-1] + 1 if row else 0 for row in pattern]
+        # Until a row swap, the working matrix of a symmetric m is the
+        # symmetric matrix of bordered minors: row bounds bound columns too.
+        col_end = end if is_symmetric(a) else _ends(transpose(a))
     stamp = [1] * n
     sign = prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, col_end[k]) if a[i][k]), None)
+            if piv is None:
+                return 0
+            if col_end is end:
+                col_end = end[:]
             a[k], a[piv] = a[piv], a[k]
             stamp[k], stamp[piv] = stamp[piv], stamp[k]
+            end[k], end[piv] = end[piv], end[k]
             sign = -sign
-        row_k = _current(a, stamp, k, prev)
-        pivot, tail = row_k[k], row_k[k:]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                # columns before k are zero in both rows
-                row_i = _current(a, stamp, i, prev)
-                f = row_i[k]
-                row_i[k:] = [(pivot * x - f * y) // prev for x, y in zip(row_i[k:], tail)]
+            # the old row k now sits at piv
+            col_end[k:end[piv]] = map(max, col_end[k:end[piv]], repeat(piv + 1))
+        top = end[k]
+        row_k = a[k]
+        if stamp[k] != prev:
+            row_k = _current(a, stamp, k, prev, k, top)
+        pivot, tail = row_k[k], row_k[k:top]
+        last = k
+        for i in range(k + 1, col_end[k]):
+            row_i = a[i]
+            f = row_i[k]
+            if f:
+                # Sylvester's identity at row i's own scale: columns before k
+                # are zero in both rows, and so are those from hi on
+                hi = max(end[i], top)
+                s = stamp[i]
+                ys = tail if hi == top else row_k[k:hi]
+                row_i[k:hi] = [(pivot * x - f * y) // s for x, y in zip(row_i[k:hi], ys)]
                 stamp[i] = pivot
+                end[i] = hi
+                last = i
+        if col_end is not end and last > k:
+            # fill reaches rows up to `last`, in the pivot row's columns only
+            col_end[k + 1:top] = map(max, col_end[k + 1:top], repeat(last + 1))
         prev = pivot
     return sign * prev
 
@@ -311,59 +454,105 @@ def smith_normal_form(m: list[list[int]]) -> SnfResult:
     return SnfResult(a, col_ops)
 
 
-def hermite_normal_form(m: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row-style HNF.  Returns (H, T) with T unimodular and T * m = H.
+class HnfResult:
+    """T m = H with T unimodular.  T is not stored: `row_ops` logs the row
+    operations in order, an entry (i, j, q) being a swap of rows i and j
+    when q == 0 and otherwise row i -= q * row j (a negation is (i, i, 2)).
+    `t` replays the log on the identity, each operation over the columns
+    its two rows can hold nonzero.  A plain class, since building a
+    dataclass costs about 0.7 ms at import."""
+
+    __slots__ = ("h", "row_ops")
+
+    def __init__(self, h: list[list[int]], row_ops: list[tuple[int, int, int]]):
+        self.h = h
+        self.row_ops = row_ops
+
+    @property
+    def t(self) -> list[list[int]]:
+        rows = identity_matrix(len(self.h))
+        lo, hi = list(range(len(rows))), list(range(1, len(rows) + 1))
+        for i, j, q in self.row_ops:
+            if q:
+                a, b = min(lo[i], lo[j]), max(hi[i], hi[j])
+                rows[i][a:b] = [x - q * y for x, y in zip(rows[i][a:b], rows[j][a:b])]
+                lo[i], hi[i] = a, b
+            else:
+                rows[i], rows[j] = rows[j], rows[i]
+                lo[i], lo[j], hi[i], hi[j] = lo[j], lo[i], hi[j], hi[i]
+        return rows
+
+
+def hermite_normal_form(m: list[list[int]]) -> HnfResult:
+    """Row-style HNF H = T m, T logged (`HnfResult`).
 
     Pivots are positive, entries above each pivot are reduced into [0, pivot),
-    and zero rows sink to the bottom.
+    and zero rows sink to the bottom.  Rows at or below the pivot row are
+    zero before the pivot column, and each row keeps a bound on its last
+    nonzero column, so every operation runs from the pivot column to the
+    larger of its two rows' bounds.
     """
     rows = len(m)
     cols = len(m[0]) if m else 0
-    a = copy_matrix(m)
-    t = identity_matrix(rows)
+    a = [list(row) for row in m]
+    end = _ends(a)
+    ops: list[tuple[int, int, int]] = []
     pivot_row = 0
     for col in range(cols):
         if pivot_row >= rows:
             break
+        entry = itemgetter(col)
         # Clear the column below pivot_row by gcd steps on rows.
         while True:
-            candidates = [i for i in range(pivot_row, rows) if a[i][col]]
+            candidates = list(compress(range(pivot_row, rows), map(entry, a[pivot_row:])))
             if not candidates:
                 break
-            best = min(candidates, key=lambda i: (abs(a[i][col]), i))
+            best = candidates[0] if len(candidates) == 1 else min(candidates, key=lambda i: (abs(a[i][col]), i))
+            below = candidates[1:] if candidates[0] == pivot_row else candidates
             if best != pivot_row:
                 a[pivot_row], a[best] = a[best], a[pivot_row]
-                t[pivot_row], t[best] = t[best], t[pivot_row]
-            if a[pivot_row][col] < 0:
-                a[pivot_row] = [-x for x in a[pivot_row]]
-                t[pivot_row] = [-x for x in t[pivot_row]]
-            p = a[pivot_row][col]
+                end[pivot_row], end[best] = end[best], end[pivot_row]
+                ops.append((pivot_row, best, 0))
+                if below is candidates:
+                    below = [i for i in candidates if i != best]  # the old pivot row, now at best, is zero here
+            prow, top = a[pivot_row], end[pivot_row]
+            if prow[col] < 0:
+                prow[col:top] = [-x for x in prow[col:top]]
+                ops.append((pivot_row, pivot_row, 2))
+            p = prow[col]
             done = True
-            for i in range(pivot_row + 1, rows):
-                if a[i][col]:
-                    q = a[i][col] // p
-                    a[i] = [x - q * y for x, y in zip(a[i], a[pivot_row])]
-                    t[i] = [x - q * y for x, y in zip(t[i], t[pivot_row])]
-                    if a[i][col]:
-                        done = False
+            for i in below:
+                row = a[i]
+                q = row[col] // p
+                hi = max(end[i], top)
+                row[col:hi] = [x - q * y for x, y in zip(row[col:hi], prow[col:hi])]
+                end[i] = hi
+                ops.append((i, pivot_row, q))
+                if row[col]:
+                    done = False
             if done:
                 break
-        if a[pivot_row][col]:
-            p = a[pivot_row][col]
-            for i in range(pivot_row):
-                q = a[i][col] // p
+        prow, top = a[pivot_row], end[pivot_row]
+        p = prow[col]
+        if p:
+            for i in compress(range(pivot_row), map(entry, a[:pivot_row])):
+                row = a[i]
+                q = row[col] // p
                 if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[pivot_row])]
-                    t[i] = [x - q * y for x, y in zip(t[i], t[pivot_row])]
+                    hi = max(end[i], top)
+                    row[col:hi] = [x - q * y for x, y in zip(row[col:hi], prow[col:hi])]
+                    end[i] = hi
+                    ops.append((i, pivot_row, q))
             pivot_row += 1
-    return a, t
+    return HnfResult(a, ops)
 
 
 def left_kernel(m: list[list[int]]) -> list[list[int]]:
     """Basis of {y integer row : y * m = 0}, saturated by construction; no
     package module calls it, and the benchmark's tracer wraps it by name."""
-    h, t = hermite_normal_form(m)
-    return [t[i] for i in range(len(m)) if not any(h[i])]
+    hnf = hermite_normal_form(m)
+    t = hnf.t
+    return [t[i] for i in range(len(m)) if not any(hnf.h[i])]
 
 
 @dataclass(frozen=True)
@@ -397,7 +586,7 @@ class Congruence:
 
 def congruence(m) -> Congruence:
     """Exact congruence elimination of an integer symmetric matrix with
-    diagonal and hyperbolic 2x2 pivots, fraction-free.
+    diagonal and hyperbolic 2x2 pivots, fraction-free, in the natural order.
 
     A diagonal pivot d = b_pp updates b_kl to (d b_kl - b_kp b_pl) / prev; a
     hyperbolic pivot, taken once the remaining diagonal vanishes, with
@@ -405,32 +594,46 @@ def congruence(m) -> Congruence:
     / prev^2 and prev to -beta^2 / prev (Sylvester's identity).  The sign of
     d / prev, the pivot of the rational elimination, counts towards the
     inertia; a hyperbolic pivot counts once each way.
+
+    The bordered minors are symmetric, so the rows a pivot updates are read
+    off the pivot rows themselves, and each row keeps a bound on its last
+    nonzero column: an update runs from the first live column to the larger
+    of the bounds of the rows it combines.
     """
     if not is_symmetric(m):
         raise ValueError("inertia requires a symmetric matrix")
     n = len(m)
     b = copy_matrix(m)
+    end = _ends(b)
     stamp = [1] * n
     prev = 1
     alive = list(range(n))
     n_plus = n_minus = n_zero = 0
     while alive:
-        p = next((i for i in alive if b[i][i]), None)
+        lo = alive[0]  # columns before lo are eliminated: zero in every live row
+        p = lo if b[lo][lo] else next((i for i in alive if b[i][i]), None)
         if p is not None:
-            row_p = _current(b, stamp, p, prev)
+            top = end[p]
+            row_p = b[p]
+            if stamp[p] != prev:
+                row_p = _current(b, stamp, p, prev, lo, top)
             d = row_p[p]
             if (d > 0) == (prev > 0):
                 n_plus += 1
             else:
                 n_minus += 1
-            lo = alive[0]  # columns before lo are eliminated: zero in every live row
             alive.remove(p)
-            for k in alive:
-                if b[k][p]:
-                    row_k = _current(b, stamp, k, prev)
+            tail = row_p[lo:top]
+            for k in compress(range(lo, top), tail):
+                if k != p:
+                    row_k = b[k]
                     f = row_k[p]
-                    row_k[lo:] = [(d * x - f * y) // prev for x, y in zip(row_k[lo:], row_p[lo:])]
+                    hi = max(end[k], top)
+                    s = stamp[k]
+                    ys = tail if hi == top else row_p[lo:hi]
+                    row_k[lo:hi] = [(d * x - f * y) // s for x, y in zip(row_k[lo:hi], ys)]
                     stamp[k] = d
+                    end[k] = hi
             prev = d
             continue
         # All remaining diagonal entries vanish; look for an off-diagonal entry.
@@ -439,28 +642,39 @@ def congruence(m) -> Congruence:
             n_zero = len(alive)
             break
         i, j = pair
-        row_i, row_j = _current(b, stamp, i, prev), _current(b, stamp, j, prev)
+        row_i = _current(b, stamp, i, prev, lo, end[i])
+        row_j = _current(b, stamp, j, prev, lo, end[j])
         beta = row_i[j]
         n_plus += 1
         n_minus += 1
-        lo = alive[0]
         alive.remove(i)
         alive.remove(j)
-        b2, div = beta * beta, prev * prev
-        for k in alive:
-            if b[k][i] or b[k][j]:
-                row_k = _current(b, stamp, k, prev)
+        top = max(end[i], end[j])
+        b2 = beta * beta
+        for k in compress(range(lo, top), map(or_, row_i[lo:top], row_j[lo:top])):
+            if k != i and k != j:
+                row_k = b[k]
                 fi, fj = row_k[i], row_k[j]
-                row_k[lo:] = [(beta * (fi * yj + fj * yi) - b2 * x) // div
-                              for x, yi, yj in zip(row_k[lo:], row_i[lo:], row_j[lo:])]
+                hi = max(end[k], top)
+                div = stamp[k] * prev
+                row_k[lo:hi] = [(beta * (fi * yj + fj * yi) - b2 * x) // div
+                                for x, yi, yj in zip(row_k[lo:hi], row_i[lo:hi], row_j[lo:hi])]
                 stamp[k] = -b2 // prev
+                end[k] = hi
         prev = -b2 // prev
     return Congruence((n_plus, n_minus, n_zero), 0 if n_zero else prev, b, stamp)
 
 
 def inertia(m) -> tuple[int, int, int]:
-    """(n_plus, n_minus, n_zero) of a symmetric matrix: `congruence`'s view."""
-    return congruence(m).inertia
+    """(n_plus, n_minus, n_zero) of a symmetric matrix: `congruence` of
+    P m P^T in minimum-degree order (`_fill_order`), which Sylvester's law
+    leaves with the same inertia."""
+    if not is_square(m):
+        return congruence(m).inertia  # which refuses it
+    # A square m that is not symmetric gets some order, and congruence
+    # refuses the permuted matrix just the same.
+    order, _ = _fill_order(m)
+    return congruence(m if order is None else _permuted(m, order)).inertia
 
 
 def signature(m) -> int:

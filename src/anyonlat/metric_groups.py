@@ -38,9 +38,10 @@ series), so the package needs nothing outside the standard library.  The
 normalized value is off by less than 2^-36, and a phase matches within 2^-20
 (the derivation is in its docstring).
 
-`_q_sum` and `_bil_sum` are the package's only evaluators of q and chi,
-`_q_rows` their only per-element sweep (the histogram's paired runs and the
-flattened per-element view of `q_values` and `_candidates`), and
+`_q_sum` and `_bil_sum` are the package's only evaluators of q and chi at
+one element, `_q_rows` the only per-element sweep (the histogram's paired
+runs and the flattened per-element view of `q_values` and `_candidates`),
+which updates their terms as one coordinate moves at a time, and
 `_isometries` its only generator-image search.  It tries as images of e_i only
 the elements of q(e_i) and order exactly n_i, and can hold the first images
 fixed: `is_isomorphic` takes its first isometry, `symmetry.aut_bruteforce`
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 
 from .linalg import hermite_normal_form, smith_normal_form
 from .numtheory import is_prime, jacobi_symbol, sqrt_mod
@@ -134,9 +135,12 @@ def _q_rows(g: MetricGroup, paired: bool = False):
 
     The last coordinate runs innermost: for a prefix p of the first k - 1
     coordinates and the last generator e, q(p + t e) = q(p) + t chi(p, e) +
-    t^2 q(e), so `_q_sum` and `_bil_sum` run once per prefix and each run of
-    t is one comprehension, at most ROW_CHUNK values long.  Unpaired, every
-    run has weight 1 and the runs list every element in `g.elements()` order.
+    t^2 q(e), so each run of t is one comprehension, at most ROW_CHUNK values
+    long.  q(p) and chi(p, e_j) follow the prefixes as `itertools.product`
+    advances them: a coordinate i moving by s changes q by s chi(p, e_i) -
+    s p_i chi(e_i, e_i) + (2 p_i s + s^2) q(e_i), the terms of `_q_sum`, and
+    chi(p, e_j) by s chi(e_i, e_j).  Unpaired, every run has weight 1 and the
+    runs list every element in `g.elements()` order.
 
     Paired, each pair {x, -x} is listed once with weight 2 (and x = -x once
     with weight 1), which is what a histogram of q needs: q(-x) = q(x).  A
@@ -151,7 +155,6 @@ def _q_rows(g: MetricGroup, paired: bool = False):
     *head, n = g.orders
     level, q_num, bil_num = g.level, g.gen_q_num, g.gen_bil_num
     a = q_num[-1]
-    last = (0,) * len(head) + (1,)
     # (weight, ts) runs of t: every t for an unpaired or a twice-counted
     # prefix, t = 0 (and n/2) once and 1..ceil(n/2)-1 twice for a self-paired one.
     runs = full = [(2 if paired else 1, ts) for ts in _chunks(0, n)]
@@ -160,15 +163,29 @@ def _q_rows(g: MetricGroup, paired: bool = False):
         self_paired = [(1, (0, n // 2) if n % 2 == 0 else (0,))] + [(2, ts) for ts in _chunks(1, (n + 1) // 2)]
         # -p for each prefix p, in step with the prefixes.
         negatives = itertools.product(*([-c % m for c in range(m)] for m in head))
+    # N q(p) and N chi(p, e_j) as exact ints, reduced only in the values
+    cur = [0] * len(head)
+    base = 0
+    chi = [0] * len(q_num)
+    back = range(len(head) - 1, -1, -1)
     for prefix in itertools.product(*ranges):
+        # The coordinates that moved: the last one that rose, and the ones
+        # after it, which wrapped to 0.
+        for i in back:
+            step = prefix[i] - cur[i]
+            if step:
+                row = bil_num[i]
+                base += step * (chi[i] - cur[i] * row[i]) + (2 * cur[i] + step) * step * q_num[i]
+                chi = list(map(add, chi, row if step == 1 else map(mul, row, itertools.repeat(step))))
+                cur[i] = prefix[i]
+                if step > 0:
+                    break
         if paired:
             neg = next(negatives)
             if neg < prefix:
                 continue
             runs = self_paired if neg == prefix else full
-        x = prefix + (0,)
-        base = _q_sum(x, q_num, bil_num, level)
-        lin = _bil_sum(x, last, bil_num, level)
+        lin = chi[-1]
         for weight, ts in runs:
             yield weight, [(base + t * (lin + t * a)) % level for t in ts]
 
@@ -646,7 +663,7 @@ def _order_index(h_rows, orders) -> int:
     """|Z^k / (rowspace(h_rows) + diag(orders) Z^k)| as det of an HNF."""
     k = len(orders)
     rel = [[orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    h, _ = hermite_normal_form([list(r) for r in h_rows] + rel)
+    h = hermite_normal_form([list(r) for r in h_rows] + rel).h
     det = 1
     for i in range(k):
         det *= h[i][i]

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .lattices import discriminant_form
 from .linalg import congruence, is_symmetric
@@ -42,6 +43,10 @@ __all__ = [
 ]
 
 RANK_LIMIT = 20  # largest rank whose coset minima are enumerated
+# Search nodes (values tried for one coordinate) that one `coset_minima` or
+# `minimum_nonzero_norm` call may use over all its cosets; a badly reduced
+# basis can need unboundedly many.
+NODE_BUDGET = 2_000_000
 
 
 def _elimination(gram, caller, rank_limit=None):
@@ -63,11 +68,18 @@ def _elimination(gram, caller, rank_limit=None):
 class _Search:
     """Integer Fincke-Pohst over the minors of one positive-definite
     elimination: `minimum(z, den)` is min over integer x of
-    (z + den x)^T K (z + den x) / den^2."""
+    (z + den x)^T K (z + den x) / den^2.  A node is a value tried for one
+    coordinate; all its calls together try at most NODE_BUDGET of them, and
+    past that `caller` raises.  Each level adds its count once its rings
+    are done, so a leaf costs nothing extra."""
 
-    def __init__(self, elim):
+    def __init__(self, elim, caller):
+        self.caller = caller
+        self.nodes_left = NODE_BUDGET
         minors = elim.minors()
-        self.tails = [tail for _, _, tail in minors]
+        # the columns j > i and the minors b_ij of each level's tail
+        self.cols = [[j for j, _ in tail] for _, _, tail in minors]
+        self.coefs = [[b for _, b in tail] for _, _, tail in minors]
         self.diag = [minor for minor, _, _ in minors]
         self.scale = lcm(*(minor * stamp for minor, stamp, _ in minors))
         self.weight = [self.scale // (minor * stamp) for minor, stamp, _ in minors]
@@ -75,15 +87,17 @@ class _Search:
     def minimum(self, z, den, exclude_zero=False) -> Fraction | None:
         """The norm; with `exclude_zero` (z = 0 only), over x != 0, which
         is None for rank 0."""
-        diag, tails, weight = self.diag, self.tails, self.weight
+        diag, cols, coefs, weight = self.diag, self.cols, self.coefs, self.weight
         t = list(z)  # t_j = z_j + den x_j on the levels fixed so far
+        fixed = t.__getitem__
         best = None
+        left = self.nodes_left
 
         def descend(i, partial, on_zero):
-            nonlocal best
+            nonlocal best, left
             d = diag[i]
             a, w = d * den, weight[i]
-            r = d * z[i] + sum(b * t[j] for j, b in tails[i])
+            r = d * z[i] + sum(map(mul, coefs[i], map(fixed, cols[i])))
             base = -((2 * r + a) // (2 * a))  # |a base + r| <= a / 2
             if i == 0:
                 # The squares grow away from base, so one value settles the leaf.
@@ -108,12 +122,20 @@ class _Search:
                 if k > 0 and not hit:
                     break
                 k += 1
+            # Rings 0..k held the 2k + 1 values tried here, each a node.
+            left -= 2 * k + 1
+            if left < 0:
+                raise BudgetExceededError(
+                    f"lattice search ({self.caller}): {NODE_BUDGET - left} nodes exceed the fixed node budget "
+                    f"NODE_BUDGET = {NODE_BUDGET}; no flag raises it"
+                )
 
         try:
             if diag:
                 descend(len(diag) - 1, 0, True)
         finally:
             del descend  # break the self-reference through the closure cell
+        self.nodes_left = left
         return None if best is None else Fraction(best, den * den * self.scale)
 
 
@@ -128,7 +150,7 @@ def coset_minima(gram, budget: int = BUDGET_DEFAULT):
             f"coset enumeration (coset_minima): {elim.det} cosets exceed budget {budget}; raise it with --budget"
         )
     disc = discriminant_form(gram)
-    search = _Search(elim)
+    search = _Search(elim, "coset_minima")
     # Every coset center is an int vector over the exponent e.
     e, zcols, group = disc.exponent, disc.dual_num, disc.group
     out = {}
@@ -149,7 +171,7 @@ def coset_minima(gram, budget: int = BUDGET_DEFAULT):
 def minimum_nonzero_norm(gram) -> Fraction:
     """Norm of a shortest nonzero lattice vector (exact enumeration)."""
     elim = _elimination(gram, "minimum_nonzero_norm")
-    return _Search(elim).minimum([0] * len(gram), 1, exclude_zero=True)
+    return _Search(elim, "minimum_nonzero_norm").minimum([0] * len(gram), 1, exclude_zero=True)
 
 
 def extremality_score(gram, budget: int = BUDGET_DEFAULT) -> Fraction:

@@ -438,3 +438,138 @@ def glue_generators_search_oracle(disc, budget: int) -> list[list[int]]:
     if result is None:
         raise GlueSearchError("no glue group found within the budget")
     return [list(vec) for vec in result]
+
+
+# ---------------------------------------------------------------------------
+# Natural-order eliminations over whole rows: the oracles of `linalg`'s
+# span-limited, reordered ones, which must return the same ints.
+
+
+def _current_oracle(a, stamp, k, prev):
+    s = stamp[k]
+    if s != prev:
+        a[k] = [x * prev // s for x in a[k]]
+        stamp[k] = prev
+    return a[k]
+
+
+def bareiss_determinant(m):
+    """Bareiss elimination in the natural order, every row operation over
+    the whole tail of the row."""
+    n = len(m)
+    a = [list(row) for row in m]
+    stamp = [1] * n
+    sign = prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            stamp[k], stamp[piv] = stamp[piv], stamp[k]
+            sign = -sign
+        row_k = _current_oracle(a, stamp, k, prev)
+        pivot, tail = row_k[k], row_k[k:]
+        for i in range(k + 1, n):
+            if a[i][k]:
+                row_i = _current_oracle(a, stamp, i, prev)
+                f = row_i[k]
+                row_i[k:] = [(pivot * x - f * y) // prev for x, y in zip(row_i[k:], tail)]
+                stamp[i] = pivot
+        prev = pivot
+    return sign * prev
+
+
+def congruence_oracle(m):
+    """The congruence elimination in the natural order over whole rows, each
+    pivot scanning every live row: ((n+, n-, n0), det, rows, stamps)."""
+    n = len(m)
+    b = [list(row) for row in m]
+    stamp = [1] * n
+    prev = 1
+    alive = list(range(n))
+    n_plus = n_minus = n_zero = 0
+    while alive:
+        p = next((i for i in alive if b[i][i]), None)
+        lo = alive[0]
+        if p is not None:
+            row_p = _current_oracle(b, stamp, p, prev)
+            d = row_p[p]
+            if (d > 0) == (prev > 0):
+                n_plus += 1
+            else:
+                n_minus += 1
+            alive.remove(p)
+            for k in alive:
+                if b[k][p]:
+                    row_k = _current_oracle(b, stamp, k, prev)
+                    f = row_k[p]
+                    row_k[lo:] = [(d * x - f * y) // prev for x, y in zip(row_k[lo:], row_p[lo:])]
+                    stamp[k] = d
+            prev = d
+            continue
+        pair = next(((i, j) for t, i in enumerate(alive) for j in alive[t + 1:] if b[i][j]), None)
+        if pair is None:
+            n_zero = len(alive)
+            break
+        i, j = pair
+        row_i, row_j = _current_oracle(b, stamp, i, prev), _current_oracle(b, stamp, j, prev)
+        beta = row_i[j]
+        n_plus += 1
+        n_minus += 1
+        alive.remove(i)
+        alive.remove(j)
+        b2, div = beta * beta, prev * prev
+        for k in alive:
+            if b[k][i] or b[k][j]:
+                row_k = _current_oracle(b, stamp, k, prev)
+                fi, fj = row_k[i], row_k[j]
+                row_k[lo:] = [(beta * (fi * yj + fj * yi) - b2 * x) // div
+                              for x, yi, yj in zip(row_k[lo:], row_i[lo:], row_j[lo:])]
+                stamp[k] = -b2 // prev
+        prev = -b2 // prev
+    return (n_plus, n_minus, n_zero), 0 if n_zero else prev, b, stamp
+
+
+def hermite_oracle(m):
+    """Row-style HNF in the natural order with T carried along: (H, T),
+    T m = H, every operation over whole rows of both."""
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    a = [list(row) for row in m]
+    t = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    pivot_row = 0
+    for col in range(cols):
+        if pivot_row >= rows:
+            break
+        while True:
+            candidates = [i for i in range(pivot_row, rows) if a[i][col]]
+            if not candidates:
+                break
+            best = min(candidates, key=lambda i: (abs(a[i][col]), i))
+            if best != pivot_row:
+                a[pivot_row], a[best] = a[best], a[pivot_row]
+                t[pivot_row], t[best] = t[best], t[pivot_row]
+            if a[pivot_row][col] < 0:
+                a[pivot_row] = [-x for x in a[pivot_row]]
+                t[pivot_row] = [-x for x in t[pivot_row]]
+            p = a[pivot_row][col]
+            done = True
+            for i in range(pivot_row + 1, rows):
+                if a[i][col]:
+                    q = a[i][col] // p
+                    a[i] = [x - q * y for x, y in zip(a[i], a[pivot_row])]
+                    t[i] = [x - q * y for x, y in zip(t[i], t[pivot_row])]
+                    if a[i][col]:
+                        done = False
+            if done:
+                break
+        if a[pivot_row][col]:
+            p = a[pivot_row][col]
+            for i in range(pivot_row):
+                q = a[i][col] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[pivot_row])]
+                    t[i] = [x - q * y for x, y in zip(t[i], t[pivot_row])]
+            pivot_row += 1
+    return a, t

@@ -20,7 +20,13 @@ from anyonlat.cli import (
     parse_spec,
     parse_spec_factors,
 )
-from anyonlat.gluing import GLUE_SEARCH_NODE_BUDGET, GlueSearchError, conjugate_realization
+from anyonlat.gluing import (
+    GLUE_SEARCH_NODE_BUDGET,
+    GlueSearchError,
+    conjugate_realization,
+    glue_selfdual_8,
+    orthogonal_complement,
+)
 from anyonlat.lattices import cartan_a, cartan_d, e8_gram
 from anyonlat.metric_groups import central_charge_gauss
 from anyonlat.realize import ROUTE_RANK_LIMIT
@@ -414,10 +420,19 @@ def test_complement_eliminates_each_matrix_once(monkeypatch):
     """The gluing checks unimodularity and primitivity on the HNF of its basis
     and of the pairing with the first copy, whose kernel is the complement:
     no determinant of the glued Gram matrix and no SNF of the first copy's
-    coordinates, only the discriminant form's one SNF."""
+    coordinates, only the discriminant form's one SNF.  Only the complement
+    reads an HNF transform: the glue reads H alone, so its logged row
+    operations are never replayed, and the complement replays its one."""
     names = ["determinant", "smith_normal_form", "hermite_normal_form"]
     counts = _count_kernel_calls(monkeypatch, names)
-    conjugate_realization(cartan_a(6))
+    replays = []
+    replay = anyonlat.linalg.HnfResult.t
+    monkeypatch.setattr(anyonlat.linalg.HnfResult, "t",
+                        property(lambda hnf: replays.append(len(hnf.h)) or replay.fget(hnf)))
+    glued = glue_selfdual_8(cartan_a(6))
+    assert replays == []
+    orthogonal_complement(glued)
+    assert replays == [8 * 6]  # the pairing of the glued basis with the first copy
     assert counts == {"determinant": 0, "smith_normal_form": 1, "hermite_normal_form": 2}
 
 

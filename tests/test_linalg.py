@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference_matrices import smith_u_inv_columns
+from reference_matrices import bareiss_determinant, congruence_oracle, hermite_oracle, smith_u_inv_columns
 
 from anyonlat.linalg import (
     block_diagonal,
@@ -89,12 +89,12 @@ def test_inertia_examples():
 
 
 def test_hermite_normal_form_examples():
-    assert hermite_normal_form(identity_matrix(2))[0] == identity_matrix(2)
-    h, t = hermite_normal_form([[2, 0], [1, 1]])
-    assert h == [[1, 1], [0, 2]]
-    assert mat_mul(t, [[2, 0], [1, 1]]) == h
+    assert hermite_normal_form(identity_matrix(2)).h == identity_matrix(2)
+    hnf = hermite_normal_form([[2, 0], [1, 1]])
+    assert hnf.h == [[1, 1], [0, 2]]
+    assert mat_mul(hnf.t, [[2, 0], [1, 1]]) == hnf.h
     zero = [[0, 0], [0, 0]]
-    assert hermite_normal_form(zero)[0] == zero
+    assert hermite_normal_form(zero).h == zero
 
 
 def test_block_diagonal_against_a_hand_assembled_matrix():
@@ -454,3 +454,145 @@ def test_is_symmetric_matches_the_pairwise_definition():
     assert seen == {True, False}
     assert not is_symmetric([[1, 2], [2]]) and not is_symmetric([[1], [2]])
     assert is_symmetric(((1, 2), (2, 3))) and is_symmetric([(1, 2), [2, 3]])
+
+
+# ---------------------------------------------------------------------------
+# Span-limited, reordered eliminations against the natural-order oracles
+
+
+def _symmetric_case(rng, kind, n):
+    """A seeded symmetric matrix of the given kind: sparse, banded,
+    arrowhead (a few hub rows), dense, singular or zero-diagonal."""
+    m = [[0] * n for _ in range(n)]
+    hubs = rng.sample(range(n), min(n, 2))
+    for i in range(n):
+        for j in range(i, n):
+            keep = {"sparse": rng.random() < 0.15, "banded": j - i <= 2, "dense": True,
+                    "arrowhead": i == j or j == i + 1 or i in hubs or j in hubs}.get(kind, rng.random() < 0.3)
+            if keep:
+                m[i][j] = m[j][i] = rng.randint(-6, 6) or 1
+    if kind == "zero-diagonal":
+        for i in range(n):
+            m[i][i] = 0
+    if kind == "singular" and n > 1:
+        # the last index repeats a combination of the first two
+        c = rng.randint(-2, 2)
+        for t in range(n - 1):
+            m[n - 1][t] = m[t][n - 1] = m[0][t] + c * m[1][t] if n > 2 else m[0][t]
+        m[n - 1][n - 1] = m[0][n - 1] + c * m[1][n - 1] if n > 2 else m[0][n - 1]
+    return m
+
+
+def _symmetric_cases(seed, count):
+    rng = random.Random(seed)
+    kinds = ("sparse", "banded", "arrowhead", "dense", "singular", "zero-diagonal")
+    for trial in range(count):
+        yield rng, _symmetric_case(rng, kinds[trial % len(kinds)], rng.randint(0, 24))
+
+
+def test_eliminations_match_the_natural_order_oracles():
+    """determinant and inertia equal the whole-row natural-order eliminations,
+    also after a random symmetric permutation; congruence(m) itself keeps the
+    natural order, so its frozen rows and stamps are the oracle's."""
+    kinds_singular = kinds_hyperbolic = 0
+    for rng, m in _symmetric_cases("span-oracles", 600):
+        n = len(m)
+        inertia_want, det_want, rows_want, stamps_want = congruence_oracle(m)
+        assert determinant(m) == bareiss_determinant(m) == det_want, m
+        assert inertia(m) == inertia_want, m
+        elim = congruence(m)
+        assert (elim.inertia, elim.det, elim.rows, elim.stamps) == (inertia_want, det_want, rows_want, stamps_want), m
+        perm = rng.sample(range(n), n)
+        moved = [[m[i][j] for j in perm] for i in perm]
+        assert determinant(moved) == det_want and inertia(moved) == inertia_want, (m, perm)
+        kinds_singular += det_want == 0
+        kinds_hyperbolic += inertia_want[0] > 0 and not any(m[i][i] for i in range(n))
+    assert kinds_singular > 50 and kinds_hyperbolic > 50
+
+
+def test_determinant_of_a_general_matrix_matches_the_oracle():
+    # Not symmetric: the order comes from the pattern of m + m^T, and the
+    # column bounds are the columns' own.
+    rng = random.Random("general-det")
+    for _ in range(400):
+        n = rng.randint(1, 16)
+        share = rng.choice((0.1, 0.3, 0.7, 1.0))
+        m = [[rng.randint(-9, 9) if rng.random() < share else 0 for _ in range(n)] for _ in range(n)]
+        perm = rng.sample(range(n), n)
+        assert determinant(m) == bareiss_determinant(m) == determinant([[m[i][j] for j in perm] for i in perm]), m
+
+
+def test_hermite_transform_replays_the_oracle():
+    """H and the replayed T equal the natural-order HNF that carries T along,
+    and T m = H, on tall, wide, sparse, dense and rank-deficient matrices."""
+    rng = random.Random("hnf-oracle")
+    for trial in range(400):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        share = rng.choice((0.15, 0.4, 1.0))
+        m = [[rng.randint(-20, 20) if rng.random() < share else 0 for _ in range(cols)] for _ in range(rows)]
+        if trial % 4 == 0 and rows > 2:
+            m[-1] = [x - 2 * y for x, y in zip(m[0], m[1])]
+        hnf = hermite_normal_form(m)
+        h_want, t_want = hermite_oracle(m)
+        assert hnf.h == h_want, m
+        assert hnf.t == t_want, m
+        assert mat_mul(hnf.t, m) == hnf.h
+    glue_like = [[6 if i == j else 0 for j in range(16)] for i in range(16)] + [[rng.randrange(6) for _ in range(16)]]
+    assert hermite_normal_form(glue_like).t == hermite_oracle(glue_like)[1]
+
+
+def _minimum_degree_oracle(pattern):
+    """Exact minimum degree over explicit elimination graphs, ties by index,
+    no shortcut of any kind."""
+    n = len(pattern)
+    adj = [set(row) - {v} for v, row in enumerate(pattern)]
+    left, order = set(range(n)), []
+    while left:
+        v = min(left, key=lambda u: (len(adj[u]), u))
+        order.append(v)
+        left.discard(v)
+        for u in adj[v]:
+            adj[u] |= adj[v] - {u}
+            adj[u].discard(v)
+    return order
+
+
+def test_fill_order_is_the_minimum_degree_order():
+    from anyonlat.linalg import _fill_order, _pattern
+
+    for _, m in _symmetric_cases("fill-order", 400):
+        n = len(m)
+        want = _minimum_degree_oracle(_pattern(m, n))
+        assert (_fill_order(m)[0] or list(range(n))) == want, m
+
+
+def test_fill_order_keeps_bands_and_full_patterns_and_defers_hubs():
+    from anyonlat.gluing import build_ef_positive, conjugate_realization
+    from anyonlat.lattices import cartan_a
+    from anyonlat.linalg import _fill_order, _pattern
+
+    def order_of(m):
+        return _fill_order(m)[0]
+
+    rng = random.Random("bands")
+    for n in (3, 9, 40, 359):
+        assert order_of(cartan_a(n).gram) is None
+    for width in (2, 3, 5):
+        band = [[rng.randint(1, 9) if abs(i - j) <= width else 0 for j in range(30)] for i in range(30)]
+        band = [[band[min(i, j)][max(i, j)] for j in range(30)] for i in range(30)]
+        assert order_of(band) is None
+    dense = [[rng.randint(1, 9) for _ in range(20)] for _ in range(20)]
+    assert order_of([[dense[min(i, j)][max(i, j)] for j in range(20)] for i in range(20)]) is None
+    # The E/F head and glue rows and the complement's dense rows go after
+    # almost all their neighbours, which cuts the fill.
+    for gram in (build_ef_positive("F", 5).gram, build_ef_positive("E", 3).gram,
+                 conjugate_realization(cartan_a(22)).gram):
+        n = len(gram)
+        pattern = _pattern(gram, n)
+        order = order_of(gram)
+        position = {v: t for t, v in enumerate(order)}
+        hubs = [v for v in range(n) if len(pattern[v]) >= max(map(len, pattern)) * 2 // 3]
+        assert hubs
+        for v in hubs:
+            later = sum(position[u] > position[v] for u in pattern[v])
+            assert later * 4 <= len(pattern[v]), (v, later)

@@ -469,6 +469,36 @@ def test_paired_histogram_counts_every_element_once():
         assert list(_q_numerators(g)) == values, g
 
 
+def test_histogram_of_many_generators_counts_every_element():
+    """The prefix values follow `itertools.product` one coordinate move at a
+    time; on E/F products and mixed groups of up to 16 generators (the last
+    one E[2]^5 + F[2]^3, |A| = 4^8) the paired histogram still equals a
+    count of `_q_sum` over every element, and the flat view its order."""
+    from anyonlat.metric_groups import _q_histogram, _q_numerators, _q_sum
+
+    rng = random.Random("many-generators")
+    e2, f2 = build_prime(spec("E", 2, 1)), build_prime(spec("F", 2, 1))
+    pool = [e2, f2, build_prime(spec("E", 2, 2)), build_prime(spec("A", 2, 1)), build_prime(spec("B", 2, 2)),
+            build_prime(spec("A", 3, 1)), build_prime(spec("B", 5, 1)), build_prime(spec("C", 2, 3))]
+    cases = []
+    for factors in ([e2] * 3 + [f2] * 2, [f2] * 4, [e2, f2, pool[3], pool[5]]):
+        cases.append(factors)
+    for _ in range(6):
+        cases.append(rng.sample(pool, rng.randint(2, 4)) + [random_form(rng)])
+    cases.append([e2] * 5 + [f2] * 3)
+    for factors in cases:
+        g = trivial_group()
+        for f in factors:
+            g = direct_sum(g, f)
+        values = [_q_sum(x, g.gen_q_num, g.gen_bil_num, g.level) for x in g.elements()]
+        want = [0] * g.level
+        for v in values:
+            want[v] += 1
+        assert _q_histogram(g) == want, g
+        assert list(_q_numerators(g)) == values, g
+    assert len(g.orders) == 16 and g.size == 4**8
+
+
 def test_rows_are_cut_into_chunks_without_changing_the_counts(monkeypatch):
     """With ROW_CHUNK = 3 every row longer than three values is cut; the
     histogram and the flattened order stay the same, and no run is longer."""

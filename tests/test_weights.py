@@ -84,3 +84,32 @@ def test_coset_budget_comes_before_the_discriminant_form(monkeypatch):
     with pytest.raises(BudgetExceededError) as err:
         coset_minima([[2, 1], [1, 12]], budget=5)
     assert str(err.value) == "coset enumeration (coset_minima): 23 cosets exceed budget 5; raise it with --budget"
+
+
+def test_node_budget_stops_the_search_on_a_disguised_basis(monkeypatch, tmp_path, capsys):
+    """A badly reduced basis of A_10 makes the search try far more values
+    than A_10 itself (152k against 5.7k for its coset minima, 10.6k against
+    261 for its shortest vector); past the fixed budget each caller raises a
+    budget error that names it and the node count, and the CLI exits 2."""
+    import json
+    import random
+    import re
+
+    from reference_matrices import disguised
+
+    from anyonlat import weights
+    from anyonlat.cli import main
+
+    monkeypatch.setattr(weights, "NODE_BUDGET", 8000)
+    message = r"lattice search \({}\): (\d+) nodes exceed the fixed node budget NODE_BUDGET = 8000; no flag raises it"
+    plain = cartan_a(10).gram
+    hidden = disguised(plain, random.Random(20), 20)
+    assert coset_minima(plain) and minimum_nonzero_norm(plain) == 2
+    for call, caller in ((coset_minima, "coset_minima"), (minimum_nonzero_norm, "minimum_nonzero_norm")):
+        with pytest.raises(BudgetExceededError) as err:
+            call(hidden)
+        assert int(re.fullmatch(message.format(caller), str(err.value)).group(1)) > 8000
+    path = tmp_path / "hidden.json"
+    path.write_text(json.dumps({"gram": hidden}))
+    assert main(["weights", str(path)]) == 2
+    assert re.fullmatch("error: " + message.format("coset_minima") + "\n", capsys.readouterr().err)
