@@ -74,7 +74,7 @@ from .linalg import (
     block_diagonal,
     has_even_diagonal,
     hermite_normal_form,
-    inertia,
+    is_positive_definite,
     mat_mul,
     transpose,
 )
@@ -333,13 +333,12 @@ class GluedLattice:
     basis_k8: list[list[int]]
 
 
-def glue_selfdual_8(base: Lattice | list[list[int]], budget: int = GLUE_SEARCH_NODE_BUDGET) -> GluedLattice:
+def glue_selfdual_8(base: Lattice | list[list[int]]) -> GluedLattice:
     """Glue base^{+8} into an even unimodular lattice."""
     gram = base.gram if isinstance(base, Lattice) else base
     if not has_even_diagonal(gram):
         raise ValueError("glue_selfdual_8 requires an even base")
-    n_plus, n_minus, n_zero = inertia(gram)
-    if n_minus or n_zero:
+    if not is_positive_definite(gram):
         raise ValueError("glue_selfdual_8 requires a positive-definite base")
     m = len(gram)
     disc = discriminant_form(gram)
@@ -350,7 +349,7 @@ def glue_selfdual_8(base: Lattice | list[list[int]], budget: int = GLUE_SEARCH_N
     elif g == 1:
         glue_gens = _glue_generators_cyclic(disc.invariant_factors[0])
     else:
-        glue_gens = _glue_generators_search(disc, budget)
+        glue_gens = _glue_generators_search(disc, GLUE_SEARCH_NODE_BUDGET)
 
     zcols = disc.dual_num
     den = disc.exponent
@@ -486,8 +485,7 @@ def build_ef_positive(family: str, r: int, input_lattice: Lattice | None = None)
     n = 2**r
     lat = input_lattice if input_lattice is not None else default_ef_input(family, r)
     gram_in = lat.gram
-    n_plus, n_minus, n_zero = inertia(gram_in)
-    if n_minus or n_zero:
+    if not is_positive_definite(gram_in):
         raise ValueError("input lattice must be positive definite")
     disc = discriminant_form(gram_in)
     # norm is n (w K^{-1} w), so the corner is (2 + 2 norm) / n resp. (3 + norm) / n.

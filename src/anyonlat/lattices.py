@@ -25,7 +25,7 @@ Explicit even positive-definite families provided here:
 
 These constructors check only their parameters: each package path to one
 ends in the oracle `kmatrix` runs on its output (with signature = rank under
---positive-definite) or in `glue_selfdual_8`'s inertia check of its base.
+--positive-definite) or in `glue_selfdual_8`'s definiteness check of its base.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ def verify_realization(
             "discriminant_form",
             witness is not None,
             f"invariants {disc.invariant_factors}, q2(gens) = {[str(q) for q in disc.q2_gen]}"
-            + (f", witness {witness}" if witness else ", no isometry"),
+            + (f", witness {witness}" if witness is not None else ", no isometry"),
         )
     )
     return RealizationReport(tuple(checks), det=det, signature=sig, witness=witness)

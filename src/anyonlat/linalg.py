@@ -3,7 +3,6 @@
 Matrices are plain lists of lists; integer routines stay in int, rational ones
 use fractions.Fraction.  Nothing here touches floating point:
 
-* fraction-free (Bareiss) determinants,
 * rational solves and inverses over Q (no package module calls them; the
   tests use them as an oracle, and the benchmark's tracer wraps them),
 * Smith normal form U m V = S, with V replayed per column from a log of the
@@ -11,32 +10,31 @@ use fractions.Fraction.  Nothing here touches floating point:
   gives each column of U^-1 with s_j != 0 as m V e_j / s_j exactly,
 * row-style Hermite normal form T m = H, with T replayed from a log of the
   row operations only when it is read,
-* `congruence`, the one symmetric elimination: diagonal pivots, and
-  hyperbolic 2x2 pivots when the remaining diagonal vanishes (Sylvester's
-  law without any epsilon perturbation).  One pass yields the exact inertia,
-  the determinant and, for positive-definite input, the leading principal
-  minors and bordered minors that split y^T m y into integer squares (the
-  factors of m = L D L^T, undivided).
+* `congruence`, the one fraction-free elimination, for symmetric matrices:
+  diagonal pivots, and hyperbolic 2x2 pivots when the remaining diagonal
+  vanishes (Sylvester's law without any epsilon perturbation).  One pass
+  yields the exact inertia, the determinant and, for positive-definite
+  input, the leading principal minors and bordered minors that split
+  y^T m y into integer squares (the factors of m = L D L^T, undivided).
+  `determinant` and `inertia` each read it.
 
-The two Bareiss-style eliminations (`determinant`, `congruence`) work in
-int throughout.  Once the pivots S are eliminated, with prev = det m[S, S],
-the entry (k, l) of the working matrix is the bordered minor
-b_kl = det m[S + k, S + l], so every division in Sylvester's identity is
-exact.  A row that a pivot does not touch (b_kp = 0) only scales by the
-ratio of the new prev to the old one, so it is not rewritten: each row
-carries a stamp, the prev at which it was last written, and stored * prev /
-stamp is its current value.  A pivot row is brought to scale when read; a
-row a pivot updates is divided by its own stamp instead of prev, which gives
-the same ints without rescaling it first.
+`congruence` works in int throughout.  Once the pivots S are eliminated,
+with prev = det m[S, S], the entry (k, l) of the working matrix is the
+bordered minor b_kl = det m[S + k, S + l], so every division in Sylvester's
+identity is exact.  A row that a pivot does not touch (b_kp = 0) only scales
+by the ratio of the new prev to the old one, so it is not rewritten: each
+row carries a stamp, the prev at which it was last written, and stored *
+prev / stamp is its current value.  A pivot row is brought to scale when
+read; a row a pivot updates is divided by its own stamp instead of prev,
+which gives the same ints without rescaling it first.
 
 Sparse input costs in proportion to the nonzeros the eliminations touch.
-In `determinant`, `congruence` and `hermite_normal_form` each row keeps an
-upper bound on its last nonzero column, and every row operation, rescale and
-negation runs from the pivot column (the first live one in `congruence`) to
-the larger of its rows' bounds: past both, both rows are zero and stay so.
-`congruence` reads the rows a pivot updates off the pivot row, since the
-bordered minors are symmetric; `determinant` keeps a bound on each column's
-last nonzero row.  `determinant` and `inertia` give the same value for
+In `congruence` and `hermite_normal_form` each row keeps an upper bound on
+its last nonzero column, and every row operation, rescale and negation runs
+from the pivot column (the first live one in `congruence`) to the larger of
+its rows' bounds: past both, both rows are zero and stay so.  `congruence`
+reads the rows a pivot updates off the pivot row, since the bordered minors
+are symmetric.  `determinant` and `inertia` give the same value for
 P m P^T, so they eliminate in minimum-degree order (`_fill_order`), which
 keeps a band or a full pattern in index order and puts hub rows after their
 neighbours.  `congruence(m)` itself keeps index order: its frozen rows are
@@ -187,13 +185,10 @@ def _natural_is_fill_free(pattern) -> bool:
 
 
 def _fill_order(m):
-    """(order, pattern): the minimum-degree elimination order of the nonzero
-    pattern of m's rows, ties broken by the lower index (George and Liu,
-    SIAM Review 31, 1989), or None for the natural order; and that pattern,
-    the nonzero columns of each row, or None where n bounds every row: a
-    matrix without a zero entry, or one of at most two rows.  Any order
-    serves a matrix whose pattern is not symmetric, since P m P^T keeps its
-    determinant.
+    """The minimum-degree elimination order of the nonzero pattern of m's
+    rows, ties broken by the lower index (George and Liu, SIAM Review 31,
+    1989), or None for the natural order.  A square m whose pattern is not
+    symmetric gets some order all the same, and stays non-symmetric.
 
     Each step eliminates a vertex of least degree and joins its neighbours
     into a clique.  Once the least degree is the number of vertices left
@@ -204,10 +199,10 @@ def _fill_order(m):
     """
     n = len(m)
     if n < 3 or not any(map(contains, m, repeat(0))):
-        return None, None
+        return None
     pattern = _pattern(m, n)
     if _natural_is_fill_free(pattern):
-        return None, pattern
+        return None
     adj = list(map(set, pattern))
     for v, nbrs in enumerate(adj):
         nbrs.discard(v)
@@ -227,78 +222,13 @@ def _fill_order(m):
                 joined |= nbrs
                 joined.discard(u)
             joined.discard(v)
-    return None if order == list(range(n)) else order, pattern
+    return None if order == list(range(n)) else order
 
 
 def _permuted(m, order):
-    """P m P^T, a new matrix, for the permutation `order` of the indices
-    (None: the natural order)."""
-    if order is None:
-        return copy_matrix(m)
+    """P m P^T, a new matrix, for the permutation `order` of the indices."""
     pick = itemgetter(*order)
     return [list(pick(m[i])) for i in order]
-
-
-def determinant(m: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination of
-    P m P^T in the minimum-degree order of m's pattern (`_fill_order`); its
-    final prev is the determinant.  Each row keeps a bound on its last
-    nonzero column and each column one on its last nonzero row, so a row
-    operation runs from the pivot column to the larger of its two rows'
-    bounds and only the rows the pivot column reaches are read; rows
-    without a multiplier keep their stamp instead of being rescaled."""
-    if not is_square(m):
-        raise ValueError("determinant requires a square matrix")
-    n = len(m)
-    order, pattern = _fill_order(m)
-    a = _permuted(m, order)
-    if pattern is None:
-        # n bounds every row and column alike
-        end = col_end = [n] * n
-    else:
-        end = _ends(a) if order else [row[-1] + 1 if row else 0 for row in pattern]
-        # Until a row swap, the working matrix of a symmetric m is the
-        # symmetric matrix of bordered minors: row bounds bound columns too.
-        col_end = end if is_symmetric(a) else _ends(transpose(a))
-    stamp = [1] * n
-    sign = prev = 1
-    for k in range(n):
-        if not a[k][k]:
-            piv = next((i for i in range(k + 1, col_end[k]) if a[i][k]), None)
-            if piv is None:
-                return 0
-            if col_end is end:
-                col_end = end[:]
-            a[k], a[piv] = a[piv], a[k]
-            stamp[k], stamp[piv] = stamp[piv], stamp[k]
-            end[k], end[piv] = end[piv], end[k]
-            sign = -sign
-            # the old row k now sits at piv
-            col_end[k:end[piv]] = map(max, col_end[k:end[piv]], repeat(piv + 1))
-        top = end[k]
-        row_k = a[k]
-        if stamp[k] != prev:
-            row_k = _current(a, stamp, k, prev, k, top)
-        pivot, tail = row_k[k], row_k[k:top]
-        last = k
-        for i in range(k + 1, col_end[k]):
-            row_i = a[i]
-            f = row_i[k]
-            if f:
-                # Sylvester's identity at row i's own scale: columns before k
-                # are zero in both rows, and so are those from hi on
-                hi = max(end[i], top)
-                s = stamp[i]
-                ys = tail if hi == top else row_k[k:hi]
-                row_i[k:hi] = [(pivot * x - f * y) // s for x, y in zip(row_i[k:hi], ys)]
-                stamp[i] = pivot
-                end[i] = hi
-                last = i
-        if col_end is not end and last > k:
-            # fill reaches rows up to `last`, in the pivot row's columns only
-            col_end[k + 1:top] = map(max, col_end[k + 1:top], repeat(last + 1))
-        prev = pivot
-    return sign * prev
 
 
 def rational_inverse(m) -> list[list[Fraction]]:
@@ -601,7 +531,7 @@ def congruence(m) -> Congruence:
     of the bounds of the rows it combines.
     """
     if not is_symmetric(m):
-        raise ValueError("inertia requires a symmetric matrix")
+        raise ValueError("the congruence elimination requires a symmetric matrix")
     n = len(m)
     b = copy_matrix(m)
     end = _ends(b)
@@ -665,16 +595,25 @@ def congruence(m) -> Congruence:
     return Congruence((n_plus, n_minus, n_zero), 0 if n_zero else prev, b, stamp)
 
 
-def inertia(m) -> tuple[int, int, int]:
-    """(n_plus, n_minus, n_zero) of a symmetric matrix: `congruence` of
-    P m P^T in minimum-degree order (`_fill_order`), which Sylvester's law
-    leaves with the same inertia."""
+def _ordered_congruence(m) -> Congruence:
+    """`congruence` of P m P^T in the minimum-degree order of m's pattern
+    (`_fill_order`), which keeps the inertia (Sylvester's law) and the
+    determinant (det P enters squared).  A non-symmetric m is refused by
+    `congruence` after the permutation."""
     if not is_square(m):
-        return congruence(m).inertia  # which refuses it
-    # A square m that is not symmetric gets some order, and congruence
-    # refuses the permuted matrix just the same.
-    order, _ = _fill_order(m)
-    return congruence(m if order is None else _permuted(m, order)).inertia
+        raise ValueError("the congruence elimination requires a square matrix")
+    order = _fill_order(m)
+    return congruence(m if order is None else _permuted(m, order))
+
+
+def determinant(m) -> int:
+    """Exact determinant of an integer symmetric matrix."""
+    return _ordered_congruence(m).det
+
+
+def inertia(m) -> tuple[int, int, int]:
+    """(n_plus, n_minus, n_zero) of an integer symmetric matrix."""
+    return _ordered_congruence(m).inertia
 
 
 def signature(m) -> int:
@@ -683,5 +622,4 @@ def signature(m) -> int:
 
 
 def is_positive_definite(m) -> bool:
-    n_plus, n_minus, n_zero = inertia(m)
-    return n_minus == 0 and n_zero == 0
+    return inertia(m) == (len(m), 0, 0)

@@ -317,14 +317,14 @@ def smith_u_inv_columns(m, snf):
 
     Column j < r of m V must be divisible by s_j, the columns past r must
     vanish, V must be unimodular, and the r quotient columns must have gcd 1
-    over their r x r minors (each taken with `determinant`), so that they
+    over their r x r minors (each taken with `bareiss_determinant`), so that they
     extend to a unimodular U^-1: for square nonsingular m the one minor is
     det(m V S^-1) = +-1.
     """
     import itertools
     from math import gcd
 
-    from anyonlat.linalg import determinant, mat_mul, transpose
+    from anyonlat.linalg import mat_mul, transpose
 
     diag = snf.diagonal()
     rank = sum(1 for d in diag if d)
@@ -333,9 +333,9 @@ def smith_u_inv_columns(m, snf):
     assert all(x % s == 0 for col, s in zip(mv_cols, diag[:rank]) for x in col), "m V e_j is not divisible by s_j"
     quotients = [[x // s for x in col] for col, s in zip(mv_cols, diag[:rank])]
     rows = transpose(quotients) if quotients else [[] for _ in m]
-    minors = (determinant([rows[i] for i in pick]) for pick in itertools.combinations(range(len(m)), rank))
+    minors = (bareiss_determinant([rows[i] for i in pick]) for pick in itertools.combinations(range(len(m)), rank))
     assert gcd(*minors) == 1, "the columns of U^-1 do not extend to a unimodular matrix"
-    assert abs(determinant(snf.v)) == 1
+    assert abs(bareiss_determinant(snf.v)) == 1
     return quotients
 
 

@@ -322,6 +322,17 @@ def test_glue_budget_error_names_its_layer_and_that_no_flag_raises_it(tmp_path, 
         f"{GLUE_SEARCH_NODE_BUDGET}; no flag raises it"]
 
 
+def test_complement_of_e8_names_the_empty_witness(tmp_path, capsys):
+    """E8 is unimodular: its complement has the trivial discriminant group,
+    whose isometry is the empty tuple, and the check line prints it."""
+    path = tmp_path / "e8.txt"
+    path.write_text(dump_matrix_file(e8_gram().gram, fmt="plain"))
+    assert main(["complement", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "[pass] discriminant_form: invariants (), q2(gens) = [], witness ()" in out
+    assert out[-1] == "verdict: pass"
+
+
 def test_complement_runs_the_oracle_past_the_enumeration_budget(tmp_path, capsys):
     """|D| = 10^4 is past the default `--budget` of 4096, but the oracle
     settles a cyclic D in closed form, so `complement` runs it in full."""
@@ -395,22 +406,26 @@ def _count_kernel_calls(monkeypatch, names, source=anyonlat.linalg):
 
 
 def test_verify_runs_each_kernel_once_and_solves_nothing(tmp_path, monkeypatch, capsys):
+    """The oracle's `determinant` and `inertia` each read one congruence
+    elimination of the Gram matrix: two in all, until `verify_realization`
+    reads both off one (ROADMAP item 1)."""
     path = tmp_path / "d7.json"
     path.write_text(dump_matrix_file(cartan_d(7).gram))
     counts = _count_kernel_calls(
         monkeypatch, ["determinant", "solve_columns", "congruence", "smith_normal_form"])
     assert main(["verify", str(path), "--target", "B[4]"]) == 0
-    assert counts == {"determinant": 1, "solve_columns": 0, "congruence": 1, "smith_normal_form": 1}
+    assert counts == {"determinant": 1, "solve_columns": 0, "congruence": 2, "smith_normal_form": 1}
 
 
 def test_continued_fraction_kmatrix_factors_k_once(monkeypatch, capsys):
     """K = W^-1 comes from the Wall continuants, not a rational solve: the
-    oracle's one congruence and one SNF are all `kmatrix` runs, and the
+    oracle's two congruence eliminations (its `determinant` and `inertia`;
+    one once ROADMAP item 1 lands) and one SNF are all `kmatrix` runs, and the
     closed-form F matrix solves nothing either."""
     names = ["solve_columns", "congruence", "smith_normal_form"]
     counts = _count_kernel_calls(monkeypatch, names)
     assert main(["kmatrix", "B[7]"]) == 0
-    assert counts == {"solve_columns": 0, "congruence": 1, "smith_normal_form": 1}
+    assert counts == {"solve_columns": 0, "congruence": 2, "smith_normal_form": 1}
     counts.update(dict.fromkeys(names, 0))
     assert main(["kmatrix", "F[4]"]) == 0
     assert counts["solve_columns"] == 0
@@ -491,16 +506,18 @@ def test_model_counts_aut_of_toric_code_cubed_without_an_element_table(monkeypat
 
 @pytest.mark.parametrize("spec", ["B[5]", "D[2^4]"])
 def test_positive_definite_kmatrix_runs_one_smith_normal_form(monkeypatch, capsys, spec):
-    """The constructors run no elimination of their own: the oracle's one
-    congruence gives definiteness and its discriminant form the one SNF."""
+    """The constructors run no elimination of their own: the oracle's two
+    congruence eliminations give its determinant and definiteness (one
+    once ROADMAP item 1 lands), and its discriminant form the one SNF."""
     counts = _count_kernel_calls(monkeypatch, ["smith_normal_form", "congruence"])
     assert main(["kmatrix", spec, "--positive-definite"]) == 0
-    assert counts == {"smith_normal_form": 1, "congruence": 1}
+    assert counts == {"smith_normal_form": 1, "congruence": 2}
 
 
 def test_positive_definite_f_kmatrix_runs_the_oracle_once(monkeypatch, capsys):
     """build_ef_positive leaves its output to the oracle `kmatrix` runs, so
-    F[2^3] is verified once: one oracle run, one Bareiss determinant."""
+    F[2^3] is verified once: one oracle run, whose `determinant` is the
+    only one, a read of the congruence elimination."""
     oracle = _count_kernel_calls(monkeypatch, ["verify_realization"], source=anyonlat.lattices)
     kernels = _count_kernel_calls(monkeypatch, ["determinant"])
     assert main(["kmatrix", "F[2^3]", "--positive-definite"]) == 0

@@ -169,10 +169,11 @@ class TestGlueSearchBudget:
             gluing._glue_generators_search(disc, 3933472)
         assert _digest(gluing._glue_generators_search(disc, 3933473)) == "364a4848483e66ba"
 
-    def test_refuses_before_listing_d8(self):
+    def test_refuses_before_listing_d8(self, monkeypatch):
         # D = Z2 x Z2: 4^8 = 65536 elements of D^8, over a budget of 1000.
+        monkeypatch.setattr(gluing, "GLUE_SEARCH_NODE_BUDGET", 1000)
         with pytest.raises(BudgetExceededError, match="65536"):
-            glue_selfdual_8([[2, 0], [0, 2]], budget=1000)
+            glue_selfdual_8([[2, 0], [0, 2]])
 
 
 class TestComplementDuality:

@@ -62,8 +62,8 @@ def test_smith_transforms_are_unimodular():
     m = [[6, 4, 2], [4, 8, 0], [2, 0, 10]]
     snf = smith_normal_form(m)
     u_inv = transpose(smith_u_inv_columns(m, snf))
-    assert abs(determinant(u_inv)) == 1
-    assert abs(determinant(snf.v)) == 1
+    assert abs(bareiss_determinant(u_inv)) == 1
+    assert abs(bareiss_determinant(snf.v)) == 1
 
 
 def test_rational_inverse_examples():
@@ -150,8 +150,7 @@ def test_random_exactness_properties():
                 if i != j:
                     assert x == 0
         if rows == n:
-            det = determinant(m)
-            assert det == gauss_det(m)
+            det = bareiss_determinant(m)
             prod = 1
             for d in diag:
                 prod *= d
@@ -163,14 +162,14 @@ def test_random_exactness_properties():
         if sym is not None:
             n_plus, n_minus, n_zero = inertia(sym)
             assert n_plus + n_minus + n_zero == n
-            # The congruence determinant against Bareiss, also on a zero
-            # diagonal (hyperbolic pivots) and on a singular matrix (the
-            # last index repeats the first).
+            # The congruence determinant in both orders against Bareiss,
+            # also on a zero diagonal (hyperbolic pivots) and on a singular
+            # matrix (the last index repeats the first).
             hyperbolic = [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(sym)]
             singular = [[row[j] if j < n - 1 else row[0] for j in range(n)] for row in sym]
             singular[-1] = singular[0][:]
             for case in (sym, hyperbolic, singular):
-                assert congruence(case).det == determinant(case)
+                assert congruence(case).det == determinant(case) == bareiss_determinant(case)
             if n > 1:
                 assert determinant(singular) == 0
             # Jacobi/Sylvester cross-check on regular symmetric matrices.
@@ -220,21 +219,26 @@ def cofactor_det(m):
 
 
 def test_determinant_against_cofactor_expansion():
-    # Sparse entries, zero leading pivots and singular matrices: the cases
-    # where the stamped Bareiss elimination skips rows or swaps.
+    # Sparse entries, zero leading pivots and singular matrices, all
+    # symmetric: the cases where the congruence elimination skips rows or
+    # falls back to a hyperbolic pivot.
     rng = random.Random(6161)
     singular = 0
     for trial in range(600):
         n = rng.randint(1, 6)
         zero_share = rng.choice((0.0, 0.3, 0.6, 0.8))
         m = [[0 if rng.random() < zero_share else rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        m = [[x + y for x, y in zip(row, col)] for row, col in zip(m, zip(*m))]
         if trial % 3 == 0:
             m[0][0] = 0
         if trial % 5 == 0 and n > 2:
-            # one row a combination of two others
+            # one row and column a combination of two others
             i, j, k = rng.sample(range(n), 3)
             c = rng.randint(-3, 3)
             m[i] = [x + c * y for x, y in zip(m[j], m[k])]
+            for row in m:
+                row[i] = row[j] + c * row[k]
+        assert is_symmetric(m), m
         expected = cofactor_det(m)
         singular += expected == 0
         assert determinant(m) == expected, m
@@ -510,16 +514,24 @@ def test_eliminations_match_the_natural_order_oracles():
     assert kinds_singular > 50 and kinds_hyperbolic > 50
 
 
-def test_determinant_of_a_general_matrix_matches_the_oracle():
-    # Not symmetric: the order comes from the pattern of m + m^T, and the
-    # column bounds are the columns' own.
+def test_determinant_and_inertia_refuse_a_non_symmetric_matrix():
+    # Non-square, ragged, and square but not symmetric, also where the
+    # minimum-degree order permutes the matrix first.  The wide 3 x 4 case
+    # has a symmetric 3 x 3 part once reordered, which drops its last column.
     rng = random.Random("general-det")
-    for _ in range(400):
-        n = rng.randint(1, 16)
+    cases = [[[1, 2, 3], [4, 5, 6]], [[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1], [0, 0, 1]],
+             [[0, 1, 0, 5], [1, 0, 0, 0], [0, 0, 2, 0]],
+             [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1]], [[1, 2], [3, 4]]]
+    while len(cases) < 200:
+        n = rng.randint(2, 16)
         share = rng.choice((0.1, 0.3, 0.7, 1.0))
         m = [[rng.randint(-9, 9) if rng.random() < share else 0 for _ in range(n)] for _ in range(n)]
-        perm = rng.sample(range(n), n)
-        assert determinant(m) == bareiss_determinant(m) == determinant([[m[i][j] for j in perm] for i in perm]), m
+        if not is_symmetric(m):
+            cases.append(m)
+    for m in cases:
+        for read in (determinant, inertia):
+            with pytest.raises(ValueError):
+                read(m)
 
 
 def test_hermite_transform_replays_the_oracle():
@@ -563,7 +575,7 @@ def test_fill_order_is_the_minimum_degree_order():
     for _, m in _symmetric_cases("fill-order", 400):
         n = len(m)
         want = _minimum_degree_oracle(_pattern(m, n))
-        assert (_fill_order(m)[0] or list(range(n))) == want, m
+        assert (_fill_order(m) or list(range(n))) == want, m
 
 
 def test_fill_order_keeps_bands_and_full_patterns_and_defers_hubs():
@@ -571,25 +583,22 @@ def test_fill_order_keeps_bands_and_full_patterns_and_defers_hubs():
     from anyonlat.lattices import cartan_a
     from anyonlat.linalg import _fill_order, _pattern
 
-    def order_of(m):
-        return _fill_order(m)[0]
-
     rng = random.Random("bands")
     for n in (3, 9, 40, 359):
-        assert order_of(cartan_a(n).gram) is None
+        assert _fill_order(cartan_a(n).gram) is None
     for width in (2, 3, 5):
         band = [[rng.randint(1, 9) if abs(i - j) <= width else 0 for j in range(30)] for i in range(30)]
         band = [[band[min(i, j)][max(i, j)] for j in range(30)] for i in range(30)]
-        assert order_of(band) is None
+        assert _fill_order(band) is None
     dense = [[rng.randint(1, 9) for _ in range(20)] for _ in range(20)]
-    assert order_of([[dense[min(i, j)][max(i, j)] for j in range(20)] for i in range(20)]) is None
+    assert _fill_order([[dense[min(i, j)][max(i, j)] for j in range(20)] for i in range(20)]) is None
     # The E/F head and glue rows and the complement's dense rows go after
     # almost all their neighbours, which cuts the fill.
     for gram in (build_ef_positive("F", 5).gram, build_ef_positive("E", 3).gram,
                  conjugate_realization(cartan_a(22)).gram):
         n = len(gram)
         pattern = _pattern(gram, n)
-        order = order_of(gram)
+        order = _fill_order(gram)
         position = {v: t for t, v in enumerate(order)}
         hubs = [v for v in range(n) if len(pattern[v]) >= max(map(len, pattern)) * 2 // 3]
         assert hubs

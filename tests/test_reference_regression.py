@@ -28,7 +28,7 @@ from anyonlat.wall import direct_ef_k, k_from_wall, wall_sequence
 
 
 def frac_det(w):
-    """det W by Bareiss on the integer matrix s W, s the lcm of the denominators."""
+    """det W as the determinant of the integer matrix s W, s the lcm of the denominators."""
     s = lcm(*(Fraction(x).denominator for row in w for x in row))
     return Fraction(determinant([[int(s * x) for x in row] for row in w]), s ** len(w))
 
