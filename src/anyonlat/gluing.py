@@ -51,8 +51,9 @@ scaled block, a dual-coset glue vector lambda (norm = -1/2^r mod 2) or mu
 inner product is computed through the input Gram matrix and the dual
 coordinates K^{-1} w that `discriminant_form` read off its Smith normal
 form, so no system is solved and no irrational arithmetic ever occurs.
-They check that the input is positive definite and leave the output to the
-caller: `kmatrix` runs the oracle once on the matrix it writes.
+The input is always `default_ef_input`'s own construction, so the builders
+check neither it nor their output: `kmatrix` runs the oracle once on the
+matrix it writes, and refuses it unless its signature is its rank.
 """
 
 from __future__ import annotations
@@ -466,7 +467,7 @@ def default_ef_input(family: str, r: int) -> Lattice:
     raise ValueError(f"no default input for family {family!r}")
 
 
-def build_ef_positive(family: str, r: int, input_lattice: Lattice | None = None) -> Lattice:
+def build_ef_positive(family: str, r: int) -> Lattice:
     """Even positive-definite realization of E_{2^r} or F_{2^r} by gluing.
 
     E: a rank-2 block [[2/2^r + 2 l.l, 1], [1, 2^r]] tied to two copies of the
@@ -474,19 +475,16 @@ def build_ef_positive(family: str, r: int, input_lattice: Lattice | None = None)
     F: a rank-3 block with corner 3/2^r + m.m (m.m = -3/2^r mod 2) and two
     scaled axes, tied to one input copy through mu.  Both are the block
     diagonal of the head block and the copies, with the glue vector written
-    into row and column 0 of each copy.  The input is checked to be positive
-    definite; the output is not verified here: `kmatrix` runs the oracle on
-    it, and refuses it unless its signature is its rank.
+    into row and column 0 of each copy.  The input is `default_ef_input`'s;
+    neither it nor the output is verified here: `kmatrix` runs the oracle on
+    the output, and refuses it unless its signature is its rank.
     """
     if family not in "EF":
         raise ValueError(f"family must be E or F, got {family!r}")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     n = 2**r
-    lat = input_lattice if input_lattice is not None else default_ef_input(family, r)
-    gram_in = lat.gram
-    if not is_positive_definite(gram_in):
-        raise ValueError("input lattice must be positive definite")
+    gram_in = default_ef_input(family, r).gram
     disc = discriminant_form(gram_in)
     # norm is n (w K^{-1} w), so the corner is (2 + 2 norm) / n resp. (3 + norm) / n.
     if family == "E":

@@ -229,32 +229,25 @@ def verify_realization(
 # explicit positive-definite families
 
 
+def _from_dynkin(edges, n):
+    gram = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = -1
+    return Lattice(gram)
+
+
 def cartan_a(n: int) -> Lattice:
     """Cartan matrix of A_n = su(n+1): tridiagonal (2, -1), determinant n+1."""
     if n < 1:
         raise ValueError(f"cartan_a requires n >= 1, got {n}")
-    gram = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
-    return Lattice(gram)
+    return _from_dynkin([(i, i + 1) for i in range(n - 1)], n)
 
 
 def cartan_d(n: int) -> Lattice:
     """Cartan matrix of D_n (n >= 3): a fork at the end of an A_{n-1} chain."""
     if n < 3:
         raise ValueError(f"cartan_d requires n >= 3, got {n}")
-    gram = [[0] * n for _ in range(n)]
-    for i in range(n):
-        gram[i][i] = 2
-    for i in range(n - 2):
-        gram[i][i + 1] = gram[i + 1][i] = -1
-    gram[n - 3][n - 1] = gram[n - 1][n - 3] = -1
-    return Lattice(gram)
-
-
-def _from_dynkin(edges, n):
-    gram = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j in edges:
-        gram[i][j] = gram[j][i] = -1
-    return Lattice(gram)
+    return _from_dynkin([(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)], n)
 
 
 def e6_gram() -> Lattice:

@@ -35,10 +35,11 @@ from the pivot column (the first live one in `congruence`) to the larger of
 its rows' bounds: past both, both rows are zero and stay so.  `congruence`
 reads the rows a pivot updates off the pivot row, since the bordered minors
 are symmetric.  `determinant` and `inertia` give the same value for
-P m P^T, so they eliminate in minimum-degree order (`_fill_order`), which
-keeps a band or a full pattern in index order and puts hub rows after their
-neighbours.  `congruence(m)` itself keeps index order: its frozen rows are
-the leading principal minors that `weights` reads in order.
+P m P^T, so they eliminate in a static order (`_fill_order`): rows with more
+nonzeros than the median go last, by count, and the rest keep index order.
+That keeps a band or a full pattern in index order and puts hub rows after
+their neighbours.  `congruence(m)` itself keeps index order: its frozen rows
+are the leading principal minors that `weights` reads in order.
 
 Pivot selection in SNF/HNF is smallest absolute value, ties by lowest index,
 so outputs are deterministic.
@@ -48,8 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
-from operator import add, contains, eq, itemgetter, le, or_, sub
+from itertools import compress, repeat
+from operator import contains, eq, itemgetter, or_
 
 __all__ = [
     "identity_matrix",
@@ -134,12 +135,6 @@ def has_even_diagonal(m) -> bool:
     return all(m[i][i] % 2 == 0 for i in range(len(m)))
 
 
-def _pattern(m, width: int) -> list[list[int]]:
-    """The columns of the nonzero entries of each row, in order."""
-    cols = range(width)
-    return [list(compress(cols, row)) for row in m]
-
-
 def _ends(m) -> list[int]:
     """1 + the column of each row's last nonzero entry (0 for a zero row),
     scanning each row from its end."""
@@ -161,67 +156,20 @@ def _current(a, stamp, k, prev, lo, hi):
     return row
 
 
-def _natural_is_fill_free(pattern) -> bool:
-    """Whether index order is a minimum-degree order of a symmetric pattern
-    that makes no fill: every row an interval [lo_k, hi_k] around k, the
-    hi_k never decreasing, and each k with no more neighbours after it
-    (hi_k - k) than any vertex j > hi_k has in all (hi_j - lo_j).  Then the
-    neighbours of k among the vertices left are k+1..hi_k, already a
-    clique, and every other vertex left has at least as many.  All C-level:
-    a band or a full pattern passes at the cost of a few sweeps."""
-    if not all(pattern):
-        return False
-    hi = list(map(itemgetter(-1), pattern))
-    if hi != sorted(hi):
-        return False
-    lo = list(map(itemgetter(0), pattern))
-    width = list(map(sub, hi, lo))
-    index = range(len(pattern))
-    if not (all(map(le, lo, index)) and all(map(le, index, hi))
-            and list(map(len, pattern)) == [w + 1 for w in width]):
-        return False
-    least = list(accumulate(reversed(width), min))[::-1] + [len(pattern)]  # min width of j >= i
-    return all(map(le, map(sub, hi, index), map(least.__getitem__, map(add, hi, repeat(1)))))
-
-
 def _fill_order(m):
-    """The minimum-degree elimination order of the nonzero pattern of m's
-    rows, ties broken by the lower index (George and Liu, SIAM Review 31,
-    1989), or None for the natural order.  A square m whose pattern is not
-    symmetric gets some order all the same, and stays non-symmetric.
-
-    Each step eliminates a vertex of least degree and joins its neighbours
-    into a clique.  Once the least degree is the number of vertices left
-    minus one, the rest is a clique and keeps its index order, so a matrix
-    without a zero entry costs one C-level scan for a zero.  Two vertices
-    always have equal degrees, and a band is recognized without simulating
-    anything (`_natural_is_fill_free`).
-    """
+    """A static elimination order for m's nonzero pattern (Tinney and Walker's
+    scheme 1, Proc. IEEE 55, 1967), or None for the natural order: rows with
+    more nonzeros than the (upper) median go last, by count, and all others
+    keep index order ahead of them.  So a band or a full pattern keeps index
+    order, and hub rows are eliminated after their neighbours.  A matrix
+    without a zero entry costs one C-level scan for a zero."""
     n = len(m)
-    if n < 3 or not any(map(contains, m, repeat(0))):
+    if not any(map(contains, m, repeat(0))):
         return None
-    pattern = _pattern(m, n)
-    if _natural_is_fill_free(pattern):
-        return None
-    adj = list(map(set, pattern))
-    for v, nbrs in enumerate(adj):
-        nbrs.discard(v)
-    alive = list(range(n))
-    order = []
-    while alive:
-        degree, v = min(zip(map(len, map(adj.__getitem__, alive)), alive))
-        if degree == len(alive) - 1:
-            order += alive
-            break
-        order.append(v)
-        alive.remove(v)
-        nbrs = adj[v]
-        for u in nbrs:
-            joined = adj[u]
-            if degree > 1:
-                joined |= nbrs
-                joined.discard(u)
-            joined.discard(v)
+    counts = [n - row.count(0) for row in m]
+    middle = sorted(counts)[n // 2]
+    keys = [max(count, middle) for count in counts]
+    order = sorted(range(n), key=keys.__getitem__)
     return None if order == list(range(n)) else order
 
 
@@ -596,10 +544,10 @@ def congruence(m) -> Congruence:
 
 
 def _ordered_congruence(m) -> Congruence:
-    """`congruence` of P m P^T in the minimum-degree order of m's pattern
-    (`_fill_order`), which keeps the inertia (Sylvester's law) and the
-    determinant (det P enters squared).  A non-symmetric m is refused by
-    `congruence` after the permutation."""
+    """`congruence` of P m P^T in the static order of m's pattern
+    (`_fill_order`: rows denser than the median last), which keeps the
+    inertia (Sylvester's law) and the determinant (det P enters squared).
+    A non-symmetric m is refused by `congruence` after the permutation."""
     if not is_square(m):
         raise ValueError("the congruence elimination requires a square matrix")
     order = _fill_order(m)

@@ -33,10 +33,10 @@ from .wall import choose_c_for_family, direct_ef_k, k_from_wall
 
 __all__ = ["kmatrix_for", "positive_definite_realization", "route_rank", "check_route_rank"]
 
-# Timed end to end (`kmatrix --positive-definite`, one 2-core x86 container,
-# Python 3.11): rank 960 builds and verifies in 3.8 s and 244 MB (B[31^2]) or
-# 6.0 s and 99 MB (A[11^2], 960 glue rows); 1936 glue rows (A[3^5]) take 22 s
-# and 317 MB.
+# Timed end to end (`kmatrix --positive-definite` in a fresh process, one
+# 2-core x86 container, Python 3.11, peak RSS of the process): rank 960 builds
+# and verifies in 0.7 s and 78 MB (B[31^2], the Cartan A_960) or 1.4 s and
+# 58 MB (A[11^2], 960 glue rows and a rank-840 complement).
 ROUTE_RANK_LIMIT = 1000
 
 

@@ -245,17 +245,10 @@ class TestEFBuilders:
         assert is_isomorphic(g1, g2) is not None
 
     def test_f1_matches_d4_form(self):
-        lat = build_ef_positive("F", 1, input_lattice=None)
+        lat = build_ef_positive("F", 1)
         g1 = discriminant_form(lat.gram).group
         g2 = discriminant_form(cartan_d(4).gram).group
         assert is_isomorphic(g1, g2) is not None
-
-    def test_f1_explicit_input(self):
-        from anyonlat.lattices import Lattice
-
-        lat = build_ef_positive("F", 1, input_lattice=Lattice([[2]]))
-        assert lat.rank == 4
-        assert verify_realization(lat.gram, model("F", 2, 1)).passed
 
     def test_f_family(self):
         for r in (2, 3):

@@ -497,9 +497,16 @@ def _symmetric_cases(seed, count):
 def test_eliminations_match_the_natural_order_oracles():
     """determinant and inertia equal the whole-row natural-order eliminations,
     also after a random symmetric permutation; congruence(m) itself keeps the
-    natural order, so its frozen rows and stamps are the oracle's."""
+    natural order, so its frozen rows and stamps are the oracle's.  The E/F
+    gluings and the complement are matrices the static order permutes."""
+    from anyonlat.gluing import build_ef_positive, conjugate_realization
+    from anyonlat.lattices import cartan_a
+
+    glued = [build_ef_positive("F", 5).gram, build_ef_positive("E", 3).gram,
+             conjugate_realization(cartan_a(22)).gram]
+    cases = [(random.Random("glued"), m) for m in glued] + list(_symmetric_cases("span-oracles", 600))
     kinds_singular = kinds_hyperbolic = 0
-    for rng, m in _symmetric_cases("span-oracles", 600):
+    for rng, m in cases:
         n = len(m)
         inertia_want, det_want, rows_want, stamps_want = congruence_oracle(m)
         assert determinant(m) == bareiss_determinant(m) == det_want, m
@@ -516,8 +523,8 @@ def test_eliminations_match_the_natural_order_oracles():
 
 def test_determinant_and_inertia_refuse_a_non_symmetric_matrix():
     # Non-square, ragged, and square but not symmetric, also where the
-    # minimum-degree order permutes the matrix first.  The wide 3 x 4 case
-    # has a symmetric 3 x 3 part once reordered, which drops its last column.
+    # static order permutes the matrix first.  The wide 3 x 4 case has a
+    # symmetric 3 x 3 part once reordered, which drops its last column.
     rng = random.Random("general-det")
     cases = [[[1, 2, 3], [4, 5, 6]], [[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1], [0, 0, 1]],
              [[0, 1, 0, 5], [1, 0, 0, 0], [0, 0, 2, 0]],
@@ -553,38 +560,44 @@ def test_hermite_transform_replays_the_oracle():
     assert hermite_normal_form(glue_like).t == hermite_oracle(glue_like)[1]
 
 
-def _minimum_degree_oracle(pattern):
-    """Exact minimum degree over explicit elimination graphs, ties by index,
-    no shortcut of any kind."""
-    n = len(pattern)
-    adj = [set(row) - {v} for v, row in enumerate(pattern)]
-    left, order = set(range(n)), []
-    while left:
-        v = min(left, key=lambda u: (len(adj[u]), u))
-        order.append(v)
-        left.discard(v)
-        for u in adj[v]:
-            adj[u] |= adj[v] - {u}
-            adj[u].discard(v)
-    return order
+def _pattern(m):
+    """The columns of the nonzero entries of each row, in order."""
+    return [[j for j, x in enumerate(row) if x] for row in m]
 
 
-def test_fill_order_is_the_minimum_degree_order():
-    from anyonlat.linalg import _fill_order, _pattern
+def test_fill_order_puts_rows_denser_than_the_median_last():
+    """Rows with at most the upper median of nonzeros keep index order, ahead
+    of the others, which follow by nondecreasing count, ties by index; None
+    exactly when that is the identity, and always without a zero entry."""
+    from anyonlat.linalg import _fill_order
 
+    moved = 0
     for _, m in _symmetric_cases("fill-order", 400):
         n = len(m)
-        want = _minimum_degree_oracle(_pattern(m, n))
-        assert (_fill_order(m) or list(range(n))) == want, m
+        counts = list(map(len, _pattern(m)))
+        order = _fill_order(m)
+        if all(map(all, m)):
+            assert order is None, m
+            continue
+        middle = sorted(counts)[n // 2]
+        low = [v for v in range(n) if counts[v] <= middle]
+        want = low + sorted(set(range(n)) - set(low), key=lambda v: (counts[v], v))
+        assert (order or list(range(n))) == want, m
+        assert (order is None) == (want == list(range(n))), m
+        moved += order is not None
+    assert moved > 50
 
 
 def test_fill_order_keeps_bands_and_full_patterns_and_defers_hubs():
     from anyonlat.gluing import build_ef_positive, conjugate_realization
     from anyonlat.lattices import cartan_a
-    from anyonlat.linalg import _fill_order, _pattern
+    from anyonlat.linalg import _fill_order
 
     rng = random.Random("bands")
-    for n in (3, 9, 40, 359):
+    # A_3's middle row has 3 nonzeros against a median of 2, so it goes
+    # last; that makes no fill either.
+    assert _fill_order(cartan_a(3).gram) == [0, 2, 1]
+    for n in (9, 40, 359):
         assert _fill_order(cartan_a(n).gram) is None
     for width in (2, 3, 5):
         band = [[rng.randint(1, 9) if abs(i - j) <= width else 0 for j in range(30)] for i in range(30)]
@@ -597,7 +610,7 @@ def test_fill_order_keeps_bands_and_full_patterns_and_defers_hubs():
     for gram in (build_ef_positive("F", 5).gram, build_ef_positive("E", 3).gram,
                  conjugate_realization(cartan_a(22)).gram):
         n = len(gram)
-        pattern = _pattern(gram, n)
+        pattern = _pattern(gram)
         order = _fill_order(gram)
         position = {v: t for t, v in enumerate(order)}
         hubs = [v for v in range(n) if len(pattern[v]) >= max(map(len, pattern)) * 2 // 3]
