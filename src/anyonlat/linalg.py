@@ -29,14 +29,18 @@ read; a row a pivot updates is divided by its own stamp instead of prev,
 which gives the same ints without rescaling it first.
 
 Sparse input costs in proportion to the nonzeros the eliminations touch.
-In `congruence` and `hermite_normal_form` each row keeps an upper bound on
-its last nonzero column, and every row operation, rescale and negation runs
-from the pivot column (the first live one in `congruence`) to the larger of
-its rows' bounds: past both, both rows are zero and stay so.  `congruence`
-reads the rows a pivot updates off the pivot row, since the bordered minors
-are symmetric.  `determinant` and `inertia` give the same value for
-P m P^T, so they eliminate in a static order (`_fill_order`): rows with more
-nonzeros than the median go last, by count, and the rest keep index order.
+In `congruence`, `hermite_normal_form` and `smith_normal_form` each row
+keeps an upper bound on its last nonzero column, and every row operation,
+rescale and negation runs from the pivot column (the first live one in
+`congruence`) to the larger of its rows' bounds: past both, both rows are
+zero and stay so.  The SNF also keeps, per column, a bound on its last
+nonzero row, so its column operations and swaps, and its scan for rows to
+clear, stop there; it keeps both only for a matrix whose entries are mostly
+zero, since elsewhere the bounds skip little.  `congruence` reads the rows a
+pivot updates off the pivot row, since the bordered minors are symmetric.
+`determinant` and `inertia` give the same value for P m P^T, so they
+eliminate in a static order (`_fill_order`): rows with more nonzeros than
+the median go last, by count, and the rest keep index order.
 That keeps a band or a full pattern in index order and puts hub rows after
 their neighbours.  `congruence(m)` itself keeps index order: its frozen rows
 are the leading principal minors that `weights` reads in order.
@@ -47,7 +51,6 @@ so outputs are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import contains, eq, itemgetter, or_
@@ -97,7 +100,7 @@ def mat_mul(a, b):
     if a and b and len(a[0]) != len(b):
         raise ValueError("dimension mismatch in mat_mul")
     width = len(b[0]) if b else 0
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    b_rows = [list(zip(compress(range(width), row), filter(None, row))) for row in b]
     out = []
     for row in a:
         acc = [0] * width
@@ -135,12 +138,12 @@ def has_even_diagonal(m) -> bool:
     return all(m[i][i] % 2 == 0 for i in range(len(m)))
 
 
-def _ends(m) -> list[int]:
+def _ends(m, width: int) -> list[int]:
     """1 + the column of each row's last nonzero entry (0 for a zero row),
-    scanning each row from its end."""
-    width = len(m[0]) if m else 0
+    scanning each row, of the given width, from its end; m may be any
+    iterable of rows."""
     if not width:
-        return [0] * len(m)
+        return [0 for _ in m]
     back = range(width - 1, -1, -1)
     return [width if row[-1] else next(compress(back, reversed(row)), -1) + 1 for row in m]
 
@@ -226,17 +229,20 @@ def solve_columns(m, rhs_cols) -> list[list[Fraction]]:
     return out
 
 
-@dataclass(frozen=True)
 class SnfResult:
     """U * m * V = S with U, V unimodular and S diagonal with a divisibility
     chain.  V is not stored: `col_ops` logs the elementary column operations
     in order, an entry (i, j, q) being a swap of columns i and j when q == 0
     and otherwise column j += q * column i.  A column of V is replayed from
     the log in O(#ops); `v` replays every column.  U is not logged at all:
-    m V = U^-1 S, so U^-1 e_j = m V e_j / s_j for each s_j != 0."""
+    m V = U^-1 S, so U^-1 e_j = m V e_j / s_j for each s_j != 0.  A plain
+    class, like `HnfResult`."""
 
-    s: list[list[int]]
-    col_ops: list[tuple[int, int, int]]
+    __slots__ = ("s", "col_ops")
+
+    def __init__(self, s: list[list[int]], col_ops: list[tuple[int, int, int]]):
+        self.s = s
+        self.col_ops = col_ops
 
     def diagonal(self) -> list[int]:
         return [self.s[i][i] for i in range(min(len(self.s), len(self.s[0]) if self.s else 0))]
@@ -260,15 +266,16 @@ class SnfResult:
         return transpose([self.v_column(j) for j in range(len(self.s[0]) if self.s else 0)])
 
 
-def _find_pivot(a, t, rows):
-    """(i, j) of the smallest nonzero |a[i][j]| with i, j >= t, the first in
-    row-major order among equals; None for a zero block."""
+def _find_pivot(a, t, end, stop):
+    """(i, j) of the smallest nonzero |a[i][j]| with t <= i < stop and j >= t,
+    the first in row-major order among equals; None for a zero block.  Row i
+    is zero from column end[i] on, so it is read up to there."""
     best = None
-    for i in range(t, rows):
-        tail = a[i][t:]
+    for i in range(t, stop):
+        tail = a[i][t:end[i]]
         x = min(filter(None, map(abs, tail)), default=0)
         if x and (best is None or x < best[0]):
-            best = (x, i, t + min(tail.index(v) for v in (x, -x) if v in tail))
+            best = (x, i, t + [*map(abs, tail)].index(x))
             if x == 1:
                 break
     return best and best[1:]
@@ -279,55 +286,92 @@ def smith_normal_form(m: list[list[int]]) -> SnfResult:
     The row operations are applied but not recorded (U^-1 is read off m V,
     see `SnfResult`).  Once pivot t is being worked, the rows and columns
     before t hold only their diagonal entry, so every operation starts at
-    column or row t."""
+    column or row t.  Row r is zero from column end[r] on and column c from
+    row bottom[c] on, both upper bounds raised as fill comes in, so every
+    step runs inside them: a row operation up to the pivot row's bound, a
+    column operation or swap down to the pivot column's bound.
+
+    The pivot p is the least |entry| of the block, and a pass keeps p at
+    (t, t).  So rows below the last one the pass changed still hold only
+    entries of |entry| >= p or 0, and the next pivot search stops there."""
     rows = len(m)
     cols = len(m[0]) if m else 0
     a = copy_matrix(m)
+    # Bounds pay for their upkeep only where zeros are the most entries;
+    # otherwise they start, and stay, at the full width and height.
+    grow = 2 * sum(map(list.count, a, repeat(0))) > rows * cols
+    end = _ends(a, cols) if grow else [cols] * rows
+    bottom = _ends(zip(*a), rows) if grow else [rows] * cols
     col_ops: list[tuple[int, int, int]] = []
     t = 0
     while t < min(rows, cols):
-        pos = _find_pivot(a, t, rows)
+        pos = _find_pivot(a, t, end, rows)
         if pos is None:
             break
         while True:
             i, j = pos
             if i != t:
+                if grow:  # row t moves down to i: its columns now reach row i
+                    for c in compress(range(t, end[t]), a[t][t:end[t]]):
+                        if bottom[c] <= i:
+                            bottom[c] = i + 1
                 a[t], a[i] = a[i], a[t]
+                end[t], end[i] = end[i], end[t]
             if j != t:
-                for row in a[t:]:
+                deep = max(bottom[t], bottom[j])
+                for row in a[t:deep]:
                     row[t], row[j] = row[j], row[t]
+                # column t moved right to j: its rows now reach column j
+                if grow and min(end[t:bottom[t]], default=cols) <= j:
+                    for r in range(t, bottom[t]):
+                        if end[r] <= j and a[r][j]:
+                            end[r] = j + 1
+                bottom[t], bottom[j] = bottom[j], bottom[t]
                 col_ops.append((t, j, 0))
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
             pivot_row = a[t]
+            top = end[t]
+            if pivot_row[t] < 0:
+                pivot_row[t:top] = [-x for x in pivot_row[t:top]]
             p = pivot_row[t]
-            pivot_tail = pivot_row[t:]
-            dirty = False
-            for r in range(t + 1, rows):
+            pivot_tail = pivot_row[t:top]
+            # A nonzero entry in the pivot's row or column has a nonzero
+            # quotient.  `column` collects the pivot row and the rows below
+            # it left with a remainder at t; rows up to `low` were changed.
+            column = [pivot_row]
+            low = t + 1
+            for r in range(t + 1, bottom[t]):
                 row = a[r]
-                q = -(row[t] // p)
-                if q:
-                    row[t:] = [x + q * y if y else x for x, y in zip(row[t:], pivot_tail)]
-                dirty = dirty or row[t] != 0
-            column = [row for row in a[t:] if row[t]]
-            for c in range(t + 1, cols):
-                q = -(pivot_row[c] // p)
-                if q:
+                if row[t]:
+                    q = -(row[t] // p)
+                    row[t:top] = [x + q * y if y else x for x, y in zip(row[t:top], pivot_tail)]
+                    if grow and end[r] < top:
+                        end[r] = top
+                    low = r + 1
+                    if row[t]:
+                        column.append(row)
+            if grow and low > t + 1:  # the pivot row's columns now reach row low - 1
+                for c in compress(range(t + 1, top), pivot_tail[1:]):
+                    if bottom[c] < low:
+                        bottom[c] = low
+            for c in range(t + 1, top):
+                if pivot_row[c]:
+                    q = -(pivot_row[c] // p)
                     for row in column:
                         row[c] += q * row[t]
                     col_ops.append((t, c, q))
-                dirty = dirty or pivot_row[c] != 0
-            if dirty:
-                pos = _find_pivot(a, t, rows)
+            if len(column) > 1 or any(pivot_row[t + 1:top]):
+                pos = _find_pivot(a, t, end, low)
                 continue
             # Row and column at t are clear; force the pivot to divide the
             # rest, which a unit pivot always does.
             offender = None if p == 1 else next(
-                (r for r in range(t + 1, rows) if any(x % p for x in a[r][t + 1:])), None)
+                (r for r in range(t + 1, rows) if any(map(p.__rmod__, a[r][t + 1:end[r]]))), None)
             if offender is None:
                 break
-            pivot_row[t:] = [x + y for x, y in zip(pivot_row[t:], a[offender][t:])]
-            pos = _find_pivot(a, t, rows)
+            hi = max(top, end[offender])
+            pivot_row[t:hi] = [x + y for x, y in zip(pivot_row[t:hi], a[offender][t:hi])]
+            end[t] = hi
+            pos = _find_pivot(a, t, end, low)
         t += 1
     return SnfResult(a, col_ops)
 
@@ -373,7 +417,7 @@ def hermite_normal_form(m: list[list[int]]) -> HnfResult:
     rows = len(m)
     cols = len(m[0]) if m else 0
     a = [list(row) for row in m]
-    end = _ends(a)
+    end = _ends(a, cols)
     ops: list[tuple[int, int, int]] = []
     pivot_row = 0
     for col in range(cols):
@@ -433,7 +477,6 @@ def left_kernel(m: list[list[int]]) -> list[list[int]]:
     return [t[i] for i in range(len(m)) if not any(hnf.h[i])]
 
 
-@dataclass(frozen=True)
 class Congruence:
     """One congruence elimination of an integer symmetric matrix m.
 
@@ -447,13 +490,16 @@ class Congruence:
     holds b_ij = det m[0..i-1 + i, 0..i-1 + j], its diagonal b_ii = D_i is
     the i-th leading principal minor, and its stamp is D_{i-1} (D_{-1} = 1).
     Then y^T m y = sum_i M_i^2 / (D_i D_{i-1}) with M_i = sum_{j>=i} b_ij y_j:
-    `minors` hands out this integer view.
+    `minors` hands out this integer view.  A plain class, like `HnfResult`.
     """
 
-    inertia: tuple[int, int, int]
-    det: int
-    rows: list[list[int]]
-    stamps: list[int]
+    __slots__ = ("inertia", "det", "rows", "stamps")
+
+    def __init__(self, inertia: tuple[int, int, int], det: int, rows: list[list[int]], stamps: list[int]):
+        self.inertia = inertia
+        self.det = det
+        self.rows = rows
+        self.stamps = stamps
 
     def minors(self) -> list[tuple[int, int, list[tuple[int, int]]]]:
         """Per frozen row i of a positive-definite m: (D_i, D_{i-1}, the
@@ -482,7 +528,7 @@ def congruence(m) -> Congruence:
         raise ValueError("the congruence elimination requires a symmetric matrix")
     n = len(m)
     b = copy_matrix(m)
-    end = _ends(b)
+    end = _ends(b, n)
     stamp = [1] * n
     prev = 1
     alive = list(range(n))

@@ -573,3 +573,75 @@ def hermite_oracle(m):
                     t[i] = [x - q * y for x, y in zip(t[i], t[pivot_row])]
             pivot_row += 1
     return a, t
+
+
+def _smith_pivot_oracle(a, t, rows):
+    """(i, j) of the smallest nonzero |a[i][j]| with i, j >= t, the first in
+    row-major order among equals; None for a zero block."""
+    best = None
+    for i in range(t, rows):
+        tail = a[i][t:]
+        x = min(filter(None, map(abs, tail)), default=0)
+        if x and (best is None or x < best[0]):
+            best = (x, i, t + min(tail.index(v) for v in (x, -x) if v in tail))
+            if x == 1:
+                break
+    return best and best[1:]
+
+
+def smith_oracle(m):
+    """The Smith normal form elimination over whole rows and columns, every
+    pass scanning every remaining row and column: `SnfResult(S, col_ops)`,
+    which `smith_normal_form` must reproduce exactly."""
+    from anyonlat.linalg import SnfResult, copy_matrix
+
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    a = copy_matrix(m)
+    col_ops: list[tuple[int, int, int]] = []
+    t = 0
+    while t < min(rows, cols):
+        pos = _smith_pivot_oracle(a, t, rows)
+        if pos is None:
+            break
+        while True:
+            i, j = pos
+            if i != t:
+                a[t], a[i] = a[i], a[t]
+            if j != t:
+                for row in a[t:]:
+                    row[t], row[j] = row[j], row[t]
+                col_ops.append((t, j, 0))
+            if a[t][t] < 0:
+                a[t] = [-x for x in a[t]]
+            pivot_row = a[t]
+            p = pivot_row[t]
+            pivot_tail = pivot_row[t:]
+            dirty = False
+            for r in range(t + 1, rows):
+                row = a[r]
+                q = -(row[t] // p)
+                if q:
+                    row[t:] = [x + q * y if y else x for x, y in zip(row[t:], pivot_tail)]
+                dirty = dirty or row[t] != 0
+            column = [row for row in a[t:] if row[t]]
+            for c in range(t + 1, cols):
+                q = -(pivot_row[c] // p)
+                if q:
+                    for row in column:
+                        row[c] += q * row[t]
+                    col_ops.append((t, c, q))
+                dirty = dirty or pivot_row[c] != 0
+            if dirty:
+                pos = _smith_pivot_oracle(a, t, rows)
+                continue
+            # Row and column at t are clear; force the pivot to divide the
+            # rest, which a unit pivot always does.
+            offender = None if p == 1 else next(
+                (r for r in range(t + 1, rows) if any(x % p for x in a[r][t + 1:])), None)
+            if offender is None:
+                break
+            pivot_row[t:] = [x + y for x, y in zip(pivot_row[t:], a[offender][t:])]
+            pos = _smith_pivot_oracle(a, t, rows)
+        t += 1
+    return SnfResult(a, col_ops)

@@ -2,7 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference_matrices import bareiss_determinant, congruence_oracle, hermite_oracle, smith_u_inv_columns
+from reference_matrices import (
+    bareiss_determinant,
+    congruence_oracle,
+    disguised,
+    hermite_oracle,
+    smith_oracle,
+    smith_u_inv_columns,
+)
 
 from anyonlat.linalg import (
     block_diagonal,
@@ -390,6 +397,75 @@ def test_smith_columns_replay_the_transforms():
         for j in range(cols):
             assert snf.v_column(j) == [row[j] for row in v]
         smith_u_inv_columns(m, snf)
+
+
+def _snf_case(rng, kind):
+    """A seeded integer matrix of the given kind for the SNF oracle."""
+    from anyonlat.lattices import cartan_a, cartan_d
+
+    n = rng.randint(1, 16)
+    if kind == "cartan":
+        return (cartan_a(n) if n < 3 or rng.random() < 0.5 else cartan_d(n)).gram
+    if kind == "arrowhead":
+        # a band with one or two dense hub rows and columns, anywhere
+        m = [[rng.randint(-3, 3) if abs(i - j) <= 1 else 0 for j in range(n)] for i in range(n)]
+        for h in rng.sample(range(n), min(n, rng.randint(1, 2))):
+            for k in range(n):
+                m[h][k] = rng.randint(-9, 9) or 1
+                if rng.random() < 0.7:
+                    m[k][h] = rng.randint(-9, 9) or 1
+        return m
+    if kind == "rectangle":
+        rows, cols = rng.choice([(n, rng.randint(1, n)), (rng.randint(1, n), n)])
+        m = [[rng.randint(-20, 20) if rng.random() < 0.3 else 0 for _ in range(cols)] for _ in range(rows)]
+        for i in rng.sample(range(rows), rows // 4):  # zero rows
+            m[i] = [0] * cols
+        for j in rng.sample(range(cols), cols // 4):  # zero columns
+            for row in m:
+                row[j] = 0
+        return m
+    if kind == "deficient":
+        # rows past the rank are combinations of the first ones
+        cols, rank = rng.randint(1, 12), rng.randint(1, max(1, n - 1))
+        m = [[rng.randint(-6, 6) if rng.random() < 0.5 else 0 for _ in range(cols)] for _ in range(rank)]
+        for _ in range(n - rank):
+            c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+            x, y = rng.choice(m), rng.choice(m)
+            m.append([c * u + d * v for u, v in zip(x, y)])
+        return m
+    if kind == "nearly-dense":
+        m = [[rng.randint(-30, 30) or 1 for _ in range(n)] for _ in range(n)]
+        for _ in range(rng.randint(1, max(1, n // 2))):
+            m[rng.randrange(n)][rng.randrange(n)] = 0
+        return m
+    # kind == "disguised": U K U^T of a Cartan band, dense with large entries
+    return disguised(cartan_a(rng.randint(2, 12)).gram, rng, rng.randint(4, 40))
+
+
+def test_smith_normal_form_matches_the_whole_row_oracle():
+    """The span-limited SNF takes the oracle's pivots: equal S, equal column
+    log, so equal columns of V, on sparse and dense input alike, and again
+    after a random permutation of the rows and of the columns."""
+    from anyonlat.gluing import build_ef_positive, conjugate_realization
+    from anyonlat.lattices import cartan_a
+
+    fixed = [cartan_a(60).gram, build_ef_positive("F", 5).gram, build_ef_positive("E", 3).gram,
+             build_ef_positive("F", 2).gram, conjugate_realization(cartan_a(22)).gram, [], [[]], [[0, 0]], [[0], [0]]]
+    rng = random.Random("smith-oracle")
+    kinds = ("cartan", "arrowhead", "rectangle", "deficient", "nearly-dense", "disguised")
+    cases = fixed + [_snf_case(rng, kinds[trial % len(kinds)]) for trial in range(600)]
+    sparse = singular = 0
+    for m in cases:
+        rows, cols = len(m), len(m[0]) if m else 0
+        row_perm, col_perm = rng.sample(range(rows), rows), rng.sample(range(cols), cols)
+        for a in (m, [[m[i][j] for j in col_perm] for i in row_perm]):
+            got, want = smith_normal_form(a), smith_oracle(a)
+            assert (got.s, got.col_ops) == (want.s, want.col_ops), a
+            for j in range(cols) if cols <= 24 else rng.sample(range(cols), 24):
+                assert got.v_column(j) == want.v_column(j), (a, j)
+        sparse += 2 * sum(row.count(0) for row in m) > rows * cols
+        singular += 0 in got.diagonal()
+    assert sparse > 200 and len(cases) - sparse > 200 and singular > 100
 
 
 def dense_mat_mul(a, b):
