@@ -26,17 +26,23 @@ by the ratio of the new prev to the old one, so it is not rewritten: each
 row carries a stamp, the prev at which it was last written, and stored *
 prev / stamp is its current value.  A pivot row is brought to scale when
 read; a row a pivot updates is divided by its own stamp instead of prev,
-which gives the same ints without rescaling it first.
+which gives the same ints without rescaling it first.  The bordered minors
+are symmetric too, so while each pivot is the first live diagonal (the
+whole run for positive-definite input) only the upper triangle is kept, at
+about half the cost of whole rows; the first pivot out of that order
+rebuilds the live rows' left parts once from it, and the elimination goes
+on over whole rows.
 
 Sparse input costs in proportion to the nonzeros the eliminations touch.
 In `congruence`, `hermite_normal_form` and `smith_normal_form` each row
 keeps an upper bound on its last nonzero column, and every row operation,
-rescale and negation runs from the pivot column (the first live one in
-`congruence`) to the larger of its rows' bounds: past both, both rows are
-zero and stay so.  The SNF also keeps, per column, a bound on its last
-nonzero row, so its column operations and swaps, and its scan for rows to
-clear, stop there; it keeps both only for a matrix whose entries are mostly
-zero, since elsewhere the bounds skip little.  `congruence` reads the rows a
+rescale and negation runs from the pivot column (in `congruence` the first
+live one, or the updated row's diagonal while one triangle is kept) to the
+larger of its rows' bounds: past both, both rows are zero and stay so.  The
+SNF also keeps, per column, a bound on its last nonzero row, so its column
+operations and swaps, and its scan for rows to clear, stop there; it keeps
+both only for a matrix whose entries are mostly zero, since elsewhere the
+bounds skip little.  `congruence` reads the rows a
 pivot updates off the pivot row, since the bordered minors are symmetric.
 `determinant` and `inertia` give the same value for P m P^T, so they
 eliminate in a static order (`_fill_order`): rows with more nonzeros than
@@ -85,7 +91,7 @@ def identity_matrix(n: int) -> list[list[int]]:
 
 
 def copy_matrix(m):
-    return [row[:] for row in m]
+    return [list(row) for row in m]
 
 
 def transpose(m):
@@ -296,6 +302,8 @@ def smith_normal_form(m: list[list[int]]) -> SnfResult:
     entries of |entry| >= p or 0, and the next pivot search stops there."""
     rows = len(m)
     cols = len(m[0]) if m else 0
+    if not all(map(cols.__eq__, map(len, m))):
+        raise ValueError("smith_normal_form requires rows of equal length")
     a = copy_matrix(m)
     # Bounds pay for their upkeep only where zeros are the most entries;
     # otherwise they start, and stay, at the full width and height.
@@ -416,7 +424,9 @@ def hermite_normal_form(m: list[list[int]]) -> HnfResult:
     """
     rows = len(m)
     cols = len(m[0]) if m else 0
-    a = [list(row) for row in m]
+    if not all(map(cols.__eq__, map(len, m))):
+        raise ValueError("hermite_normal_form requires rows of equal length")
+    a = copy_matrix(m)
     end = _ends(a, cols)
     ops: list[tuple[int, int, int]] = []
     pivot_row = 0
@@ -484,7 +494,8 @@ class Congruence:
     the last prev, or 0 once only a zero block is left.  `rows` is the
     working matrix of bordered minors b (see the module docstring); the row
     of each eliminated pivot is frozen as it stood when eliminated, with
-    `stamps` holding the prev it was frozen at.
+    `stamps` holding the prev it was frozen at; both are the same whether
+    or not the elimination kept one triangle (see `congruence`).
 
     For positive-definite m the pivots are taken in order, so frozen row i
     holds b_ij = det m[0..i-1 + i, 0..i-1 + j], its diagonal b_ii = D_i is
@@ -523,6 +534,14 @@ def congruence(m) -> Congruence:
     off the pivot rows themselves, and each row keeps a bound on its last
     nonzero column: an update runs from the first live column to the larger
     of the bounds of the rows it combines.
+
+    While each pivot p is the first live diagonal, only the upper triangle
+    is kept: row k is updated from column k on, with b_kp = b_pk * stamp_k
+    / prev read off the pivot row, and the input's entries left of the
+    diagonal are zeroed as their columns are eliminated, also where b_pk
+    has cancelled to 0 and row k is not updated.  The first pivot out of
+    that order rebuilds the live rows' left parts once, b_kl = b_lk *
+    stamp_k / stamp_l, so the frozen rows and stamps are the same.
     """
     if not is_symmetric(m):
         raise ValueError("the congruence elimination requires a symmetric matrix")
@@ -531,8 +550,39 @@ def congruence(m) -> Congruence:
     end = _ends(b, n)
     stamp = [1] * n
     prev = 1
-    alive = list(range(n))
     n_plus = n_minus = n_zero = 0
+    lo = 0  # one triangle while the pivot is the first live diagonal
+    while lo < n and b[lo][lo]:
+        top = end[lo]
+        row_p = b[lo] if stamp[lo] == prev else _current(b, stamp, lo, prev, lo, top)
+        d = row_p[lo]
+        if (d > 0) == (prev > 0):
+            n_plus += 1
+        else:
+            n_minus += 1
+        tail = row_p[lo + 1:top]
+        for k in compress(range(lo + 1, top), tail):
+            row_k = b[k]
+            s = stamp[k]
+            f = row_p[k] if s == prev else row_p[k] * s // prev  # b_k,lo at row k's scale
+            hi = max(end[k], top)
+            row_k[k:hi] = [(d * x - f * y) // s for x, y in zip(row_k[k:hi], row_p[k:hi])]
+            row_k[lo] = 0
+            stamp[k] = d
+            end[k] = hi
+        if not all(tail):  # a row skipped where b_lo,k is 0 may hold an input entry
+            for k in compress(range(lo + 1, top), m[lo][lo + 1:top]):
+                b[k][lo] = 0
+        prev = d
+        lo += 1
+    if 0 < lo < n:
+        # The first pivot out of order: rebuild the live rows' left parts
+        # from the upper triangle, b_kj = b_jk * stamp_k / stamp_j.
+        for j in range(lo, n):
+            row_j, t = b[j], stamp[j]
+            for k in range(j + 1, end[j]):
+                b[k][j] = row_j[k] * stamp[k] // t
+    alive = list(range(lo, n))
     while alive:
         lo = alive[0]  # columns before lo are eliminated: zero in every live row
         p = lo if b[lo][lo] else next((i for i in alive if b[i][i]), None)

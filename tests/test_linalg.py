@@ -612,9 +612,111 @@ def test_determinant_and_inertia_refuse_a_non_symmetric_matrix():
         if not is_symmetric(m):
             cases.append(m)
     for m in cases:
-        for read in (determinant, inertia):
+        for read in (determinant, inertia, congruence, signature, is_positive_definite):
             with pytest.raises(ValueError):
                 read(m)
+
+
+def test_tuple_rows_read_as_lists_and_ragged_rows_are_refused():
+    """Tuple rows give what list rows give, in every elimination; a ragged
+    matrix is a ValueError in each, never an IndexError."""
+    rng = random.Random("tuple-rows")
+    symmetric = [((2, 1), (1, 2)), ((0, 3), (3, 0)), ((2, -1, 0), (-1, 2, -1), (0, -1, 2)), ()]
+    symmetric += [tuple(map(tuple, m)) for _, m in _symmetric_cases("tuple-rows", 60)]
+    for m in symmetric:
+        lists = [list(row) for row in m]
+        for read in (determinant, inertia, signature, is_positive_definite):
+            assert read(m) == read(lists), m
+        elim, want = congruence(m), congruence(lists)
+        assert (elim.inertia, elim.det, elim.rows, elim.stamps) == (want.inertia, want.det, want.rows, want.stamps)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = tuple(tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows))
+        lists = [list(row) for row in m]
+        snf, want = smith_normal_form(m), smith_normal_form(lists)
+        assert (snf.s, snf.col_ops) == (want.s, want.col_ops), m
+        hnf, want = hermite_normal_form(m), hermite_normal_form(lists)
+        assert (hnf.h, hnf.row_ops) == (want.h, want.row_ops), m
+    for m in ([[2, 1], [1]], [[1], [1, 2]], [[1, 2, 3], [4, 5], [6, 7, 8]], [(2, 1), (1,)]):
+        for read in (smith_normal_form, hermite_normal_form, determinant, inertia, congruence):
+            with pytest.raises(ValueError):
+                read(m)
+
+
+def _ldl_case(rng, n, k, kind, density):
+    """m = L B L^T, L unit lower triangular with entries nonzero at the given
+    density, B = diag(D_0, ..., D_{k-1}) + T with every D_i != 0.  So the
+    first k pivots of `congruence` are in order, and after them the live
+    block is L' T L'^T, L' the tail of L, whose first diagonal is T_00 = 0:
+
+    * "vanishing": T random with T_00 = 0, under a random L',
+    * "hyperbolic": T random with a zero diagonal, L' = 1, so only
+      hyperbolic pairs are left (and a zero block if T is singular),
+    * "singular": T = 0 but for at most one hyperbolic pair, L' = 1.
+
+    A sparse L leaves rows that a pivot skips, whose stamps lag prev, and
+    entries b_jc = D_0..D_j L_cj that cancel to 0 where m_jc does not."""
+    r = n - k
+    t = [[0] * r for _ in range(r)]
+    if kind == "singular":
+        if r >= 2 and rng.random() < 0.7:
+            i, j = rng.sample(range(r), 2)
+            t[i][j] = t[j][i] = rng.choice((-3, -1, 1, 2))
+    else:
+        for i in range(r):
+            for j in range(i, r):
+                if (i, j) != (0, 0) and (kind == "vanishing" or i != j) and rng.random() < 0.6:
+                    t[i][j] = t[j][i] = rng.randint(-4, 4)
+    b = [[0] * n for _ in range(n)]
+    for i in range(k):
+        b[i][i] = rng.choice((-3, -2, -1, 1, 2, 3, 5))
+    for i in range(r):
+        b[k + i][k:] = t[i]
+    low = [[int(i == j) if j >= i or (i >= k and j >= k and kind != "vanishing")
+            else rng.randint(-2, 2) if rng.random() < density else 0 for j in range(n)] for i in range(n)]
+    return mat_mul(mat_mul(low, b), transpose(low))
+
+
+def test_congruence_phase_change_matches_the_oracle():
+    """After k in-order pivots, for every k, the first live diagonal vanishes
+    and the elimination leaves the upper triangle: the rebuilt left parts
+    must give the oracle's rows, stamps, det and inertia, through a
+    vanishing diagonal, hyperbolic pairs and a singular tail.  The cases
+    include rows whose stamp lags prev when a pivot updates them, and input
+    entries whose bordered minor cancels to 0 before their column is
+    eliminated; both are counted off the oracle's frozen pivot rows."""
+    rng = random.Random("phase-change")
+    lags = cancels = rebuilt = singular = 0
+    for n in range(1, 10):
+        for k in range(n + 1):
+            for kind in ("vanishing", "hyperbolic", "singular"):
+                for density in (0.2, 0.5, 1.0):
+                    m = _ldl_case(rng, n, k, kind, density)
+                    # the leading minors: k nonzero ones, then a zero one
+                    assert all(bareiss_determinant([row[:i] for row in m[:i]]) for i in range(1, k + 1)), m
+                    assert k == n or bareiss_determinant([row[:k + 1] for row in m[:k + 1]]) == 0, m
+                    inertia_want, det_want, rows_want, stamps_want = congruence_oracle(m)
+                    elim = congruence(m)
+                    assert (elim.inertia, elim.det, elim.rows, elim.stamps) == (
+                        inertia_want, det_want, rows_want, stamps_want), m
+                    assert (determinant(m), inertia(m)) == (det_want, inertia_want), m
+                    rebuilt += 0 < k < n
+                    singular += 0 < k < n and inertia_want[2] > 0
+                    # pivot j < k froze row j: rows_want[j][c] = b_jc, nonzero
+                    # exactly where pivot j updated row c
+                    for c in range(1, n):
+                        touched = [j for j in range(min(c, k)) if rows_want[j][c]]
+                        # row c's stamp is the pivot D_i of its last update i
+                        lags += any(rows_want[i][i] != rows_want[j - 1][j - 1] for i, j in zip(touched, touched[1:]))
+                        cancels += any(m[j][c] and not rows_want[j][c] for j in range(min(c, k)))
+    assert lags > 50 and cancels > 50 and rebuilt > 300 and singular > 50, (lags, cancels, rebuilt, singular)
+    # b_12 = 1 * 1 - 1 * 1 cancels after the first pivot, so row 2's input
+    # entry 1 in column 1 must still be zeroed when column 1 is eliminated.
+    m = [[1, 1, 1], [1, 3, 1], [1, 1, 3]]
+    want = congruence_oracle(m)
+    elim = congruence(m)
+    assert (elim.inertia, elim.det, elim.rows, elim.stamps) == want
+    assert elim.rows == [[1, 1, 1], [0, 2, 0], [0, 0, 4]]
 
 
 def test_hermite_transform_replays_the_oracle():
