@@ -41,7 +41,6 @@ from .metric_groups import (
     check_gauss_budget,
     conjugate,
     direct_sum,
-    trivial_group,
 )
 from .realize import check_route_rank, kmatrix_for
 from .symmetry import aut_bruteforce, aut_order_closed
@@ -108,8 +107,15 @@ def parse_spec_factors(text: str) -> list[PrimeFamilySpec]:
 
 def parse_spec(text: str) -> MetricGroup:
     """The metric group named by a spec string (direct sums folded)."""
-    group = trivial_group()
-    for spec in parse_spec_factors(text):
+    return _fold(parse_spec_factors(text))
+
+
+def _fold(factors: list[PrimeFamilySpec]) -> MetricGroup:
+    """The direct sum of the factors' groups, folded from the first one (a
+    spec has at least one factor, and a sum with the trivial group would only
+    canonicalize it again)."""
+    group = build_prime(factors[0])
+    for spec in factors[1:]:
         group = direct_sum(group, build_prime(spec))
     return group
 
@@ -197,7 +203,7 @@ def _frac(x: Fraction) -> str:
 def _cmd_model(args) -> int:
     started = time.perf_counter()
     factors = parse_spec_factors(args.spec)
-    group = parse_spec(args.spec)
+    group = _fold(factors)
     print(f"model {args.spec}")
     print(f"invariant factors: {list(group.orders)}  (|A| = {group.size})")
     closed = sum(central_charge_closed(f) for f in factors) % 8
@@ -226,7 +232,7 @@ def _cmd_model(args) -> int:
 def _cmd_kmatrix(args) -> int:
     started = time.perf_counter()
     factors = parse_spec_factors(args.spec)
-    target = parse_spec(args.spec)
+    target = _fold(factors)
     # The oracle's Gauss sum refusal, before any block (they grow with |A|).
     check_gauss_budget(target.size, max(args.budget, GAUSS_BUDGET_DEFAULT))
     if args.positive_definite:

@@ -43,7 +43,9 @@ is an exact identity on those matrices instead:
   is (kernel h K^{+8}) (kernel h)^T / e^2.
 
 The basis, Gram and kernel matrices are about 1-2% nonzero on Cartan bases,
-and every product of them goes through the row-sparse `linalg.mat_mul`.
+and every product of them goes through the row-sparse `linalg.mat_mul`; the
+HNFs of the glue stack and of the pairing run each row operation over the
+pivot row's span, and the glue-row test reads only nonzero entries.
 
 The E/F builders assemble Gram matrices from block generating data: a small
 scaled block, a dual-coset glue vector lambda (norm = -1/2^r mod 2) or mu
@@ -356,7 +358,9 @@ def glue_selfdual_8(base: Lattice | list[list[int]]) -> GluedLattice:
     den = disc.exponent
 
     big = 8 * m
-    rows = [[den if i == j else 0 for j in range(big)] for i in range(big)]
+    rows = [[0] * big for _ in range(big)]
+    for i, row in enumerate(rows):
+        row[i] = den
     for gen in glue_gens:
         row = [0] * big
         for copy in range(8):
@@ -374,10 +378,10 @@ def glue_selfdual_8(base: Lattice | list[list[int]]) -> GluedLattice:
         raise GlueSearchError(f"glued lattice is not unimodular: |det| = {det}")
     hk8 = mat_mul(h, block_diagonal([gram] * 8))
     # The rows of h not divisible by e glue Lambda to M (module docstring).
-    glue_rows = [i for i, row in enumerate(h) if any(x % den for x in row)]
+    glue_rows = [i for i, row in enumerate(h) if any(map(den.__rmod__, filter(None, row)))]
     for a, i in enumerate(glue_rows):
         for j in glue_rows[a:]:
-            if sum(x * y for x, y in zip(hk8[i], h[j])) % (2 * den * den if i == j else den * den):
+            if sum(map(mul, hk8[i], h[j])) % (2 * den * den if i == j else den * den):
                 raise GlueSearchError("glued lattice is not even")
     return GluedLattice(
         base_disc=disc,
@@ -403,7 +407,7 @@ def orthogonal_complement(glued: GluedLattice) -> Lattice:
         raise GlueSearchError("first copy is not primitively embedded")
     kernel = [t for t, row in zip(hnf.t, hnf.h) if not any(row)]
     gram = mat_mul(mat_mul(kernel, glued.basis_k8), transpose(mat_mul(kernel, glued.basis_rows)))
-    return Lattice([[x // (den * den) for x in row] for row in gram])
+    return Lattice([list(map((den * den).__rfloordiv__, row)) for row in gram])
 
 
 def conjugate_realization(base: Lattice | list[list[int]]) -> Lattice:

@@ -39,11 +39,17 @@ keeps an upper bound on its last nonzero column, and every row operation,
 rescale and negation runs from the pivot column (in `congruence` the first
 live one, or the updated row's diagonal while one triangle is kept) to the
 larger of its rows' bounds: past both, both rows are zero and stay so.  The
-SNF also keeps, per column, a bound on its last nonzero row, so its column
-operations and swaps, and its scan for rows to clear, stop there; it keeps
-both only for a matrix whose entries are mostly zero, since elsewhere the
-bounds skip little.  `congruence` reads the rows a
-pivot updates off the pivot row, since the bordered minors are symmetric.
+HNF runs each operation only to the pivot row's bound, past which it adds
+zero, and raises the target row's bound to it where that bound is read
+again; its transform replays each operation over the span of the source
+row alone.  The SNF also keeps, per column, a bound on its last nonzero
+row, so its column operations and swaps, and its scan for rows to clear,
+stop there; it keeps both only for a matrix whose entries are mostly zero,
+since elsewhere the bounds skip little.  `congruence` reads the rows a
+pivot updates off the pivot row, since the bordered minors are symmetric,
+and its working copy is the transpose of m, which is m itself exactly when
+m is symmetric, so one pass copies and checks.  `mat_mul` walks only the
+nonzeros of both factors' rows.
 `determinant` and `inertia` give the same value for P m P^T, so they
 eliminate in a static order (`_fill_order`): rows with more nonzeros than
 the median go last, by count, and the rest keep index order.
@@ -87,7 +93,10 @@ __all__ = [
 
 
 def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def copy_matrix(m):
@@ -100,9 +109,11 @@ def transpose(m):
 
 def mat_mul(a, b):
     """Exact product a * b of int or Fraction matrices, row-sparse on both
-    sides: b's nonzero (j, y) pairs are listed once per row, and each nonzero
-    a_ik adds a_ik * y into row i of the product.  The cost is the sum, over
-    nonzero a_ik, of nnz(b_k); a sum with no nonzero term is the int 0."""
+    sides: b's nonzero (j, y) pairs are listed once per row, and each row of
+    a is walked over its nonzeros only, each a_ik adding a_ik * y into row i
+    of the product.  The cost is the sum, over nonzero a_ik, of nnz(b_k)
+    (plus one C-level scan of each row of a); a sum with no nonzero term is
+    the int 0."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("dimension mismatch in mat_mul")
     width = len(b[0]) if b else 0
@@ -110,10 +121,9 @@ def mat_mul(a, b):
     out = []
     for row in a:
         acc = [0] * width
-        for x, b_row in zip(row, b_rows):
-            if x:
-                for j, y in b_row:
-                    acc[j] += x * y
+        for x, b_row in zip(filter(None, row), compress(b_rows, row)):
+            for j, y in b_row:
+                acc[j] += x * y
         out.append(acc)
     return out
 
@@ -388,9 +398,10 @@ class HnfResult:
     """T m = H with T unimodular.  T is not stored: `row_ops` logs the row
     operations in order, an entry (i, j, q) being a swap of rows i and j
     when q == 0 and otherwise row i -= q * row j (a negation is (i, i, 2)).
-    `t` replays the log on the identity, each operation over the columns
-    its two rows can hold nonzero.  A plain class, since building a
-    dataclass costs about 0.7 ms at import."""
+    `t` replays the log on the identity, keeping per row a span [lo, hi)
+    outside which it is zero: each operation runs over the span of its
+    source row j only, and widens row i's span to the union of both.  A
+    plain class, since building a dataclass costs about 0.7 ms at import."""
 
     __slots__ = ("h", "row_ops")
 
@@ -404,9 +415,12 @@ class HnfResult:
         lo, hi = list(range(len(rows))), list(range(1, len(rows) + 1))
         for i, j, q in self.row_ops:
             if q:
-                a, b = min(lo[i], lo[j]), max(hi[i], hi[j])
+                a, b = lo[j], hi[j]
                 rows[i][a:b] = [x - q * y for x, y in zip(rows[i][a:b], rows[j][a:b])]
-                lo[i], hi[i] = a, b
+                if a < lo[i]:
+                    lo[i] = a
+                if b > hi[i]:
+                    hi[i] = b
             else:
                 rows[i], rows[j] = rows[j], rows[i]
                 lo[i], lo[j], hi[i], hi[j] = lo[j], lo[i], hi[j], hi[i]
@@ -419,8 +433,10 @@ def hermite_normal_form(m: list[list[int]]) -> HnfResult:
     Pivots are positive, entries above each pivot are reduced into [0, pivot),
     and zero rows sink to the bottom.  Rows at or below the pivot row are
     zero before the pivot column, and each row keeps a bound on its last
-    nonzero column, so every operation runs from the pivot column to the
-    larger of its two rows' bounds.
+    nonzero column.  The pivot row is zero from its bound on, so every
+    operation, below the pivot or above it, runs from the pivot column to
+    the pivot row's bound; below the pivot it raises the target row's bound
+    to it, and above it no bound is read again.
     """
     rows = len(m)
     cols = len(m[0]) if m else 0
@@ -452,13 +468,14 @@ def hermite_normal_form(m: list[list[int]]) -> HnfResult:
                 prow[col:top] = [-x for x in prow[col:top]]
                 ops.append((pivot_row, pivot_row, 2))
             p = prow[col]
+            tail = prow[col:top]
             done = True
             for i in below:
                 row = a[i]
                 q = row[col] // p
-                hi = max(end[i], top)
-                row[col:hi] = [x - q * y for x, y in zip(row[col:hi], prow[col:hi])]
-                end[i] = hi
+                row[col:top] = [x - q * y for x, y in zip(row[col:top], tail)]
+                if end[i] < top:
+                    end[i] = top
                 ops.append((i, pivot_row, q))
                 if row[col]:
                     done = False
@@ -467,13 +484,14 @@ def hermite_normal_form(m: list[list[int]]) -> HnfResult:
         prow, top = a[pivot_row], end[pivot_row]
         p = prow[col]
         if p:
+            tail = prow[col:top]
+            # A row above the pivot row is never a pivot row again, so its
+            # bound is not read again and is left as it is.
             for i in compress(range(pivot_row), map(entry, a[:pivot_row])):
                 row = a[i]
                 q = row[col] // p
                 if q:
-                    hi = max(end[i], top)
-                    row[col:hi] = [x - q * y for x, y in zip(row[col:hi], prow[col:hi])]
-                    end[i] = hi
+                    row[col:top] = [x - q * y for x, y in zip(row[col:top], tail)]
                     ops.append((i, pivot_row, q))
             pivot_row += 1
     return HnfResult(a, ops)
@@ -530,10 +548,12 @@ def congruence(m) -> Congruence:
     d / prev, the pivot of the rational elimination, counts towards the
     inertia; a hyperbolic pivot counts once each way.
 
-    The bordered minors are symmetric, so the rows a pivot updates are read
-    off the pivot rows themselves, and each row keeps a bound on its last
-    nonzero column: an update runs from the first live column to the larger
-    of the bounds of the rows it combines.
+    The working copy is m's transpose, built in one pass; it equals m
+    exactly when m is symmetric, which is the check.  The bordered minors
+    are symmetric, so the rows a pivot updates are read off the pivot rows
+    themselves, and each row keeps a bound on its last nonzero column: an
+    update runs from the first live column to the larger of the bounds of
+    the rows it combines.
 
     While each pivot p is the first live diagonal, only the upper triangle
     is kept: row k is updated from column k on, with b_kp = b_pk * stamp_k
@@ -543,10 +563,12 @@ def congruence(m) -> Congruence:
     that order rebuilds the live rows' left parts once, b_kl = b_lk *
     stamp_k / stamp_l, so the frozen rows and stamps are the same.
     """
-    if not is_symmetric(m):
+    # The transpose is a copy of m exactly when m is symmetric; tuple rows
+    # never equal list rows, so they are compared as lists.
+    b = [list(col) for col in zip(*m)]
+    if not is_square(m) or b != m and b != copy_matrix(m):
         raise ValueError("the congruence elimination requires a symmetric matrix")
     n = len(m)
-    b = copy_matrix(m)
     end = _ends(b, n)
     stamp = [1] * n
     prev = 1

@@ -532,12 +532,15 @@ def congruence_oracle(m):
 
 
 def hermite_oracle(m):
-    """Row-style HNF in the natural order with T carried along: (H, T),
-    T m = H, every operation over whole rows of both."""
+    """Row-style HNF in the natural order with T carried along: (H, T, ops),
+    T m = H, every operation over whole rows of both, and ops the row
+    operations in `HnfResult.row_ops`'s format: (i, j, 0) swaps rows i and
+    j, (i, i, 2) negates row i, and (i, j, q) is row i -= q * row j."""
     rows = len(m)
     cols = len(m[0]) if m else 0
     a = [list(row) for row in m]
     t = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    ops = []
     pivot_row = 0
     for col in range(cols):
         if pivot_row >= rows:
@@ -550,9 +553,11 @@ def hermite_oracle(m):
             if best != pivot_row:
                 a[pivot_row], a[best] = a[best], a[pivot_row]
                 t[pivot_row], t[best] = t[best], t[pivot_row]
+                ops.append((pivot_row, best, 0))
             if a[pivot_row][col] < 0:
                 a[pivot_row] = [-x for x in a[pivot_row]]
                 t[pivot_row] = [-x for x in t[pivot_row]]
+                ops.append((pivot_row, pivot_row, 2))
             p = a[pivot_row][col]
             done = True
             for i in range(pivot_row + 1, rows):
@@ -560,6 +565,7 @@ def hermite_oracle(m):
                     q = a[i][col] // p
                     a[i] = [x - q * y for x, y in zip(a[i], a[pivot_row])]
                     t[i] = [x - q * y for x, y in zip(t[i], t[pivot_row])]
+                    ops.append((i, pivot_row, q))
                     if a[i][col]:
                         done = False
             if done:
@@ -571,8 +577,9 @@ def hermite_oracle(m):
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], a[pivot_row])]
                     t[i] = [x - q * y for x, y in zip(t[i], t[pivot_row])]
+                    ops.append((i, pivot_row, q))
             pivot_row += 1
-    return a, t
+    return a, t, ops
 
 
 def _smith_pivot_oracle(a, t, rows):

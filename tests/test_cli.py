@@ -83,6 +83,45 @@ class TestParseSpec:
         assert time.perf_counter() - start < 1.0
         assert limit in capsys.readouterr().err
 
+    def test_fold_from_the_first_factor_matches_the_fold_from_the_trivial_group(self):
+        """parse_spec folds from the first factor's group.  The group, with its
+        generator numerators and its nondegenerate flag, equals the fold from
+        the trivial group on every A/B instance at odd p <= 23 with r <= 3,
+        every A-F instance at p = 2 with r <= 6, and every product of two or
+        three catalog factors with |A| <= 4096 and at most two invariant
+        factors."""
+        from itertools import combinations_with_replacement
+
+        from anyonlat.metric_groups import build_prime, direct_sum, trivial_group
+
+        def trivial_fold(text):
+            group = trivial_group()
+            for spec in parse_spec_factors(text):
+                group = direct_sum(group, build_prime(spec))
+            return group
+
+        def key(g):
+            return g.orders, g.level, g.gen_q_num, g.gen_bil_num, g._nondegenerate
+
+        def label(family, p, r):
+            return f"{family}[{p}^{r}]" if r > 1 else f"{family}[{p}]"
+
+        texts = [label(f, p, r) for p in (3, 5, 7, 11, 13, 17, 19, 23) for r in (1, 2, 3) for f in "AB"]
+        texts += [label(f, 2, r) for f in "ABCDEF" for r in range(2 if f in "CD" else 1, 7)]
+        catalog = ("A[3]", "B[3]", "A[5]", "B[5]", "A[7]", "B[7]", "A[11]", "B[13]", "A[3^2]", "A[2]",
+                   "B[2]", "A[2^2]", "B[2^2]", "C[2^2]", "D[2^2]", "A[2^3]", "D[2^3]", "E[2]", "F[2]",
+                   "E[2^2]", "F[2^2]")
+        cases = [(text, trivial_fold(text)) for text in texts]
+        for k in (2, 3):
+            for combo in combinations_with_replacement(catalog, k):
+                text = "*".join(combo)
+                want = trivial_fold(text)
+                if want.size <= 4096 and len(want.orders) <= 2:
+                    cases.append((text, want))
+        assert len(cases) == 1280
+        for text, want in cases:
+            assert key(parse_spec(text)) == key(want), text
+
 
 class TestMatrixFiles:
     def test_json_roundtrip(self, tmp_path):

@@ -495,7 +495,15 @@ def test_mat_mul_against_the_dense_product():
         entry = fraction_entry if trial % 4 == 0 else int_entry
         a = matrix(rows, k, density, entry)
         b = matrix(k, cols, rng.choice((0.0, 0.1, 0.5, 1.0)), entry)
+        # an all-zero row in either factor; Fraction zeros are falsy too
+        zero = Fraction(0) if entry is fraction_entry else 0
+        for m in (a, b):
+            if m and trial % 3 == 0:
+                m[rng.randrange(len(m))] = [zero] * len(m[0])
         assert mat_mul(a, b) == dense_mat_mul(a, b), (a, b)
+    assert mat_mul([[0, 0, 0], [Fraction(0), 2, Fraction(0)], [1, 0, -1]],
+                   [[1, 2], [0, 0], [Fraction(1, 2), 3]]) == [[0, 0], [0, 0], [Fraction(1, 2), -1]]
+    assert mat_mul([], []) == [] and mat_mul([[]], []) == [[]]
     # k x 0 on the right, 0 x k on the left, 1 x k and k x 1 factors
     assert mat_mul([[1, 2, 3]], [[], [], []]) == [[]]
     assert mat_mul([], [[1, 2], [3, 4]]) == []
@@ -730,12 +738,54 @@ def test_hermite_transform_replays_the_oracle():
         if trial % 4 == 0 and rows > 2:
             m[-1] = [x - 2 * y for x, y in zip(m[0], m[1])]
         hnf = hermite_normal_form(m)
-        h_want, t_want = hermite_oracle(m)
+        h_want, t_want, ops_want = hermite_oracle(m)
         assert hnf.h == h_want, m
+        assert hnf.row_ops == ops_want, m
         assert hnf.t == t_want, m
         assert mat_mul(hnf.t, m) == hnf.h
     glue_like = [[6 if i == j else 0 for j in range(16)] for i in range(16)] + [[rng.randrange(6) for _ in range(16)]]
     assert hermite_normal_form(glue_like).t == hermite_oracle(glue_like)[1]
+
+
+def _glue_stack(rng, den, size, glue, share):
+    """den I_size over `glue` rows as `glue_selfdual_8` stacks them, each glue
+    entry nonzero at the given share; so the pivot rows end at different
+    columns and a pivot row's span is often shorter than the rows it clears."""
+    rows = [[den if i == j else 0 for j in range(size)] for i in range(size)]
+    for _ in range(glue):
+        rows.append([rng.randint(-3 * den, 3 * den) if rng.random() < share else 0 for _ in range(size)])
+    return rows
+
+
+def test_hermite_normal_form_on_glue_shaped_stacks():
+    """H, the row operation log and the replayed T equal the whole-row
+    oracle's on den I over dense or sparse glue rows (the HNF of
+    `glue_selfdual_8`), on their transposes (tall and narrow, as the pairing
+    matrix of `orthogonal_complement`), on rank-deficient variants with a
+    column zero in every row, and on stacks whose last glue row is a
+    combination of two others."""
+    rng = random.Random("glue-stacks")
+    deficient = 0
+    for trial in range(160):
+        den = rng.choice((2, 3, 4, 5, 6, 8, 12))
+        size = 8 * rng.randint(1, 4)
+        glue = rng.randint(1, 4)
+        m = _glue_stack(rng, den, size, glue, rng.choice((0.1, 0.4, 1.0)))
+        if trial % 3 == 1:
+            dead = rng.randrange(size)
+            for row in m:
+                row[dead] = 0
+        if trial % 3 == 2 and glue > 2:
+            c = rng.randint(-2, 2)
+            m[-1] = [x + c * y for x, y in zip(m[size], m[size + 1])]
+        for case in (m, transpose(m)):
+            hnf = hermite_normal_form(case)
+            h_want, t_want, ops_want = hermite_oracle(case)
+            assert (hnf.h, hnf.row_ops) == (h_want, ops_want), case
+            assert hnf.t == t_want, case
+            assert mat_mul(hnf.t, case) == hnf.h
+            deficient += sum(not any(row) for row in hnf.h) > max(0, len(case) - len(case[0]))
+    assert deficient > 50, deficient
 
 
 def _pattern(m):
