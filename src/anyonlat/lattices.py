@@ -11,7 +11,14 @@ holds it once, as a `MetricGroup`, with the int columns e K^{-1} w_j.
 determinant, exact inertia, and the discriminant form of a candidate Gram
 matrix and matches the form against a target metric group by explicit
 isometry search.  Its report carries the determinant and signature, which
-callers read instead of computing them again.  A `Lattice` is only its Gram
+callers read instead of computing them again.  The oracle takes its form
+from `local_discriminant_form`, one elimination of K modulo p^(a+1) for each
+p^a || |det K| (`linalg.local_smith_form`), whose entries stay below that
+modulus, and never from the integer Smith normal form, whose entries grow
+on dense input.  So the oracle shares no code with the SNF that `gluing`
+and `weights` build their outputs from: they keep `discriminant_form`,
+because the coset labels `weights` prints and the glue vectors `gluing`
+picks are read off its Smith generators.  A `Lattice` is only its Gram
 matrix (a glued lattice's embedding lives on `gluing.GluedLattice`).
 
 Explicit even positive-definite families provided here:
@@ -32,7 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, zip_longest
+from math import prod
 from operator import mul
 
 from .linalg import (
@@ -40,21 +48,24 @@ from .linalg import (
     has_even_diagonal,
     inertia,
     is_symmetric,
+    local_smith_form,
     smith_normal_form,
 )
 from .metric_groups import (
     BUDGET_DEFAULT,
     GAUSS_BUDGET_DEFAULT,
+    InternalError,
     MetricGroup,
     central_charge_gauss,
     is_isomorphic,
 )
-from .numtheory import is_prime, jacobi_symbol, sqrt_mod_prime_power
+from .numtheory import factorize, is_prime, jacobi_symbol, sqrt_mod_prime_power
 
 __all__ = [
     "Lattice",
     "DiscriminantData",
     "discriminant_form",
+    "local_discriminant_form",
     "CheckResult",
     "RealizationReport",
     "verify_realization",
@@ -145,14 +156,72 @@ def discriminant_form(gram: list[list[int]]) -> DiscriminantData:
     factors = [diag[j] for j in cols]
     e = factors[-1] if factors else 1
     vs = [snf.v_column(j) for j in cols]
-    # K v over the nonzero entries of each row only: Cartan-like K is sparse
-    gens = tuple(tuple(sum(map(mul, filter(None, row), compress(v, row))) // s for row in gram)
-                 for v, s in zip(vs, factors))
+    gens = tuple(tuple(x // s for x in _times(gram, v)) for v, s in zip(vs, factors))
     dual = tuple(tuple(e // s * x for x in v) for v, s in zip(vs, factors))
+    return _assembled(factors, gens, dual)
+
+
+def _assembled(factors, gens, dual) -> DiscriminantData:
+    """The form on generators w_j of orders `factors` (a divisibility
+    chain) with dual columns e K^-1 w_j, e the last factor: q(e_j) and
+    chi(e_i, e_j) are w_j . dual_j over 2e and w_i . dual_j over e, passed
+    as numerators over 2e, which the `MetricGroup` constructor reduces to
+    the level."""
+    e = factors[-1] if factors else 1
     dots = [[sum(map(mul, w, z)) for z in dual] for w in gens]
     q = [row[j] for j, row in enumerate(dots)]
     group = MetricGroup(factors, 2 * e, q, [[2 * x for x in row] for row in dots])
     return DiscriminantData(group, gens, dual)
+
+
+def local_discriminant_form(gram: list[list[int]], det: int) -> DiscriminantData:
+    """The discriminant form of an even symmetric K with |det K| = det,
+    read off an elimination of K over Z/p^(a+1) for each prime power
+    p^a || det (`local_smith_form`, which eliminates the pivots that are
+    units for every p once), without the integer Smith normal form.
+
+    det Z^m lies in K Z^m, so the p-part of A_L is Z_p^m / K Z_p^m
+    (Domich, Kannan and Trotter 1987).  With U K V = D mod M, M = p^(a+1),
+    D = diag(unit * p^(v_j)), the lift K V = U^-1 (I + M N D^-1) D has
+    I + M N D^-1 invertible over Z_(p), since v_j <= a; so
+    x_j = V e_j / p^(v_j) has order p^(v_j), w_j = K x_j is integral, and
+    the x_j with v_j >= 1 generate the p-part.  V e_j is replayed mod M,
+    which moves x_j by an integral vector only.  The primes' generators
+    are summed position by position from the largest, so generator i has
+    order n the product of their orders, and n x_i = sum (n / p^(v_j)) V e_j
+    is integral; K n x_i is divisible by n exactly when each prime's
+    division by p^(v_j) is, the p^(v_j) being coprime.  `_assembled` reads
+    the form off them as in `discriminant_form`.  InternalError if K n x_i
+    is not divisible by n or the v_j do not sum to a: then det is not
+    |det K|.  Symmetry and evenness are the caller's to check."""
+    valuations = factorize(det)
+    forms = local_smith_form(gram, {p: a + 1 for p, a in valuations.items()}) if valuations else {}
+    parts = []  # per prime, its (p^(v_j), V e_j mod p^(a+1)) with v_j >= 1, orders ascending
+    for p, a in valuations.items():
+        exponents = forms[p].exponents
+        if len(exponents) != len(gram) or sum(exponents) != a:
+            raise InternalError(
+                f"|det| = {det} has {p}-adic valuation {a}, but K mod {p}^{a + 1} "
+                f"has elementary divisors {p}^{exponents} over {len(gram)} rows")
+        parts.append([(p ** exponents[j], forms[p].v_column(j)) for j in compress(range(len(gram)), exponents)])
+    # generator i takes each prime's i-th largest, counted from the end
+    picks = [[c for c in step if c] for step in zip_longest(*map(reversed, parts))][::-1]
+    factors = [prod(d for d, _ in pick) for pick in picks]
+    e = factors[-1] if factors else 1
+    gens, dual = [], []
+    for n, pick in zip(factors, picks):
+        z = [sum(col) for col in zip(*([n // d * x for x in y] for d, y in pick))]  # n x
+        kz = _times(gram, z)
+        if any(map(n.__rmod__, kz)):
+            raise InternalError(f"K V e_j / p^(v_j) is not integral for the generator of order {n}")
+        gens.append(tuple(x // n for x in kz))
+        dual.append(tuple(e // n * x for x in z))
+    return _assembled(factors, tuple(gens), tuple(dual))
+
+
+def _times(gram, v):
+    """K v over the nonzero entries of each row only: Cartan-like K is sparse."""
+    return [sum(map(mul, filter(None, row), compress(v, row))) for row in gram]
 
 
 @dataclass(frozen=True)
@@ -185,8 +254,15 @@ def verify_realization(
 
     Checks evenness, |det| = |A|, nondegeneracy and exact inertia, the
     signature = central charge congruence mod 8, and finally an explicit
-    isometry between the discriminant form and the target.  `iso_budget`
-    bounds the isometry search; the target's Gauss sum runs up to
+    isometry between the discriminant form and the target.  The form is
+    `local_discriminant_form`'s, read off eliminations modulo prime powers
+    of the |det| just computed (which has passed the Gauss sum's budget, so
+    factoring it by trial division is cheap), not the SNF generators of
+    `discriminant_form` that `gluing` and `weights` keep; its invariants
+    are the same, and the q2 values and witness printed are on its own
+    generators.  Symmetry is checked here, and the local form does not
+    check it again.  `iso_budget` bounds the
+    isometry search; the target's Gauss sum runs up to
     max(iso_budget, GAUSS_BUDGET_DEFAULT) elements, as in `model`.
     """
     checks: list[CheckResult] = []
@@ -212,7 +288,7 @@ def verify_realization(
     )
     if not size_ok:
         return RealizationReport(tuple(checks), det=det, signature=sig)
-    disc = discriminant_form(gram)
+    disc = local_discriminant_form(gram, abs(det))
     witness = is_isomorphic(disc.group, target, budget=iso_budget)
     checks.append(
         CheckResult(

@@ -8,6 +8,10 @@ use fractions.Fraction.  Nothing here touches floating point:
 * Smith normal form U m V = S, with V replayed per column from a log of the
   elimination's column operations; U is not kept, since m V e_j = s_j U^-1 e_j
   gives each column of U^-1 with s_j != 0 as m V e_j / s_j exactly,
+* the Smith form of m over Z/p^k for each prime power of a modulus
+  (`local_smith_form`), U m V = D mod p^k with D = diag(unit * p^(v_t)),
+  V logged and replayed mod p^k as for the SNF; its entries stay below the
+  modulus, which the integer SNF's do not on dense input,
 * row-style Hermite normal form T m = H, with T replayed from a log of the
   row operations only when it is read,
 * `congruence`, the one fraction-free elimination, for symmetric matrices:
@@ -45,11 +49,13 @@ again; its transform replays each operation over the span of the source
 row alone.  The SNF also keeps, per column, a bound on its last nonzero
 row, so its column operations and swaps, and its scan for rows to clear,
 stop there; it keeps both only for a matrix whose entries are mostly zero,
-since elsewhere the bounds skip little.  `congruence` reads the rows a
-pivot updates off the pivot row, since the bordered minors are symmetric,
-and its working copy is the transpose of m, which is m itself exactly when
-m is symmetric, so one pass copies and checks.  `mat_mul` walks only the
-nonzeros of both factors' rows.
+since elsewhere the bounds skip little.  `local_smith_form` keeps the
+same bounds on the same terms, and on such a matrix eliminates P m P^T in
+`_fill_order`'s order, replaying V back to m's order.  `congruence` reads
+the rows a pivot updates off the pivot row, since the bordered minors are
+symmetric, and its working copy is the transpose of m, which is m itself
+exactly when m is symmetric, so one pass copies and checks.  `mat_mul`
+walks only the nonzeros of both factors' rows.
 `determinant` and `inertia` give the same value for P m P^T, so they
 eliminate in a static order (`_fill_order`): rows with more nonzeros than
 the median go last, by count, and the rest keep index order.
@@ -58,14 +64,16 @@ their neighbours.  `congruence(m)` itself keeps index order: its frozen rows
 are the leading principal minors that `weights` reads in order.
 
 Pivot selection in SNF/HNF is smallest absolute value, ties by lowest index,
-so outputs are deterministic.
+and in `local_smith_form` the first unit in row-major order, else the first
+entry of least p-valuation, so outputs are deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import contains, eq, itemgetter, or_
+from itertools import chain, compress, repeat
+from math import gcd, prod
+from operator import contains, eq, itemgetter, mul, or_
 
 __all__ = [
     "identity_matrix",
@@ -81,6 +89,8 @@ __all__ = [
     "solve_columns",
     "SnfResult",
     "smith_normal_form",
+    "LocalSmithResult",
+    "local_smith_form",
     "HnfResult",
     "hermite_normal_form",
     "left_kernel",
@@ -282,6 +292,28 @@ class SnfResult:
         return transpose([self.v_column(j) for j in range(len(self.s[0]) if self.s else 0)])
 
 
+def _to_pivot(a, t, i, j, end, bottom, grow):
+    """Swap row i and column j of a into row and column t, moving the row
+    bounds `end` and the column bounds `bottom` with them and, if `grow`,
+    raising those the swaps widen."""
+    if i != t:
+        if grow:  # row t moves down to i: its columns now reach row i
+            for c in compress(range(t, end[t]), a[t][t:end[t]]):
+                if bottom[c] <= i:
+                    bottom[c] = i + 1
+        a[t], a[i] = a[i], a[t]
+        end[t], end[i] = end[i], end[t]
+    if j != t:
+        for row in a[t:max(bottom[t], bottom[j])]:
+            row[t], row[j] = row[j], row[t]
+        # column t moved right to j: its rows now reach column j
+        if grow and min(end[t:bottom[t]], default=len(bottom)) <= j:
+            for r in range(t, bottom[t]):
+                if end[r] <= j and a[r][j]:
+                    end[r] = j + 1
+        bottom[t], bottom[j] = bottom[j], bottom[t]
+
+
 def _find_pivot(a, t, end, stop):
     """(i, j) of the smallest nonzero |a[i][j]| with t <= i < stop and j >= t,
     the first in row-major order among equals; None for a zero block.  Row i
@@ -328,23 +360,8 @@ def smith_normal_form(m: list[list[int]]) -> SnfResult:
             break
         while True:
             i, j = pos
-            if i != t:
-                if grow:  # row t moves down to i: its columns now reach row i
-                    for c in compress(range(t, end[t]), a[t][t:end[t]]):
-                        if bottom[c] <= i:
-                            bottom[c] = i + 1
-                a[t], a[i] = a[i], a[t]
-                end[t], end[i] = end[i], end[t]
+            _to_pivot(a, t, i, j, end, bottom, grow)
             if j != t:
-                deep = max(bottom[t], bottom[j])
-                for row in a[t:deep]:
-                    row[t], row[j] = row[j], row[t]
-                # column t moved right to j: its rows now reach column j
-                if grow and min(end[t:bottom[t]], default=cols) <= j:
-                    for r in range(t, bottom[t]):
-                        if end[r] <= j and a[r][j]:
-                            end[r] = j + 1
-                bottom[t], bottom[j] = bottom[j], bottom[t]
                 col_ops.append((t, j, 0))
             pivot_row = a[t]
             top = end[t]
@@ -392,6 +409,155 @@ def smith_normal_form(m: list[list[int]]) -> SnfResult:
             pos = _find_pivot(a, t, end, low)
         t += 1
     return SnfResult(a, col_ops)
+
+
+class LocalSmithResult:
+    """U m V = D mod p^k with U, V invertible mod p and D diagonal, its entry
+    t a unit times p^(v_t).  `exponents` lists v_t for each pivot t in the
+    order found, units first and then nondecreasing; a block that is zero
+    mod p^k ends it early.  V is logged in `col_ops`, one entry
+    (t, j, inv, tail) per pivot t: a swap of columns t and j (none when
+    j == t), then column c -= tail[c - t - 1] * inv * column t for every
+    c > t, inv being the inverse of the pivot's unit part mod p^k (mod the
+    product of the prime powers, for a pivot shared by several primes).  A
+    column is replayed mod p^k, since an unreduced replay grows without
+    bound, and each entry's column operations replay as one dot product
+    with `tail`.  If `order` is set, the elimination ran on P m P^T for
+    that order, and `v_column` returns P^T times its column."""
+
+    __slots__ = ("exponents", "modulus", "width", "col_ops", "order")
+
+    def __init__(self, exponents: list[int], modulus: int, width: int,
+                 col_ops: list[tuple[int, int, int, list[int]]], order: list[int] | None = None):
+        self.exponents = exponents
+        self.modulus = modulus
+        self.width = width
+        self.col_ops = col_ops
+        self.order = order
+
+    def v_column(self, j: int) -> list[int]:
+        """V e_j mod p^k, entries in [0, p^k)."""
+        modulus = self.modulus
+        x = [0] * self.width
+        x[j] = 1
+        for t, s, inv, tail in reversed(self.col_ops):
+            if tail:
+                x[t] = (x[t] - inv * sum(map(mul, tail, x[t + 1:t + 1 + len(tail)]))) % modulus
+            if s != t:
+                x[t], x[s] = x[s], x[t]
+        if self.order:
+            y = [0] * self.width
+            for i, xi in zip(self.order, x):
+                y[i] = xi
+            return y
+        return x
+
+
+def _first_with_gcd(a, t, end, stop, q, g):
+    """(i, j) of the first entry x in row-major order, t <= i < stop and
+    j >= t, with gcd(x, q) == g; None if there is none.  Row i is zero from
+    column end[i] on, so it is read up to there."""
+    for i in range(t, stop):
+        j = next(compress(range(t, end[i]), map(g.__eq__, map(gcd, repeat(q), a[i][t:end[i]]))), None)
+        if j is not None:
+            return i, j
+    return None
+
+
+def _local_pass(a, t, end, bottom, grow, modulus, radical, col_ops, exponents, graded):
+    """Eliminate a over Z/modulus from pivot t on, appending to `col_ops`
+    and `exponents`; return the pivot index it stopped at.  The pivot is the
+    first unit (an entry prime to `radical`, the product of the modulus's
+    primes) in row-major order.  Only `graded`, for a prime power modulus,
+    goes on once the block has no unit: then the pivot is the first entry
+    of least p-valuation v, which every entry of the block has at least.
+    Either way the pivot divides the block up to a unit, so one pass clears
+    its row and column: each row below subtracts (entry / p^v) * pivot^-1
+    times the pivot row, reduced mod the modulus, and the pivot row's
+    entries go to the column log alone, since column t is zero mod the
+    modulus below the pivot; they are logged as the pivot row's tail over
+    p^v (see `LocalSmithResult`)."""
+    rows, cols = len(a), len(bottom)
+    level, v = 1, 0  # level = p^v divides every entry of the block
+    while t < min(rows, cols):
+        # (t, t) is the block's first entry in row-major order
+        pos = (t, t) if gcd(a[t][t], level * radical) == level else (
+            _first_with_gcd(a, t, end, rows, level * radical, level))
+        if pos is None:
+            if not graded:
+                break
+            level = gcd(modulus, *chain.from_iterable(a[i][t:end[i]] for i in range(t, rows)))
+            if level == modulus:
+                break
+            while radical**v < level:
+                v += 1
+            continue
+        i, j = pos
+        _to_pivot(a, t, i, j, end, bottom, grow)
+        pivot_row = a[t]
+        top = end[t]
+        pivot_tail = pivot_row[t:top]
+        inv = pow(pivot_tail[0] % modulus // level, -1, modulus)
+        low = t + 1
+        stop = bottom[t]
+        for r in compress(range(t + 1, stop), map(modulus.__rmod__, map(itemgetter(t), a[t + 1:stop]))):
+            row = a[r]
+            f = row[t] % modulus // level * inv % modulus
+            row[t:top] = [(x - f * y) % modulus for x, y in zip(row[t:top], pivot_tail)]
+            if grow and end[r] < top:
+                end[r] = top
+            low = r + 1
+        if grow and low > t + 1:  # the pivot row's columns now reach row low - 1
+            for c in compress(range(t + 1, top), pivot_tail[1:]):
+                if bottom[c] < low:
+                    bottom[c] = low
+        # column c -= (entry_c / p^v) * pivot^-1 * column t, for every c > t
+        col_ops.append((t, j, inv, pivot_tail[1:] if level == 1 else [x // level for x in pivot_tail[1:]]))
+        exponents.append(v)
+        t += 1
+    return t
+
+
+def local_smith_form(m: list[list[int]], powers: dict[int, int]) -> dict[int, LocalSmithResult]:
+    """Smith form of m over Z/p^k for each prime p with k = powers[p], with
+    the log of V; deterministic for a given input.  Row operations are
+    applied mod p^k and not recorded.  A square matrix whose entries are
+    mostly zero is eliminated as P m P^T in `_fill_order`'s order (sparse
+    rows first, hub rows last), so a diagonal unit stays on the diagonal,
+    and `v_column` maps V back to m's order.  Pivots are chosen and
+    eliminated by `_local_pass`.  With several primes the unit pivots
+    shared by all of them (entries prime to every p) are eliminated once,
+    over Z/M, M the product of the p^k, and each prime goes on from a copy
+    of the rest: by the Chinese remainder theorem those steps are steps
+    over each Z/p^k.  m is copied as it is, and a row is reduced when a
+    pivot updates it; row and column bounds are kept as in
+    `smith_normal_form`."""
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    if not all(map(cols.__eq__, map(len, m))):
+        raise ValueError("local_smith_form requires rows of equal length")
+    a = [list(row) for row in m]
+    grow = 2 * sum(map(list.count, a, repeat(0))) > rows * cols
+    order = _fill_order(a) if grow and rows == cols else None
+    if order:
+        a = _permuted(a, order)
+    end = _ends(a, cols) if grow else [cols] * rows
+    bottom = _ends(zip(*a), rows) if grow else [rows] * cols
+    shared: list[tuple[int, int, int, list[int]]] = []
+    t = 0
+    if len(powers) > 1:
+        modulus = prod(p**k for p, k in powers.items())
+        t = _local_pass(a, 0, end, bottom, grow, modulus, prod(powers), shared, [], False)
+    out = {}
+    for p, k in powers.items():
+        if len(powers) > 1:
+            b, b_end, b_bottom = a[:t] + [list(row) for row in a[t:]], end[:], bottom[:]
+        else:
+            b, b_end, b_bottom = a, end, bottom
+        col_ops, exponents = list(shared), [0] * t
+        _local_pass(b, t, b_end, b_bottom, grow, p**k, p, col_ops, exponents, True)
+        out[p] = LocalSmithResult(exponents, p**k, cols, col_ops, order)
+    return out
 
 
 class HnfResult:

@@ -379,7 +379,7 @@ def test_complement_runs_the_oracle_past_the_enumeration_budget(tmp_path, capsys
     path.write_text("10000\n")
     assert main(["complement", str(path)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert "[pass] discriminant_form: invariants (10000,), q2(gens) = ['19519/10000'], witness ((2191,),)" in out
+    assert "[pass] discriminant_form: invariants (10000,), q2(gens) = ['9631/10000'], witness ((2287,),)" in out
     assert out[-1] == "verdict: pass"
 
 
@@ -447,24 +447,27 @@ def _count_kernel_calls(monkeypatch, names, source=anyonlat.linalg):
 def test_verify_runs_each_kernel_once_and_solves_nothing(tmp_path, monkeypatch, capsys):
     """The oracle's `determinant` and `inertia` each read one congruence
     elimination of the Gram matrix: two in all, until `verify_realization`
-    reads both off one (ROADMAP item 1)."""
+    reads both off one (ROADMAP item 1).  Its discriminant form is one
+    elimination mod 2^3 (|det| = 4), and no Smith normal form."""
     path = tmp_path / "d7.json"
     path.write_text(dump_matrix_file(cartan_d(7).gram))
     counts = _count_kernel_calls(
-        monkeypatch, ["determinant", "solve_columns", "congruence", "smith_normal_form"])
+        monkeypatch, ["determinant", "solve_columns", "congruence", "smith_normal_form", "local_smith_form"])
     assert main(["verify", str(path), "--target", "B[4]"]) == 0
-    assert counts == {"determinant": 1, "solve_columns": 0, "congruence": 2, "smith_normal_form": 1}
+    assert counts == {"determinant": 1, "solve_columns": 0, "congruence": 2, "smith_normal_form": 0,
+                      "local_smith_form": 1}
 
 
 def test_continued_fraction_kmatrix_factors_k_once(monkeypatch, capsys):
     """K = W^-1 comes from the Wall continuants, not a rational solve: the
     oracle's two congruence eliminations (its `determinant` and `inertia`;
-    one once ROADMAP item 1 lands) and one SNF are all `kmatrix` runs, and the
+    one once ROADMAP item 1 lands) and one elimination mod 7^2 for its
+    discriminant form are all `kmatrix` runs, with no SNF, and the
     closed-form F matrix solves nothing either."""
-    names = ["solve_columns", "congruence", "smith_normal_form"]
+    names = ["solve_columns", "congruence", "smith_normal_form", "local_smith_form"]
     counts = _count_kernel_calls(monkeypatch, names)
     assert main(["kmatrix", "B[7]"]) == 0
-    assert counts == {"solve_columns": 0, "congruence": 2, "smith_normal_form": 1}
+    assert counts == {"solve_columns": 0, "congruence": 2, "smith_normal_form": 0, "local_smith_form": 1}
     counts.update(dict.fromkeys(names, 0))
     assert main(["kmatrix", "F[4]"]) == 0
     assert counts["solve_columns"] == 0
@@ -544,13 +547,14 @@ def test_model_counts_aut_of_toric_code_cubed_without_an_element_table(monkeypat
 
 
 @pytest.mark.parametrize("spec", ["B[5]", "D[2^4]"])
-def test_positive_definite_kmatrix_runs_one_smith_normal_form(monkeypatch, capsys, spec):
+def test_positive_definite_kmatrix_runs_one_local_smith_form(monkeypatch, capsys, spec):
     """The constructors run no elimination of their own: the oracle's two
     congruence eliminations give its determinant and definiteness (one
-    once ROADMAP item 1 lands), and its discriminant form the one SNF."""
-    counts = _count_kernel_calls(monkeypatch, ["smith_normal_form", "congruence"])
+    once ROADMAP item 1 lands), and its discriminant form one elimination
+    modulo a power of the one prime of |det|, with no SNF."""
+    counts = _count_kernel_calls(monkeypatch, ["smith_normal_form", "local_smith_form", "congruence"])
     assert main(["kmatrix", spec, "--positive-definite"]) == 0
-    assert counts == {"smith_normal_form": 1, "congruence": 2}
+    assert counts == {"smith_normal_form": 0, "local_smith_form": 1, "congruence": 2}
 
 
 def test_positive_definite_f_kmatrix_runs_the_oracle_once(monkeypatch, capsys):
@@ -563,12 +567,13 @@ def test_positive_definite_f_kmatrix_runs_the_oracle_once(monkeypatch, capsys):
     assert (oracle, kernels) == ({"verify_realization": 1}, {"determinant": 1})
 
 
-def test_direct_f_kmatrix_runs_one_smith_normal_form(monkeypatch, capsys):
+def test_direct_f_kmatrix_runs_one_local_smith_form(monkeypatch, capsys):
     """direct_ef_k leaves the cokernel of the closed-form F matrix to the
-    oracle's discriminant form: one SNF in the op."""
-    counts = _count_kernel_calls(monkeypatch, ["smith_normal_form"])
+    oracle's discriminant form: one elimination mod 2^5 in the op, and no
+    SNF."""
+    counts = _count_kernel_calls(monkeypatch, ["smith_normal_form", "local_smith_form"])
     assert main(["kmatrix", "F[2^2]"]) == 0
-    assert counts == {"smith_normal_form": 1}
+    assert counts == {"smith_normal_form": 0, "local_smith_form": 1}
 
 
 def test_positive_definite_kmatrix_refuses_an_indefinite_route(monkeypatch, capsys):

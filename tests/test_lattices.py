@@ -17,17 +17,22 @@ from anyonlat.lattices import (
     k_double_prime,
     k_e,
     k_o,
+    local_discriminant_form,
     verify_realization,
 )
 from anyonlat.linalg import determinant, is_positive_definite, solve_columns
 from anyonlat.metric_groups import (
+    BudgetExceededError,
+    InternalError,
     MetricGroup,
     PrimeFamilySpec,
     build_prime,
     central_charge_closed,
     conjugate,
+    is_isomorphic,
     trivial_group,
 )
+from anyonlat.realize import check_route_rank, kmatrix_for
 
 
 def model(fam, p, r):
@@ -331,3 +336,108 @@ def test_group_and_dual_num_match_a_rebuild_from_solved_dual_coordinates():
         # the lcm of the denominators of K^-1 w is the exponent
         assert e == disc.exponent
         assert disc.dual_num == dual_num
+
+
+# ---------------------------------------------------------------------------
+# the oracle's own discriminant form: eliminations mod p^(a+1), p^a || |det|
+
+
+def _assert_same_form(gram):
+    """The oracle's local form and the SNF-based form are each other's
+    reference: same invariants and an isometry, and the local generators
+    satisfy K dual = e w (w_j = K x_j with e x_j integral)."""
+    local, snf = local_discriminant_form(gram, abs(determinant(gram))), discriminant_form(gram)
+    e = local.exponent
+    for w, z in zip(local.generator_reps, local.dual_num):
+        assert [sum(map(mul, row, z)) for row in gram] == [e * x for x in w]
+    assert local.invariant_factors == snf.invariant_factors
+    assert is_isomorphic(local.group, snf.group, budget=10**6) is not None
+
+
+def test_local_form_matches_the_snf_form_on_the_pinned_disguises():
+    rng = random.Random(6262)
+    for base in _PIN_BASES:
+        _assert_same_form(disguised(base, rng, 6 * len(base)))
+
+
+# The 82 acceptance instances: A/B at odd p <= 23 with r <= 3, A-F at p = 2
+# with r <= 6.
+ACCEPTANCE_SPECS = [PrimeFamilySpec(fam, p, r) for fam in "AB" for p in (3, 5, 7, 11, 13, 17, 19, 23)
+                    for r in (1, 2, 3)]
+ACCEPTANCE_SPECS += [PrimeFamilySpec(fam, 2, r) for fam in "ABCDEF" for r in range(2 if fam in "CD" else 1, 7)]
+
+
+@pytest.mark.parametrize("positive_definite", [False, True])
+def test_local_form_matches_the_snf_form_on_every_acceptance_kmatrix(positive_definite):
+    checked = 0
+    for spec in ACCEPTANCE_SPECS:
+        try:
+            if positive_definite:
+                check_route_rank(spec)
+            gram, _ = kmatrix_for(spec, positive_definite)
+        except BudgetExceededError:
+            continue  # the route is past the rank limit
+        _assert_same_form(gram)
+        checked += 1
+    assert checked == (82 if not positive_definite else 73)
+
+
+def _seeded_even(rng, n):
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = 2 * rng.randint(-4, 4)
+        for j in range(i):
+            gram[i][j] = gram[j][i] = rng.randint(-4, 4)
+    return gram
+
+
+# Bases with non-cyclic p-parts, 2-adic E (hyperbolic) and F (D_4) blocks,
+# three primes in |det|, |det| = 1, definite and indefinite.
+_LOCAL_BASES = [
+    _block_sum(cartan_a(2).gram, cartan_a(2).gram),  # Z3^2
+    _block_sum(cartan_a(2).gram, cartan_a(8).gram),  # Z3 x Z9
+    _block_sum(cartan_a(4).gram, _negated(cartan_a(4).gram), cartan_a(24).gram),  # Z5^2 x Z25
+    _block_sum([[0, 2], [2, 0]], [[0, 4], [4, 0]]),  # E blocks: Z2^2 x Z4^2
+    _block_sum(cartan_d(4).gram, [[0, 2], [2, 0]], [[4, 2], [2, 4]]),  # F, E and Z2 x Z6
+    _block_sum(cartan_a(1).gram, cartan_a(2).gram, _negated(cartan_a(4).gram)),  # 2 * 3 * 5
+    _block_sum(cartan_d(6).gram, cartan_a(6).gram, [[0, 5], [5, 0]]),  # 2^2 * 7 * 5^2
+    _block_sum(_HYP, [[2, 1], [1, 8]], _negated(cartan_a(10).gram)),  # 3 * 5 * 11
+    e8_gram().gram,  # |det| = 1
+    _block_sum(_HYP, _negated(e8_gram().gram)),  # |det| = 1, indefinite
+]
+
+
+def test_local_form_matches_the_snf_form_on_seeded_disguises_and_random_matrices():
+    rng = random.Random(2626)
+    grams = [disguised(base, rng, 4 * len(base)) for base in _LOCAL_BASES for _ in range(3)]
+    while len(grams) < 150:
+        gram = _seeded_even(rng, rng.randint(1, 6))
+        if determinant(gram) != 0:
+            grams.append(gram)
+    dets = set()
+    for gram in grams:
+        _assert_same_form(gram)
+        dets.add(abs(determinant(gram)))
+    assert 1 in dets and 30 in dets and 165 in dets
+
+
+def test_local_form_refuses_a_wrong_determinant():
+    rng = random.Random(2727)
+    for base in _LOCAL_BASES[:8]:
+        gram = disguised(base, rng, 3 * len(base))
+        det = abs(determinant(gram))
+        with pytest.raises(InternalError):
+            local_discriminant_form(gram, 3 * det)
+
+
+def test_verify_prints_the_local_form_with_the_snf_invariants():
+    """The oracle's line reads the invariants, q2 and witness off the local
+    form; the invariants are the SNF's."""
+    gram = disguised(cartan_a(10).gram, random.Random(5), 40)
+    report = verify_realization(gram, model("B", 11, 1))
+    assert report.passed
+    local = local_discriminant_form(gram, 11)
+    (line,) = [x for x in report.lines() if "discriminant_form" in x]
+    assert line == (f"[pass] discriminant_form: invariants (11,), q2(gens) = {[str(q) for q in local.q2_gen]}, "
+                    f"witness {report.witness}")
+    assert local.invariant_factors == discriminant_form(gram).invariant_factors

@@ -21,6 +21,7 @@ from anyonlat.linalg import (
     is_positive_definite,
     is_symmetric,
     left_kernel,
+    local_smith_form,
     mat_mul,
     rational_inverse,
     signature,
@@ -28,6 +29,7 @@ from anyonlat.linalg import (
     solve_columns,
     transpose,
 )
+from anyonlat.numtheory import factorize
 
 
 def gauss_det(m):
@@ -846,3 +848,83 @@ def test_fill_order_keeps_bands_and_full_patterns_and_defers_hubs():
         for v in hubs:
             later = sum(position[u] > position[v] for u in pattern[v])
             assert later * 4 <= len(pattern[v]), (v, later)
+
+
+# ---------------------------------------------------------------------------
+# Smith form over Z/p^k
+
+
+def _valuation(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _assert_local_smith(m, p, local):
+    """U m V = D mod p^k: V is invertible mod p, column j of m V is divisible
+    by p^(v_j) mod p^k, and those columns over p^(v_j) are invertible mod p;
+    the v_j are the p-valuations of the SNF's diagonal."""
+    modulus, n = local.modulus, len(m)
+    vs = [local.v_column(j) for j in range(n)]
+    assert all(0 <= x < modulus for v in vs for x in v)
+    assert gauss_det(transpose(vs)) % p
+    cols = []
+    for v, e in zip(vs, local.exponents):
+        mv = [sum(a * b for a, b in zip(row, v)) % modulus for row in m]
+        assert all(x % p**e == 0 for x in mv)
+        cols.append([x // p**e for x in mv])
+    assert gauss_det(transpose(cols)) % p
+    # units first, then nondecreasing: the SNF's p-valuations in order
+    assert local.exponents == sorted(_valuation(s, p) for s in smith_normal_form(m).diagonal())
+
+
+def _sparse_with_hub(rng, n):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = rng.choice((2, 3, -2, 4, 6))
+        if i + 1 < n:
+            m[i][i + 1] = rng.choice((-1, 1, 2))
+            m[i + 1][i] = rng.choice((-1, 1, 3))
+    hub = rng.randrange(n)
+    for j in range(n):
+        m[hub][j] = m[j][hub] = m[hub][j] or rng.randint(-3, 3)
+    return m
+
+
+def test_local_smith_form_is_a_smith_form_over_each_prime_power():
+    rng = random.Random(4141)
+    mats = [[[2, -1], [-1, 2]], [[0, 4], [4, 0]], [[6, -3], [-3, 2]], [[12]], [[4, 2], [2, 4]]]
+    while len(mats) < 120:
+        n = rng.randint(1, 6)
+        mats.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+    mats += [_sparse_with_hub(rng, n) for n in (6, 9, 12, 15) for _ in range(3)]
+    mats += [disguised(block_diagonal([[[2, 1], [1, 2]], [[0, 6], [6, 0]], [[4]]]), rng, 10) for _ in range(5)]
+    checked = 0
+    for m in mats:
+        det = abs(gauss_det(m))
+        if det in (0, 1):
+            continue
+        powers = {p: a + 1 for p, a in factorize(det).items()}
+        forms = local_smith_form(m, powers)
+        assert sorted(forms) == sorted(powers)
+        for p in powers:
+            local = forms[p]
+            assert local.modulus == p ** powers[p] and len(local.exponents) == len(m)
+            assert sum(local.exponents) == powers[p] - 1
+            _assert_local_smith(m, p, local)
+            # the shared unit pivots of several primes leave each prime's
+            # exponents as its own elimination finds them
+            assert local.exponents == local_smith_form(m, {p: powers[p]})[p].exponents
+        checked += 1
+    assert checked > 100
+
+
+def test_local_smith_form_stops_at_a_block_that_is_zero_mod_the_modulus():
+    # [[4, 0], [0, 8]] mod 8: one pivot of valuation 2, then a zero block
+    assert local_smith_form([[4, 0], [0, 8]], {2: 3})[2].exponents == [2]
+    assert local_smith_form([[2, 4], [1, 2]], {3: 1})[3].exponents == [0]
+    assert local_smith_form([[0, 0], [0, 0]], {5: 2})[5].exponents == []
+    with pytest.raises(ValueError):
+        local_smith_form([[1, 2], [3]], {2: 1})
