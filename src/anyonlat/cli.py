@@ -184,11 +184,16 @@ def dump_matrix_file(gram, target: str | None = None, comment: str | None = None
 
 
 def _write_out(path: str | None, content: str) -> None:
+    """Write to `path`, or to stdout for None; a path that cannot be written
+    (a missing directory, a directory itself) is a usage error."""
     if path is None:
         sys.stdout.write(content)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(content)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _frac(x: Fraction) -> str:

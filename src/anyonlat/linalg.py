@@ -35,7 +35,11 @@ are symmetric too, so while each pivot is the first live diagonal (the
 whole run for positive-definite input) only the upper triangle is kept, at
 about half the cost of whole rows; the first pivot out of that order
 rebuilds the live rows' left parts once from it, and the elimination goes
-on over whole rows.
+on over whole rows.  In that one-triangle phase the pivots go two at a
+time, as in Bareiss's two-step elimination (Bareiss, Sylvester's identity
+and multistep integer-preserving Gaussian elimination, Math. Comp. 22,
+1968): a row both pivots update is written once, with one division, to the
+same ints as two steps.
 
 Sparse input costs in proportion to the nonzeros the eliminations touch.
 In `congruence`, `hermite_normal_form` and `smith_normal_form` each row
@@ -183,6 +187,29 @@ def _current(a, stamp, k, prev, lo, hi):
         row[lo:hi] = [x * prev // s for x in row[lo:hi]]
         stamp[k] = prev
     return row
+
+
+def _triangle_step(b, stamp, end, k, row_p, top, d, prev, p):
+    """Pivot p's update of row k's upper part in `congruence`'s one-triangle
+    phase: the pivot row row_p is at scale prev, with diagonal d, and zero
+    from column top on; b_kp is read off it, at row k's scale, and row k is
+    divided by its own stamp."""
+    row_k = b[k]
+    s = stamp[k]
+    f = row_p[k] if s == prev else row_p[k] * s // prev  # b_kp at row k's scale
+    hi = max(end[k], top)
+    row_k[k:hi] = [(d * x - f * y) // s for x, y in zip(row_k[k:hi], row_p[k:hi])]
+    row_k[p] = 0
+    stamp[k] = d
+    end[k] = hi
+
+
+def _clear_column(b, m, p, row_p, top):
+    """Zero the input entries left in column p once pivot p is eliminated:
+    a row the pivot skipped, where b_pk is 0, may still hold m's entry."""
+    if not all(row_p[p + 1:top]):
+        for k in compress(range(p + 1, top), m[p][p + 1:top]):
+            b[k][p] = 0
 
 
 def _fill_order(m):
@@ -728,6 +755,21 @@ def congruence(m) -> Congruence:
     has cancelled to 0 and row k is not updated.  The first pivot out of
     that order rebuilds the live rows' left parts once, b_kl = b_lk *
     stamp_k / stamp_l, so the frozen rows and stamps are the same.
+
+    In that phase the pivots go in pairs.  Pivot p = lo first updates row
+    q = lo + 1 alone, which freezes it as a pivot row; if q's diagonal e is
+    then nonzero, p and q go as a pair, and otherwise, as for the last row,
+    pivot p goes on alone.  A row k that both pivots update takes one step
+    by Sylvester's identity on the 3 x 3 bordered minor (Bareiss 1968's
+    two-step elimination), with f = b_kp at row k's scale s and g = b'_kq
+    read off the frozen pivot rows:
+
+        b''_kl = (d e x_l - e f b_pl - s g b'_ql) / (d s),
+
+    x_l the stored entry; for s = prev it is (d e b_kl - e b_pk b_pl -
+    prev b'_qk b'_ql) / (d prev).  Row k is stamped e, so its ints are
+    those two one-steps would write, one division instead of two.  A row
+    that only one pivot of the pair updates takes that pivot's one-step.
     """
     # The transpose is a copy of m exactly when m is symmetric; tuple rows
     # never equal list rows, so they are compared as lists.
@@ -748,21 +790,49 @@ def congruence(m) -> Congruence:
             n_plus += 1
         else:
             n_minus += 1
-        tail = row_p[lo + 1:top]
-        for k in compress(range(lo + 1, top), tail):
-            row_k = b[k]
-            s = stamp[k]
-            f = row_p[k] if s == prev else row_p[k] * s // prev  # b_k,lo at row k's scale
-            hi = max(end[k], top)
-            row_k[k:hi] = [(d * x - f * y) // s for x, y in zip(row_k[k:hi], row_p[k:hi])]
-            row_k[lo] = 0
-            stamp[k] = d
-            end[k] = hi
-        if not all(tail):  # a row skipped where b_lo,k is 0 may hold an input entry
-            for k in compress(range(lo + 1, top), m[lo][lo + 1:top]):
-                b[k][lo] = 0
-        prev = d
-        lo += 1
+        q = lo + 1  # the pair's second pivot, if its diagonal survives pivot lo
+        if q < top and row_p[q]:
+            _triangle_step(b, stamp, end, q, row_p, top, d, prev, lo)
+        if q == n or not b[q][q]:
+            for k in compress(range(q + 1, top), row_p[q + 1:top]):
+                _triangle_step(b, stamp, end, k, row_p, top, d, prev, lo)
+            _clear_column(b, m, lo, row_p, top)
+            prev = d
+            lo = q
+            continue
+        row_q = b[q] if stamp[q] == d else _current(b, stamp, q, d, q, end[q])
+        e = row_q[q]
+        if (e > 0) == (d > 0):
+            n_plus += 1
+        else:
+            n_minus += 1
+        top_q = end[q]
+        both = max(top, top_q)
+        de = d * e
+        for k, f, g in zip(range(q + 1, both), row_p[q + 1:both], row_q[q + 1:both]):
+            if not g:
+                if f:
+                    _triangle_step(b, stamp, end, k, row_p, top, d, prev, lo)
+            elif not f:
+                _triangle_step(b, stamp, end, k, row_q, top_q, e, d, q)
+            else:
+                # One update by both pivots, with row k's stamp s in place
+                # of prev: (e (d x - f y) - s g z) / (d s), f at row k's scale.
+                row_k = b[k]
+                s = stamp[k]
+                a1 = e * f if s == prev else e * (f * s // prev)
+                a2 = g * s
+                div = d * s
+                hi = max(end[k], both)
+                row_k[k:hi] = [(de * x - a1 * y - a2 * z) // div
+                               for x, y, z in zip(row_k[k:hi], row_p[k:hi], row_q[k:hi])]
+                row_k[lo] = row_k[q] = 0
+                stamp[k] = e
+                end[k] = hi
+        _clear_column(b, m, lo, row_p, top)
+        _clear_column(b, m, q, row_q, top_q)
+        prev = e
+        lo = q + 1
     if 0 < lo < n:
         # The first pivot out of order: rebuild the live rows' left parts
         # from the upper triangle, b_kj = b_jk * stamp_k / stamp_j.

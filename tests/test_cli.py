@@ -256,6 +256,25 @@ class TestCommands:
             assert main(["verify", str(out_file)]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["kmatrix", "complement"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, command, where):
+        # open() raised FileNotFoundError or IsADirectoryError past main,
+        # a traceback with exit code 1, the verification-failure code.
+        out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        if command == "kmatrix":
+            argv = ["kmatrix", "A[3]", "--out", str(out)]
+        else:
+            src = tmp_path / "su3.json"
+            src.write_text(dump_matrix_file([[2, 1], [1, 2]], target="B[3]"))
+            argv = ["complement", str(src), "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: cannot write {out}: "), line
+        assert "wrote" not in captured.out and "verdict" not in captured.out
+        assert not (tmp_path / "missing").exists()
+
     def test_kmatrix_smallest_family(self, tmp_path):
         out_file = tmp_path / "semion.json"
         assert main(["kmatrix", "A[2]", "--positive-definite", "--out", str(out_file)]) == 0

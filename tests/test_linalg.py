@@ -327,6 +327,23 @@ def test_congruence_against_a_fraction_elimination():
         elim = congruence(m)
         assert (elim.inertia, elim.det) == fraction_congruence(m), m
     assert hyperbolic >= 200
+    # Rank 10-40, where in-order pivots go in pairs (see
+    # test_congruence_phase_change_matches_the_oracle): dense and banded,
+    # definite and indefinite, odd ranks whose last pivot runs alone, a pair
+    # whose second diagonal vanishes after the first step (k odd), and a
+    # hyperbolic tail; the rows and stamps are the whole-row oracle's.
+    rng = random.Random("pair-fractions")
+    for n, k, kind, density, band, definite in [
+            (10, 10, None, 1.0, None, True), (11, 11, None, 1.0, None, False), (24, 24, None, 1.0, 3, True),
+            (25, 25, None, 0.4, None, False), (39, 39, None, 1.0, None, True), (40, 40, None, 1.0, 2, False),
+            (17, 9, "vanishing", 1.0, None, False), (30, 15, "vanishing", 0.5, 4, False),
+            (20, 12, "hyperbolic", 1.0, None, False), (33, 21, "hyperbolic", 1.0, 3, False),
+            (26, 13, "singular", 0.5, None, False)]:
+        m = _ldl_case(rng, n, k, kind, density, rng.choice((7, 8)), band, definite)
+        elim = congruence(m)
+        assert (elim.inertia, elim.det) == fraction_congruence(m), m
+        assert not definite or elim.inertia == (n, 0, 0), m
+        assert (elim.inertia, elim.det, elim.rows, elim.stamps) == congruence_oracle(m), m
 
 
 def test_congruence_ldl_rebuilds_positive_definite_matrices():
@@ -343,9 +360,10 @@ def test_congruence_ldl_rebuilds_positive_definite_matrices():
 def test_congruence_minors_split_the_norm_into_integer_squares():
     # D_i is the leading principal minor (gauss_det), stamped at D_{i-1}, and
     # y^T m y = sum_i M_i^2 / (D_i D_{i-1}) with M_i = sum_{j>=i} b_ij y_j.
+    # The last cases reach rank ~30, where the in-order pivots go in pairs.
     rng = random.Random(6565)
-    for _ in range(100):
-        n = rng.randint(1, 6)
+    for trial in range(103):
+        n = rng.randint(1, 6) if trial < 100 else (28, 29, 31)[trial - 100]
         b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         m = [[sum(x * y for x, y in zip(r, s)) + (i == j) for j, s in enumerate(b)] for i, r in enumerate(b)]
         view = congruence(m).minors()
@@ -653,11 +671,14 @@ def test_tuple_rows_read_as_lists_and_ragged_rows_are_refused():
                 read(m)
 
 
-def _ldl_case(rng, n, k, kind, density):
+def _ldl_case(rng, n, k, kind, density, bits=0, band=None, definite=False):
     """m = L B L^T, L unit lower triangular with entries nonzero at the given
     density, B = diag(D_0, ..., D_{k-1}) + T with every D_i != 0.  So the
     first k pivots of `congruence` are in order, and after them the live
-    block is L' T L'^T, L' the tail of L, whose first diagonal is T_00 = 0:
+    block is L' T L'^T, L' the tail of L, whose first diagonal is T_00 = 0.
+    With `bits`, |D_i| <= 2^bits (positive if `definite`) and the entries
+    of L and T grow with 2^(bits // 2); with `band`, L_ij = 0 for i - j >
+    band, so m is banded.  The tail T is one of:
 
     * "vanishing": T random with T_00 = 0, under a random L',
     * "hyperbolic": T random with a zero diagonal, L' = 1, so only
@@ -667,24 +688,49 @@ def _ldl_case(rng, n, k, kind, density):
     A sparse L leaves rows that a pivot skips, whose stamps lag prev, and
     entries b_jc = D_0..D_j L_cj that cancel to 0 where m_jc does not."""
     r = n - k
+    size = 2 ** (bits // 2) if bits else 2
     t = [[0] * r for _ in range(r)]
     if kind == "singular":
         if r >= 2 and rng.random() < 0.7:
             i, j = rng.sample(range(r), 2)
-            t[i][j] = t[j][i] = rng.choice((-3, -1, 1, 2))
+            t[i][j] = t[j][i] = rng.choice((-3, -1, 1, 2)) * (size if bits else 1)
     else:
         for i in range(r):
             for j in range(i, r):
                 if (i, j) != (0, 0) and (kind == "vanishing" or i != j) and rng.random() < 0.6:
-                    t[i][j] = t[j][i] = rng.randint(-4, 4)
+                    t[i][j] = t[j][i] = rng.randint(-2 * size, 2 * size)
     b = [[0] * n for _ in range(n)]
     for i in range(k):
-        b[i][i] = rng.choice((-3, -2, -1, 1, 2, 3, 5))
+        if bits:
+            b[i][i] = rng.randint(1, 2**bits) * (1 if definite else rng.choice((-1, 1)))
+        else:
+            b[i][i] = rng.choice((-3, -2, -1, 1, 2, 3, 5))
     for i in range(r):
         b[k + i][k:] = t[i]
     low = [[int(i == j) if j >= i or (i >= k and j >= k and kind != "vanishing")
-            else rng.randint(-2, 2) if rng.random() < density else 0 for j in range(n)] for i in range(n)]
+            else 0 if band is not None and i - j > band
+            else rng.randint(-size, size) if rng.random() < density else 0 for j in range(n)] for i in range(n)]
     return mat_mul(mat_mul(low, b), transpose(low))
+
+
+def _pair_rows(rows, k):
+    """How the pairs of in-order pivots (2i, 2i + 1), both below k, update
+    the rows past them, read off the oracle's frozen rows (rows[j][c] != 0
+    exactly where pivot j updated row c): by both pivots, by the first or
+    the second alone, and by both with a stamp, the pivot of the row's last
+    update before the pair (or 1), other than prev."""
+    counts = dict.fromkeys(("both", "first", "second", "lagging"), 0)
+    for j in range(0, k - 1, 2):
+        prev = rows[j - 1][j - 1] if j else 1
+        for c in range(j + 2, len(rows)):
+            f, g = rows[j][c], rows[j + 1][c]
+            if f and g:
+                counts["both"] += 1
+                last = next((i for i in range(j - 1, -1, -1) if rows[i][c]), None)
+                counts["lagging"] += (1 if last is None else rows[last][last]) != prev
+            elif f or g:
+                counts["first" if f else "second"] += 1
+    return counts
 
 
 def test_congruence_phase_change_matches_the_oracle():
@@ -720,6 +766,36 @@ def test_congruence_phase_change_matches_the_oracle():
                         lags += any(rows_want[i][i] != rows_want[j - 1][j - 1] for i, j in zip(touched, touched[1:]))
                         cancels += any(m[j][c] and not rows_want[j][c] for j in range(min(c, k)))
     assert lags > 50 and cancels > 50 and rebuilt > 300 and singular > 50, (lags, cancels, rebuilt, singular)
+    # Rank 10-40 with 9-20-bit entries, dense, sparse and banded, definite
+    # and indefinite: the in-order pivots 2i and 2i + 1 go as a pair, which
+    # updates rows by both pivots (some with a stamp that lags prev) and by
+    # one of them alone.  An odd k leaves a pair whose second diagonal
+    # vanishes after the first step, and an odd k = n a last pivot alone.
+    rng = random.Random("pair-step")
+    counts = dict.fromkeys(("both", "first", "second", "lagging"), 0)
+    vanished = alone = tails = 0
+    for n in (10, 15, 24, 33, 40):
+        for k in sorted({1, 2, n // 2 | 1, n // 2 & ~1, n - 1, n}):
+            for kind, definite in ([("vanishing", False), ("hyperbolic", False), ("singular", False)]
+                                   if k < n else [(None, False), (None, True)]):
+                for density, band in ((1.0, None), (0.3, None), (1.0, 2)):
+                    m = _ldl_case(rng, n, k, kind, density, rng.choice((7, 8)), band, definite)
+                    assert 9 <= max(abs(x) for row in m for x in row).bit_length() <= 20, m
+                    assert bareiss_determinant([row[:k] for row in m[:k]]), m
+                    assert k == n or bareiss_determinant([row[:k + 1] for row in m[:k + 1]]) == 0, m
+                    inertia_want, det_want, rows_want, stamps_want = congruence_oracle(m)
+                    elim = congruence(m)
+                    assert (elim.inertia, elim.det, elim.rows, elim.stamps) == (
+                        inertia_want, det_want, rows_want, stamps_want), m
+                    assert (determinant(m), inertia(m)) == (det_want, inertia_want), m
+                    assert not definite or inertia_want == (n, 0, 0), m
+                    for shape, count in _pair_rows(rows_want, k).items():
+                        counts[shape] += count
+                    vanished += k < n and k % 2 and rows_want[k - 1][k] != 0
+                    alone += k == n and n % 2
+                    tails += kind == "hyperbolic" and sum(inertia_want[:2]) > k
+    assert min(counts.values()) > 500 and vanished > 50 and alone >= 12 and tails > 30, (
+        counts, vanished, alone, tails)
     # b_12 = 1 * 1 - 1 * 1 cancels after the first pivot, so row 2's input
     # entry 1 in column 1 must still be zeroed when column 1 is eliminated.
     m = [[1, 1, 1], [1, 3, 1], [1, 1, 3]]
