@@ -12,8 +12,9 @@ Matrix files are a JSON object ({"gram": [[...]], "target": "...", "comment":
 "..."}, target and comment strings) or, for any other content, plain
 whitespace-separated integer rows.  All rationals print as p/q in lowest
 terms, q-values reduced into [0, 1).  Exit codes: 0 pass, 1 verification
-failure, 2 usage or input errors or an exceeded budget, 3 internal errors (a
-failed internal consistency check, reported on one `internal error:` line).
+failure, 2 usage or input errors, an exceeded budget or output that cannot
+be written (an --out path, or stdout), 3 internal errors (a failed internal
+consistency check, reported on one `internal error:` line).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -183,9 +185,21 @@ def dump_matrix_file(gram, target: str | None = None, comment: str | None = None
     return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an --out path that is a directory, or whose directory does not
+    exist, before any work is done for it."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: it is a directory")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise UsageError(f"cannot write {path}: no directory {folder}")
+
+
 def _write_out(path: str | None, content: str) -> None:
-    """Write to `path`, or to stdout for None; a path that cannot be written
-    (a missing directory, a directory itself) is a usage error."""
+    """Write to `path`, or to stdout for None; a path that still cannot be
+    written (no permission, say) is a usage error."""
     if path is None:
         sys.stdout.write(content)
         return
@@ -236,6 +250,7 @@ def _cmd_model(args) -> int:
 
 def _cmd_kmatrix(args) -> int:
     started = time.perf_counter()
+    _check_out(args.out)
     factors = parse_spec_factors(args.spec)
     target = _fold(factors)
     # The oracle's Gauss sum refusal, before any block (they grow with |A|).
@@ -288,6 +303,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_complement(args) -> int:
     started = time.perf_counter()
+    _check_out(args.out)
     gram, embedded_target, _ = load_matrix_file(args.file)
     glued = glue_selfdual_8(gram)
     comp = orthogonal_complement(glued)
@@ -414,13 +430,34 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:
         print("internal error: " + "; ".join(str(exc).splitlines()), file=sys.stderr)
         return 3
+    except OSError as exc:
+        # stdout failed: a closed pipe or a full device.
+        _drop_stdout()
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 2
+
+
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at os.devnull once a write to it failed, so
+    the interpreter's last flush of what is left in its buffer neither fails
+    again nor prints; a stdout with no descriptor, such as an in-process
+    caller's buffer, is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

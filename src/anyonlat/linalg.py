@@ -42,24 +42,27 @@ and multistep integer-preserving Gaussian elimination, Math. Comp. 22,
 same ints as two steps.
 
 Sparse input costs in proportion to the nonzeros the eliminations touch.
-In `congruence`, `hermite_normal_form` and `smith_normal_form` each row
-keeps an upper bound on its last nonzero column, and every row operation,
-rescale and negation runs from the pivot column (in `congruence` the first
-live one, or the updated row's diagonal while one triangle is kept) to the
-larger of its rows' bounds: past both, both rows are zero and stay so.  The
-HNF runs each operation only to the pivot row's bound, past which it adds
-zero, and raises the target row's bound to it where that bound is read
-again; its transform replays each operation over the span of the source
-row alone.  The SNF also keeps, per column, a bound on its last nonzero
-row, so its column operations and swaps, and its scan for rows to clear,
-stop there; it keeps both only for a matrix whose entries are mostly zero,
-since elsewhere the bounds skip little.  `local_smith_form` keeps the
-same bounds on the same terms, and on such a matrix eliminates P m P^T in
-`_fill_order`'s order, replaying V back to m's order.  `congruence` reads
-the rows a pivot updates off the pivot row, since the bordered minors are
-symmetric, and its working copy is the transpose of m, which is m itself
-exactly when m is symmetric, so one pass copies and checks.  `mat_mul`
-walks only the nonzeros of both factors' rows.
+In `congruence` and `hermite_normal_form` each row keeps an upper bound on
+its last nonzero column, and every row operation, rescale and negation
+runs from the pivot column (in `congruence` the first live one, or the
+updated row's diagonal while one triangle is kept) to the larger of its
+rows' bounds: past both, both rows are zero and stay so.  The HNF runs
+each operation only to the pivot row's bound, past which it adds zero,
+and raises the target row's bound to it where that bound is read again;
+its transform replays each operation over the span of the source row
+alone.  `local_smith_form` keeps the HNF's row bounds and, per column, a
+bound on its last nonzero row, so its column swaps and its scan for rows
+to clear stop there; it keeps both only for a matrix whose entries are
+mostly zero, since elsewhere the bounds skip little, and on such a square
+matrix eliminates P m P^T in `_fill_order`'s order, replaying V back to
+m's order.  `smith_normal_form` works on whole rows and columns: its
+callers (the canonical form of a metric group, the glue path, `weights`)
+mostly pass small or diagonal matrices, on which bounds cost more than
+they skip.  `congruence` reads the rows a pivot updates off the pivot row,
+since the bordered minors are symmetric, and its working copy is the
+transpose of m, which is m itself exactly when m is symmetric, so one pass
+copies and checks.  `mat_mul` walks only the nonzeros of both factors'
+rows.
 `determinant` and `inertia` give the same value for P m P^T, so they
 eliminate in a static order (`_fill_order`): rows with more nonzeros than
 the median go last, by count, and the rest keep index order.
@@ -341,13 +344,12 @@ def _to_pivot(a, t, i, j, end, bottom, grow):
         bottom[t], bottom[j] = bottom[j], bottom[t]
 
 
-def _find_pivot(a, t, end, stop):
+def _find_pivot(a, t, stop):
     """(i, j) of the smallest nonzero |a[i][j]| with t <= i < stop and j >= t,
-    the first in row-major order among equals; None for a zero block.  Row i
-    is zero from column end[i] on, so it is read up to there."""
+    the first in row-major order among equals; None for a zero block."""
     best = None
     for i in range(t, stop):
-        tail = a[i][t:end[i]]
+        tail = a[i][t:]
         x = min(filter(None, map(abs, tail)), default=0)
         if x and (best is None or x < best[0]):
             best = (x, i, t + [*map(abs, tail)].index(x))
@@ -361,10 +363,7 @@ def smith_normal_form(m: list[list[int]]) -> SnfResult:
     The row operations are applied but not recorded (U^-1 is read off m V,
     see `SnfResult`).  Once pivot t is being worked, the rows and columns
     before t hold only their diagonal entry, so every operation starts at
-    column or row t.  Row r is zero from column end[r] on and column c from
-    row bottom[c] on, both upper bounds raised as fill comes in, so every
-    step runs inside them: a row operation up to the pivot row's bound, a
-    column operation or swap down to the pivot column's bound.
+    column or row t and runs over the whole rest of the row or column.
 
     The pivot p is the least |entry| of the block, and a pass keeps p at
     (t, t).  So rows below the last one the pass changed still hold only
@@ -374,66 +373,55 @@ def smith_normal_form(m: list[list[int]]) -> SnfResult:
     if not all(map(cols.__eq__, map(len, m))):
         raise ValueError("smith_normal_form requires rows of equal length")
     a = copy_matrix(m)
-    # Bounds pay for their upkeep only where zeros are the most entries;
-    # otherwise they start, and stay, at the full width and height.
-    grow = 2 * sum(map(list.count, a, repeat(0))) > rows * cols
-    end = _ends(a, cols) if grow else [cols] * rows
-    bottom = _ends(zip(*a), rows) if grow else [rows] * cols
     col_ops: list[tuple[int, int, int]] = []
     t = 0
     while t < min(rows, cols):
-        pos = _find_pivot(a, t, end, rows)
+        pos = _find_pivot(a, t, rows)
         if pos is None:
             break
         while True:
             i, j = pos
-            _to_pivot(a, t, i, j, end, bottom, grow)
+            if i != t:
+                a[t], a[i] = a[i], a[t]
             if j != t:
+                for row in a[t:]:
+                    row[t], row[j] = row[j], row[t]
                 col_ops.append((t, j, 0))
             pivot_row = a[t]
-            top = end[t]
             if pivot_row[t] < 0:
-                pivot_row[t:top] = [-x for x in pivot_row[t:top]]
+                pivot_row[t:] = [-x for x in pivot_row[t:]]
             p = pivot_row[t]
-            pivot_tail = pivot_row[t:top]
+            pivot_tail = pivot_row[t:]
             # A nonzero entry in the pivot's row or column has a nonzero
             # quotient.  `column` collects the pivot row and the rows below
             # it left with a remainder at t; rows up to `low` were changed.
             column = [pivot_row]
             low = t + 1
-            for r in range(t + 1, bottom[t]):
+            for r in range(t + 1, rows):
                 row = a[r]
                 if row[t]:
                     q = -(row[t] // p)
-                    row[t:top] = [x + q * y if y else x for x, y in zip(row[t:top], pivot_tail)]
-                    if grow and end[r] < top:
-                        end[r] = top
+                    row[t:] = [x + q * y if y else x for x, y in zip(row[t:], pivot_tail)]
                     low = r + 1
                     if row[t]:
                         column.append(row)
-            if grow and low > t + 1:  # the pivot row's columns now reach row low - 1
-                for c in compress(range(t + 1, top), pivot_tail[1:]):
-                    if bottom[c] < low:
-                        bottom[c] = low
-            for c in range(t + 1, top):
+            for c in range(t + 1, cols):
                 if pivot_row[c]:
                     q = -(pivot_row[c] // p)
                     for row in column:
                         row[c] += q * row[t]
                     col_ops.append((t, c, q))
-            if len(column) > 1 or any(pivot_row[t + 1:top]):
-                pos = _find_pivot(a, t, end, low)
+            if len(column) > 1 or any(pivot_row[t + 1:]):
+                pos = _find_pivot(a, t, low)
                 continue
             # Row and column at t are clear; force the pivot to divide the
             # rest, which a unit pivot always does.
             offender = None if p == 1 else next(
-                (r for r in range(t + 1, rows) if any(map(p.__rmod__, a[r][t + 1:end[r]]))), None)
+                (r for r in range(t + 1, rows) if any(map(p.__rmod__, a[r][t + 1:]))), None)
             if offender is None:
                 break
-            hi = max(top, end[offender])
-            pivot_row[t:hi] = [x + y for x, y in zip(pivot_row[t:hi], a[offender][t:hi])]
-            end[t] = hi
-            pos = _find_pivot(a, t, end, low)
+            pivot_row[t:] = [x + y for x, y in zip(pivot_row[t:], a[offender][t:])]
+            pos = _find_pivot(a, t, low)
         t += 1
     return SnfResult(a, col_ops)
 
@@ -557,8 +545,9 @@ def local_smith_form(m: list[list[int]], powers: dict[int, int]) -> dict[int, Lo
     over Z/M, M the product of the p^k, and each prime goes on from a copy
     of the rest: by the Chinese remainder theorem those steps are steps
     over each Z/p^k.  m is copied as it is, and a row is reduced when a
-    pivot updates it; row and column bounds are kept as in
-    `smith_normal_form`."""
+    pivot updates it; a row operation runs to the pivot row's bound, and
+    a column swap and the scan for rows to clear to the pivot column's
+    (see the module docstring)."""
     rows = len(m)
     cols = len(m[0]) if m else 0
     if not all(map(cols.__eq__, map(len, m))):

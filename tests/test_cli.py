@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import random
@@ -258,9 +260,10 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["kmatrix", "complement"])
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
-    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, command, where):
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, monkeypatch, capsys, command, where):
         # open() raised FileNotFoundError or IsADirectoryError past main,
-        # a traceback with exit code 1, the verification-failure code.
+        # a traceback with exit code 1, the verification-failure code; the
+        # path is now refused before any elimination runs or anything prints.
         out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
         if command == "kmatrix":
             argv = ["kmatrix", "A[3]", "--out", str(out)]
@@ -268,12 +271,46 @@ class TestCommands:
             src = tmp_path / "su3.json"
             src.write_text(dump_matrix_file([[2, 1], [1, 2]], target="B[3]"))
             argv = ["complement", str(src), "--out", str(out)]
+        counts = _count_kernel_calls(monkeypatch, ["congruence", "local_smith_form"])
         assert main(argv) == 2
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()
         assert line.startswith(f"error: cannot write {out}: "), line
-        assert "wrote" not in captured.out and "verdict" not in captured.out
+        assert captured.out == ""
+        assert counts == {"congruence": 0, "local_smith_form": 0}
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command", ["model", "kmatrix", "verify", "complement", "weights"])
+    @pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                       OSError(errno.ENOSPC, "No space left on device")],
+                             ids=["broken-pipe", "full-device"])
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_failed_stdout_is_a_usage_error(self, tmp_path, monkeypatch, capsys, command, error, failing):
+        # A write to stdout raised past main: a traceback with exit code 1,
+        # the verification-failure code.  A stdout with no descriptor, as
+        # here, is left as it is; a failed flush counts as a failed write.
+        class FailingStdout(io.StringIO):
+            def write(self, text):
+                if failing == "write":
+                    raise error
+                return super().write(text)
+
+            def flush(self):
+                if failing == "flush":
+                    raise error
+
+        path = tmp_path / "su3.json"
+        path.write_text(dump_matrix_file([[2, 1], [1, 2]], target="B[3]"))
+        argv = {"model": ["model", "A[3]"], "kmatrix": ["kmatrix", "A[3]"],
+                "verify": ["verify", str(path)], "complement": ["complement", str(path)],
+                "weights": ["weights", str(path)]}[command]
+        stdout = FailingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if not line.startswith("elapsed: ")] == [
+            f"error: cannot write to stdout: {error}"]
+        assert sys.stdout is stdout
 
     def test_kmatrix_smallest_family(self, tmp_path):
         out_file = tmp_path / "semion.json"
@@ -341,6 +378,25 @@ class TestCommands:
     def test_usage_error_exit_2(self):
         assert main(["kmatrix"]) == 2
         assert main(["nonsense"]) == 2
+
+
+@pytest.mark.parametrize("command", [["model", "A[3]"], ["kmatrix", "A[11]", "--positive-definite"]])
+def test_closed_pipe_on_stdout_exits_2_in_a_fresh_process(command):
+    """A fresh process whose stdout is a pipe with no reader exits 2 with
+    one `error:` line, and its shutdown prints no "Exception ignored" and
+    does not turn the exit code into 120.  The pipe's read end is closed
+    before the child starts, so every write to it fails, whatever the size
+    of the output."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "anyonlat.cli", *command], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    finally:
+        os.close(write_end)
+    err = [line for line in proc.stderr.splitlines() if not line.startswith("elapsed: ")]
+    assert (proc.returncode, err) == (2, ["error: cannot write to stdout: [Errno 32] Broken pipe"]), proc.stderr
 
 
 def test_complement_over_glue_budget_exits_2(tmp_path):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from reference_matrices import (
@@ -463,14 +464,23 @@ def _snf_case(rng, kind):
 
 
 def test_smith_normal_form_matches_the_whole_row_oracle():
-    """The span-limited SNF takes the oracle's pivots: equal S, equal column
-    log, so equal columns of V, on sparse and dense input alike, and again
-    after a random permutation of the rows and of the columns."""
+    """The SNF takes the oracle's pivots: equal S, equal column log, so equal
+    columns of V, on sparse and dense input alike, and again after a random
+    permutation of the rows and of the columns.  The fixed cases include
+    the package's own traffic: diagonals of non-chain orders, as
+    `_canonicalize` passes them, the Cartan A_120, the largest glue base a
+    route builds, and a block-diagonal D_4^30 in a basis with no unit entry,
+    so no pivot search stops early on its first pass."""
     from anyonlat.gluing import build_ef_positive, conjugate_realization
-    from anyonlat.lattices import cartan_a
+    from anyonlat.lattices import cartan_a, cartan_d
 
-    fixed = [cartan_a(60).gram, build_ef_positive("F", 5).gram, build_ef_positive("E", 3).gram,
-             build_ef_positive("F", 2).gram, conjugate_realization(cartan_a(22)).gram, [], [[]], [[0, 0]], [[0], [0]]]
+    u = [[1, 0, 0, 0], [2, 1, 0, 0], [1, 0, 1, 0], [-1, 0, 0, 1]]
+    d4 = mat_mul(mat_mul(u, cartan_d(4).gram), transpose(u))
+    assert 1 not in map(abs, chain.from_iterable(d4))
+    diagonals = [block_diagonal([[[d]] for d in ds]) for ds in ((4, 6), (2, 3, 5), (8, 12, 18), (6, 10, 15, 4))]
+    fixed = [cartan_a(60).gram, cartan_a(120).gram, block_diagonal([d4] * 30), *diagonals,
+             build_ef_positive("F", 5).gram, build_ef_positive("E", 3).gram, build_ef_positive("F", 2).gram,
+             conjugate_realization(cartan_a(22)).gram, [], [[]], [[0, 0]], [[0], [0]]]
     rng = random.Random("smith-oracle")
     kinds = ("cartan", "arrowhead", "rectangle", "deficient", "nearly-dense", "disguised")
     cases = fixed + [_snf_case(rng, kinds[trial % len(kinds)]) for trial in range(600)]
