@@ -305,10 +305,10 @@ def _cmd_complement(args) -> int:
     started = time.perf_counter()
     _check_out(args.out)
     gram, embedded_target, _ = load_matrix_file(args.file)
-    glued = glue_selfdual_8(gram)
+    glued = glue_selfdual_8(gram, gauss_budget=max(args.budget, GAUSS_BUDGET_DEFAULT))
     comp = orthogonal_complement(glued)
-    report = verify_realization(comp.gram, conjugate(glued.base_disc.group), iso_budget=args.budget)
-    print(f"complement rank {comp.rank}, |det| {abs(report.det)}")
+    report = verify_realization(comp, conjugate(glued.base_disc.group), iso_budget=args.budget)
+    print(f"complement rank {len(comp)}, |det| {abs(report.det)}")
     for line in report.lines():
         print(line)
     out_target = None
@@ -319,7 +319,7 @@ def _cmd_complement(args) -> int:
             factors = None
         if factors:
             out_target = "*".join(_conjugate_label(f) for f in factors)
-    _write_out(args.out, dump_matrix_file(comp.gram, target=out_target, fmt=args.format))
+    _write_out(args.out, dump_matrix_file(comp, target=out_target, fmt=args.format))
     if args.out:
         print(f"wrote {args.out}")
     print(f"verdict: {'pass' if report.passed else 'FAIL'}")

@@ -55,7 +55,8 @@ coordinates K^{-1} w that `discriminant_form` read off its Smith normal
 form, so no system is solved and no irrational arithmetic ever occurs.
 The input is always `default_ef_input`'s own construction, so the builders
 check neither it nor their output: `kmatrix` runs the oracle once on the
-matrix it writes, and refuses it unless its signature is its rank.
+matrix it writes, and refuses it unless its signature is its rank.  Gram
+matrices pass as plain lists; only `glue_selfdual_8` checks its input.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from operator import mul
 
 from .lattices import (
     DiscriminantData,
-    Lattice,
     cartan_d,
     discriminant_form,
     k_e,
@@ -81,7 +81,7 @@ from .linalg import (
     mat_mul,
     transpose,
 )
-from .metric_groups import BudgetExceededError, InternalError
+from .metric_groups import BudgetExceededError, InternalError, check_gauss_budget
 from .numtheory import crt_pair, factorize, sqrt_mod_prime_power
 
 __all__ = [
@@ -336,15 +336,18 @@ class GluedLattice:
     basis_k8: list[list[int]]
 
 
-def glue_selfdual_8(base: Lattice | list[list[int]]) -> GluedLattice:
-    """Glue base^{+8} into an even unimodular lattice."""
-    gram = base.gram if isinstance(base, Lattice) else base
+def glue_selfdual_8(gram: list[list[int]], gauss_budget: int | None = None) -> GluedLattice:
+    """Glue base^{+8} into an even unimodular lattice, after checking the
+    base is even and positive-definite (its symmetry is its loader's).  A D
+    past `gauss_budget`, the oracle's, is refused before |D| is factored."""
     if not has_even_diagonal(gram):
         raise ValueError("glue_selfdual_8 requires an even base")
     if not is_positive_definite(gram):
         raise ValueError("glue_selfdual_8 requires a positive-definite base")
     m = len(gram)
     disc = discriminant_form(gram)
+    if gauss_budget is not None:
+        check_gauss_budget(disc.order, gauss_budget)
     g = len(disc.invariant_factors)
 
     if g == 0:
@@ -391,7 +394,7 @@ def glue_selfdual_8(base: Lattice | list[list[int]]) -> GluedLattice:
     )
 
 
-def orthogonal_complement(glued: GluedLattice) -> Lattice:
+def orthogonal_complement(glued: GluedLattice) -> list[list[int]]:
     """The Gram matrix of {x in the glued lattice : x . first copy = 0}.
 
     The pairing of the basis with the first copy is the first m columns of
@@ -407,13 +410,13 @@ def orthogonal_complement(glued: GluedLattice) -> Lattice:
         raise GlueSearchError("first copy is not primitively embedded")
     kernel = [t for t, row in zip(hnf.t, hnf.h) if not any(row)]
     gram = mat_mul(mat_mul(kernel, glued.basis_k8), transpose(mat_mul(kernel, glued.basis_rows)))
-    return Lattice([list(map((den * den).__rfloordiv__, row)) for row in gram])
+    return [list(map((den * den).__rfloordiv__, row)) for row in gram]
 
 
-def conjugate_realization(base: Lattice | list[list[int]]) -> Lattice:
+def conjugate_realization(gram: list[list[int]]) -> list[list[int]]:
     """Glue 8 copies of the base and take the complement of the embedded copy:
     an even positive-definite lattice realizing the conjugate model."""
-    return orthogonal_complement(glue_selfdual_8(base))
+    return orthogonal_complement(glue_selfdual_8(gram))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +454,7 @@ def _dual_generator_with_norm(disc: DiscriminantData, gram, target_num: int, r: 
     raise ValueError(f"no dual generator with norm {target_num}/{n} mod 2 exists")
 
 
-def default_ef_input(family: str, r: int) -> Lattice:
+def default_ef_input(family: str, r: int) -> list[list[int]]:
     """Stock positive-definite input for build_ef_positive.
 
     E wants a -1/2^r cyclic form: the D7 root lattice at r = 2 (matching the
@@ -461,17 +464,17 @@ def default_ef_input(family: str, r: int) -> Lattice:
     """
     if family == "E":
         if r == 2:
-            return cartan_d(7)
+            return cartan_d(7).gram
         return conjugate_realization([[2**r]])
     if family == "F":
         if r == 1:
-            return Lattice([[2]])
+            return [[2]]
         d_side = k_e(r) if r % 2 == 0 else k_o(r)
-        return conjugate_realization(d_side)
+        return conjugate_realization(d_side.gram)
     raise ValueError(f"no default input for family {family!r}")
 
 
-def build_ef_positive(family: str, r: int) -> Lattice:
+def build_ef_positive(family: str, r: int) -> list[list[int]]:
     """Even positive-definite realization of E_{2^r} or F_{2^r} by gluing.
 
     E: a rank-2 block [[2/2^r + 2 l.l, 1], [1, 2^r]] tied to two copies of the
@@ -488,7 +491,7 @@ def build_ef_positive(family: str, r: int) -> Lattice:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     n = 2**r
-    gram_in = default_ef_input(family, r).gram
+    gram_in = default_ef_input(family, r)
     disc = discriminant_form(gram_in)
     # norm is n (w K^{-1} w), so the corner is (2 + 2 norm) / n resp. (3 + norm) / n.
     if family == "E":
@@ -506,4 +509,4 @@ def build_ef_positive(family: str, r: int) -> Lattice:
         off = len(head) + copy * len(gram_in)
         for i, wi in enumerate(w):
             gram[0][off + i] = gram[off + i][0] = wi
-    return Lattice(gram)
+    return gram

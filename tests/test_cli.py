@@ -473,6 +473,33 @@ def test_complement_past_the_gauss_budget_exits_2_and_writes_nothing(tmp_path, c
     assert not out.exists()
 
 
+def test_complement_refuses_a_group_past_the_gauss_budget_before_factoring_it(tmp_path, monkeypatch, capsys):
+    """[[2 (10^20 + 39)]] has |D| = 2 (10^20 + 39): the glue's anti-isometry
+    factors |D| by trial division, which ran for minutes, and only then did
+    the oracle's Gauss sum refuse it.  The glue now asks the Gauss budget
+    right after its Smith form, and nothing is factored."""
+    import anyonlat.numtheory
+
+    original = anyonlat.numtheory.factorize
+
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    for mod in [mod for name, mod in sys.modules.items() if name.split(".")[0] == "anyonlat"]:
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, refuse)
+    order = 2 * (10**20 + 39)
+    path = tmp_path / "big.txt"
+    path.write_text(f"{order}\n")
+    assert main(["complement", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: Gauss sum (central_charge_gauss): group of order {order} exceeds budget 1000000; "
+        "raise it with --budget"]
+
+
 def test_complement_of_a_noncyclic_group_past_the_budget_exits_2(tmp_path, capsys):
     """D_4 has D = Z2 x Z2; with `--budget 2` the isometry search refuses it."""
     path = tmp_path / "d4.json"
@@ -561,11 +588,39 @@ def test_complement_eliminates_each_matrix_once(monkeypatch):
     replay = anyonlat.linalg.HnfResult.t
     monkeypatch.setattr(anyonlat.linalg.HnfResult, "t",
                         property(lambda hnf: replays.append(len(hnf.h)) or replay.fget(hnf)))
-    glued = glue_selfdual_8(cartan_a(6))
+    glued = glue_selfdual_8(cartan_a(6).gram)
     assert replays == []
     orthogonal_complement(glued)
     assert replays == [8 * 6]  # the pairing of the glued basis with the first copy
     assert counts == {"determinant": 0, "smith_normal_form": 1, "hermite_normal_form": 2}
+
+
+def test_each_op_checks_a_gram_matrix_at_its_boundary_and_once_in_the_oracle(tmp_path, monkeypatch, capsys):
+    """(symmetry checks, evenness checks) per op, besides the kernels' own
+    entry checks.  A file's matrix is checked for symmetry by its loader; a
+    built one by its named builder (`cartan_a`'s `Lattice`), or not at all
+    (the complement of (8) under E[2^3]).  Evenness is checked where an
+    input enters the gluing or the coset search, and the oracle checks both
+    once.  `weights` runs no oracle."""
+    path = tmp_path / "a6.json"
+    path.write_text(dump_matrix_file(cartan_a(6).gram))
+    names = ["is_symmetric", "has_even_diagonal"]
+    counts = _count_kernel_calls(monkeypatch, names)
+    ops = {
+        "verify": ["verify", str(path), "--target", "B[7]"],
+        "complement": ["complement", str(path)],
+        "weights": ["weights", str(path)],
+        "kmatrix A[7]": ["kmatrix", "A[7]", "--positive-definite"],
+        "kmatrix E[2^3]": ["kmatrix", "E[2^3]", "--positive-definite"],
+    }
+    seen = {}
+    for label, argv in ops.items():
+        counts.update(dict.fromkeys(names, 0))
+        assert main(argv) == 0
+        seen[label] = (counts["is_symmetric"], counts["has_even_diagonal"])
+    capsys.readouterr()
+    assert seen == {"verify": (2, 1), "complement": (2, 2), "weights": (1, 1),
+                    "kmatrix A[7]": (2, 2), "kmatrix E[2^3]": (1, 2)}
 
 
 def test_budget_flag_reaches_the_gauss_sum_of_kmatrix(capsys):
@@ -605,6 +660,15 @@ def test_weights_rank_limit_names_its_layer_and_that_no_flag_raises_it(tmp_path,
     (line,) = capsys.readouterr().err.splitlines()
     assert line == (f"error: coset enumeration (coset_minima): rank {rank} exceeds the fixed limit "
                     f"RANK_LIMIT = {RANK_LIMIT}; no flag raises it")
+
+
+def test_weights_refuses_an_odd_matrix_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "odd.json"
+    path.write_text(dump_matrix_file([[2, 1], [1, 3]]))
+    assert main(["weights", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: Gram matrix must be even (all diagonal entries even)"]
 
 
 def test_model_counts_aut_of_toric_code_cubed_without_an_element_table(monkeypatch, capsys):
@@ -747,15 +811,14 @@ def test_route_rank_bounds_every_matrix_the_route_builds(monkeypatch, spec):
     built = []
     glue = realize.conjugate_realization
 
-    def traced_glue(base):
-        gram = base.gram if hasattr(base, "gram") else base
+    def traced_glue(gram):
         built.append(8 * len(gram))
-        return glue(base)
+        return glue(gram)
 
     monkeypatch.setattr(realize, "conjugate_realization", traced_glue)
     monkeypatch.setattr("anyonlat.gluing.conjugate_realization", traced_glue)
     factor = parse_spec_factors(spec)[0]
-    built.append(len(realize.positive_definite_realization(factor).gram))
+    built.append(len(realize.positive_definite_realization(factor)))
     bound = realize.route_rank(factor)
     assert max(built) <= bound
     if factor.p != 2:

@@ -76,19 +76,19 @@ class TestGlueRankOne:
         from fractions import Fraction
 
         comp = orthogonal_complement(glue_selfdual_8([[2]]))
-        assert comp.rank == 7
-        assert determinant(comp.gram) == 2
-        assert comp.is_even
-        assert is_positive_definite(comp.gram)
-        d = discriminant_form(comp.gram)
+        assert len(comp) == 7
+        assert determinant(comp) == 2
+        assert has_even_diagonal(comp)
+        assert is_positive_definite(comp)
+        d = discriminant_form(comp)
         assert d.q2_gen == (Fraction(3, 2),)
-        rep = verify_realization(comp.gram, conjugate(model("A", 2, 1)))
+        rep = verify_realization(comp, conjugate(model("A", 2, 1)))
         assert rep.passed
 
 
 class TestGlueRankTwo:
     def test_su3_gluing(self):
-        lam, first_copy = glued_lattice_oracle(cartan_a(2).gram, glue_selfdual_8(cartan_a(2)))
+        lam, first_copy = glued_lattice_oracle(cartan_a(2).gram, glue_selfdual_8(cartan_a(2).gram))
         assert len(lam) == 16
         assert determinant(lam) == 1
         assert has_even_diagonal(lam)
@@ -98,12 +98,12 @@ class TestGlueRankTwo:
     def test_complement_realizes_a3(self):
         from fractions import Fraction
 
-        comp = conjugate_realization(cartan_a(2))
-        assert comp.rank == 14
-        assert determinant(comp.gram) == 3
-        d = discriminant_form(comp.gram)
+        comp = conjugate_realization(cartan_a(2).gram)
+        assert len(comp) == 14
+        assert determinant(comp) == 3
+        d = discriminant_form(comp)
         assert d.q2_gen == (Fraction(4, 3),)
-        assert verify_realization(comp.gram, model("A", 3, 1)).passed
+        assert verify_realization(comp, model("A", 3, 1)).passed
 
 
 class TestGlueBasis:
@@ -192,10 +192,10 @@ class TestComplementDuality:
         comp = orthogonal_complement(glued)
         rank = len(base)
         assert len(glued_lattice_oracle(base, glued)[0]) == 8 * rank
-        assert comp.rank == 7 * rank
-        assert abs(determinant(comp.gram)) == abs(determinant(base))
+        assert len(comp) == 7 * rank
+        assert abs(determinant(comp)) == abs(determinant(base))
         target = conjugate(discriminant_form(base).group)
-        assert verify_realization(comp.gram, target).passed
+        assert verify_realization(comp, target).passed
 
 
 class TestGlueGroupProperties:
@@ -211,12 +211,12 @@ class TestGlueGroupProperties:
                 assert (sum(a * b for a, b in zip(g1, g2)) * q2) % 1 == 0
 
     def test_noncyclic_backtracking(self):
-        base = cartan_d(4)  # discriminant Z2 x Z2
+        base = cartan_d(4).gram  # discriminant Z2 x Z2
         glued = glue_selfdual_8(base)
-        assert determinant(glued_lattice_oracle(base.gram, glued)[0]) == 1
+        assert determinant(glued_lattice_oracle(base, glued)[0]) == 1
         comp = orthogonal_complement(glued)
-        target = conjugate(discriminant_form(base.gram).group)
-        assert verify_realization(comp.gram, target).passed
+        target = conjugate(discriminant_form(base).group)
+        assert verify_realization(comp, target).passed
 
     def test_rejects_indefinite_base(self):
         with pytest.raises(ValueError):
@@ -228,40 +228,37 @@ class TestGlueGroupProperties:
 class TestEFBuilders:
     def test_e_family(self):
         for r in (1, 2, 3):
-            lat = build_ef_positive("E", r)
-            assert lat.is_even
-            assert is_positive_definite(lat.gram)
-            assert abs(determinant(lat.gram)) == 4**r
-            assert verify_realization(lat.gram, model("E", 2, r)).passed
+            gram = build_ef_positive("E", r)
+            assert has_even_diagonal(gram)
+            assert is_positive_definite(gram)
+            assert abs(determinant(gram)) == 4**r
+            assert verify_realization(gram, model("E", 2, r)).passed
 
     def test_e2_rank_16(self):
-        lat = build_ef_positive("E", 2)
-        assert lat.rank == 16
+        assert len(build_ef_positive("E", 2)) == 16
 
     def test_e1_matches_d8_form(self):
-        lat = build_ef_positive("E", 1)
-        g1 = discriminant_form(lat.gram).group
+        g1 = discriminant_form(build_ef_positive("E", 1)).group
         g2 = discriminant_form(cartan_d(8).gram).group
         assert is_isomorphic(g1, g2) is not None
 
     def test_f1_matches_d4_form(self):
-        lat = build_ef_positive("F", 1)
-        g1 = discriminant_form(lat.gram).group
+        g1 = discriminant_form(build_ef_positive("F", 1)).group
         g2 = discriminant_form(cartan_d(4).gram).group
         assert is_isomorphic(g1, g2) is not None
 
     def test_f_family(self):
         for r in (2, 3):
-            lat = build_ef_positive("F", r)
-            assert lat.is_even
-            assert is_positive_definite(lat.gram)
-            assert abs(determinant(lat.gram)) == 4**r
-            assert verify_realization(lat.gram, model("F", 2, r)).passed
+            gram = build_ef_positive("F", r)
+            assert has_even_diagonal(gram)
+            assert is_positive_definite(gram)
+            assert abs(determinant(gram)) == 4**r
+            assert verify_realization(gram, model("F", 2, r)).passed
 
     def test_default_inputs_realize_required_forms(self):
-        assert verify_realization(default_ef_input("E", 2).gram, model("B", 2, 2)).passed
-        assert verify_realization(default_ef_input("E", 1).gram, model("B", 2, 1)).passed
-        assert verify_realization(default_ef_input("F", 2).gram, model("C", 2, 2)).passed
+        assert verify_realization(default_ef_input("E", 2), model("B", 2, 2)).passed
+        assert verify_realization(default_ef_input("E", 1), model("B", 2, 1)).passed
+        assert verify_realization(default_ef_input("F", 2), model("C", 2, 2)).passed
 
 
 def test_recursive_searches_leave_no_reference_cycle():
@@ -309,7 +306,7 @@ _GLUE_PINS = {
 @pytest.mark.parametrize("name", list(_GLUE_PINS))
 def test_gluing_outputs_are_pinned(name):
     base, complement_digest, glue_digest = _GLUE_PINS[name]
-    assert _digest(conjugate_realization(base).gram) == complement_digest
+    assert _digest(conjugate_realization(base)) == complement_digest
     assert _digest(glue_selfdual_8(base).glue_generators) == glue_digest
 
 
@@ -326,7 +323,7 @@ _EF_PINS = {
 
 @pytest.mark.parametrize("family", list(_EF_PINS))
 def test_ef_builder_outputs_are_pinned(family):
-    assert tuple(_digest(build_ef_positive(family, r).gram) for r in range(1, 7)) == _EF_PINS[family]
+    assert tuple(_digest(build_ef_positive(family, r)) for r in range(1, 7)) == _EF_PINS[family]
 
 
 _ORACLE_BASES = {name: base for name, (base, _, _) in _GLUE_PINS.items()}
@@ -350,13 +347,13 @@ _cyclic_generators = gluing._glue_generators_cyclic
 @pytest.mark.parametrize("base, generators, message", [
     # (3 Z9)^8 is isotropic of order 9^4, so Lambda is even unimodular, but it
     # holds 3 e_1 of the first copy.
-    (cartan_a(8), lambda n: [[3 if j == t else 0 for j in range(8)] for t in range(8)],
+    (cartan_a(8).gram, lambda n: [[3 if j == t else 0 for j in range(8)] for t in range(8)],
      "first copy is not primitively embedded"),
     # {(x, x)} has order 9^4, but q2(x, x) = 2 q2(x) = 16/9 mod 2.
-    (cartan_a(8), lambda n: [[1 if j in (t, 4 + t) else 0 for j in range(8)] for t in range(4)],
+    (cartan_a(8).gram, lambda n: [[1 if j in (t, 4 + t) else 0 for j in range(8)] for t in range(4)],
      "glued lattice is not even"),
     # Three of the four generators span a group of order 5^3 < 5^4.
-    (cartan_a(4), lambda n: _cyclic_generators(n)[:3],
+    (cartan_a(4).gram, lambda n: _cyclic_generators(n)[:3],
      "glued lattice is not unimodular"),
 ], ids=["imprimitive", "identity-graph", "three-generators"])
 def test_replacement_checks_refuse_a_bad_glue_group(monkeypatch, base, generators, message):
@@ -384,7 +381,7 @@ _NON_ISOTROPIC_D8_GLUE = [
 def test_a_glue_group_with_even_basis_norms_but_odd_pairings_is_not_even(monkeypatch):
     monkeypatch.setattr(gluing, "_glue_generators_search", lambda disc, budget: _NON_ISOTROPIC_D8_GLUE)
     with pytest.raises(GlueSearchError, match="glued lattice is not even"):
-        glue_selfdual_8(cartan_d(8))
+        glue_selfdual_8(cartan_d(8).gram)
 
 
 def test_positive_definite_kmatrix_file_is_pinned(tmp_path, capsys):

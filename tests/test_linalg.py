@@ -479,8 +479,8 @@ def test_smith_normal_form_matches_the_whole_row_oracle():
     assert 1 not in map(abs, chain.from_iterable(d4))
     diagonals = [block_diagonal([[[d]] for d in ds]) for ds in ((4, 6), (2, 3, 5), (8, 12, 18), (6, 10, 15, 4))]
     fixed = [cartan_a(60).gram, cartan_a(120).gram, block_diagonal([d4] * 30), *diagonals,
-             build_ef_positive("F", 5).gram, build_ef_positive("E", 3).gram, build_ef_positive("F", 2).gram,
-             conjugate_realization(cartan_a(22)).gram, [], [[]], [[0, 0]], [[0], [0]]]
+             build_ef_positive("F", 5), build_ef_positive("E", 3), build_ef_positive("F", 2),
+             conjugate_realization(cartan_a(22).gram), [], [[]], [[0, 0]], [[0], [0]]]
     rng = random.Random("smith-oracle")
     kinds = ("cartan", "arrowhead", "rectangle", "deficient", "nearly-dense", "disguised")
     cases = fixed + [_snf_case(rng, kinds[trial % len(kinds)]) for trial in range(600)]
@@ -616,8 +616,8 @@ def test_eliminations_match_the_natural_order_oracles():
     from anyonlat.gluing import build_ef_positive, conjugate_realization
     from anyonlat.lattices import cartan_a
 
-    glued = [build_ef_positive("F", 5).gram, build_ef_positive("E", 3).gram,
-             conjugate_realization(cartan_a(22)).gram]
+    glued = [build_ef_positive("F", 5), build_ef_positive("E", 3),
+             conjugate_realization(cartan_a(22).gram)]
     cases = [(random.Random("glued"), m) for m in glued] + list(_symmetric_cases("span-oracles", 600))
     kinds_singular = kinds_hyperbolic = 0
     for rng, m in cases:
@@ -923,8 +923,8 @@ def test_fill_order_keeps_bands_and_full_patterns_and_defers_hubs():
     assert _fill_order([[dense[min(i, j)][max(i, j)] for j in range(20)] for i in range(20)]) is None
     # The E/F head and glue rows and the complement's dense rows go after
     # almost all their neighbours, which cuts the fill.
-    for gram in (build_ef_positive("F", 5).gram, build_ef_positive("E", 3).gram,
-                 conjugate_realization(cartan_a(22)).gram):
+    for gram in (build_ef_positive("F", 5), build_ef_positive("E", 3),
+                 conjugate_realization(cartan_a(22).gram)):
         n = len(gram)
         pattern = _pattern(gram)
         order = _fill_order(gram)

@@ -36,28 +36,28 @@ TWO_CASES = [
 @pytest.mark.parametrize("fam,p,r", ODD_CASES, ids=lambda v: str(v))
 def test_odd_prime_positive_definite_routes(fam, p, r):
     spec = PrimeFamilySpec(fam, p, r)
-    lat = positive_definite_realization(spec)
-    report = verify_realization(lat.gram, build_prime(spec))
+    gram = positive_definite_realization(spec)
+    report = verify_realization(gram, build_prime(spec))
     assert report.passed, (spec, list(report.lines()))
-    assert report.signature == lat.rank  # the constructors leave definiteness to the caller
+    assert report.signature == len(gram)  # the constructors leave definiteness to the caller
 
 
 @pytest.mark.parametrize("fam,p,r", TWO_CASES, ids=lambda v: str(v))
 def test_two_adic_positive_definite_routes(fam, p, r):
     spec = PrimeFamilySpec(fam, p, r)
-    lat = positive_definite_realization(spec)
-    report = verify_realization(lat.gram, build_prime(spec))
+    gram = positive_definite_realization(spec)
+    report = verify_realization(gram, build_prime(spec))
     assert report.passed, (spec, list(report.lines()))
-    assert report.signature == lat.rank  # the constructors leave definiteness to the caller
+    assert report.signature == len(gram)  # the constructors leave definiteness to the caller
 
 
 def test_expansion_special_cases_route_to_lattices():
     # A_3, B_2, B_4, C_4: served by the complement constructions.
     for fam, p, r, rank in [("A", 3, 1, 14), ("B", 2, 1, 7), ("B", 2, 2, 7), ("C", 2, 2, 21)]:
         spec = PrimeFamilySpec(fam, p, r)
-        lat = positive_definite_realization(spec)
-        assert lat.rank == rank
-        assert verify_realization(lat.gram, build_prime(spec)).passed
+        gram = positive_definite_realization(spec)
+        assert len(gram) == rank
+        assert verify_realization(gram, build_prime(spec)).passed
 
 
 def test_big_cartan_chains():
@@ -81,11 +81,11 @@ def test_eight_copy_glue_exists_for_every_base_tested():
     bases = [[[2]], [[4]], [[8]], [[6]], cartan_a(3).gram, k_e(2).gram, k_o(3).gram]
     for base in bases:
         comp = conjugate_realization(base)
-        assert comp.rank == 7 * len(base)
+        assert len(comp) == 7 * len(base)
 
 
 def test_ef_gluing_larger_r():
-    lat = build_ef_positive("E", 5)
-    assert lat.rank == 16
-    report = verify_realization(lat.gram, build_prime(PrimeFamilySpec("E", 2, 5)))
+    gram = build_ef_positive("E", 5)
+    assert len(gram) == 16
+    report = verify_realization(gram, build_prime(PrimeFamilySpec("E", 2, 5)))
     assert report.passed and report.signature == 16

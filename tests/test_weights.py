@@ -62,6 +62,14 @@ def test_budget_and_definiteness_errors():
         coset_minima([[2, 1], [1, 12]], budget=5)
 
 
+@pytest.mark.parametrize("gram", [[[2, 1], [1, 3]], [[1, 0], [0, 2]]])
+def test_coset_minima_refuses_an_odd_matrix(gram):
+    """`discriminant_form` leaves evenness to its caller, so `coset_minima`
+    refuses an odd, positive-definite Gram matrix itself."""
+    with pytest.raises(ValueError, match="must be even"):
+        coset_minima(gram)
+
+
 def test_rank_limit_comes_before_the_elimination():
     # -A_21 is not positive-definite, but the rank limit is checked first.
     from anyonlat.weights import RANK_LIMIT
