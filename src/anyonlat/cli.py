@@ -10,11 +10,12 @@ Subcommands:
 Model specs name prime families with `*`-products: B[3], A[5^3], E[4]*A[2].
 Matrix files are a JSON object ({"gram": [[...]], "target": "...", "comment":
 "..."}, target and comment strings) or, for any other content, plain
-whitespace-separated integer rows.  All rationals print as p/q in lowest
-terms, q-values reduced into [0, 1).  Exit codes: 0 pass, 1 verification
-failure, 2 usage or input errors, an exceeded budget or output that cannot
-be written (an --out path, or stdout), 3 internal errors (a failed internal
-consistency check, reported on one `internal error:` line).
+whitespace-separated integer rows, each entry an optional sign and the ASCII
+digits 0-9.  All rationals print as p/q in lowest terms, q-values reduced
+into [0, 1).  Exit codes: 0 pass, 1 verification failure, 2 usage or input
+errors, an exceeded budget or output that cannot be written (an --out path,
+or stdout), 3 internal errors (a failed internal consistency check,
+reported on one `internal error:` line).
 """
 
 from __future__ import annotations
@@ -159,15 +160,24 @@ def load_matrix_file(path: str) -> tuple[list[list[int]], str | None, str | None
         comment = payload.get("comment")
     else:
         rows = [line.split() for line in text.splitlines() if line.strip()]
-        try:
-            gram = [[int(x) for x in row] for row in rows]
-        except ValueError as exc:
-            raise UsageError(f"{path}: not a JSON object and not whitespace-separated integers") from exc
+        gram = [[_plain_entry(x, path) for x in row] for row in rows]
     if not gram or any(len(row) != len(gram) for row in gram):
         raise UsageError(f"{path}: matrix must be square and nonempty")
     if not is_symmetric(gram):
         raise UsageError(f"{path}: matrix must be symmetric")
     return gram, target, comment
+
+
+def _plain_entry(text: str, path: str) -> int:
+    """An entry of a plain-row file: an optional sign and the ASCII digits
+    0-9; int() alone would also read "_" and non-ASCII digits."""
+    digits = text[1:] if text.startswith(("+", "-")) else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise UsageError(f"{path}: not a JSON object, and {text!r} is not an integer in the digits 0-9")
+    try:
+        return int(text)
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 def dump_matrix_file(gram, target: str | None = None, comment: str | None = None, fmt: str = "structured") -> str:
@@ -289,7 +299,7 @@ def _cmd_kmatrix(args) -> int:
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
     gram, embedded_target, _ = load_matrix_file(args.file)
-    spec_text = args.target or embedded_target
+    spec_text = args.target if args.target is not None else embedded_target
     if spec_text is None:
         raise UsageError("no --target given and the file embeds none")
     target = parse_spec(spec_text)

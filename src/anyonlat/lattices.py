@@ -301,7 +301,9 @@ def verify_realization(
 
 
 def _from_dynkin(edges, n):
-    gram = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    gram = [[0] * n for _ in range(n)]
+    for i, row in enumerate(gram):
+        row[i] = 2
     for i, j in edges:
         gram[i][j] = gram[j][i] = -1
     return Lattice(gram)

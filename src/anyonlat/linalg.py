@@ -15,11 +15,12 @@ use fractions.Fraction.  Nothing here touches floating point:
 * row-style Hermite normal form T m = H, with T replayed from a log of the
   row operations only when it is read,
 * `congruence`, the one fraction-free elimination, for symmetric matrices:
-  diagonal pivots, and hyperbolic 2x2 pivots when the remaining diagonal
-  vanishes (Sylvester's law without any epsilon perturbation).  One pass
-  yields the exact inertia, the determinant and, for positive-definite
-  input, the leading principal minors and bordered minors that split
-  y^T m y into integer squares (the factors of m = L D L^T, undivided).
+  diagonal pivots in index order, a vanishing pivot p made nonzero by
+  x_p += s x_k (s = +-1) and a zero live row counted as a null direction
+  (Sylvester's law without any epsilon perturbation).  One pass yields the
+  exact inertia, the determinant and, for positive-definite input, the
+  leading principal minors and bordered minors that split y^T m y into
+  integer squares (the factors of m = L D L^T, undivided).
   `determinant` and `inertia` each read it.
 
 `congruence` works in int throughout.  Once the pivots S are eliminated,
@@ -31,31 +32,32 @@ row carries a stamp, the prev at which it was last written, and stored *
 prev / stamp is its current value.  A pivot row is brought to scale when
 read; a row a pivot updates is divided by its own stamp instead of prev,
 which gives the same ints without rescaling it first.  The bordered minors
-are symmetric too, so while each pivot is the first live diagonal (the
-whole run for positive-definite input) only the upper triangle is kept, at
-about half the cost of whole rows; the first pivot out of that order
-rebuilds the live rows' left parts once from it, and the elimination goes
-on over whole rows.  In that one-triangle phase the pivots go two at a
-time, as in Bareiss's two-step elimination (Bareiss, Sylvester's identity
-and multistep integer-preserving Gaussian elimination, Math. Comp. 22,
-1968): a row both pivots update is written once, with one division, to the
-same ints as two steps.
+are symmetric too, so only the upper triangle is kept, at about half the
+cost of whole rows.  They are also bilinear in row and column, so a
+unimodular E acting on the live indices alone maps them to E b E^T at the
+same prev: the step x_p += s x_k for a vanishing pivot keeps every
+division exact, keeps det and inertia, and rewrites only row p of the
+triangle (the textbook diagonalization of a symmetric form, as in Cassels,
+Rational Quadratic Forms, 1978, ch. 2).  The pivots go two at a time, as
+in Bareiss's two-step elimination (Bareiss, Sylvester's identity and
+multistep integer-preserving Gaussian elimination, Math. Comp. 22, 1968):
+a row both pivots update is written once, with one division, to the same
+ints as two steps.
 
 Sparse input costs in proportion to the nonzeros the eliminations touch.
 In `congruence` and `hermite_normal_form` each row keeps an upper bound on
 its last nonzero column, and every row operation, rescale and negation
-runs from the pivot column (in `congruence` the first live one, or the
-updated row's diagonal while one triangle is kept) to the larger of its
-rows' bounds: past both, both rows are zero and stay so.  The HNF runs
-each operation only to the pivot row's bound, past which it adds zero,
-and raises the target row's bound to it where that bound is read again;
-its transform replays each operation over the span of the source row
-alone.  `local_smith_form` keeps the HNF's row bounds and, per column, a
-bound on its last nonzero row, so its column swaps and its scan for rows
-to clear stop there; it keeps both only for a matrix whose entries are
-mostly zero, since elsewhere the bounds skip little, and on such a square
-matrix eliminates P m P^T in `_fill_order`'s order, replaying V back to
-m's order.  `smith_normal_form` works on whole rows and columns: its
+runs from the pivot column (in `congruence` the updated row's diagonal)
+to the larger of its rows' bounds: past both, both rows are zero and stay
+so.  The HNF runs each operation only to the pivot row's bound, past
+which it adds zero, and raises the target row's bound to it where that
+bound is read again; its transform replays each operation over the span
+of the source row alone.  `local_smith_form` keeps the HNF's row bounds
+and, per column, a bound on its last nonzero row, so its column swaps and
+its scan for rows to clear stop there; it keeps both only for a matrix
+whose entries are mostly zero, since elsewhere the bounds skip little, and
+on such a square matrix eliminates P m P^T in `_fill_order`'s order,
+replaying V back to m's order.  `smith_normal_form` works on whole rows and columns: its
 callers (the canonical form of a metric group, the glue path, `weights`)
 mostly pass small or diagonal matrices, on which bounds cost more than
 they skip.  `congruence` reads the rows a pivot updates off the pivot row,
@@ -80,7 +82,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd, prod
-from operator import contains, eq, itemgetter, mul, or_
+from operator import contains, eq, itemgetter, mul
 
 __all__ = [
     "identity_matrix",
@@ -193,10 +195,10 @@ def _current(a, stamp, k, prev, lo, hi):
 
 
 def _triangle_step(b, stamp, end, k, row_p, top, d, prev, p):
-    """Pivot p's update of row k's upper part in `congruence`'s one-triangle
-    phase: the pivot row row_p is at scale prev, with diagonal d, and zero
-    from column top on; b_kp is read off it, at row k's scale, and row k is
-    divided by its own stamp."""
+    """Pivot p's update of row k's upper part in `congruence`: the pivot row
+    row_p is at scale prev, with diagonal d, and zero from column top on;
+    b_kp is read off it, at row k's scale, and row k is divided by its own
+    stamp."""
     row_k = b[k]
     s = stamp[k]
     f = row_p[k] if s == prev else row_p[k] * s // prev  # b_kp at row k's scale
@@ -205,6 +207,25 @@ def _triangle_step(b, stamp, end, k, row_p, top, d, prev, p):
     row_k[p] = 0
     stamp[k] = d
     end[k] = hi
+
+
+def _shift(b, stamp, end, p, k, prev):
+    """x_p += s x_k in `congruence`, for a vanishing pivot p whose row, at
+    scale prev, first has b_pk != 0 at column k: s = 1 unless
+    2 b_pk + b_kk = 0, and then -1, so the new diagonal 2 s b_pk + b_kk is
+    nonzero.  Only row p changes: it adds s times row k (brought to scale
+    prev) from column k on, and s b_jk, read off row j at its own stamp, at
+    each column p < j < k.  Returns row p's new bound, the larger of the
+    two rows' bounds (row p, a pivot row from here on, reads no bound)."""
+    row_p = b[p]
+    row_k = _current(b, stamp, k, prev, k, end[k])
+    f, e = row_p[k], row_k[k]
+    s = -1 if 2 * f + e == 0 else 1
+    hi = max(end[p], end[k])
+    row_p[k:hi] = [x + s * y for x, y in zip(row_p[k:hi], row_k[k:hi])]
+    row_p[p + 1:k] = [s * b[j][k] * prev // stamp[j] for j in range(p + 1, k)]
+    row_p[p] = 2 * s * f + e
+    return hi
 
 
 def _clear_column(b, m, p, row_p, top):
@@ -691,13 +712,14 @@ class Congruence:
     """One congruence elimination of an integer symmetric matrix m.
 
     `inertia` is (n_plus, n_minus, n_zero) and `det` the exact determinant,
-    the last prev, or 0 once only a zero block is left.  `rows` is the
+    the last prev, or 0 once a null direction was found.  `rows` is the
     working matrix of bordered minors b (see the module docstring); the row
-    of each eliminated pivot is frozen as it stood when eliminated, with
-    `stamps` holding the prev it was frozen at; both are the same whether
-    or not the elimination kept one triangle (see `congruence`).
+    of each eliminated pivot, or null row, is frozen as it stood then, with
+    `stamps` holding the prev it was frozen at.  Wherever a vanishing pivot
+    took x_p += s x_k (see `congruence`), the rows frozen from then on are
+    those of E m E^T, E the product of the steps taken so far.
 
-    For positive-definite m the pivots are taken in order, so frozen row i
+    Positive-definite m never meets a vanishing pivot, so frozen row i
     holds b_ij = det m[0..i-1 + i, 0..i-1 + j], its diagonal b_ii = D_i is
     the i-th leading principal minor, and its stamp is D_{i-1} (D_{-1} = 1).
     Then y^T m y = sum_i M_i^2 / (D_i D_{i-1}) with M_i = sum_{j>=i} b_ij y_j:
@@ -721,34 +743,30 @@ class Congruence:
 
 def congruence(m) -> Congruence:
     """Exact congruence elimination of an integer symmetric matrix with
-    diagonal and hyperbolic 2x2 pivots, fraction-free, in the natural order.
+    diagonal pivots, fraction-free, in the natural order.
 
-    A diagonal pivot d = b_pp updates b_kl to (d b_kl - b_kp b_pl) / prev; a
-    hyperbolic pivot, taken once the remaining diagonal vanishes, with
-    beta = b_ij updates it to (-beta^2 b_kl + beta (b_ki b_jl + b_kj b_il))
-    / prev^2 and prev to -beta^2 / prev (Sylvester's identity).  The sign of
-    d / prev, the pivot of the rational elimination, counts towards the
-    inertia; a hyperbolic pivot counts once each way.
+    A pivot d = b_pp updates b_kl to (d b_kl - b_kp b_pl) / prev
+    (Sylvester's identity), and the sign of d / prev, the pivot of the
+    rational elimination, counts towards the inertia.  A vanishing pivot p
+    whose live row has b_pk != 0, k > p first, takes x_p += s x_k: s = 1
+    unless 2 b_pk + b_kk = 0, and then -1, so its new diagonal
+    2 s b_pk + b_kk is nonzero and the elimination goes on in index order.
+    A live row p that is all zero is a null direction: it counts towards
+    n_zero, and pivot p + 1 is next.
 
     The working copy is m's transpose, built in one pass; it equals m
     exactly when m is symmetric, which is the check.  The bordered minors
-    are symmetric, so the rows a pivot updates are read off the pivot rows
-    themselves, and each row keeps a bound on its last nonzero column: an
-    update runs from the first live column to the larger of the bounds of
-    the rows it combines.
+    are symmetric, so only the upper triangle is kept: row k is updated
+    from column k on, with b_kp = b_pk * stamp_k / prev read off the pivot
+    row, and the input's entries left of the diagonal are zeroed as their
+    columns are eliminated, also where b_pk has cancelled to 0 and row k is
+    not updated.  Each row keeps a bound on its last nonzero column: an
+    update runs to the larger of the bounds of the rows it combines.
 
-    While each pivot p is the first live diagonal, only the upper triangle
-    is kept: row k is updated from column k on, with b_kp = b_pk * stamp_k
-    / prev read off the pivot row, and the input's entries left of the
-    diagonal are zeroed as their columns are eliminated, also where b_pk
-    has cancelled to 0 and row k is not updated.  The first pivot out of
-    that order rebuilds the live rows' left parts once, b_kl = b_lk *
-    stamp_k / stamp_l, so the frozen rows and stamps are the same.
-
-    In that phase the pivots go in pairs.  Pivot p = lo first updates row
-    q = lo + 1 alone, which freezes it as a pivot row; if q's diagonal e is
-    then nonzero, p and q go as a pair, and otherwise, as for the last row,
-    pivot p goes on alone.  A row k that both pivots update takes one step
+    The pivots go in pairs.  Pivot p = lo first updates row q = lo + 1
+    alone, which freezes it as a pivot row; if q's diagonal e is then
+    nonzero, p and q go as a pair, and otherwise, as for the last row, pivot
+    p goes on alone.  A row k that both pivots update takes one step
     by Sylvester's identity on the 3 x 3 bordered minor (Bareiss 1968's
     two-step elimination), with f = b_kp at row k's scale s and g = b'_kq
     read off the frozen pivot rows:
@@ -770,10 +788,18 @@ def congruence(m) -> Congruence:
     stamp = [1] * n
     prev = 1
     n_plus = n_minus = n_zero = 0
-    lo = 0  # one triangle while the pivot is the first live diagonal
-    while lo < n and b[lo][lo]:
+    lo = 0
+    while lo < n:
         top = end[lo]
         row_p = b[lo] if stamp[lo] == prev else _current(b, stamp, lo, prev, lo, top)
+        if not row_p[lo]:
+            k = next(compress(range(lo + 1, top), row_p[lo + 1:top]), None)
+            if k is None:  # a null direction: the live row is zero
+                n_zero += 1
+                _clear_column(b, m, lo, row_p, top)
+                lo += 1
+                continue
+            top = _shift(b, stamp, end, lo, k, prev)
         d = row_p[lo]
         if (d > 0) == (prev > 0):
             n_plus += 1
@@ -822,67 +848,6 @@ def congruence(m) -> Congruence:
         _clear_column(b, m, q, row_q, top_q)
         prev = e
         lo = q + 1
-    if 0 < lo < n:
-        # The first pivot out of order: rebuild the live rows' left parts
-        # from the upper triangle, b_kj = b_jk * stamp_k / stamp_j.
-        for j in range(lo, n):
-            row_j, t = b[j], stamp[j]
-            for k in range(j + 1, end[j]):
-                b[k][j] = row_j[k] * stamp[k] // t
-    alive = list(range(lo, n))
-    while alive:
-        lo = alive[0]  # columns before lo are eliminated: zero in every live row
-        p = lo if b[lo][lo] else next((i for i in alive if b[i][i]), None)
-        if p is not None:
-            top = end[p]
-            row_p = b[p]
-            if stamp[p] != prev:
-                row_p = _current(b, stamp, p, prev, lo, top)
-            d = row_p[p]
-            if (d > 0) == (prev > 0):
-                n_plus += 1
-            else:
-                n_minus += 1
-            alive.remove(p)
-            tail = row_p[lo:top]
-            for k in compress(range(lo, top), tail):
-                if k != p:
-                    row_k = b[k]
-                    f = row_k[p]
-                    hi = max(end[k], top)
-                    s = stamp[k]
-                    ys = tail if hi == top else row_p[lo:hi]
-                    row_k[lo:hi] = [(d * x - f * y) // s for x, y in zip(row_k[lo:hi], ys)]
-                    stamp[k] = d
-                    end[k] = hi
-            prev = d
-            continue
-        # All remaining diagonal entries vanish; look for an off-diagonal entry.
-        pair = next(((i, j) for t, i in enumerate(alive) for j in alive[t + 1:] if b[i][j]), None)
-        if pair is None:
-            n_zero = len(alive)
-            break
-        i, j = pair
-        row_i = _current(b, stamp, i, prev, lo, end[i])
-        row_j = _current(b, stamp, j, prev, lo, end[j])
-        beta = row_i[j]
-        n_plus += 1
-        n_minus += 1
-        alive.remove(i)
-        alive.remove(j)
-        top = max(end[i], end[j])
-        b2 = beta * beta
-        for k in compress(range(lo, top), map(or_, row_i[lo:top], row_j[lo:top])):
-            if k != i and k != j:
-                row_k = b[k]
-                fi, fj = row_k[i], row_k[j]
-                hi = max(end[k], top)
-                div = stamp[k] * prev
-                row_k[lo:hi] = [(beta * (fi * yj + fj * yi) - b2 * x) // div
-                                for x, yi, yj in zip(row_k[lo:hi], row_i[lo:hi], row_j[lo:hi])]
-                stamp[k] = -b2 // prev
-                end[k] = hi
-        prev = -b2 // prev
     return Congruence((n_plus, n_minus, n_zero), 0 if n_zero else prev, b, stamp)
 
 

@@ -482,52 +482,40 @@ def bareiss_determinant(m):
 
 def congruence_oracle(m):
     """The congruence elimination in the natural order over whole rows, each
-    pivot scanning every live row: ((n+, n-, n0), det, rows, stamps)."""
+    pivot scanning every live row: ((n+, n-, n0), det, rows, stamps).  A
+    vanishing pivot p, with b_pk != 0 first at k > p, takes x_p += s x_k
+    over whole rows and columns, rows p and k at scale prev, s = -1 where
+    2 b_pk + b_kk = 0 and 1 otherwise; a zero row p is a null direction,
+    counted and skipped."""
     n = len(m)
     b = [list(row) for row in m]
     stamp = [1] * n
     prev = 1
-    alive = list(range(n))
     n_plus = n_minus = n_zero = 0
-    while alive:
-        p = next((i for i in alive if b[i][i]), None)
-        lo = alive[0]
-        if p is not None:
-            row_p = _current_oracle(b, stamp, p, prev)
-            d = row_p[p]
-            if (d > 0) == (prev > 0):
-                n_plus += 1
-            else:
-                n_minus += 1
-            alive.remove(p)
-            for k in alive:
-                if b[k][p]:
-                    row_k = _current_oracle(b, stamp, k, prev)
-                    f = row_k[p]
-                    row_k[lo:] = [(d * x - f * y) // prev for x, y in zip(row_k[lo:], row_p[lo:])]
-                    stamp[k] = d
-            prev = d
-            continue
-        pair = next(((i, j) for t, i in enumerate(alive) for j in alive[t + 1:] if b[i][j]), None)
-        if pair is None:
-            n_zero = len(alive)
-            break
-        i, j = pair
-        row_i, row_j = _current_oracle(b, stamp, i, prev), _current_oracle(b, stamp, j, prev)
-        beta = row_i[j]
-        n_plus += 1
-        n_minus += 1
-        alive.remove(i)
-        alive.remove(j)
-        b2, div = beta * beta, prev * prev
-        for k in alive:
-            if b[k][i] or b[k][j]:
+    for p in range(n):
+        row_p = _current_oracle(b, stamp, p, prev)
+        if not row_p[p]:
+            k = next((k for k in range(p + 1, n) if row_p[k]), None)
+            if k is None:
+                n_zero += 1
+                continue
+            row_k = _current_oracle(b, stamp, k, prev)
+            s = -1 if 2 * row_p[k] + row_k[k] == 0 else 1
+            row_p[p:] = [x + s * y for x, y in zip(row_p[p:], row_k[p:])]
+            for row in b[p:]:
+                row[p] += s * row[k]
+        d = row_p[p]
+        if (d > 0) == (prev > 0):
+            n_plus += 1
+        else:
+            n_minus += 1
+        for k in range(p + 1, n):
+            if b[k][p]:
                 row_k = _current_oracle(b, stamp, k, prev)
-                fi, fj = row_k[i], row_k[j]
-                row_k[lo:] = [(beta * (fi * yj + fj * yi) - b2 * x) // div
-                              for x, yi, yj in zip(row_k[lo:], row_i[lo:], row_j[lo:])]
-                stamp[k] = -b2 // prev
-        prev = -b2 // prev
+                f = row_k[p]
+                row_k[p:] = [(d * x - f * y) // prev for x, y in zip(row_k[p:], row_p[p:])]
+                stamp[k] = d
+        prev = d
     return (n_plus, n_minus, n_zero), 0 if n_zero else prev, b, stamp
 
 

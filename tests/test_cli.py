@@ -192,7 +192,8 @@ class TestMatrixFiles:
         b"\xff\xfe2 1\n1 2\n",  # not UTF-8
         b"[" * 100000 + b"]" * 100000,  # nesting past the recursion limit
         b'{"gram": [[' + b"2" * 5000 + b"]]}",  # an integer past the digit limit
-    ], ids=["not-utf8", "deep-json", "long-int-json"])
+        b"2 " + b"2" * 5000 + b"\n" + b"2" * 5000 + b" 2\n",  # the same in plain rows
+    ], ids=["not-utf8", "deep-json", "long-int-json", "long-int-plain"])
     def test_rejects_undecodable_files(self, tmp_path, capsys, data):
         # Each escaped load_matrix_file as another exception; the deep JSON's
         # RecursionError left main as a traceback.
@@ -202,7 +203,7 @@ class TestMatrixFiles:
             load_matrix_file(str(path))
         assert main(["verify", str(path), "--target", "B[3]"]) == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: ")
+        assert line.startswith("error: ") and str(path) in line
 
     def test_plain_rank_one_file_loads(self, tmp_path, capsys):
         # "2" also parses as a JSON number; only a JSON object is structured.
@@ -216,6 +217,27 @@ class TestMatrixFiles:
         assert main(["weights", str(path)]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ")
+
+    @pytest.mark.parametrize("entry", ["-1_0", "1_0", "\u0662", "+\u0662", "--1", "+-1", "-", "+", "1.0", "0x2"])
+    def test_plain_entries_take_a_sign_and_ascii_digits_only(self, tmp_path, capsys, entry):
+        """int() reads "-1_0" as -10 and the Arabic-Indic digit two as 2, so
+        `2 -1_0` and a file of "\u0662" loaded (the latter passed against
+        B[3]); a plain entry is an optional sign and the digits 0-9 only."""
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2 {entry}\n{entry} 2\n", encoding="utf-8")
+        with pytest.raises(UsageError):
+            load_matrix_file(str(path))
+        path.write_text(f"{entry}\n", encoding="utf-8")
+        assert main(["verify", str(path), "--target", "B[3]"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == f"error: {path}: not a JSON object, and {entry!r} is not an integer in the digits 0-9"
+
+    def test_plain_entries_keep_their_signs(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("+2 -1 0\n-1 +2 -1\n0 -1 002\n")
+        assert load_matrix_file(str(path))[0] == [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 
     @pytest.mark.parametrize("extra", ['"target": 3', '"target": null', '"target": ["B[3]"]',
                                        '"comment": 7'])
@@ -335,6 +357,21 @@ class TestCommands:
         path = tmp_path / "m.txt"
         path.write_text("2\n")
         assert main(["verify", str(path)]) == 2
+
+    @pytest.mark.parametrize("target", ["", " "])
+    def test_verify_reads_an_empty_target_flag_not_the_embedded_one(self, tmp_path, capsys, target):
+        """`--target ""` used to fall back to the file's embedded "B[3]" and
+        pass; an empty --target is the spec given, refused as an embedded
+        empty one is."""
+        path = tmp_path / "su3.json"
+        path.write_text(dump_matrix_file([[2, 1], [1, 2]], target="B[3]"))
+        assert main(["verify", str(path), "--target", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: empty factor at position 0 in {target!r}"]
+        path.write_text(dump_matrix_file([[2, 1], [1, 2]], target=""))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: empty factor at position 0 in ''"]
 
     def test_complement_roundtrip(self, tmp_path, capsys):
         src = tmp_path / "su3.json"

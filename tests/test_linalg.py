@@ -173,7 +173,7 @@ def test_random_exactness_properties():
             n_plus, n_minus, n_zero = inertia(sym)
             assert n_plus + n_minus + n_zero == n
             # The congruence determinant in both orders against Bareiss,
-            # also on a zero diagonal (hyperbolic pivots) and on a singular
+            # also on a zero diagonal (x_p +- x_k steps) and on a singular
             # matrix (the last index repeats the first).
             hyperbolic = [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(sym)]
             singular = [[row[j] if j < n - 1 else row[0] for j in range(n)] for row in sym]
@@ -231,7 +231,7 @@ def cofactor_det(m):
 def test_determinant_against_cofactor_expansion():
     # Sparse entries, zero leading pivots and singular matrices, all
     # symmetric: the cases where the congruence elimination skips rows or
-    # falls back to a hyperbolic pivot.
+    # makes a vanishing pivot nonzero by x_p +- x_k.
     rng = random.Random(6161)
     singular = 0
     for trial in range(600):
@@ -314,7 +314,7 @@ def test_congruence_against_a_fraction_elimination():
             for j in range(i + 1):
                 m[i][j] = m[j][i] = 0 if rng.random() < 0.4 else rng.randint(-20, 20)
         if trial % 2:
-            # zero diagonal: the first pivots are hyperbolic
+            # zero diagonal: the first pivots take x_p +- x_k steps
             for i in range(n):
                 m[i][i] = 0
             hyperbolic += 1
@@ -332,7 +332,7 @@ def test_congruence_against_a_fraction_elimination():
     # test_congruence_phase_change_matches_the_oracle): dense and banded,
     # definite and indefinite, odd ranks whose last pivot runs alone, a pair
     # whose second diagonal vanishes after the first step (k odd), and a
-    # hyperbolic tail; the rows and stamps are the whole-row oracle's.
+    # zero-diagonal tail; the rows and stamps are the whole-row oracle's.
     rng = random.Random("pair-fractions")
     for n, k, kind, density, band, definite in [
             (10, 10, None, 1.0, None, True), (11, 11, None, 1.0, None, False), (24, 24, None, 1.0, 3, True),
@@ -389,6 +389,58 @@ def test_congruence_on_a_rank_300_cartan():
     assert columns == [[(i + 1, Fraction(-(i + 1), i + 2))] for i in range(n - 1)] + [[]]
     negated = [[-x for x in row] for row in m]
     assert (congruence(negated).inertia, congruence(negated).det) == ((0, n, 0), n + 1)
+
+
+def _vanishing_corner(e):
+    """Pivot 0 (d = 2) leaves b_11 = 0 with b_1k != 0 first at k = 4, past
+    row 3's bound; row 2 lies between, with b_24 = 5 at a stamp (1) that
+    lags prev (2); row 4 reaches column 5, past row 1's bound.  e = -2 makes
+    2 b_14 + b_44 = 4 + 2 e vanish, so the step takes s = -1."""
+    return [[2, 2, 0, 0, 0, 0], [2, 2, 0, 0, 1, 0], [0, 0, 2, 0, 5, 0],
+            [0, 0, 0, 3, 0, 0], [0, 1, 5, 0, e, 3], [0, 0, 0, 0, 3, 1]]
+
+
+@pytest.mark.parametrize("m, want, p, row", [
+    # s = -1: 2 b_01 + b_11 = 0, so x_0 -= x_1 and the pivot is -4
+    ([[0, 1], [1, -2]], ((1, 1, 0), -1), 0, [-4, 3]),
+    # a null row between two pivots
+    ([[2, 0, 0], [0, 0, 0], [0, 0, -2]], ((1, 1, 1), 0), 1, [0, 0, 0]),
+    # b_11 = b_12 = 0 after pivot 0: row 1 is null, and row 2's input
+    # entry in column 1 must still be zeroed
+    ([[1, 1, 1], [1, 1, 1], [1, 1, 3]], ((2, 0, 1), 0), 1, [0, 0, 0]),
+    # x_0 += x_2 past the zero row 1, which is then null
+    ([[0, 0, 1], [0, 0, 0], [1, 0, 0]], ((1, 1, 1), 0), 0, [2, 0, 1]),
+    (_vanishing_corner(-2), ((5, 1, 0), -12), 1, [0, -8, -10, 0, 6, -6]),
+    (_vanishing_corner(7), ((5, 1, 0), -12), 1, [0, 18, 10, 0, 16, 6]),
+], ids=["minus", "null-row", "null-row-cleared", "past-a-zero-row", "corner-minus", "corner-plus"])
+def test_congruence_vanishing_pivot_takes_x_p_plus_or_minus_x_k(m, want, p, row):
+    """A vanishing pivot p takes x_p += s x_k for the first k > p with
+    b_pk != 0, s = -1 exactly where 2 b_pk + b_kk = 0; a zero live row is a
+    null direction.  Pinned against the Fraction elimination and Bareiss,
+    with the whole-row oracle's rows and stamps, and the frozen row of the
+    first vanishing pivot p (the shifted row, or the null row) spelled out."""
+    elim = congruence(m)
+    assert (elim.inertia, elim.det) == want == fraction_congruence(m)
+    assert elim.det == bareiss_determinant(m) == determinant(m)
+    assert elim.inertia == inertia(m)
+    assert (elim.inertia, elim.det, elim.rows, elim.stamps) == congruence_oracle(m)
+    assert elim.rows[p] == row
+
+
+def test_congruence_on_hyperbolic_planes():
+    """U^k, U = [[0, 1], [1, 0]], takes one x_p + x_k step per plane in the
+    natural order; A_40 + U^100 is the CI's rank-240 case, where the static
+    order puts the 200 hyperbolic rows first."""
+    u = [[0, 1], [1, 0]]
+    for k in (1, 2, 5, 30):
+        m = block_diagonal([u] * k)
+        elim = congruence(m)
+        assert (elim.inertia, elim.det) == ((k, k, 0), (-1) ** k)
+        assert (elim.inertia, elim.det, elim.rows, elim.stamps) == congruence_oracle(m)
+    m = block_diagonal([[[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(40)] for i in range(40)]]
+                       + [u] * 100)
+    assert (determinant(m), inertia(m)) == (41, (140, 100, 0))
+    assert (congruence(m).inertia, congruence(m).det) == ((140, 100, 0), 41)
 
 
 def replayed_v(snf, cols):
@@ -691,8 +743,8 @@ def _ldl_case(rng, n, k, kind, density, bits=0, band=None, definite=False):
     band, so m is banded.  The tail T is one of:
 
     * "vanishing": T random with T_00 = 0, under a random L',
-    * "hyperbolic": T random with a zero diagonal, L' = 1, so only
-      hyperbolic pairs are left (and a zero block if T is singular),
+    * "hyperbolic": T random with a zero diagonal, L' = 1, so every pivot
+      left vanishes until an x_p +- x_k step (null rows if T is singular),
     * "singular": T = 0 but for at most one hyperbolic pair, L' = 1.
 
     A sparse L leaves rows that a pivot skips, whose stamps lag prev, and
@@ -745,14 +797,14 @@ def _pair_rows(rows, k):
 
 def test_congruence_phase_change_matches_the_oracle():
     """After k in-order pivots, for every k, the first live diagonal vanishes
-    and the elimination leaves the upper triangle: the rebuilt left parts
-    must give the oracle's rows, stamps, det and inertia, through a
-    vanishing diagonal, hyperbolic pairs and a singular tail.  The cases
+    and takes an x_p +- x_k step or is a null row: the rows, stamps, det
+    and inertia must be the oracle's, through a vanishing diagonal, a
+    zero-diagonal tail and a singular tail.  The cases
     include rows whose stamp lags prev when a pivot updates them, and input
     entries whose bordered minor cancels to 0 before their column is
     eliminated; both are counted off the oracle's frozen pivot rows."""
     rng = random.Random("phase-change")
-    lags = cancels = rebuilt = singular = 0
+    lags = cancels = late = singular = 0
     for n in range(1, 10):
         for k in range(n + 1):
             for kind in ("vanishing", "hyperbolic", "singular"):
@@ -766,7 +818,7 @@ def test_congruence_phase_change_matches_the_oracle():
                     assert (elim.inertia, elim.det, elim.rows, elim.stamps) == (
                         inertia_want, det_want, rows_want, stamps_want), m
                     assert (determinant(m), inertia(m)) == (det_want, inertia_want), m
-                    rebuilt += 0 < k < n
+                    late += 0 < k < n  # a vanishing pivot after k in order
                     singular += 0 < k < n and inertia_want[2] > 0
                     # pivot j < k froze row j: rows_want[j][c] = b_jc, nonzero
                     # exactly where pivot j updated row c
@@ -775,7 +827,7 @@ def test_congruence_phase_change_matches_the_oracle():
                         # row c's stamp is the pivot D_i of its last update i
                         lags += any(rows_want[i][i] != rows_want[j - 1][j - 1] for i, j in zip(touched, touched[1:]))
                         cancels += any(m[j][c] and not rows_want[j][c] for j in range(min(c, k)))
-    assert lags > 50 and cancels > 50 and rebuilt > 300 and singular > 50, (lags, cancels, rebuilt, singular)
+    assert lags > 50 and cancels > 50 and late > 300 and singular > 50, (lags, cancels, late, singular)
     # Rank 10-40 with 9-20-bit entries, dense, sparse and banded, definite
     # and indefinite: the in-order pivots 2i and 2i + 1 go as a pair, which
     # updates rows by both pivots (some with a stamp that lags prev) and by
