@@ -230,7 +230,6 @@ def _frac(x: Fraction) -> str:
 
 
 def _cmd_model(args) -> int:
-    started = time.perf_counter()
     factors = parse_spec_factors(args.spec)
     group = _fold(factors)
     print(f"model {args.spec}")
@@ -254,12 +253,10 @@ def _cmd_model(args) -> int:
         aut = aut_bruteforce(group, budget=args.budget)
         label = f" ({aut.structure_name})" if aut.structure_name else ""
         print(f"|Aut| = {aut.order}{label}  [brute force]")
-    print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return 0
 
 
 def _cmd_kmatrix(args) -> int:
-    started = time.perf_counter()
     _check_out(args.out)
     factors = parse_spec_factors(args.spec)
     target = _fold(factors)
@@ -292,12 +289,10 @@ def _cmd_kmatrix(args) -> int:
     if args.out:
         print(f"wrote {args.out}")
     print("verdict: pass")
-    print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    started = time.perf_counter()
     gram, embedded_target, _ = load_matrix_file(args.file)
     spec_text = args.target if args.target is not None else embedded_target
     if spec_text is None:
@@ -307,12 +302,10 @@ def _cmd_verify(args) -> int:
     for line in report.lines():
         print(line)
     print(f"verdict: {'pass' if report.passed else 'FAIL'} ({args.file} vs {spec_text})")
-    print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1
 
 
 def _cmd_complement(args) -> int:
-    started = time.perf_counter()
     _check_out(args.out)
     gram, embedded_target, _ = load_matrix_file(args.file)
     glued = glue_selfdual_8(gram, gauss_budget=max(args.budget, GAUSS_BUDGET_DEFAULT))
@@ -333,7 +326,6 @@ def _cmd_complement(args) -> int:
     if args.out:
         print(f"wrote {args.out}")
     print(f"verdict: {'pass' if report.passed else 'FAIL'}")
-    print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1
 
 
@@ -352,7 +344,6 @@ def _conjugate_label(spec: PrimeFamilySpec) -> str:
 
 
 def _cmd_weights(args) -> int:
-    started = time.perf_counter()
     gram, _, _ = load_matrix_file(args.file)
     minima = coset_minima(gram, budget=args.budget)
     # coset_minima accepts only positive-definite K, so the signature is the
@@ -367,7 +358,6 @@ def _cmd_weights(args) -> int:
     if nonzero:
         print(f"min nonzero h = {_frac(nonzero[0])}")
     print(f"extremality score = {_frac(score_of_minima(minima, len(gram)))}")
-    print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return 0
 
 
@@ -439,10 +429,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    started = time.perf_counter()
     try:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()
-        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -454,6 +444,8 @@ def main(argv: list[str] | None = None) -> int:
         _drop_stdout()
         print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return 2
+    print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
+    return code
 
 
 def _drop_stdout() -> None:

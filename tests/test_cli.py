@@ -1,13 +1,10 @@
+import dataclasses
 import errno
 import io
 import json
-import os
 import random
-import resource
-import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -29,11 +26,9 @@ from anyonlat.gluing import (
     glue_selfdual_8,
     orthogonal_complement,
 )
-from anyonlat.lattices import cartan_a, cartan_d, e8_gram
+from anyonlat.lattices import CheckResult, cartan_a, cartan_d, e8_gram
 from anyonlat.metric_groups import central_charge_gauss
 from anyonlat.realize import ROUTE_RANK_LIMIT
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestParseSpec:
@@ -330,8 +325,7 @@ class TestCommands:
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
-        assert [line for line in err if not line.startswith("elapsed: ")] == [
-            f"error: cannot write to stdout: {error}"]
+        assert err == [f"error: cannot write to stdout: {error}"]
         assert sys.stdout is stdout
 
     def test_kmatrix_smallest_family(self, tmp_path):
@@ -417,47 +411,46 @@ class TestCommands:
         assert main(["nonsense"]) == 2
 
 
-@pytest.mark.parametrize("command", [["model", "A[3]"], ["kmatrix", "A[11]", "--positive-definite"]])
-def test_closed_pipe_on_stdout_exits_2_in_a_fresh_process(command):
-    """A fresh process whose stdout is a pipe with no reader exits 2 with
-    one `error:` line, and its shutdown prints no "Exception ignored" and
-    does not turn the exit code into 120.  The pipe's read end is closed
-    before the child starts, so every write to it fails, whatever the size
-    of the output."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run([sys.executable, "-m", "anyonlat.cli", *command], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True, timeout=120, env=env)
-    finally:
-        os.close(write_end)
-    err = [line for line in proc.stderr.splitlines() if not line.startswith("elapsed: ")]
-    assert (proc.returncode, err) == (2, ["error: cannot write to stdout: [Errno 32] Broken pipe"]), proc.stderr
+def _fail_one_more_check(real):
+    """`real` with one failed check added to the report it returns."""
+    def report(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return dataclasses.replace(result, checks=result.checks + (CheckResult("forced", False, "failed"),))
+    return report
 
 
-def test_complement_over_glue_budget_exits_2(tmp_path):
-    """D = Z2 x Z6 puts 12^8 elements in D^8, past the glue search's node
-    budget: one `error:` line and exit 2, before anything is listed.  The
-    child runs under a 1 GiB address-space cap, so a search that allocates
-    first fails this test instead of exhausting the machine's memory."""
-    path = tmp_path / "z2z6.json"
-    path.write_text(dump_matrix_file([[4, 2], [2, 4]]))
-
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from anyonlat.cli import main; sys.exit(main(sys.argv[1:]))",
-         "complement", str(path)],
-        capture_output=True, text=True, timeout=300, env=env, preexec_fn=cap_address_space,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    (line,) = proc.stderr.splitlines()
-    assert line.startswith("error: glue search")
-    assert str(12**8) in line and str(GLUE_SEARCH_NODE_BUDGET) in line
+@pytest.mark.parametrize("argv, code, forced", [
+    (["model", "A[3]"], 0, None),
+    (["model", "A[3]"], 1, "central_charge_closed"),
+    (["model", "X[3]"], 2, None),
+    (["kmatrix", "A[3]"], 0, None),
+    (["kmatrix", "A[3]"], 1, "verify_realization"),
+    (["kmatrix", "X[3]"], 2, None),
+    (["verify", "{su3}", "--target", "B[3]"], 0, None),
+    (["verify", "{su3}", "--target", "A[3]"], 1, None),
+    (["verify", "{su3}", "--target", "X[3]"], 2, None),
+    (["complement", "{su3}"], 0, None),
+    (["complement", "{su3}"], 1, "verify_realization"),
+    (["complement", "{missing}"], 2, None),
+    (["weights", "{su3}"], 0, None),
+    (["weights", "{missing}"], 2, None),
+])
+def test_one_elapsed_line_after_a_pass_or_a_failure_and_none_after_a_usage_error(
+        tmp_path, monkeypatch, capsys, argv, code, forced):
+    """main prints the `elapsed:` line once, after the subcommand returns,
+    whatever its verdict; a usage error exits 2 with no time line.  (weights
+    has no failing verdict.)"""
+    path = tmp_path / "su3.json"
+    path.write_text(dump_matrix_file([[2, 1], [1, 2]]))
+    if forced == "central_charge_closed":
+        real = cli.central_charge_closed
+        monkeypatch.setattr(cli, forced, lambda spec: real(spec) + 1)
+    elif forced:
+        monkeypatch.setattr(cli, forced, _fail_one_more_check(cli.verify_realization))
+    files = {"su3": path, "missing": tmp_path / "missing.json"}
+    assert main([arg.format(**files) for arg in argv]) == code
+    elapsed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("elapsed: ")]
+    assert len(elapsed) == (code != 2), elapsed
 
 
 def test_glue_budget_error_names_its_layer_and_that_no_flag_raises_it(tmp_path, capsys):

@@ -1,10 +1,6 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from math import lcm
-from pathlib import Path
 
 import mpmath
 import pytest
@@ -267,31 +263,6 @@ def test_direct_sum_order_does_not_matter_up_to_isometry():
         for x in left.elements():
             assert right.q(apply_witness(left, right, witness, x)) == left.q(x)
     assert searched >= 10 and rewritten >= 5
-
-
-def test_import_leaves_mpmath_precision_alone():
-    """In a fresh process, `import anyonlat.cli` loads nothing but the
-    standard library and the package itself (the modules `site` loaded
-    before it do not count), and a Gauss sum leaves mpmath's precision as
-    it was."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys\n"
-        "loaded = set(sys.modules)\n"
-        "import anyonlat.cli\n"
-        "new = {name.partition('.')[0] for name in set(sys.modules) - loaded}\n"
-        "outside = sorted(new - set(sys.stdlib_module_names) - {'anyonlat'})\n"
-        "assert not outside, outside\n"
-        "import mpmath\n"
-        "from anyonlat import build_prime, central_charge_gauss, PrimeFamilySpec\n"
-        "before = mpmath.mp.prec\n"
-        "assert central_charge_gauss(build_prime(PrimeFamilySpec('B', 3, 1))) == 2\n"
-        "print(before, mpmath.mp.prec)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["53", "53"]
 
 
 def test_unit_root_is_correctly_rounded():
