@@ -196,10 +196,12 @@ def dump_matrix_file(gram, target: str | None = None, comment: str | None = None
 
 
 def _check_out(path: str | None) -> None:
-    """Refuse an --out path that is a directory, or whose directory does not
-    exist, before any work is done for it."""
+    """Refuse an --out path that is empty or a directory, or whose directory
+    does not exist, before any work is done for it."""
     if path is None:
         return
+    if not path:
+        raise UsageError("cannot write an empty --out path")
     if os.path.isdir(path):
         raise UsageError(f"cannot write {path}: it is a directory")
     folder = os.path.dirname(path) or "."

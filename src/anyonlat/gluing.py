@@ -112,8 +112,6 @@ def _rotation_pair(p: int, e: int) -> tuple[int, int]:
     pk = p**e
     for a in range(pk):
         t = (-1 - a * a) % pk
-        if t == 0:
-            return a, 0
         if t % p:
             roots = sqrt_mod_prime_power(t, p, e)
             if roots:

@@ -32,17 +32,19 @@ row carries a stamp, the prev at which it was last written, and stored *
 prev / stamp is its current value.  A pivot row is brought to scale when
 read; a row a pivot updates is divided by its own stamp instead of prev,
 which gives the same ints without rescaling it first.  The bordered minors
-are symmetric too, so only the upper triangle is kept, at about half the
-cost of whole rows.  They are also bilinear in row and column, so a
-unimodular E acting on the live indices alone maps them to E b E^T at the
-same prev: the step x_p += s x_k for a vanishing pivot keeps every
-division exact, keeps det and inertia, and rewrites only row p of the
-triangle (the textbook diagonalization of a symmetric form, as in Cassels,
-Rational Quadratic Forms, 1978, ch. 2).  The pivots go two at a time, as
-in Bareiss's two-step elimination (Bareiss, Sylvester's identity and
-multistep integer-preserving Gaussian elimination, Math. Comp. 22, 1968):
-a row both pivots update is written once, with one division, to the same
-ints as two steps.
+are symmetric too, so only the upper triangle is read and written, at
+about half the cost of whole rows; the input's entries left of the
+diagonal are never touched (LAPACK's `?sytrf` with UPLO = 'U' leaves the
+strictly lower part of A unreferenced in the same way).  They are also
+bilinear in row and column, so a unimodular E acting on the live indices
+alone maps them to E b E^T at the same prev: the step x_p += s x_k for a
+vanishing pivot keeps every division exact, keeps det and inertia, and
+rewrites only row p of the triangle (the textbook diagonalization of a
+symmetric form, as in Cassels, Rational Quadratic Forms, 1978, ch. 2).
+The pivots go two at a time, as in Bareiss's two-step elimination
+(Bareiss, Sylvester's identity and multistep integer-preserving Gaussian
+elimination, Math. Comp. 22, 1968): a row both pivots update is written
+once, with one division, to the same ints as two steps.
 
 Sparse input costs in proportion to the nonzeros the eliminations touch.
 In `congruence` and `hermite_normal_form` each row keeps an upper bound on
@@ -194,17 +196,16 @@ def _current(a, stamp, k, prev, lo, hi):
     return row
 
 
-def _triangle_step(b, stamp, end, k, row_p, top, d, prev, p):
-    """Pivot p's update of row k's upper part in `congruence`: the pivot row
-    row_p is at scale prev, with diagonal d, and zero from column top on;
-    b_kp is read off it, at row k's scale, and row k is divided by its own
-    stamp."""
+def _triangle_step(b, stamp, end, k, row_p, top, d, prev):
+    """A pivot's update of row k in `congruence`, from column k on: the
+    pivot row row_p is at scale prev, with diagonal d, and zero from column
+    top on; b_kp is read off it, at row k's scale, and row k is divided by
+    its own stamp.  Row k's entries left of column k stay as they are."""
     row_k = b[k]
     s = stamp[k]
     f = row_p[k] if s == prev else row_p[k] * s // prev  # b_kp at row k's scale
     hi = max(end[k], top)
     row_k[k:hi] = [(d * x - f * y) // s for x, y in zip(row_k[k:hi], row_p[k:hi])]
-    row_k[p] = 0
     stamp[k] = d
     end[k] = hi
 
@@ -226,14 +227,6 @@ def _shift(b, stamp, end, p, k, prev):
     row_p[p + 1:k] = [s * b[j][k] * prev // stamp[j] for j in range(p + 1, k)]
     row_p[p] = 2 * s * f + e
     return hi
-
-
-def _clear_column(b, m, p, row_p, top):
-    """Zero the input entries left in column p once pivot p is eliminated:
-    a row the pivot skipped, where b_pk is 0, may still hold m's entry."""
-    if not all(row_p[p + 1:top]):
-        for k in compress(range(p + 1, top), m[p][p + 1:top]):
-            b[k][p] = 0
 
 
 def _fill_order(m):
@@ -277,7 +270,6 @@ def solve_columns(m, rhs_cols) -> list[list[Fraction]]:
     n = len(m)
     a = [[Fraction(x) for x in row] for row in m]
     cols = [[Fraction(x) for x in col] for col in rhs_cols]
-    order = []
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot_row is None:
@@ -715,9 +707,11 @@ class Congruence:
     the last prev, or 0 once a null direction was found.  `rows` is the
     working matrix of bordered minors b (see the module docstring); the row
     of each eliminated pivot, or null row, is frozen as it stood then, with
-    `stamps` holding the prev it was frozen at.  Wherever a vanishing pivot
-    took x_p += s x_k (see `congruence`), the rows frozen from then on are
-    those of E m E^T, E the product of the steps taken so far.
+    `stamps` holding the prev it was frozen at.  Only the upper triangle
+    holds bordered minors: `rows[i][:i]` keeps m's entries, and nothing
+    reads them (`minors` reads row[i] and row[i+1:]).  Wherever a vanishing
+    pivot took x_p += s x_k (see `congruence`), the rows frozen from then on
+    are those of E m E^T, E the product of the steps taken so far.
 
     Positive-definite m never meets a vanishing pivot, so frozen row i
     holds b_ij = det m[0..i-1 + i, 0..i-1 + j], its diagonal b_ii = D_i is
@@ -756,11 +750,10 @@ def congruence(m) -> Congruence:
 
     The working copy is m's transpose, built in one pass; it equals m
     exactly when m is symmetric, which is the check.  The bordered minors
-    are symmetric, so only the upper triangle is kept: row k is updated
-    from column k on, with b_kp = b_pk * stamp_k / prev read off the pivot
-    row, and the input's entries left of the diagonal are zeroed as their
-    columns are eliminated, also where b_pk has cancelled to 0 and row k is
-    not updated.  Each row keeps a bound on its last nonzero column: an
+    are symmetric, so only the upper triangle is read and written: row k
+    is updated from column k on, with b_kp = b_pk * stamp_k / prev read off
+    the pivot row, and its entries left of the diagonal keep the input's
+    values.  Each row keeps a bound on its last nonzero column: an
     update runs to the larger of the bounds of the rows it combines.
 
     The pivots go in pairs.  Pivot p = lo first updates row q = lo + 1
@@ -796,7 +789,6 @@ def congruence(m) -> Congruence:
             k = next(compress(range(lo + 1, top), row_p[lo + 1:top]), None)
             if k is None:  # a null direction: the live row is zero
                 n_zero += 1
-                _clear_column(b, m, lo, row_p, top)
                 lo += 1
                 continue
             top = _shift(b, stamp, end, lo, k, prev)
@@ -807,11 +799,10 @@ def congruence(m) -> Congruence:
             n_minus += 1
         q = lo + 1  # the pair's second pivot, if its diagonal survives pivot lo
         if q < top and row_p[q]:
-            _triangle_step(b, stamp, end, q, row_p, top, d, prev, lo)
+            _triangle_step(b, stamp, end, q, row_p, top, d, prev)
         if q == n or not b[q][q]:
             for k in compress(range(q + 1, top), row_p[q + 1:top]):
-                _triangle_step(b, stamp, end, k, row_p, top, d, prev, lo)
-            _clear_column(b, m, lo, row_p, top)
+                _triangle_step(b, stamp, end, k, row_p, top, d, prev)
             prev = d
             lo = q
             continue
@@ -827,9 +818,9 @@ def congruence(m) -> Congruence:
         for k, f, g in zip(range(q + 1, both), row_p[q + 1:both], row_q[q + 1:both]):
             if not g:
                 if f:
-                    _triangle_step(b, stamp, end, k, row_p, top, d, prev, lo)
+                    _triangle_step(b, stamp, end, k, row_p, top, d, prev)
             elif not f:
-                _triangle_step(b, stamp, end, k, row_q, top_q, e, d, q)
+                _triangle_step(b, stamp, end, k, row_q, top_q, e, d)
             else:
                 # One update by both pivots, with row k's stamp s in place
                 # of prev: (e (d x - f y) - s g z) / (d s), f at row k's scale.
@@ -841,11 +832,8 @@ def congruence(m) -> Congruence:
                 hi = max(end[k], both)
                 row_k[k:hi] = [(de * x - a1 * y - a2 * z) // div
                                for x, y, z in zip(row_k[k:hi], row_p[k:hi], row_q[k:hi])]
-                row_k[lo] = row_k[q] = 0
                 stamp[k] = e
                 end[k] = hi
-        _clear_column(b, m, lo, row_p, top)
-        _clear_column(b, m, q, row_q, top_q)
         prev = e
         lo = q + 1
     return Congruence((n_plus, n_minus, n_zero), 0 if n_zero else prev, b, stamp)

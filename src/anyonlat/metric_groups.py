@@ -424,8 +424,6 @@ def build_prime(spec: PrimeFamilySpec) -> MetricGroup:
 def _canonicalize(orders, level, q_num, bil_num) -> MetricGroup:
     """Rewrite generators so the orders form a divisibility chain."""
     k = len(orders)
-    if k == 0:
-        return trivial_group()
     chain = all(orders[i] % orders[i - 1] == 0 for i in range(1, k))
     if chain:
         gens = [tuple(int(i == j) for i in range(k)) for j in range(k)]

@@ -186,24 +186,16 @@ def aut_order_closed(spec: PrimeFamilySpec) -> tuple[int, str | None]:
 # structure certification
 
 
-def _element_order(aut: AutGroup, phi: Morphism, limit: int) -> int:
+def _order_and_inverse(aut: AutGroup, phi: Morphism, limit: int) -> tuple[int, Morphism]:
+    """phi's order and inverse off one walk of its powers: the inverse is the
+    last power before the identity."""
     ident = aut.identity()
-    power = phi
+    prev, power = ident, phi
     for n in range(1, limit + 1):
         if power == ident:
-            return n
-        power = aut.compose(power, phi)
+            return n, prev
+        prev, power = power, aut.compose(power, phi)
     raise ValueError("element order exceeds group order")
-
-
-def _inverse(aut: AutGroup, phi: Morphism) -> Morphism:
-    ident = aut.identity()
-    power = phi
-    prev = ident
-    while power != ident:
-        prev = power
-        power = aut.compose(power, phi)
-    return prev
 
 
 def _subgroup_generated(aut: AutGroup, gens) -> set[Morphism]:
@@ -221,13 +213,13 @@ def _subgroup_generated(aut: AutGroup, gens) -> set[Morphism]:
     return seen
 
 
-def _dihedral_subgroups(aut: AutGroup, orders, rotation_order: int):
+def _dihedral_subgroups(aut: AutGroup, orders, inverses, rotation_order: int):
     """Each subgroup <a, t> of order 2 * rotation_order, with a of order
     rotation_order inverted by an involution t."""
     for a in aut.elements:
         if orders[a] != rotation_order:
             continue
-        a_inv = _inverse(aut, a)
+        a_inv = inverses[a]
         for t in aut.elements:
             if orders[t] != 2 or aut.compose(aut.compose(t, a), t) != a_inv:
                 continue
@@ -250,26 +242,28 @@ def _identify_structure(aut: AutGroup) -> str | None:
         # an orbit of the whole group: when all are shorter, no table.
         if max(len(_orbit(aut.group, e, aut.witnesses)) for e in aut.identity()) < n // 4:
             return None
-    orders = {phi: _element_order(aut, phi, n) for phi in aut.elements}
+    orders, inverses = {}, {}
+    for phi in aut.elements:
+        orders[phi], inverses[phi] = _order_and_inverse(aut, phi, n)
     if n == 6 or n == 12:
         # D3 or D6: the whole group is dihedral.
-        if next(_dihedral_subgroups(aut, orders, n // 2), None) is None:
+        if next(_dihedral_subgroups(aut, orders, inverses, n // 2), None) is None:
             return None
         return "D3" if n == 6 else "D6"
     if n == 24:
         # D6:Z2: a D6 subgroup (index 2, so normal) and an involution outside it.
         involutions = [s for s, o in orders.items() if o == 2]
-        for d6 in _dihedral_subgroups(aut, orders, 6):
+        for d6 in _dihedral_subgroups(aut, orders, inverses, 6):
             if any(s not in d6 for s in involutions):
                 return "D6:Z2"
         return None
     if n == 4:
         return "Z2xZ2" if sum(o == 2 for o in orders.values()) == 3 else None
     # An elementary abelian group of order 8 is Dih(Z2 x Z2) with trivial action.
-    return _generalized_dihedral_name(aut, orders)
+    return _generalized_dihedral_name(aut, orders, inverses)
 
 
-def _generalized_dihedral_name(aut: AutGroup, orders) -> str | None:
+def _generalized_dihedral_name(aut: AutGroup, orders, inverses) -> str | None:
     """Certify G = Dih(H) with H = Z2 x Z_{2^m}, |G| >= 8 a power of 2: an
     abelian index-2 subgroup of that shape, inverted elementwise by an
     involution outside it."""
@@ -297,6 +291,6 @@ def _generalized_dihedral_name(aut: AutGroup, orders) -> str | None:
             for t in aut.elements:
                 if t in h or orders[t] != 2:
                     continue
-                if all(aut.compose(aut.compose(t, x), t) == _inverse(aut, x) for x in h):
+                if all(aut.compose(aut.compose(t, x), t) == inverses[x] for x in h):
                     return f"(Z2xZ{n // 4}):Z2"
     return None

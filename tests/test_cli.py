@@ -276,12 +276,14 @@ class TestCommands:
         capsys.readouterr()
 
     @pytest.mark.parametrize("command", ["kmatrix", "complement"])
-    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
     def test_unwritable_out_is_a_usage_error(self, tmp_path, monkeypatch, capsys, command, where):
         # open() raised FileNotFoundError or IsADirectoryError past main,
-        # a traceback with exit code 1, the verification-failure code; the
-        # path is now refused before any elimination runs or anything prints.
-        out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        # a traceback with exit code 1, the verification-failure code; an
+        # empty path failed only after the oracle ran and its lines printed.
+        # The path is now refused before any elimination runs or anything
+        # prints.
+        out = {"missing-directory": tmp_path / "missing" / "x.json", "directory": tmp_path, "empty": ""}[where]
         if command == "kmatrix":
             argv = ["kmatrix", "A[3]", "--out", str(out)]
         else:
@@ -292,7 +294,10 @@ class TestCommands:
         assert main(argv) == 2
         captured = capsys.readouterr()
         (line,) = captured.err.splitlines()
-        assert line.startswith(f"error: cannot write {out}: "), line
+        if where == "empty":
+            assert line == "error: cannot write an empty --out path"
+        else:
+            assert line.startswith(f"error: cannot write {out}: "), line
         assert captured.out == ""
         assert counts == {"congruence": 0, "local_smith_form": 0}
         assert not (tmp_path / "missing").exists()

@@ -304,6 +304,13 @@ def ldl_product(elim, n):
     return [[sum(lower[i][k] * d[k] * lower[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
+def upper(rows):
+    """The upper triangle of a congruence's rows, row i from column i on:
+    the part that holds bordered minors (`rows[i][:i]` keeps the input's
+    entries, which the elimination never touches)."""
+    return [row[i:] for i, row in enumerate(rows)]
+
+
 def test_congruence_against_a_fraction_elimination():
     rng = random.Random(6262)
     hyperbolic = 0
@@ -344,7 +351,9 @@ def test_congruence_against_a_fraction_elimination():
         elim = congruence(m)
         assert (elim.inertia, elim.det) == fraction_congruence(m), m
         assert not definite or elim.inertia == (n, 0, 0), m
-        assert (elim.inertia, elim.det, elim.rows, elim.stamps) == congruence_oracle(m), m
+        inertia_want, det_want, rows_want, stamps_want = congruence_oracle(m)
+        assert (elim.inertia, elim.det, upper(elim.rows), elim.stamps) == (
+            inertia_want, det_want, upper(rows_want), stamps_want), m
 
 
 def test_congruence_ldl_rebuilds_positive_definite_matrices():
@@ -400,31 +409,56 @@ def _vanishing_corner(e):
             [0, 0, 0, 3, 0, 0], [0, 1, 5, 0, e, 3], [0, 0, 0, 0, 3, 1]]
 
 
-@pytest.mark.parametrize("m, want, p, row", [
+VANISHING_PIVOTS = [
     # s = -1: 2 b_01 + b_11 = 0, so x_0 -= x_1 and the pivot is -4
     ([[0, 1], [1, -2]], ((1, 1, 0), -1), 0, [-4, 3]),
     # a null row between two pivots
-    ([[2, 0, 0], [0, 0, 0], [0, 0, -2]], ((1, 1, 1), 0), 1, [0, 0, 0]),
-    # b_11 = b_12 = 0 after pivot 0: row 1 is null, and row 2's input
-    # entry in column 1 must still be zeroed
-    ([[1, 1, 1], [1, 1, 1], [1, 1, 3]], ((2, 0, 1), 0), 1, [0, 0, 0]),
+    ([[2, 0, 0], [0, 0, 0], [0, 0, -2]], ((1, 1, 1), 0), 1, [0, 0]),
+    # b_11 = b_12 = 0 after pivot 0: row 1 is null, and row 2 keeps its
+    # input entry in column 1, left of its diagonal
+    ([[1, 1, 1], [1, 1, 1], [1, 1, 3]], ((2, 0, 1), 0), 1, [0, 0]),
     # x_0 += x_2 past the zero row 1, which is then null
     ([[0, 0, 1], [0, 0, 0], [1, 0, 0]], ((1, 1, 1), 0), 0, [2, 0, 1]),
-    (_vanishing_corner(-2), ((5, 1, 0), -12), 1, [0, -8, -10, 0, 6, -6]),
-    (_vanishing_corner(7), ((5, 1, 0), -12), 1, [0, 18, 10, 0, 16, 6]),
-], ids=["minus", "null-row", "null-row-cleared", "past-a-zero-row", "corner-minus", "corner-plus"])
+    (_vanishing_corner(-2), ((5, 1, 0), -12), 1, [-8, -10, 0, 6, -6]),
+    (_vanishing_corner(7), ((5, 1, 0), -12), 1, [18, 10, 0, 16, 6]),
+]
+
+
+@pytest.mark.parametrize("m, want, p, row", VANISHING_PIVOTS,
+                         ids=["minus", "null-row", "null-row-cleared", "past-a-zero-row", "corner-minus", "corner-plus"])
 def test_congruence_vanishing_pivot_takes_x_p_plus_or_minus_x_k(m, want, p, row):
     """A vanishing pivot p takes x_p += s x_k for the first k > p with
     b_pk != 0, s = -1 exactly where 2 b_pk + b_kk = 0; a zero live row is a
     null direction.  Pinned against the Fraction elimination and Bareiss,
-    with the whole-row oracle's rows and stamps, and the frozen row of the
-    first vanishing pivot p (the shifted row, or the null row) spelled out."""
+    with the whole-row oracle's upper triangle and stamps, and the frozen
+    row of the first vanishing pivot p (the shifted row, or the null row)
+    spelled out from column p on."""
     elim = congruence(m)
     assert (elim.inertia, elim.det) == want == fraction_congruence(m)
     assert elim.det == bareiss_determinant(m) == determinant(m)
     assert elim.inertia == inertia(m)
-    assert (elim.inertia, elim.det, elim.rows, elim.stamps) == congruence_oracle(m)
-    assert elim.rows[p] == row
+    inertia_want, det_want, rows_want, stamps_want = congruence_oracle(m)
+    assert (elim.inertia, elim.det, upper(elim.rows), elim.stamps) == (
+        inertia_want, det_want, upper(rows_want), stamps_want)
+    assert elim.rows[p][p:] == row
+
+
+def test_congruence_leaves_the_strictly_lower_triangle_as_the_input():
+    """The elimination reads and writes nothing left of a row's diagonal,
+    so each row keeps the input's entries there: through x_p +- x_k steps,
+    null rows and pivots that go in pairs (a row both pivots update, a row
+    whose stamp lags prev, a pair whose second diagonal vanishes)."""
+    rng = random.Random("lower-triangle")
+    cases = [m for m, *_ in VANISHING_PIVOTS]
+    cases += [block_diagonal([[[0, 1], [1, 0]]] * 3), [[1, 1, 1], [1, 3, 1], [1, 1, 3]]]
+    cases += [_ldl_case(rng, n, k, kind, density, 7, band)
+              for n, k in ((9, 4), (12, 7), (16, 16))
+              for kind in ("vanishing", "hyperbolic", "singular")
+              for density, band in ((1.0, None), (0.3, None), (1.0, 2))]
+    for m in cases:
+        elim = congruence(m)
+        assert all(row[:i] == m[i][:i] for i, row in enumerate(elim.rows)), m
+        assert (elim.inertia, elim.det) == fraction_congruence(m), m
 
 
 def test_congruence_on_hyperbolic_planes():
@@ -436,7 +470,9 @@ def test_congruence_on_hyperbolic_planes():
         m = block_diagonal([u] * k)
         elim = congruence(m)
         assert (elim.inertia, elim.det) == ((k, k, 0), (-1) ** k)
-        assert (elim.inertia, elim.det, elim.rows, elim.stamps) == congruence_oracle(m)
+        inertia_want, det_want, rows_want, stamps_want = congruence_oracle(m)
+        assert (elim.inertia, elim.det, upper(elim.rows), elim.stamps) == (
+            inertia_want, det_want, upper(rows_want), stamps_want)
     m = block_diagonal([[[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(40)] for i in range(40)]]
                        + [u] * 100)
     assert (determinant(m), inertia(m)) == (41, (140, 100, 0))
@@ -678,7 +714,8 @@ def test_eliminations_match_the_natural_order_oracles():
         assert determinant(m) == bareiss_determinant(m) == det_want, m
         assert inertia(m) == inertia_want, m
         elim = congruence(m)
-        assert (elim.inertia, elim.det, elim.rows, elim.stamps) == (inertia_want, det_want, rows_want, stamps_want), m
+        assert (elim.inertia, elim.det, upper(elim.rows), elim.stamps) == (
+            inertia_want, det_want, upper(rows_want), stamps_want), m
         perm = rng.sample(range(n), n)
         moved = [[m[i][j] for j in perm] for i in perm]
         assert determinant(moved) == det_want and inertia(moved) == inertia_want, (m, perm)
@@ -815,8 +852,8 @@ def test_congruence_phase_change_matches_the_oracle():
                     assert k == n or bareiss_determinant([row[:k + 1] for row in m[:k + 1]]) == 0, m
                     inertia_want, det_want, rows_want, stamps_want = congruence_oracle(m)
                     elim = congruence(m)
-                    assert (elim.inertia, elim.det, elim.rows, elim.stamps) == (
-                        inertia_want, det_want, rows_want, stamps_want), m
+                    assert (elim.inertia, elim.det, upper(elim.rows), elim.stamps) == (
+                        inertia_want, det_want, upper(rows_want), stamps_want), m
                     assert (determinant(m), inertia(m)) == (det_want, inertia_want), m
                     late += 0 < k < n  # a vanishing pivot after k in order
                     singular += 0 < k < n and inertia_want[2] > 0
@@ -847,8 +884,8 @@ def test_congruence_phase_change_matches_the_oracle():
                     assert k == n or bareiss_determinant([row[:k + 1] for row in m[:k + 1]]) == 0, m
                     inertia_want, det_want, rows_want, stamps_want = congruence_oracle(m)
                     elim = congruence(m)
-                    assert (elim.inertia, elim.det, elim.rows, elim.stamps) == (
-                        inertia_want, det_want, rows_want, stamps_want), m
+                    assert (elim.inertia, elim.det, upper(elim.rows), elim.stamps) == (
+                        inertia_want, det_want, upper(rows_want), stamps_want), m
                     assert (determinant(m), inertia(m)) == (det_want, inertia_want), m
                     assert not definite or inertia_want == (n, 0, 0), m
                     for shape, count in _pair_rows(rows_want, k).items():
@@ -858,13 +895,15 @@ def test_congruence_phase_change_matches_the_oracle():
                     tails += kind == "hyperbolic" and sum(inertia_want[:2]) > k
     assert min(counts.values()) > 500 and vanished > 50 and alone >= 12 and tails > 30, (
         counts, vanished, alone, tails)
-    # b_12 = 1 * 1 - 1 * 1 cancels after the first pivot, so row 2's input
-    # entry 1 in column 1 must still be zeroed when column 1 is eliminated.
+    # b_12 = 1 * 1 - 1 * 1 cancels after the first pivot, so pivot 1 does
+    # not update row 2; row 2's input entry 1 in column 1, left of its
+    # diagonal, is never read.
     m = [[1, 1, 1], [1, 3, 1], [1, 1, 3]]
-    want = congruence_oracle(m)
+    inertia_want, det_want, rows_want, stamps_want = congruence_oracle(m)
     elim = congruence(m)
-    assert (elim.inertia, elim.det, elim.rows, elim.stamps) == want
-    assert elim.rows == [[1, 1, 1], [0, 2, 0], [0, 0, 4]]
+    assert (elim.inertia, elim.det, upper(elim.rows), elim.stamps) == (
+        inertia_want, det_want, upper(rows_want), stamps_want)
+    assert upper(elim.rows) == [[1, 1, 1], [2, 0], [4]]
 
 
 def test_hermite_transform_replays_the_oracle():
