@@ -9,13 +9,13 @@ Subcommands:
 
 Model specs name prime families with `*`-products: B[3], A[5^3], E[4]*A[2].
 Matrix files are a JSON object ({"gram": [[...]], "target": "...", "comment":
-"..."}, target and comment strings) or, for any other content, plain
-whitespace-separated integer rows, each entry an optional sign and the ASCII
-digits 0-9.  All rationals print as p/q in lowest terms, q-values reduced
-into [0, 1).  Exit codes: 0 pass, 1 verification failure, 2 usage or input
-errors, an exceeded budget or output that cannot be written (an --out path,
-or stdout), 3 internal errors (a failed internal consistency check,
-reported on one `internal error:` line).
+"..."}, target and comment strings, the comment ignored) or, for any other
+content, plain whitespace-separated integer rows, each entry an optional sign
+and the ASCII digits 0-9.  All rationals print as p/q in lowest terms,
+q-values reduced into [0, 1).  Exit codes: 0 pass, 1 verification failure,
+2 usage or input errors, an exceeded budget or output that cannot be written
+(an --out path, or stdout), 3 internal errors (a failed internal consistency
+check, reported on one `internal error:` line).
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .metric_groups import (
     check_gauss_budget,
     conjugate,
     direct_sum,
+    is_isomorphic,
 )
 from .realize import check_route_rank, kmatrix_for
 from .symmetry import aut_bruteforce, aut_order_closed
@@ -127,14 +128,14 @@ def _fold(factors: list[PrimeFamilySpec]) -> MetricGroup:
 # matrix files
 
 
-def load_matrix_file(path: str) -> tuple[list[list[int]], str | None, str | None]:
-    """(gram, target spec or None, comment or None); JSON or plain rows."""
+def load_matrix_file(path: str) -> tuple[list[list[int]], str | None]:
+    """(gram, target spec or None); JSON or plain rows."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    target = comment = None
+    target = None
     try:
         payload = json.loads(text)
     except json.JSONDecodeError:
@@ -157,7 +158,6 @@ def load_matrix_file(path: str) -> tuple[list[list[int]], str | None, str | None
             if key in payload and not isinstance(payload[key], str):
                 raise UsageError(f"{path}: '{key}' must be a string")
         target = payload.get("target")
-        comment = payload.get("comment")
     else:
         rows = [line.split() for line in text.splitlines() if line.strip()]
         gram = [[_plain_entry(x, path) for x in row] for row in rows]
@@ -165,7 +165,7 @@ def load_matrix_file(path: str) -> tuple[list[list[int]], str | None, str | None
         raise UsageError(f"{path}: matrix must be square and nonempty")
     if not is_symmetric(gram):
         raise UsageError(f"{path}: matrix must be symmetric")
-    return gram, target, comment
+    return gram, target
 
 
 def _plain_entry(text: str, path: str) -> int:
@@ -180,7 +180,7 @@ def _plain_entry(text: str, path: str) -> int:
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def dump_matrix_file(gram, target: str | None = None, comment: str | None = None, fmt: str = "structured") -> str:
+def dump_matrix_file(gram, target: str | None = None, fmt: str = "structured") -> str:
     """Plain rows, or the text of json.dumps(payload, sort_keys=True,
     indent=2) + "\n" built by joins: one int per line, keys in sorted order,
     strings through json.dumps."""
@@ -188,8 +188,6 @@ def dump_matrix_file(gram, target: str | None = None, comment: str | None = None
         return "\n".join(" ".join(str(x) for x in row) for row in gram) + "\n"
     rows = ["[\n      " + ",\n      ".join(map(str, row)) + "\n    ]" for row in gram]
     fields = ['"gram": ' + ("[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]")]
-    if comment is not None:
-        fields.insert(0, '"comment": ' + json.dumps(comment))
     if target is not None:
         fields.append('"target": ' + json.dumps(target))
     return "{\n  " + ",\n  ".join(fields) + "\n}\n"
@@ -295,7 +293,7 @@ def _cmd_kmatrix(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    gram, embedded_target, _ = load_matrix_file(args.file)
+    gram, embedded_target = load_matrix_file(args.file)
     spec_text = args.target if args.target is not None else embedded_target
     if spec_text is None:
         raise UsageError("no --target given and the file embeds none")
@@ -309,30 +307,42 @@ def _cmd_verify(args) -> int:
 
 def _cmd_complement(args) -> int:
     _check_out(args.out)
-    gram, embedded_target, _ = load_matrix_file(args.file)
+    gram, embedded_target = load_matrix_file(args.file)
     glued = glue_selfdual_8(gram, gauss_budget=max(args.budget, GAUSS_BUDGET_DEFAULT))
     comp = orthogonal_complement(glued)
-    report = verify_realization(comp, conjugate(glued.base_disc.group), iso_budget=args.budget)
+    model = conjugate(glued.base_disc.group)
+    report = verify_realization(comp, model, iso_budget=args.budget)
     print(f"complement rank {len(comp)}, |det| {abs(report.det)}")
     for line in report.lines():
         print(line)
+    passed = report.passed
     out_target = None
-    if embedded_target:
+    if embedded_target and passed:
         try:
             factors = parse_spec_factors(embedded_target)
         except UsageError:
             factors = None
         if factors:
-            out_target = "*".join(_conjugate_label(f) for f in factors)
+            # The label is copied into the output, so it must name the model
+            # the oracle just matched.
+            conjugates = [_conjugate_spec(f) for f in factors]
+            out_target = "*".join(f.label() for f in conjugates)
+            if is_isomorphic(_fold(conjugates), model, budget=args.budget) is None:
+                print(f"[FAIL] target: {out_target}, the conjugate of the file's {embedded_target}, "
+                      "is not the complement's model")
+                passed = False
+    if not passed:
+        print("verdict: FAIL")
+        return 1
     _write_out(args.out, dump_matrix_file(comp, target=out_target, fmt=args.format))
     if args.out:
         print(f"wrote {args.out}")
-    print(f"verdict: {'pass' if report.passed else 'FAIL'}")
-    return 0 if report.passed else 1
+    print("verdict: pass")
+    return 0
 
 
-def _conjugate_label(spec: PrimeFamilySpec) -> str:
-    """Family label of the conjugate model.
+def _conjugate_spec(spec: PrimeFamilySpec) -> PrimeFamilySpec:
+    """The prime family of the conjugate model.
 
     E and F are self-conjugate; at p = 2 conjugation swaps A/B and C/D; at odd
     p it swaps A/B exactly when -1 is a non-residue (p = 3 mod 4), since
@@ -340,13 +350,13 @@ def _conjugate_label(spec: PrimeFamilySpec) -> str:
     """
     fam = spec.family
     if fam in "EF" or (fam in "AB" and spec.p % 4 == 1):
-        return spec.label()
+        return spec
     swap = {"A": "B", "B": "A", "C": "D", "D": "C"}
-    return PrimeFamilySpec(swap[fam], spec.p, spec.r).label()
+    return PrimeFamilySpec(swap[fam], spec.p, spec.r)
 
 
 def _cmd_weights(args) -> int:
-    gram, _, _ = load_matrix_file(args.file)
+    gram, _ = load_matrix_file(args.file)
     minima = coset_minima(gram, budget=args.budget)
     # coset_minima accepts only positive-definite K, so the signature is the
     # rank; its keys run over range(n_1) x range(n_2) x ..., so the largest

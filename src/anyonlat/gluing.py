@@ -121,8 +121,6 @@ def _rotation_pair(p: int, e: int) -> tuple[int, int]:
 
 def _quaternion_tuple(e: int) -> tuple[int, int, int, int]:
     """(a, b, c, d) with a^2 + b^2 + c^2 + d^2 = -1 mod 2^e."""
-    if e <= 2:
-        return 1, 1, 2, 1
     d = min(sqrt_mod_prime_power((-7) % 2**e, 2, e))  # 1 + 1 + 4 + d^2 = -1
     return 1, 1, 2, d
 
@@ -216,9 +214,9 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
     Candidates must keep the partial group totally isotropic (q = 0 and
     chi = 0 mod 1, summed over the eight copies of the discriminant metric
     group) and meet the first copy only in zero.  Practical only for small
-    non-cyclic D; cyclic groups use the structural path instead.  Raises
-    BudgetExceededError before tabulating anything when |D|^8 exceeds the
-    budget.
+    non-cyclic D (a trivial D gives [] at once); cyclic groups use the
+    structural path instead.  Raises BudgetExceededError before tabulating
+    anything when |D|^8 exceeds the budget.
 
     An element of D^8 is an int in mixed radix, first coordinate most
     significant, so ascending ints run in lexicographic order; x splits into
@@ -348,9 +346,7 @@ def glue_selfdual_8(gram: list[list[int]], gauss_budget: int | None = None) -> G
         check_gauss_budget(disc.order, gauss_budget)
     g = len(disc.invariant_factors)
 
-    if g == 0:
-        glue_gens: list[list[int]] = []
-    elif g == 1:
+    if g == 1:
         glue_gens = _glue_generators_cyclic(disc.invariant_factors[0])
     else:
         glue_gens = _glue_generators_search(disc, GLUE_SEARCH_NODE_BUDGET)

@@ -329,7 +329,10 @@ class MetricGroup:
     def q_values(self) -> dict[tuple[int, ...], Fraction]:
         """Dense q table (size-limited)."""
         if self.size > DENSE_TABLE_LIMIT:
-            raise BudgetExceededError(f"group of order {self.size} exceeds dense-table limit")
+            raise BudgetExceededError(
+                f"q table (q_values): group of order {self.size} exceeds the dense-table limit "
+                f"DENSE_TABLE_LIMIT = {DENSE_TABLE_LIMIT}; no flag raises it"
+            )
         level = self.level
         return {x: Fraction(v, level) for x, v in zip(self.elements(), _q_numerators(self))}
 
@@ -345,14 +348,11 @@ class PrimeFamilySpec:
     family : 'A'..'F'
     p      : the prime (2 for C, D, E, F; A and B allow any prime)
     r      : the exponent, group Z_{p^r} (or Z_{2^r}^2 for E, F)
-    unit   : optional override of the parameter m (family A) or n (family B)
-             for odd p; None picks the canonical smallest admissible value.
     """
 
     family: str
     p: int
     r: int
-    unit: int | None = None
 
     def __post_init__(self):
         if self.family not in "ABCDEF":
@@ -365,16 +365,6 @@ class PrimeFamilySpec:
             raise ValueError(f"family {self.family} requires p = 2")
         if self.family in "CD" and self.r < 2:
             raise ValueError(f"family {self.family} requires r >= 2")
-        if self.unit is not None:
-            if self.family not in "AB" or self.p == 2:
-                raise ValueError("unit override only applies to A/B at odd p")
-            if not (1 <= self.unit < self.p) or self.unit % self.p == 0:
-                raise ValueError(f"unit must satisfy 1 <= unit < p, got {self.unit}")
-            want = 1 if self.family == "A" else -1
-            if jacobi_symbol(2 * self.unit, self.p) != want:
-                raise ValueError(
-                    f"unit {self.unit} has wrong quadratic character for {self.family}_{self.p}^{self.r}"
-                )
 
     @property
     def group_order(self) -> int:
@@ -408,8 +398,7 @@ def build_prime(spec: PrimeFamilySpec) -> MetricGroup:
     p, r = spec.p, spec.r
     n = p**r
     if spec.family in "AB" and p != 2:
-        m = spec.unit if spec.unit is not None else canonical_unit(spec.family, p)
-        g = _cyclic(n, m, n)
+        g = _cyclic(n, canonical_unit(spec.family, p), n)
     elif spec.family in "ABCD":
         g = _cyclic(n, {"A": 1, "B": -1, "C": 5, "D": -5}[spec.family], 2 * n)
     elif spec.family == "E":
@@ -679,9 +668,6 @@ def _cyclic_iso(g1: MetricGroup, g2: MetricGroup):
     """
     n, d = g1.orders[0], g1.level
     a, b = g1.gen_q_num[0], g2.gen_q_num[0]
-    if d == 1:
-        # q vanishes identically (degenerate unless n = 1); any unit matches.
-        return ((1,),)
     target = a * pow(b, -1, d) % d
     lifts = max(1, -(-n // d))
     for root in sorted(sqrt_mod(target, d)):

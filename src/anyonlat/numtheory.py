@@ -97,8 +97,6 @@ def prime_power_split(n: int) -> tuple[int, int]:
 def _sqrt_mod_odd_prime(a: int, p: int) -> int | None:
     """One square root of a modulo an odd prime p, or None."""
     a %= p
-    if a == 0:
-        return 0
     if jacobi_symbol(a, p) != 1:
         return None
     if p % 4 == 3:
@@ -180,8 +178,6 @@ def sqrt_mod(a: int, n: int) -> set[int]:
     """All solutions of x^2 = a (mod n) with gcd(a, n) = 1, n >= 1."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n == 1:
-        return {0}
     if gcd(a, n) != 1:
         raise ValueError(f"a must be coprime to n, got a={a}, n={n}")
     roots = {0}

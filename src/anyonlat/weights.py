@@ -37,30 +37,15 @@ from .metric_groups import BUDGET_DEFAULT, BudgetExceededError, InternalError
 
 __all__ = [
     "coset_minima",
-    "minimum_nonzero_norm",
     "extremality_score",
     "score_of_minima",
 ]
 
 RANK_LIMIT = 20  # largest rank whose coset minima are enumerated
-# Search nodes (values tried for one coordinate) that one `coset_minima` or
-# `minimum_nonzero_norm` call may use over all its cosets; a badly reduced
-# basis can need unboundedly many.
+# Search nodes (values tried for one coordinate) that one `coset_minima`
+# call may use over all its cosets; a badly reduced basis can need
+# unboundedly many.
 NODE_BUDGET = 2_000_000
-
-
-def _elimination(gram, caller, rank_limit=None):
-    """`congruence(gram)` (which refuses a non-symmetric matrix) after the
-    rank limit, if given; its inertia is `caller`'s definiteness check."""
-    if rank_limit is not None and len(gram) > rank_limit:
-        raise BudgetExceededError(
-            f"coset enumeration ({caller}): rank {len(gram)} exceeds the fixed limit RANK_LIMIT = {rank_limit}; "
-            "no flag raises it"
-        )
-    elim = congruence(gram)
-    if elim.inertia[0] != len(gram):
-        raise ValueError(f"{caller} requires a positive-definite Gram matrix")
-    return elim
 
 
 class _Search:
@@ -68,11 +53,10 @@ class _Search:
     elimination: `minimum(z, den)` is min over integer x of
     (z + den x)^T K (z + den x) / den^2.  A node is a value tried for one
     coordinate; all its calls together try at most NODE_BUDGET of them, and
-    past that `caller` raises.  Each level adds its count once its rings
-    are done, so a leaf costs nothing extra."""
+    past that it raises a budget error.  Each level adds its count once its
+    rings are done, so a leaf costs nothing extra."""
 
-    def __init__(self, elim, caller):
-        self.caller = caller
+    def __init__(self, elim):
         self.nodes_left = NODE_BUDGET
         minors = elim.minors()
         # the columns j > i and the minors b_ij of each level's tail
@@ -82,16 +66,15 @@ class _Search:
         self.scale = lcm(*(minor * stamp for minor, stamp, _ in minors))
         self.weight = [self.scale // (minor * stamp) for minor, stamp, _ in minors]
 
-    def minimum(self, z, den, exclude_zero=False) -> Fraction | None:
-        """The norm; with `exclude_zero` (z = 0 only), over x != 0, which
-        is None for rank 0."""
+    def minimum(self, z, den) -> Fraction:
+        """The norm, at rank >= 1."""
         diag, cols, coefs, weight = self.diag, self.cols, self.coefs, self.weight
         t = list(z)  # t_j = z_j + den x_j on the levels fixed so far
         fixed = t.__getitem__
         best = None
         left = self.nodes_left
 
-        def descend(i, partial, on_zero):
+        def descend(i, partial):
             nonlocal best, left
             d = diag[i]
             a, w = d * den, weight[i]
@@ -99,10 +82,7 @@ class _Search:
             base = -((2 * r + a) // (2 * a))  # |a base + r| <= a / 2
             if i == 0:
                 # The squares grow away from base, so one value settles the leaf.
-                if exclude_zero and on_zero and base == 0:
-                    term = min((r + a) ** 2, (r - a) ** 2) * w
-                else:
-                    term = (a * base + r) ** 2 * w
+                term = (a * base + r) ** 2 * w
                 if best is None or partial + term < best:
                     best = partial + term
                 return
@@ -114,7 +94,7 @@ class _Search:
                     if best is None or partial + term < best:
                         hit = True
                         t[i] = z[i] + den * xi
-                        descend(i - 1, partial + term, on_zero and xi == 0)
+                        descend(i - 1, partial + term)
                 # |a xi + r| grows with k on both sides, so once a ring misses
                 # entirely nothing farther out can fit.
                 if k > 0 and not hit:
@@ -124,17 +104,16 @@ class _Search:
             left -= 2 * k + 1
             if left < 0:
                 raise BudgetExceededError(
-                    f"lattice search ({self.caller}): {NODE_BUDGET - left} nodes exceed the fixed node budget "
+                    f"lattice search (coset_minima): {NODE_BUDGET - left} nodes exceed the fixed node budget "
                     f"NODE_BUDGET = {NODE_BUDGET}; no flag raises it"
                 )
 
         try:
-            if diag:
-                descend(len(diag) - 1, 0, True)
+            descend(len(diag) - 1, 0)
         finally:
             del descend  # break the self-reference through the closure cell
         self.nodes_left = left
-        return None if best is None else Fraction(best, den * den * self.scale)
+        return Fraction(best, den * den * self.scale)
 
 
 def coset_minima(gram, budget: int = BUDGET_DEFAULT):
@@ -142,7 +121,14 @@ def coset_minima(gram, budget: int = BUDGET_DEFAULT):
     generators; exact, with the q2 congruence rechecked on every value.  The
     rank limit is checked before the elimination, and the coset budget
     against |det K| from it and evenness before the discriminant form."""
-    elim = _elimination(gram, "coset_minima", RANK_LIMIT)
+    if len(gram) > RANK_LIMIT:
+        raise BudgetExceededError(
+            f"coset enumeration (coset_minima): rank {len(gram)} exceeds the fixed limit RANK_LIMIT = {RANK_LIMIT}; "
+            "no flag raises it"
+        )
+    elim = congruence(gram)  # which refuses a non-symmetric matrix
+    if elim.inertia[0] != len(gram):
+        raise ValueError("coset_minima requires a positive-definite Gram matrix")
     if elim.det > budget:
         raise BudgetExceededError(
             f"coset enumeration (coset_minima): {elim.det} cosets exceed budget {budget}; raise it with --budget"
@@ -150,7 +136,7 @@ def coset_minima(gram, budget: int = BUDGET_DEFAULT):
     if not has_even_diagonal(gram):
         raise ValueError("Gram matrix must be even (all diagonal entries even)")
     disc = discriminant_form(gram)
-    search = _Search(elim, "coset_minima")
+    search = _Search(elim)
     # Every coset center is an int vector over the exponent e.
     e, zcols, group = disc.exponent, disc.dual_num, disc.group
     out = {}
@@ -166,12 +152,6 @@ def coset_minima(gram, budget: int = BUDGET_DEFAULT):
             raise InternalError(f"h = {h} incompatible with q2/2 = {q} at {coeffs}")
         out[coeffs] = h
     return out
-
-
-def minimum_nonzero_norm(gram) -> Fraction:
-    """Norm of a shortest nonzero lattice vector (exact enumeration)."""
-    elim = _elimination(gram, "minimum_nonzero_norm")
-    return _Search(elim, "minimum_nonzero_norm").minimum([0] * len(gram), 1, exclude_zero=True)
 
 
 def extremality_score(gram, budget: int = BUDGET_DEFAULT) -> Fraction:

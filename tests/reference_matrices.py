@@ -640,3 +640,62 @@ def smith_oracle(m):
             pos = _smith_pivot_oracle(a, t, rows)
         t += 1
     return SnfResult(a, col_ops)
+
+
+# ---------------------------------------------------------------------------
+# Lattice minima in Fractions: the reference for `weights`' integer search
+# and for the shortest vectors of the lattices the tests build.
+
+
+def _ldl(gram):
+    """K = L D L^T in Fractions: d_i = D_i / D_{i-1}, and per column i of L
+    its entries below the diagonal as pairs (j, L[j][i] = b_ij / D_i)."""
+    from anyonlat.linalg import congruence
+
+    view = congruence(gram).minors()
+    d = [Fraction(minor, stamp) for minor, stamp, _ in view]
+    return d, [[(j, Fraction(x, minor)) for j, x in tail] for minor, _, tail in view]
+
+
+def fraction_branch_and_bound(gram, z0, exclude_zero_at=None):
+    """min (z0 + x)^T K (z0 + x) over integer x, in Fractions: with
+    K = L D L^T the norm is sum_i d_i (x_i + c_i)^2, c_i fixed by the later
+    coordinates, enumerated last coordinate first inside a shrinking bound.
+    An x equal to `exclude_zero_at` is left out: with z0 = 0 and the zero
+    vector there, the result is the shortest nonzero norm."""
+    d, lower = _ldl(gram)
+    n = len(d)
+    center = [z0[i] + sum(f * z0[j] for j, f in lower[i]) for i in range(n)]
+    best = None
+    x = [0] * n
+
+    def descend(i, partial):
+        nonlocal best
+        if i < 0:
+            if x != exclude_zero_at and (best is None or partial < best):
+                best = partial
+            return
+        c = center[i] + sum(f * x[j] for j, f in lower[i])
+        base = -round(c)
+        k = 0
+        while True:
+            hit = False
+            for xi in (base,) if k == 0 else (base + k, base - k):
+                term = d[i] * (xi + c) ** 2
+                if best is None or partial + term <= best:
+                    hit = True
+                    x[i] = xi
+                    descend(i - 1, partial + term)
+            if k > 0 and not hit:
+                break
+            k += 1
+        x[i] = 0
+
+    descend(n - 1, Fraction(0))
+    return best
+
+
+def shortest_nonzero_norm(gram):
+    """The norm of a shortest nonzero vector of the lattice."""
+    zero = [0] * len(gram)
+    return fraction_branch_and_bound(gram, zero, exclude_zero_at=zero)

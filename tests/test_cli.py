@@ -124,14 +124,17 @@ class TestMatrixFiles:
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(dump_matrix_file([[2, 1], [1, 2]], target="B[3]"))
-        gram, target, _ = load_matrix_file(str(path))
+        gram, target = load_matrix_file(str(path))
         assert gram == [[2, 1], [1, 2]]
         assert target == "B[3]"
+        # A string comment is accepted and ignored.
+        path.write_text(json.dumps({"comment": "any text", "gram": [[2, 1], [1, 2]], "target": "B[3]"}))
+        assert load_matrix_file(str(path)) == ([[2, 1], [1, 2]], "B[3]")
 
     def test_plain_autodetect(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("2 1\n1 12\n")
-        gram, target, _ = load_matrix_file(str(path))
+        gram, target = load_matrix_file(str(path))
         assert gram == [[2, 1], [1, 12]]
         assert target is None
 
@@ -144,7 +147,7 @@ class TestMatrixFiles:
     def test_structured_writer_matches_json_dumps(self):
         """The writer's joins give json.dumps(sort_keys=True, indent=2)'s text
         byte for byte: empty and rank-1 grams, 60-digit and negative entries,
-        each key present or absent, strings that need escapes."""
+        the target present or absent, strings that need escapes."""
         rng = random.Random(14)
         strings = ["B[3]*E[4]", "", 'say "hi"', "back\\slash\\", "caf\u00e9 \u2603 \U0001f600", "tab\tnl\n\x00"]
         for _ in range(300):
@@ -152,11 +155,10 @@ class TestMatrixFiles:
             big = rng.randrange(10**59, 10**60)
             gram = [[rng.choice([0, 2, -1, -big, big, rng.randint(-99, 99)]) for _ in range(n)] for _ in range(n)]
             payload = {"gram": gram}
-            for key in ("target", "comment"):
-                if rng.random() < 0.5:
-                    payload[key] = rng.choice(strings)
+            if rng.random() < 0.5:
+                payload["target"] = rng.choice(strings)
             expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-            assert dump_matrix_file(gram, payload.get("target"), payload.get("comment")) == expected
+            assert dump_matrix_file(gram, payload.get("target")) == expected
 
     def test_missing_file(self):
         with pytest.raises(UsageError):
@@ -382,6 +384,31 @@ class TestCommands:
         assert len(payload["gram"]) == 14
         assert main(["verify", str(out)]) == 0
         capsys.readouterr()
+
+    def test_complement_writes_nothing_on_a_failed_oracle(self, tmp_path, monkeypatch, capsys):
+        """A FAIL report writes no file and prints no matrix, as in kmatrix."""
+        monkeypatch.setattr(cli, "verify_realization", _fail_one_more_check(cli.verify_realization))
+        src = tmp_path / "su3.json"
+        out = tmp_path / "comp.json"
+        src.write_text(dump_matrix_file([[2, 1], [1, 2]], target="B[3]"))
+        assert main(["complement", str(src), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().out.splitlines()[-2:] == ["[FAIL] forced: failed", "verdict: FAIL"]
+        assert main(["complement", str(src)]) == 1
+        assert '"gram"' not in capsys.readouterr().out
+
+    def test_complement_refuses_a_wrong_embedded_target(self, tmp_path, capsys):
+        """The file's target is conjugated into the output only when it names
+        the model of its Gram matrix; A_2 realizes B[3], not A[5]."""
+        src = tmp_path / "su3.json"
+        out = tmp_path / "comp.json"
+        src.write_text(dump_matrix_file([[2, -1], [-1, 2]], target="A[5]"))
+        assert main(["complement", str(src), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "[FAIL] target: A[5], the conjugate of the file's A[5], is not the complement's model",
+            "verdict: FAIL",
+        ]
 
     def test_weights_output(self, tmp_path, capsys):
         path = tmp_path / "a23.txt"

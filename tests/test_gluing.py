@@ -4,7 +4,13 @@ import inspect
 import random
 
 import pytest
-from reference_matrices import disguised, glue_generators_search_oracle, glued_lattice_oracle, span_with
+from reference_matrices import (
+    disguised,
+    glue_generators_search_oracle,
+    glued_lattice_oracle,
+    shortest_nonzero_norm,
+    span_with,
+)
 
 import anyonlat.gluing as gluing
 from anyonlat.cli import main
@@ -45,7 +51,7 @@ from anyonlat.metric_groups import (
     is_isomorphic,
 )
 from anyonlat.symmetry import aut_bruteforce
-from anyonlat.weights import coset_minima, minimum_nonzero_norm
+from anyonlat.weights import coset_minima
 
 
 def model(fam, p, r):
@@ -70,7 +76,7 @@ class TestGlueRankOne:
         assert determinant(lam) == 1
         assert has_even_diagonal(lam)
         assert is_positive_definite(lam)
-        assert minimum_nonzero_norm(lam) == 2  # the unique such lattice
+        assert shortest_nonzero_norm(lam) == 2  # the unique such lattice
 
     def test_complement_is_antisemion(self):
         from fractions import Fraction

@@ -84,9 +84,9 @@ def test_load_matrix_file_returns_a_matrix_or_raises_usage_error(tmp_path, data)
     path = tmp_path / "fuzz.txt"
     path.write_bytes(data)
     try:
-        gram, target, comment = load_matrix_file(str(path))
+        gram, target = load_matrix_file(str(path))
     except UsageError:
         return
     assert gram and all(len(row) == len(gram) for row in gram)
     assert all(type(x) is int for row in gram for x in row)
-    assert all(v is None or isinstance(v, str) for v in (target, comment))
+    assert target is None or isinstance(target, str)

@@ -24,8 +24,15 @@ from anyonlat.metric_groups import (
 )
 
 
-def spec(fam, p, r, unit=None):
-    return PrimeFamilySpec(fam, p, r, unit)
+def spec(fam, p, r):
+    return PrimeFamilySpec(fam, p, r)
+
+
+def cyclic_with_unit(p, r, m):
+    """Z_{p^r} with q(1) = m / p^r: family A for odd p when (2m/p) = +1,
+    family B when it is -1."""
+    n = p**r
+    return MetricGroup((n,), n, (m,), ((2 * m,),))
 
 
 def apply_witness(g_from, g_to, witness, x):
@@ -69,8 +76,10 @@ class TestBuildPrime:
             spec("G", 2, 1)
         with pytest.raises(ValueError):
             spec("A", 4, 1)
-        with pytest.raises(ValueError):
-            spec("A", 5, 1, unit=1)  # (2/5) = -1: wrong character for A
+        # m = 1 has (2/5) = -1, the wrong character for A: its form is B's.
+        wrong = cyclic_with_unit(5, 1, 1)
+        assert is_isomorphic(build_prime(spec("A", 5, 1)), wrong) is None
+        assert is_isomorphic(build_prime(spec("B", 5, 1)), wrong) is not None
 
 
 class TestDirectSum:
@@ -203,17 +212,33 @@ class TestIsomorphism:
             for p in (3, 5, 7, 11, 13):
                 units = [m for m in range(1, p) if jacobi_symbol(2 * m, p) == want]
                 for r in (1, 2):
-                    base = build_prime(spec(fam, p, r, units[0]))
+                    base = build_prime(spec(fam, p, r))
+                    assert base == cyclic_with_unit(p, r, units[0])
                     for m in units[1:]:
-                        other = build_prime(spec(fam, p, r, m))
+                        other = cyclic_with_unit(p, r, m)
                         assert is_isomorphic(base, other) is not None, (fam, p, r, m)
 
     def test_large_cyclic_fast_path(self):
         g1 = build_prime(spec("A", 23, 3))
-        g2 = build_prime(spec("A", 23, 3, unit=canonical_unit("A", 23)))
+        g2 = cyclic_with_unit(23, 3, canonical_unit("A", 23))
         assert g1.size == 12167
         assert is_isomorphic(g1, g2) is not None
         assert is_isomorphic(g1, conjugate(g1)) is None  # c = 2 vs c = 6
+
+    def test_level_one_cyclic(self):
+        # q vanishes identically, so the identity is an isometry.
+        for n in (2, 3, 12):
+            g = MetricGroup((n,), 1, (0,), ((0,),))
+            assert is_isomorphic(g, g) == ((1,),)
+
+
+def test_q_table_budget():
+    g = build_prime(spec("A", 2, 17))
+    assert g.size == 2**17
+    with pytest.raises(BudgetExceededError) as err:
+        g.q_values()
+    assert str(err.value) == ("q table (q_values): group of order 131072 exceeds the dense-table limit "
+                              "DENSE_TABLE_LIMIT = 65536; no flag raises it")
 
 
 class TestGaugedCenter:
@@ -319,17 +344,18 @@ def reference_gauss(g):
 
 
 def random_family(rng):
-    """A prime family with |A| <= 169, odd A/B with a random admissible unit."""
+    """The group of a prime family with |A| <= 169, odd A/B with a random
+    admissible unit."""
     from anyonlat.numtheory import jacobi_symbol
 
     if rng.random() < 0.5:
         fam, p, r = rng.choice("AB"), rng.choice((3, 5, 7, 11, 13)), rng.choice((1, 1, 2))
         want = 1 if fam == "A" else -1
         units = [m for m in range(1, p) if jacobi_symbol(2 * m, p) == want]
-        return spec(fam, p, r, rng.choice(units))
+        return cyclic_with_unit(p, r, rng.choice(units))
     fam = rng.choice("ABCDEF")
     r = rng.randint(2, 4) if fam in "CD" else rng.randint(1, 3)
-    return spec(fam, 2, r)
+    return build_prime(spec(fam, 2, r))
 
 
 def random_form(rng):
@@ -357,7 +383,7 @@ def test_gauss_sum_matches_the_fraction_reference():
     while len(cases) < 100:
         group = trivial_group()
         for _ in range(rng.randint(1, 3)):
-            group = direct_sum(group, build_prime(random_family(rng)))
+            group = direct_sum(group, random_family(rng))
         if group.size <= 1500:
             cases.append(conjugate(group) if rng.random() < 0.25 else group)
     degenerate = 0
@@ -533,7 +559,7 @@ def test_q_and_chi_match_a_fraction_recomputation():
     on every element of seeded random forms and direct sums."""
     rng = random.Random("int-evaluator")
     groups = [random_form(rng) for _ in range(25)]
-    groups += [direct_sum(build_prime(random_family(rng)), build_prime(random_family(rng))) for _ in range(15)]
+    groups += [direct_sum(random_family(rng), random_family(rng)) for _ in range(15)]
     for g in groups:
         if g.size > 1000:
             continue

@@ -96,6 +96,12 @@ def test_sqrt_mod_composite():
             assert sqrt_mod(a, n) == squares.get(a, set()), (a, n)
 
 
+def test_sqrt_mod_modulo_one():
+    # Every residue is 0 mod 1, and 0 is its own square root.
+    for a in (-3, 0, 1, 7):
+        assert sqrt_mod(a, 1) == {0}
+
+
 def test_prime_power_split():
     assert prime_power_split(27) == (3, 3)
     assert prime_power_split(2) == (2, 1)

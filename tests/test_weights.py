@@ -1,12 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from reference_matrices import glued_lattice_oracle
+from reference_matrices import glued_lattice_oracle, shortest_nonzero_norm
 
 from anyonlat.gluing import glue_selfdual_8
 from anyonlat.lattices import cartan_a, e8_gram
 from anyonlat.metric_groups import BudgetExceededError
-from anyonlat.weights import coset_minima, extremality_score, minimum_nonzero_norm
+from anyonlat.weights import coset_minima, extremality_score
 
 
 def test_rank23_pair():
@@ -32,11 +32,11 @@ def test_su3_weights():
 
 
 def test_minimum_norms():
-    assert minimum_nonzero_norm([[2]]) == 2
-    assert minimum_nonzero_norm(e8_gram().gram) == 2
-    assert minimum_nonzero_norm(glued_lattice_oracle([[2]], glue_selfdual_8([[2]]))[0]) == 2
-    assert minimum_nonzero_norm(cartan_a(5).gram) == 2
-    assert minimum_nonzero_norm([[4, 0], [0, 6]]) == 4
+    assert shortest_nonzero_norm([[2]]) == 2
+    assert shortest_nonzero_norm(e8_gram().gram) == 2
+    assert shortest_nonzero_norm(glued_lattice_oracle([[2]], glue_selfdual_8([[2]]))[0]) == 2
+    assert shortest_nonzero_norm(cartan_a(5).gram) == 2
+    assert shortest_nonzero_norm([[4, 0], [0, 6]]) == 4
 
 
 def test_extremality_scores():
@@ -96,9 +96,9 @@ def test_coset_budget_comes_before_the_discriminant_form(monkeypatch):
 
 def test_node_budget_stops_the_search_on_a_disguised_basis(monkeypatch, tmp_path, capsys):
     """A badly reduced basis of A_10 makes the search try far more values
-    than A_10 itself (152k against 5.7k for its coset minima, 10.6k against
-    261 for its shortest vector); past the fixed budget each caller raises a
-    budget error that names it and the node count, and the CLI exits 2."""
+    than A_10 itself (152k against 5.7k for its coset minima); past the
+    fixed budget `coset_minima` raises a budget error that names it and the
+    node count, and the CLI exits 2."""
     import json
     import random
     import re
@@ -109,15 +109,15 @@ def test_node_budget_stops_the_search_on_a_disguised_basis(monkeypatch, tmp_path
     from anyonlat.cli import main
 
     monkeypatch.setattr(weights, "NODE_BUDGET", 8000)
-    message = r"lattice search \({}\): (\d+) nodes exceed the fixed node budget NODE_BUDGET = 8000; no flag raises it"
+    message = (r"lattice search \(coset_minima\): (\d+) nodes exceed the fixed node budget "
+               "NODE_BUDGET = 8000; no flag raises it")
     plain = cartan_a(10).gram
     hidden = disguised(plain, random.Random(20), 20)
-    assert coset_minima(plain) and minimum_nonzero_norm(plain) == 2
-    for call, caller in ((coset_minima, "coset_minima"), (minimum_nonzero_norm, "minimum_nonzero_norm")):
-        with pytest.raises(BudgetExceededError) as err:
-            call(hidden)
-        assert int(re.fullmatch(message.format(caller), str(err.value)).group(1)) > 8000
+    assert coset_minima(plain)
+    with pytest.raises(BudgetExceededError) as err:
+        coset_minima(hidden)
+    assert int(re.fullmatch(message, str(err.value)).group(1)) > 8000
     path = tmp_path / "hidden.json"
     path.write_text(json.dumps({"gram": hidden}))
     assert main(["weights", str(path)]) == 2
-    assert re.fullmatch("error: " + message.format("coset_minima") + "\n", capsys.readouterr().err)
+    assert re.fullmatch("error: " + message + "\n", capsys.readouterr().err)

@@ -1,19 +1,19 @@
 """Oracles for the coset search of `weights`.
 
-`coset_minima` and `minimum_nonzero_norm` are held to two independent
-searches on seeded even positive-definite Gram matrices of rank 1 to 8,
-dense U K U^T disguises included:
+`coset_minima` is held to two independent searches on seeded even
+positive-definite Gram matrices of rank 1 to 8, dense U K U^T disguises
+included:
 
-* `_fraction_branch_and_bound`, a Fraction Fincke-Pohst over the L D L^T
-  factors that `_ldl` decodes from `Congruence.minors`, kept here as the
-  reference;
+* `reference_matrices.fraction_branch_and_bound`, a Fraction Fincke-Pohst
+  over the L D L^T factors decoded from `Congruence.minors`;
 * a brute-force box search: a vector y with y^T K y <= B has
   y_i^2 <= B (K^-1)_ii (Cauchy-Schwarz in the K^-1 inner product), so with
   B the claimed minimum every shorter vector of the coset lies in the box
   (up to rank 5, where the box stays small).
 
-A change of basis U K U^T keeps the sorted h values and the minimum norm,
-and a SHA-256 pin holds the `weights` stdout bytes.
+The two also agree on the shortest nonzero vector.  A change of basis
+U K U^T keeps the sorted h values and the minimum norm, and a SHA-256 pin
+holds the `weights` stdout bytes.
 """
 
 import hashlib
@@ -24,12 +24,12 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from reference_matrices import bareiss_determinant
+from reference_matrices import bareiss_determinant, fraction_branch_and_bound, shortest_nonzero_norm
 
 from anyonlat.cli import main
 from anyonlat.lattices import cartan_a, cartan_d, discriminant_form, e6_gram, e7_gram, k_e, k_o
-from anyonlat.linalg import congruence, determinant, rational_inverse, solve_columns
-from anyonlat.weights import coset_minima, minimum_nonzero_norm
+from anyonlat.linalg import determinant, rational_inverse, solve_columns
+from anyonlat.weights import coset_minima
 
 
 def _block_sum(*blocks):
@@ -97,50 +97,6 @@ def _cases():
 CASES = _cases()
 
 
-def _ldl(gram):
-    """K = L D L^T in Fractions: d_i = D_i / D_{i-1}, and per column i of L
-    its entries below the diagonal as pairs (j, L[j][i] = b_ij / D_i)."""
-    view = congruence(gram).minors()
-    d = [Fraction(minor, stamp) for minor, stamp, _ in view]
-    return d, [[(j, Fraction(x, minor)) for j, x in tail] for minor, _, tail in view]
-
-
-def _fraction_branch_and_bound(gram, z0, exclude_zero_at=None):
-    """min (z0 + x)^T K (z0 + x) over integer x, in Fractions: with
-    K = L D L^T the norm is sum_i d_i (x_i + c_i)^2, c_i fixed by the later
-    coordinates, enumerated last coordinate first inside a shrinking bound."""
-    d, lower = _ldl(gram)
-    n = len(d)
-    center = [z0[i] + sum(f * z0[j] for j, f in lower[i]) for i in range(n)]
-    best = None
-    x = [0] * n
-
-    def descend(i, partial):
-        nonlocal best
-        if i < 0:
-            if x != exclude_zero_at and (best is None or partial < best):
-                best = partial
-            return
-        c = center[i] + sum(f * x[j] for j, f in lower[i])
-        base = -round(c)
-        k = 0
-        while True:
-            hit = False
-            for xi in (base,) if k == 0 else (base + k, base - k):
-                term = d[i] * (xi + c) ** 2
-                if best is None or partial + term <= best:
-                    hit = True
-                    x[i] = xi
-                    descend(i - 1, partial + term)
-            if k > 0 and not hit:
-                break
-            k += 1
-        x[i] = 0
-
-    descend(n - 1, Fraction(0))
-    return best
-
-
 def _box_minimum(gram, z0, bound, exclude_zero=False):
     """min (z0 + x)^T K (z0 + x) over the integer x with
     (z0_i + x_i)^2 <= bound (K^-1)_ii for every i, or None for an empty box."""
@@ -185,12 +141,9 @@ BOX_CASES = [(name, gram) for name, gram in CASES if len(gram) <= 5]
 
 @pytest.mark.parametrize("name,gram", CASES, ids=[name for name, _ in CASES])
 def test_search_matches_the_fraction_search(name, gram):
-    n = len(gram)
     minima = coset_minima(gram)
     for coeffs, center in _centers(gram):
-        assert _fraction_branch_and_bound(gram, center) == 2 * minima[coeffs], coeffs
-    zero = [Fraction(0)] * n
-    assert _fraction_branch_and_bound(gram, zero, exclude_zero_at=[0] * n) == minimum_nonzero_norm(gram)
+        assert fraction_branch_and_bound(gram, center) == 2 * minima[coeffs], coeffs
 
 
 @pytest.mark.parametrize("name,gram", BOX_CASES, ids=[name for name, _ in BOX_CASES])
@@ -199,7 +152,7 @@ def test_search_matches_the_box(name, gram):
     minima = coset_minima(gram)
     for coeffs, center in _centers(gram):
         assert _box_minimum(gram, center, 2 * minima[coeffs]) == 2 * minima[coeffs], coeffs
-    norm = minimum_nonzero_norm(gram)
+    norm = shortest_nonzero_norm(gram)
     assert _box_minimum(gram, [Fraction(0)] * n, norm, exclude_zero=True) == norm
 
 
@@ -208,7 +161,7 @@ def test_change_of_basis_keeps_the_weights_and_the_minimum(name, gram):
     rng = random.Random(f"basis-{name}")
     moved = _disguised(gram, rng, 2 * len(gram), (-1, 1))
     assert sorted(coset_minima(moved).values()) == sorted(coset_minima(gram).values())
-    assert minimum_nonzero_norm(moved) == minimum_nonzero_norm(gram)
+    assert shortest_nonzero_norm(moved) == shortest_nonzero_norm(gram)
 
 
 def _pin_inputs():
