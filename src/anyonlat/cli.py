@@ -308,6 +308,8 @@ def _cmd_verify(args) -> int:
 def _cmd_complement(args) -> int:
     _check_out(args.out)
     gram, embedded_target = load_matrix_file(args.file)
+    # A target that does not parse is a usage error before any work, as in verify.
+    factors = None if embedded_target is None else parse_spec_factors(embedded_target)
     glued = glue_selfdual_8(gram, gauss_budget=max(args.budget, GAUSS_BUDGET_DEFAULT))
     comp = orthogonal_complement(glued)
     model = conjugate(glued.base_disc.group)
@@ -317,20 +319,15 @@ def _cmd_complement(args) -> int:
         print(line)
     passed = report.passed
     out_target = None
-    if embedded_target and passed:
-        try:
-            factors = parse_spec_factors(embedded_target)
-        except UsageError:
-            factors = None
-        if factors:
-            # The label is copied into the output, so it must name the model
-            # the oracle just matched.
-            conjugates = [_conjugate_spec(f) for f in factors]
-            out_target = "*".join(f.label() for f in conjugates)
-            if is_isomorphic(_fold(conjugates), model, budget=args.budget) is None:
-                print(f"[FAIL] target: {out_target}, the conjugate of the file's {embedded_target}, "
-                      "is not the complement's model")
-                passed = False
+    if factors and passed:
+        # The label is copied into the output, so it must name the model
+        # the oracle just matched.
+        conjugates = [_conjugate_spec(f) for f in factors]
+        out_target = "*".join(f.label() for f in conjugates)
+        if is_isomorphic(_fold(conjugates), model, budget=args.budget) is None:
+            print(f"[FAIL] target: {out_target}, the conjugate of the file's {embedded_target}, "
+                  "is not the complement's model")
+            passed = False
     if not passed:
         print("verdict: FAIL")
         return 1

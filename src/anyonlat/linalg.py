@@ -77,10 +77,24 @@ are the leading principal minors that `weights` reads in order.
 Pivot selection in SNF/HNF is smallest absolute value, ties by lowest index,
 and in `local_smith_form` the first unit in row-major order, else the first
 entry of least p-valuation, so outputs are deterministic.
+
+On a dense block, `local_smith_form` takes its unit pivots on packed rows
+(`_packed_units`): each row is one int of 64-bit slots, one per column, and
+a row update is row += (M - f) * pivot, one multiply-add on ints, then a
+64-bit shift that drops the cleared column.  The slots are reduced mod M
+only when read (delayed modular reduction, as in Dumas, Gautier and Pernet,
+Finite field linear algebra subroutines, ISSAC 2002); a slot starts below M
+and gains at most (M - 1)^2 per pivot, so M^2 (cols + 1) < 2^64 keeps every
+slot in its 64 bits, and a larger modulus stays on list rows.  The graded
+pivots read entry / p^v off raw entries, so which representative a row
+holds shows in V: only the rows a pivot updated come back, as residues,
+and any other row keeps its input entries, as on list rows.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd, prod
@@ -481,6 +495,15 @@ class LocalSmithResult:
         return x
 
 
+_SLOT_MASK = (1 << 64) - 1
+# The least number of pivots a block must have left to go packed: below
+# it, packing the rows and each pivot costs more than the row updates save.
+# Timed on the benchmark's dense disguises (2-core Xeon, Python 3.11.7): at
+# rank 2-5 the packed path was 4-6 us slower per call, at rank 6-7 even,
+# and from rank 8 on faster, by 14% at rank 8 and 5x at rank 70.
+_PACKED_MIN_PIVOTS = 8
+
+
 def _first_with_gcd(a, t, end, stop, q, g):
     """(i, j) of the first entry x in row-major order, t <= i < stop and
     j >= t, with gcd(x, q) == g; None if there is none.  Row i is zero from
@@ -490,6 +513,84 @@ def _first_with_gcd(a, t, end, stop, q, g):
         if j is not None:
             return i, j
     return None
+
+
+def _pack(residues) -> int:
+    """The residues, each below 2^64, as one int with slot k (bits 64k to
+    64k + 63) holding residues[k]."""
+    return int.from_bytes(array("Q", residues).tobytes(), sys.byteorder)
+
+
+def _unpack(x: int, k: int):
+    """The k slots of a packed row, as a sequence of ints."""
+    return memoryview(x.to_bytes(8 * k, sys.byteorder)).cast("Q")
+
+
+def _packed_units(a, t, cols, modulus, radical, col_ops, exponents):
+    """The unit pivots of a dense block over Z/modulus, from pivot t on, on
+    packed rows; return the pivot index it stopped at, where the block has
+    no unit left.  The pivots, the column log and the rows it leaves are
+    those of `_local_pass`'s list path.
+
+    Each live row r >= t is one int, slot k holding its residue in column
+    t + k.  A unit in column j > t swaps slots 0 and j of every live row,
+    and the list rows' entries with them.  The pivot row is reduced, and
+    each row below with f = slot 0 * pivot^-1 mod the modulus nonzero takes
+    row += (modulus - f) * pivot, which leaves slot 0 a multiple of the
+    modulus, and row >>= 64, which drops it: one multiply-add on ints per
+    row update, the slots reduced only when read.  No slot overflows: it
+    starts below M = modulus, and an update adds at most (M - 1)^2 to it,
+    at most once per pivot, so after at most cols pivots it is below
+    M + cols (M - 1)^2 < M^2 (cols + 1) < 2^64, the caller's guard.  So no
+    carry crosses into the next slot, and slot 0 of an updated row is
+    exactly a multiple of M.  Once no unit is left, a row some pivot
+    updated gets its residues written back from column t on; any other
+    row keeps the entries it came with, as on the list path, since the
+    graded phase reads entry / p^v off those."""
+    rows = len(a)
+    live = [0] * t + [_pack([x % modulus for x in row[t:]]) for row in a[t:]]
+    updated = [False] * rows
+    while t < min(rows, cols):
+        k = cols - t
+        if gcd(live[t] & _SLOT_MASK, radical) == 1:
+            i = j = t
+        else:
+            for i in range(t, rows):
+                slots = _unpack(live[i], k)
+                j = next(compress(range(t, cols), map((1).__eq__, map(gcd, repeat(radical), slots))), None)
+                if j is not None:
+                    break
+            else:
+                break
+        if i != t:
+            a[t], a[i] = a[i], a[t]
+            live[t], live[i] = live[i], live[t]
+            updated[t], updated[i] = updated[i], updated[t]
+        if j != t:
+            shift = 64 * (j - t)
+            for r in range(t, rows):
+                row = a[r]
+                row[t], row[j] = row[j], row[t]
+                x = live[r]
+                d = (x >> shift & _SLOT_MASK) - (x & _SLOT_MASK)
+                live[r] = x + d - (d << shift)
+        pivot_tail = [x % modulus for x in _unpack(live[t], k)]
+        inv = pow(pivot_tail[0], -1, modulus)
+        pivot = _pack(pivot_tail)
+        for r in range(t + 1, rows):
+            x = live[r]
+            f = (x & _SLOT_MASK) * inv % modulus
+            if f:
+                live[r] = (x + (modulus - f) * pivot) >> 64
+                updated[r] = True
+            else:
+                live[r] = x >> 64
+        col_ops.append((t, j, inv, pivot_tail[1:]))
+        exponents.append(0)
+        t += 1
+    for r in compress(range(t, rows), updated[t:]):
+        a[r][t:] = [x % modulus for x in _unpack(live[r], cols - t)]
+    return t
 
 
 def _local_pass(a, t, end, bottom, grow, modulus, radical, col_ops, exponents, graded):
@@ -504,9 +605,15 @@ def _local_pass(a, t, end, bottom, grow, modulus, radical, col_ops, exponents, g
     times the pivot row, reduced mod the modulus, and the pivot row's
     entries go to the column log alone, since column t is zero mod the
     modulus below the pivot; they are logged as the pivot row's tail over
-    p^v (see `LocalSmithResult`)."""
+    p^v (see `LocalSmithResult`).  A dense block (not `grow`) with at least
+    _PACKED_MIN_PIVOTS pivots left, whose modulus M has M^2 (cols + 1) <
+    2^64, takes its unit pivots on packed rows (`_packed_units`, where that
+    bound is proved), with the same pivots and the same rows left for the
+    graded phase."""
     rows, cols = len(a), len(bottom)
     level, v = 1, 0  # level = p^v divides every entry of the block
+    if not grow and min(rows, cols) - t >= _PACKED_MIN_PIVOTS and modulus * modulus * (cols + 1) < 1 << 64:
+        t = _packed_units(a, t, cols, modulus, radical, col_ops, exponents)
     while t < min(rows, cols):
         # (t, t) is the block's first entry in row-major order
         pos = (t, t) if gcd(a[t][t], level * radical) == level else (
@@ -560,7 +667,9 @@ def local_smith_form(m: list[list[int]], powers: dict[int, int]) -> dict[int, Lo
     over each Z/p^k.  m is copied as it is, and a row is reduced when a
     pivot updates it; a row operation runs to the pivot row's bound, and
     a column swap and the scan for rows to clear to the pivot column's
-    (see the module docstring)."""
+    (see the module docstring).  A dense block's unit pivots run on packed
+    rows, reduced lazily (`_packed_units`), which hand back the same rows:
+    the ones a pivot updated as residues, the rest as they came."""
     rows = len(m)
     cols = len(m[0]) if m else 0
     if not all(map(cols.__eq__, map(len, m))):

@@ -642,6 +642,63 @@ def smith_oracle(m):
     return SnfResult(a, col_ops)
 
 
+def local_smith_oracle(m, powers):
+    """The local elimination over whole list rows in the natural order, as
+    `local_smith_form` documents it for a matrix without a mostly-zero
+    pattern: {p: LocalSmithResult}, whose exponents and V columns the
+    package must reproduce.  With several primes the units prime to all of
+    them are eliminated once over Z/M, M the product of the p^k; each prime
+    goes on from a copy of the rows, first with its units, then with the
+    first entry of least p-valuation.  A row is reduced mod the modulus only
+    when a pivot updates it, so a row no pivot updated keeps the entries it
+    came with, and a later pivot's tail over p^v is read off those."""
+    from math import gcd, prod
+
+    from anyonlat.linalg import LocalSmithResult
+
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+
+    def eliminate(a, t, modulus, radical, col_ops, exponents, graded):
+        level, v = 1, 0
+        while t < min(rows, cols):
+            pos = next(((i, j) for i in range(t, rows) for j in range(t, cols)
+                        if gcd(a[i][j], level * radical) == level), None)
+            if pos is None:
+                if not graded:
+                    break
+                level = gcd(modulus, *(x for row in a[t:] for x in row[t:]))
+                if level == modulus:
+                    break
+                v = next(e for e in range(modulus.bit_length()) if radical**e == level)
+                continue
+            i, j = pos
+            a[t], a[i] = a[i], a[t]
+            for row in a[t:]:
+                row[t], row[j] = row[j], row[t]
+            pivot = a[t][t:]
+            inv = pow(pivot[0] % modulus // level, -1, modulus)
+            for row in a[t + 1:]:
+                if row[t] % modulus:
+                    f = row[t] % modulus // level * inv % modulus
+                    row[t:] = [(x - f * y) % modulus for x, y in zip(row[t:], pivot)]
+            col_ops.append((t, j, inv, [x // level for x in pivot[1:]]))
+            exponents.append(v)
+            t += 1
+        return t
+
+    a = [list(row) for row in m]
+    shared, t = [], 0
+    if len(powers) > 1:
+        t = eliminate(a, 0, prod(p**k for p, k in powers.items()), prod(powers), shared, [], False)
+    out = {}
+    for p, k in powers.items():
+        col_ops, exponents = list(shared), [0] * t
+        eliminate([list(row) for row in a], t, p**k, p, col_ops, exponents, True)
+        out[p] = LocalSmithResult(exponents, p**k, cols, col_ops)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Lattice minima in Fractions: the reference for `weights`' integer search
 # and for the shortest vectors of the lattices the tests build.

@@ -410,6 +410,23 @@ class TestCommands:
             "verdict: FAIL",
         ]
 
+    @pytest.mark.parametrize("target, error", [
+        ("X[3]", "error: cannot parse factor 'X[3]' (expected FAMILY[p^r])"),
+        ("", "error: empty factor at position 0 in ''"),
+    ])
+    def test_complement_refuses_an_embedded_target_that_does_not_parse(self, tmp_path, capsys, target, error):
+        """A file's target that does not parse is a usage error, as in verify:
+        exit 2 with verify's error line, nothing on stdout and no file."""
+        src = tmp_path / "su3.json"
+        out = tmp_path / "comp.json"
+        src.write_text(dump_matrix_file([[2, -1], [-1, 2]], target=target))
+        assert main(["verify", str(src)]) == 2
+        assert capsys.readouterr().err.splitlines() == [error]
+        assert main(["complement", str(src), "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == ("", [error])
+
     def test_weights_output(self, tmp_path, capsys):
         path = tmp_path / "a23.txt"
         path.write_text("2 1\n1 12\n")

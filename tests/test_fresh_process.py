@@ -29,6 +29,8 @@ import pytest
 from anyonlat.gluing import GLUE_SEARCH_NODE_BUDGET
 from anyonlat.lattices import e8_gram
 from anyonlat.linalg import block_diagonal
+from anyonlat.metric_groups import PrimeFamilySpec
+from anyonlat.realize import kmatrix_for
 
 ROOT = Path(__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
@@ -76,6 +78,9 @@ A70D10 = {"a70d10.json": lambda: disguised(workloads.cartan_a(70), 10)}
 A150D10 = {"a150d10.json": lambda: disguised(workloads.cartan_a(150), 10)}
 A40E8D10 = {"a40e8d10.json": lambda: disguised(
     block_diagonal([workloads.cartan_a(40), [[-x for x in row] for row in e8_gram().gram]]), 10)}
+F8D10 = {"f8d10.json": lambda: disguised(kmatrix_for(PrimeFamilySpec("F", 2, 3), positive_definite=True)[0], 10)}
+ABCD10 = {"abcd10.json": lambda: disguised(block_diagonal(
+    [kmatrix_for(PrimeFamilySpec(*spec))[0] for spec in (("A", 5, 1), ("B", 7, 1), ("C", 2, 2))]), 10)}
 A40U100 = {"a40u100.json": lambda: structured(block_diagonal([workloads.cartan_a(40)] + [[[0, 1], [1, 0]]] * 100))}
 
 
@@ -140,6 +145,16 @@ ROWS = [
         lines=("[pass] discriminant_form: invariants (71,), q2(gens) = ['56/71'], witness ((2,),)",)),
     Row("verify-a70-disguise-fail", [*CLI, "verify", "{tmp}/a70d10.json", "--target", "A[71]"], 1,
         files=A70D10),
+    # The discriminant form of a dense disguise is read off its local Smith
+    # forms, whose V columns pick the generators: F[2^3]'s rank-52 lattice
+    # (a non-cyclic 2-group, every unit pivot off the even diagonal) and the
+    # rank-31 default K-matrix of three primes (a shared pass mod 2^3 5^2 7^2).
+    Row("verify-f8-disguise-pass", [*CLI, "verify", "{tmp}/f8d10.json", "--target", "F[2^3]"], 0,
+        files=F8D10,
+        lines=("[pass] discriminant_form: invariants (8, 8), q2(gens) = ['3/4', '5/4'], witness ((1, 1), (1, 4))",)),
+    Row("verify-three-prime-disguise-pass", [*CLI, "verify", "{tmp}/abcd10.json", "--target", "A[5]*B[7]*C[2^2]"],
+        0, files=ABCD10,
+        lines=("[pass] discriminant_form: invariants (140,), q2(gens) = ['127/140'], witness ((1,),)",)),
     Row("verify-a150-disguise-pass", [*CLI, "verify", "{tmp}/a150d10.json", "--target", "B[151]"], 0,
         files=A150D10, patterns=(r"verdict: pass .*",)),
     Row("verify-a150-disguise-fail", [*CLI, "verify", "{tmp}/a150d10.json", "--target", "A[151]"], 1,

@@ -8,6 +8,7 @@ from reference_matrices import (
     congruence_oracle,
     disguised,
     hermite_oracle,
+    local_smith_oracle,
     smith_oracle,
     smith_u_inv_columns,
 )
@@ -1096,6 +1097,67 @@ def test_local_smith_form_is_a_smith_form_over_each_prime_power():
             assert local.exponents == local_smith_form(m, {p: powers[p]})[p].exponents
         checked += 1
     assert checked > 100
+
+
+def _untouched_rows(rng, n, modulus):
+    """n x n at p = 2: n - 2 rows take the unit pivots, in n - 2 of the
+    columns; the other two rows, 0 mod the modulus there and even in the
+    last two columns, have no unit and are never updated.  Rows and columns
+    are shuffled, so most pivots swap columns, and a row with no unit ahead
+    of the pivot rows is swapped past them.  The two rows reach the graded
+    phase with entries past the modulus, so the tail over 2 of their pivot
+    depends on which representative they hold."""
+    m = [[rng.randrange(-99, 100) for _ in range(n)] for _ in range(n)]
+    for i in range(n - 2):
+        m[i][i] = 2 * rng.randrange(-50, 50) + 1
+        m[i][i + 1:] = [2 * rng.randrange(-50, 50) for _ in range(i + 1, n)]
+    for i in (n - 2, n - 1):
+        m[i][:n - 2] = [modulus * rng.randrange(-9, 10) or modulus for _ in range(n - 2)]
+        m[i][n - 2:] = [modulus * rng.randrange(1, 9) + 2 * rng.choice((1, 2)) for _ in range(2)]
+    order = rng.sample(range(n), n)
+    return [[row[j] for j in order] for row in rng.sample(m, n)]
+
+
+def test_local_smith_form_matches_the_whole_row_reference():
+    """Exponents and every V column against `local_smith_oracle`, on dense
+    input: pivots off the diagonal, the shared pass of three primes, each
+    prime's own pass over the whole matrix, rectangular blocks, rows no
+    pivot updates, moduli on both sides of the packed rows' slot bound
+    M^2 (cols + 1) < 2^64, a 1 x 1 and an empty matrix."""
+    rng = random.Random(3434)
+
+    def dense(r, c, bound=99):
+        return [[rng.randint(-bound, bound) or 1 for _ in range(c)] for _ in range(r)]
+
+    def even_symmetric(n):
+        m = dense(n, n)
+        for i in range(n):
+            m[i][i] = 2 * rng.randint(-20, 20) or 2
+            for j in range(i):
+                m[i][j] = m[j][i]
+        return m
+
+    # the largest power of 2 whose square times 11 stays below 2^64
+    k_in = max(k for k in range(64) if 2 ** (2 * k) * 11 < 2**64)
+    cases = [
+        *((even_symmetric(n), {2: 4}) for n in (9, 12, 16)),
+        (disguised(block_diagonal([[[2, -1], [-1, 2]]] * 6), rng, 40), {2: 3, 3: 2}),
+        *((dense(12, 12), powers) for powers in ({2: 3, 3: 2, 7: 2}, {2: 2, 5: 1, 11: 3}, {3: 2, 5: 2, 13: 1})),
+        # no entry is prime to 3, so no pivot is shared and each prime eliminates all of m
+        ([[3 * x for x in row] for row in dense(12, 12)], {2: 3, 3: 4}),
+        (dense(14, 9), {2: 3}), (dense(14, 9), {3: 2, 5: 1}),
+        (dense(9, 14), {2: 3}), (dense(9, 14), {3: 2, 5: 1}),
+        (dense(10, 10, 10**12), {2: k_in}), (dense(10, 10, 10**12), {2: k_in + 1}),
+        (dense(10, 10, 10**12), {2: k_in // 2, 3: 9}), (dense(10, 10, 10**12), {65521: 2}),
+        ([[12]], {2: 3, 3: 2}), ([[7]], {7: 1}), ([], {2: 1}), ([[], []], {3: 2}),
+    ]
+    cases += [(_untouched_rows(rng, n, 2**k), {2: k}) for n in (10, 12) for k in (3, 5)]
+    for m, powers in cases:
+        cols = len(m[0]) if m else 0
+        got, want = local_smith_form(m, powers), local_smith_oracle(m, powers)
+        for p in powers:
+            assert got[p].exponents == want[p].exponents, (m, powers)
+            assert [got[p].v_column(j) for j in range(cols)] == [want[p].v_column(j) for j in range(cols)], (m, p)
 
 
 def test_local_smith_form_stops_at_a_block_that_is_zero_mod_the_modulus():
