@@ -16,12 +16,15 @@ rotation blocks built from a^2 + b^2 = -1 supply it for odd n, a quaternion
 multiplication matrix with a^2 + b^2 + c^2 + d^2 = -1 mod 2^{r+1} for n = 2^r,
 and CRT welds the prime parts for mixed n.  Non-cyclic discriminant groups
 fall back to a backtracking search over D^8 in lexicographic order, which
-refuses up front, with BudgetExceededError, when |D|^8 exceeds its budget.
-It indexes D^8 by ints in mixed radix, so ascending ints are lexicographic,
-and reads q and chi of the base's `DiscriminantData.group` off tables over
-the two D^4 halves of an index: the candidates are the sorted isotropic
-ints, filtered down to chi(., h) = 0 as each generator h is taken, and each
-span is a set of ints, grown coset by coset through a table of x -> x + v.
+refuses up front, with BudgetExceededError, when |D|^8 exceeds its budget of
+10^7.  That budget admits |D| <= 7, where the only non-cyclic group is
+Z2 x Z2, so the search takes D^8 = F_2^16 as 16-bit ints, two bits a copy
+and the first copy most significant: ascending ints are lexicographic, the
+sum is xor, and q of the base's `DiscriminantData.group` is read off a table
+over the bytes of an int, one byte for each four copies.  The candidates are
+the sorted isotropic ints, filtered down to chi(., h) = 0 as each generator
+h is taken, and each span is a set of ints, doubled by xor with each
+generator.
 
 The `GluedLattice` carries the HNF basis h of e Lambda in M, e the exponent
 of D, built from the int columns e K^{-1} w_j; the product h K^{+8}; and the
@@ -197,33 +200,27 @@ def _glue_generators_cyclic(n: int) -> list[list[int]]:
     return gens
 
 
-def _over_four_copies(columns, radix: int) -> list[int]:
-    """[sum_c radix^(3-c) columns[c][a_c] for a in D^4], indexed like D^4.
-
-    With radix 1 this sums a per-copy table over the four copies; with radix
-    |D| and columns[c][x] = x + v_c it is the index of a + v."""
-    table = [0]
-    for column in columns:
-        table = [t * radix + x for t in table for x in column]
-    return table
-
-
 def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[int]]:
-    """Backtracking element search over D^8 in lexicographic order.
+    """Backtracking element search over D^8 in lexicographic order, for
+    D = Z2 x Z2: the only non-cyclic D whose |D|^8 fits the node budget.
 
     Candidates must keep the partial group totally isotropic (q = 0 and
     chi = 0 mod 1, summed over the eight copies of the discriminant metric
-    group) and meet the first copy only in zero.  Practical only for small
-    non-cyclic D (a trivial D gives [] at once); cyclic groups use the
-    structural path instead.  Raises BudgetExceededError before tabulating
-    anything when |D|^8 exceeds the budget.
+    group) and meet the first copy only in zero.  A trivial D gives [] at
+    once; cyclic groups use the structural path instead.  Raises
+    BudgetExceededError before tabulating anything when |D|^8 exceeds the
+    budget, and InternalError for any other D.
 
-    An element of D^8 is an int in mixed radix, first coordinate most
-    significant, so ascending ints run in lexicographic order; x splits into
-    halves x // |D|^4 and x % |D|^4 of D^4, and q, chi(., h) and x -> x + v
-    are looked up in tables over D^4.  The candidates are the isotropic ints
-    chi-orthogonal to every generator taken so far; `nodes` counts every int
-    the scan passes over, candidate or not, against the budget.
+    An element of D^8 = F_2^16 is a 16-bit int, the element (a, b) of copy c
+    in bits 15 - 2c and 14 - 2c.  Ascending ints run in lexicographic order,
+    the sum of two elements is their xor, so H + <v> = H | {x ^ v : x in H}
+    (of order 2|H|, never past |D|^4 while |H| < |D|^4), and x lies in the
+    first copy iff x & 0x3FFF == 0.  q is summed over the two bytes of x from
+    one table over D^4.  The candidates are the isotropic ints chi-orthogonal
+    to every generator taken so far, so q vanishes on each new coset; for
+    isotropic x and h, chi(x, h) = q(x + h), so the q table reads chi too.
+    `nodes` counts every int the scan passes over, candidate or not, against
+    the budget.
     """
     target = disc.order**4
     size = disc.order**8
@@ -232,46 +229,18 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
             f"glue search (glue_selfdual_8): D^8 with |D| = {disc.order}: {size} elements exceed node budget "
             f"{budget}; no flag raises it"
         )
+    if size == 1:
+        return []
     group = disc.group
-    level, d = group.level, disc.order
-    half = d**4
-    points = list(group.elements())
-    index = {x: i for i, x in enumerate(points)}
-    # Numerators of q and chi over the level and the sum, tabulated on D.
-    q_num = [group.q_num(x) for x in points]
-    bil_num = [[group.bilinear_num(x, y) for y in points] for x in points]
-    add = [[index[group.add(x, y)] for y in points] for x in points]
-    q_half = _over_four_copies([q_num] * 4, 1)
-
-    def digits(a):
-        return [a // d**k % d for k in (3, 2, 1, 0)]
-
-    def q_total(x) -> int:
-        return (q_half[x // half] + q_half[x % half]) % level
-
-    def half_tables(v, rows, radix):
-        """`_over_four_copies` of rows[v_c], c over each D^4 half of v."""
-        return [_over_four_copies([rows[c] for c in digits(part)], radix) for part in divmod(v, half)]
-
-    def span_with(span, vec):
-        """H + <v>, the union of the cosets H + k v until k v lies in H (then
-        0 lies in the coset), or None once it outgrows the target."""
-        hi, lo = half_tables(vec, add, d)
-        new = set(span)
-        coset = span
-        while True:
-            coset = {hi[x // half] * half + lo[x % half] for x in coset}
-            if 0 in coset:
-                return new
-            new |= coset
-            if len(new) > target:
-                return None
-
+    if group.orders != (2, 2):
+        raise InternalError(f"glue search: D = {group.orders} is not Z2 x Z2, the only non-cyclic D within its budget")
+    level = group.level
+    q_num = [group.q_num(x) for x in group.elements()]  # (a, b) is the digit 2a + b
+    q_byte = [sum(q_num[x >> s & 3] for s in (6, 4, 2, 0)) for x in range(256)]
     by_q: dict[int, list[int]] = {}
-    for lo, v in enumerate(q_half):
+    for lo, v in enumerate(q_byte):
         by_q.setdefault(v % level, []).append(lo)
-    isotropic = [hi * half + lo for hi, v in enumerate(q_half) for lo in by_q.get(-v % level, ())]
-    first_copy = d**7  # x lies in the first copy iff x % d^7 == 0
+    isotropic = [hi << 8 | lo for hi, v in enumerate(q_byte) for lo in by_q.get(-v % level, ())]
     nodes = 0
 
     def search(span, gens, candidates, start):
@@ -285,17 +254,12 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
                 raise GlueSearchError("glue search node budget exhausted")
             if cand in span:
                 continue
-            new_span = span_with(span, cand)
-            if new_span is None:
+            fresh = {x ^ cand for x in span}  # cand is not in span, so fresh has no zero
+            if any(x & 0x3FFF == 0 for x in fresh):
                 continue
-            fresh = new_span - span  # 0 lies in span, so fresh has no zero
-            if any(x % first_copy == 0 for x in fresh):
-                continue
-            if any(q_total(x) for x in fresh):
-                continue
-            hi, lo = half_tables(cand, bil_num, 1)
-            orthogonal = [x for x in candidates[i + 1:] if (hi[x // half] + lo[x % half]) % level == 0]
-            result = search(new_span, gens + [cand], orthogonal, cand + 1)
+            hi, lo = cand >> 8, cand & 255
+            orthogonal = [x for x in candidates[i + 1:] if (q_byte[x >> 8 ^ hi] + q_byte[x & 255 ^ lo]) % level == 0]
+            result = search(span | fresh, gens + [cand], orthogonal, cand + 1)
             if result is not None:
                 return result
         nodes += size - start
@@ -311,7 +275,7 @@ def _glue_generators_search(disc: DiscriminantData, budget: int) -> list[list[in
         del search
     if result is None:
         raise GlueSearchError("no glue group found within the budget")
-    return [[a for k in (7, 6, 5, 4, 3, 2, 1, 0) for a in points[x // d**k % d]] for x in result]
+    return [[x >> k & 1 for k in range(15, -1, -1)] for x in result]
 
 
 # ---------------------------------------------------------------------------

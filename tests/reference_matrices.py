@@ -370,10 +370,11 @@ def span_with(span: set, vec: tuple, orders) -> set:
 
 def glue_generators_search_oracle(disc, budget: int) -> list[list[int]]:
     """The glue search over a list of every tuple of D^8, in lexicographic
-    order: the same depth-first search, checks and node count as
-    `gluing._glue_generators_search`, with q and chi summed copy by copy and
-    each span built from tuples.  Kept as the reference its generators must
-    match."""
+    order, for any finite abelian D: the same depth-first search and node
+    count as `gluing._glue_generators_search`, which takes D = Z2 x Z2 only,
+    with q and chi summed copy by copy, every check made on every new
+    element and each span built from tuples.  Kept as the reference its
+    generators must match."""
     import itertools
 
     from anyonlat.gluing import GlueSearchError

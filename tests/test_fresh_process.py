@@ -26,8 +26,9 @@ from typing import Callable, NamedTuple
 
 import pytest
 
+from anyonlat.cli import dump_matrix_file
 from anyonlat.gluing import GLUE_SEARCH_NODE_BUDGET
-from anyonlat.lattices import e8_gram
+from anyonlat.lattices import cartan_d, e8_gram
 from anyonlat.linalg import block_diagonal
 from anyonlat.metric_groups import PrimeFamilySpec
 from anyonlat.realize import kmatrix_for
@@ -116,6 +117,17 @@ ROWS = [
     Row("complement-e8-empty-witness", [*CLI, "complement", "{tmp}/e8.txt"], 0,
         files={"e8.txt": lambda: plain(e8_gram().gram)},
         lines=("[pass] discriminant_form: invariants (), q2(gens) = [], witness ()",)),
+    # Two of the heaviest glue searches: D = Z2 x Z2 with the toric-code form,
+    # whose generators have q = (1/2, 0) for D_8 and q = (0, 0) for the
+    # positive-definite E[2], take 7293505 and 7555649 of the 10^7 nodes.
+    Row("complement-d8-digest", [*CLI, "complement", "{tmp}/d8.txt", "--out", "{tmp}/d8c.json"], 0,
+        files={"d8.txt": lambda: plain(cartan_d(8).gram)}, lines=("complement rank 56, |det| 4", "verdict: pass"),
+        digest=("d8c.json", "c5a89023402686fd5ea6df8925b5929a1a3f02986fabc5e2a0eef5dbd2bdf0fd")),
+    Row("complement-posdef-e2-digest", [*CLI, "complement", "{tmp}/e2.json", "--out", "{tmp}/e2c.json"], 0,
+        files={"e2.json": lambda: dump_matrix_file(
+            kmatrix_for(PrimeFamilySpec("E", 2, 1), positive_definite=True)[0], target="E[2]")},
+        lines=("complement rank 112, |det| 4", "verdict: pass"),
+        digest=("e2c.json", "81d9398e0b2d5633aa67e4b8b645a06a4235b5e47e029d3804682bf0659444de")),
     # Eight copies of the Cartan A_78, 3.5 times the largest base the
     # benchmark glues (A_22); the file written keeps its recorded bytes.
     Row("complement-a78-digest", [*CLI, "complement", "{tmp}/a78.txt", "--out", "{tmp}/a78c.json"], 0,

@@ -25,6 +25,7 @@ from anyonlat.gluing import (
     orthogonal_complement,
 )
 from anyonlat.lattices import (
+    DiscriminantData,
     cartan_a,
     cartan_d,
     discriminant_form,
@@ -44,11 +45,14 @@ from anyonlat.linalg import (
 )
 from anyonlat.metric_groups import (
     BudgetExceededError,
+    InternalError,
+    MetricGroup,
     PrimeFamilySpec,
     build_prime,
     conjugate,
     direct_sum,
     is_isomorphic,
+    is_nondegenerate,
 )
 from anyonlat.symmetry import aut_bruteforce
 from anyonlat.weights import coset_minima
@@ -175,11 +179,74 @@ class TestGlueSearchBudget:
             gluing._glue_generators_search(disc, 3933472)
         assert _digest(gluing._glue_generators_search(disc, 3933473)) == "364a4848483e66ba"
 
+    def test_budget_admits_no_non_cyclic_group_but_z2_squared(self):
+        # |D|^8 for the smallest non-cyclic groups: Z2 x Z2 (4^8) fits, and
+        # Z2 x Z4 and Z2^3 (8^8) do not, so the search is written for
+        # D^8 = F_2^16 only.  A larger budget needs a search over other D.
+        assert 4**8 <= GLUE_SEARCH_NODE_BUDGET < 8**8
+
+    def test_other_groups_are_refused(self):
+        # Z2 x Z4 inside a budget that admits it is still not Z2 x Z2.
+        disc = discriminant_form([[2, 0], [0, 4]])
+        assert disc.invariant_factors == (2, 4)
+        with pytest.raises(InternalError, match="is not Z2 x Z2") as info:
+            gluing._glue_generators_search(disc, 8**8)
+        assert type(info.value) is InternalError
+
     def test_refuses_before_listing_d8(self, monkeypatch):
         # D = Z2 x Z2: 4^8 = 65536 elements of D^8, over a budget of 1000.
         monkeypatch.setattr(gluing, "GLUE_SEARCH_NODE_BUDGET", 1000)
         with pytest.raises(BudgetExceededError, match="65536"):
             glue_selfdual_8([[2, 0], [0, 2]])
+
+
+def _z2_squared_disc(q1: int, q2: int, c: int) -> DiscriminantData:
+    """Z2 x Z2 with q(e_i) = q_i / 4 and chi(e_1, e_2) = c / 4."""
+    group = MetricGroup((2, 2), 4, (q1, q2), ((2 * q1 % 4, c), (c, 2 * q2 % 4)))
+    return DiscriminantData(group, ((), ()), ((), ()))
+
+
+# Every nondegenerate form on Z2 x Z2, (q1, q2, c) as in `_z2_squared_disc`:
+# the digest of its glue generators and the nodes the search counts until it
+# finds them, both recorded before the search took D^8 as F_2^16.
+_Z2_SQUARED_FORMS = {
+    (0, 0, 2): ("4d8f33eef5d3845f", 7555649),
+    (0, 1, 2): ("3eede0192ecac14d", 3623553),
+    (0, 2, 2): ("88cea4cb68763ee6", 6944001),
+    (0, 3, 2): ("3eede0192ecac14d", 3623553),
+    (1, 0, 2): ("364a4848483e66ba", 3933473),
+    (1, 1, 0): ("2204d2ac37feb395", 38401),
+    (1, 2, 2): ("94cdba9117b72c50", 43521),
+    (1, 3, 0): ("7cd4aaa2d27fb092", 3313633),
+    (2, 0, 2): ("4d8f33eef5d3845f", 7293505),
+    (2, 1, 2): ("fcc2ca0d1d6ac3b1", 33281),
+    (2, 2, 2): ("f316dd8fe8f39004", 40961),
+    (2, 3, 2): ("fcc2ca0d1d6ac3b1", 33281),
+    (3, 0, 2): ("364a4848483e66ba", 3933473),
+    (3, 1, 0): ("7cd4aaa2d27fb092", 3313633),
+    (3, 2, 2): ("94cdba9117b72c50", 43521),
+    (3, 3, 0): ("2204d2ac37feb395", 38401),
+}
+
+
+def test_the_pinned_forms_are_every_nondegenerate_form_on_z2_squared():
+    forms = [(q1, q2, c) for q1 in range(4) for q2 in range(4) for c in (0, 2)]
+    assert [f for f in forms if is_nondegenerate(_z2_squared_disc(*f).group)] == list(_Z2_SQUARED_FORMS)
+
+
+@pytest.mark.parametrize("form", list(_Z2_SQUARED_FORMS), ids="q{0[0]}{0[1]}-c{0[2]}".format)
+def test_glue_search_on_every_nondegenerate_form_on_z2_squared(form):
+    """The search's whole input space: each form succeeds within the
+    default budget (so `complement` never exhausts it) with its recorded
+    generators, and exhausts a budget one node short of its recorded count
+    where that count is past |D^8| = 4^8, below which the budget refusal
+    comes first."""
+    digest, nodes = _Z2_SQUARED_FORMS[form]
+    disc = _z2_squared_disc(*form)
+    assert _digest(gluing._glue_generators_search(disc, GLUE_SEARCH_NODE_BUDGET)) == digest
+    if nodes > 4**8:
+        with pytest.raises(GlueSearchError, match="node budget exhausted"):
+            gluing._glue_generators_search(disc, nodes - 1)
 
 
 class TestComplementDuality:

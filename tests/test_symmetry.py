@@ -77,6 +77,25 @@ def test_budget():
         aut_bruteforce(g, budget=4096)
 
 
+@pytest.mark.parametrize("search", [lambda g, budget: is_isomorphic(g, g, budget), aut_bruteforce],
+                         ids=["is_isomorphic", "aut_bruteforce"])
+def test_search_past_its_budget_refuses_before_listing_candidates(monkeypatch, search):
+    """Both searches compare |A| with the budget before `_candidates` lists
+    the images of any generator, so a refused search allocates nothing per
+    element.  E[2^6] is Z64 x Z64, non-cyclic, so no closed form settles it."""
+    import anyonlat.metric_groups
+    import anyonlat.symmetry
+
+    def refuse(*args):
+        raise AssertionError("candidates listed")
+
+    monkeypatch.setattr(anyonlat.metric_groups, "_candidates", refuse)
+    monkeypatch.setattr(anyonlat.symmetry, "_candidates", refuse)
+    g = build_prime(PrimeFamilySpec("E", 2, 6))
+    with pytest.raises(BudgetExceededError, match=f"group of order {g.size} exceeds budget {g.size - 1}"):
+        search(g, budget=g.size - 1)
+
+
 def test_nonprime_group_aut():
     # Semion x semion: the two factors can be swapped, nothing else.
     s = build_prime(PrimeFamilySpec("A", 2, 1))
